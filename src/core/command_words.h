@@ -12,11 +12,11 @@
 
 namespace semandaq::core {
 
-/// The lexical layer shared by every text-command surface over the facade:
-/// the single-process core::Session and the server's SemandaqService speak
-/// the same grammar, so they split lines and parse option words with the
-/// same helpers (a `detect REL threads=N` frame sent over the wire means
-/// exactly what the same line means at the CLI).
+/// The lexical layer of the text-command grammar that
+/// server::SemandaqService implements: line splitting and option-word
+/// parsing. The CLI and the server both run lines through the service, so
+/// a `detect REL threads=N` frame sent over the wire means exactly what
+/// the same line means at the CLI.
 
 /// Splits a command line on whitespace (no quoting; the `cfd` and `sql`
 /// commands take the raw remainder instead).

@@ -11,19 +11,6 @@ namespace semandaq::core {
 
 using common::Status;
 
-common::ThreadPool* Semandaq::PoolFor(size_t num_threads) {
-  if (num_threads == 1) return nullptr;
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<common::ThreadPool>(common::ResolveThreadCount(0));
-    // Discovery can share the facade pool: once it exists, Discover /
-    // DiscoverFrom calls with num_threads == 0 fan their levelwise sweep
-    // out over it (explicit N >= 2 runs a private N-lane pool instead,
-    // and the default of 1 mines serially).
-    engine_.set_thread_pool(pool_.get());
-  }
-  return pool_.get();
-}
-
 relational::EncodedRelation* Semandaq::FindWarm(
     const std::string& relation, const relational::Relation* rel) {
   auto it = warm_.find(common::ToLower(relation));
@@ -47,14 +34,12 @@ relational::EncodedRelation* Semandaq::WarmSnapshot(
 relational::EncodedRelation* Semandaq::WarmOrEncode(const std::string& relation) {
   relational::Relation* rel = db_.FindMutableRelation(relation);
   if (rel == nullptr) return nullptr;
-  common::ThreadPool* pool = PoolFor(detector_options_.num_threads);
   relational::EncodedRelation* warm = FindWarm(relation, rel);
   if (warm == nullptr) {
-    auto enc = std::make_unique<relational::EncodedRelation>(rel, pool);
+    auto enc = std::make_unique<relational::EncodedRelation>(rel);
     warm = enc.get();
     warm_[common::ToLower(relation)] = std::move(enc);
   } else {
-    warm->set_thread_pool(pool);
     warm->Sync();
   }
   return warm;
@@ -94,32 +79,15 @@ common::Status Semandaq::AttachWal(const std::string& relation,
   return Status::OK();
 }
 
-common::Result<size_t> Semandaq::Discover(const std::string& relation,
-                                          discovery::CfdMinerOptions options) {
-  // Only num_threads == 0 ("all hardware threads") borrows the shared
-  // hardware-width pool; an explicit N >= 2 is left for the miner to
-  // honor with a private N-lane pool (mirroring the detect path, where
-  // threads=N really runs N shards), and 1 stays serial. Output is
-  // identical for every lane count.
-  if (options.pool == nullptr && options.num_threads == 0) {
-    options.pool = PoolFor(options.num_threads);
-  }
-  return engine_.DiscoverFrom(relation, options);
-}
-
 common::Result<detect::ViolationTable> Semandaq::DetectErrors(
     const std::string& relation, DetectorKind kind,
-    std::optional<detect::DetectorOptions> options) {
+    detect::DetectorOptions options) {
   SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
                             db_.GetRelation(relation));
   std::vector<cfd::Cfd> cfds = engine_.CfdsFor(relation);
   if (kind == DetectorKind::kNative) {
-    const detect::DetectorOptions opts = options.value_or(detector_options_);
-    detect::NativeDetector detector(rel, std::move(cfds), opts);
-    common::ThreadPool* pool = PoolFor(opts.num_threads);
-    detector.set_thread_pool(pool);
+    detect::NativeDetector detector(rel, std::move(cfds), options);
     if (relational::EncodedRelation* warm = FindWarm(relation, rel)) {
-      warm->set_thread_pool(pool);
       warm->Sync();
       detector.set_encoded(warm);
     }
@@ -247,7 +215,6 @@ common::Result<Semandaq::OpenStats> Semandaq::OpenRelation(
     (void)db_.DropRelation(name);
     return wal.status();
   }
-  enc->set_thread_pool(PoolFor(detector_options_.num_threads));
   enc->set_cancel(cancel);
   enc->Sync();
   enc->set_cancel(nullptr);  // the token's life ends with this request
@@ -301,13 +268,6 @@ common::Result<repair::RepairResult> Semandaq::Clean(const std::string& relation
                                                      repair::CostModelOptions cost) {
   SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
                             db_.GetRelation(relation));
-  // Same lane policy as Discover: only num_threads == 0 borrows the shared
-  // hardware-width pool; an explicit N >= 2 gets a private N-lane pool from
-  // the repair engine itself, and 1 repairs serially. The RepairResult is
-  // byte-identical for every lane count.
-  if (options.pool == nullptr && options.num_threads == 0) {
-    options.pool = PoolFor(options.num_threads);
-  }
   repair::CostModel model(rel->schema(), std::move(cost));
   repair::BatchRepair cleaner(rel, engine_.CfdsFor(relation), std::move(model),
                               std::move(options));

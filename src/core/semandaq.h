@@ -11,7 +11,6 @@
 #include "audit/report.h"
 #include "common/cancel.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/constraint_engine.h"
 #include "core/explorer.h"
 #include "detect/native_detector.h"
@@ -32,7 +31,8 @@ namespace semandaq::core {
 /// data monitor, and the (programmatic) data explorer, over the relational
 /// substrate standing in for the database servers. The data flow between
 /// the components is diagrammed in docs/architecture.md; the text-command
-/// wrapper over this facade is core/session.h.
+/// front end over this facade (CLI and server alike) is
+/// server::SemandaqService in server/service.h.
 ///
 /// Typical session, mirroring the demonstration flow of §3:
 ///
@@ -180,38 +180,16 @@ class Semandaq {
     return wal_sync_policy_;
   }
 
-  /// Discovers CFDs from `relation` (reference data) into the constraint
-  /// set, returning how many were added. CfdMinerOptions::num_threads
-  /// selects the parallel levelwise sweep: 1 (the default) mines serially,
-  /// 0 fans each lattice level's candidates out over the shared
-  /// hardware-width facade pool, and N >= 2 runs exactly N lanes (a
-  /// private pool inside the miner, mirroring how detect's threads=N runs
-  /// N shards) — mined output is byte-identical for every thread count
-  /// and SIMD tier (docs/discovery.md). This is what the Session CLI's
-  /// `mine REL threads=N` runs.
-  common::Result<size_t> Discover(const std::string& relation,
-                                  discovery::CfdMinerOptions options = {});
-
   /// Runs the error detector over one relation with the CFDs registered for
   /// it. `options` only applies to the native detector; in particular
   /// DetectorOptions::num_threads >= 2 (or 0 = all hardware threads) turns
-  /// on the sharded parallel scan, whose output is identical to the serial
-  /// one (see docs/architecture.md). Omitted, it inherits the facade-wide
-  /// default set via set_detector_options.
+  /// on the sharded parallel scan over a per-call pool, whose output is
+  /// identical to the serial one (see docs/architecture.md). The
+  /// components that detect internally (Audit, Report, QualityMap,
+  /// Explore) run the default, serial scan.
   common::Result<detect::ViolationTable> DetectErrors(
       const std::string& relation, DetectorKind kind = DetectorKind::kNative,
-      std::optional<detect::DetectorOptions> options = std::nullopt);
-
-  /// Facade-wide default detection options, used by DetectErrors and by
-  /// every component that detects internally (Audit, Report, QualityMap,
-  /// Explore). This is how a deployment opts the whole read path into
-  /// sharded detection once instead of plumbing options through each call.
-  void set_detector_options(detect::DetectorOptions options) {
-    detector_options_ = options;
-  }
-  const detect::DetectorOptions& detector_options() const {
-    return detector_options_;
-  }
+      detect::DetectorOptions options = {});
 
   /// Error detector + data auditor.
   common::Result<audit::AuditOutcome> Audit(const std::string& relation);
@@ -226,10 +204,10 @@ class Semandaq {
   /// Runs the data cleanser; the database is not modified (review first,
   /// then ApplyRepair). RepairOptions::num_threads selects the parallel
   /// candidate-evaluation and sharded re-detection path: 1 (the default)
-  /// repairs serially, 0 borrows the shared hardware-width facade pool,
-  /// and N >= 2 runs exactly N private lanes — the RepairResult is
-  /// byte-identical for every thread count and SIMD tier (docs/repair.md).
-  /// This is what the Session CLI's `clean REL threads=N` runs.
+  /// repairs serially, and 0 (all hardware threads) or N >= 2 run that many
+  /// lanes on RepairOptions::pool or, without one, a private pool — the
+  /// RepairResult is byte-identical for every thread count and SIMD tier
+  /// (docs/repair.md).
   common::Result<repair::RepairResult> Clean(const std::string& relation,
                                              repair::RepairOptions options = {},
                                              repair::CostModelOptions cost = {});
@@ -255,13 +233,6 @@ class Semandaq {
   common::Result<std::unique_ptr<DataExplorer>> Explore(const std::string& relation);
 
  private:
-  /// The shared worker pool for sharded scans and parallel encodes, built
-  /// once (at hardware width) the first time options ask for parallelism
-  /// and reused across Detect/Save/Open calls. nullptr result = stay
-  /// serial. The shard plan still decides task counts; the pool is only
-  /// the lanes they run on.
-  common::ThreadPool* PoolFor(size_t num_threads);
-
   /// The warm snapshot for `relation` if it still describes `rel` (a
   /// replaced relation drops its stale entry); nullptr otherwise.
   relational::EncodedRelation* FindWarm(const std::string& relation,
@@ -276,8 +247,6 @@ class Semandaq {
 
   relational::Database db_;
   ConstraintEngine engine_;
-  detect::DetectorOptions detector_options_;
-  std::unique_ptr<common::ThreadPool> pool_;
 
   /// Warm encoded snapshots by lowercase relation name, fed by
   /// SaveRelation/OpenRelation and consumed (and Sync'd) by DetectErrors.

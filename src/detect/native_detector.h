@@ -103,8 +103,8 @@ class NativeDetector {
   }
 
   /// Attaches an externally owned worker pool reused across Detect calls
-  /// (Semandaq keeps one per facade), so repeated sharded detections skip
-  /// thread construction. The pool's lane count is independent of
+  /// (the server's scheduler leases one per request), so repeated sharded
+  /// detections skip thread construction. The pool's lane count is independent of
   /// DetectorOptions::num_threads — the shard plan still decides the task
   /// count; a pool with fewer lanes just runs shards queued, with output
   /// unchanged. Without one, a sharded Detect builds a pool per call (the

@@ -38,7 +38,7 @@ struct CfdMinerOptions {
   /// its own pool for the Mine() call. Mined output is byte-identical for
   /// every thread count — see FdMinerOptions::num_threads.
   size_t num_threads = 1;
-  /// Borrowed worker pool (e.g. the Semandaq facade's, shared with the
+  /// Borrowed worker pool (e.g. a scheduler lease's, shared with the
   /// embedded FdMiner run). When attached with more than one lane it
   /// powers the base-partition builds and the candidate fan-out,
   /// overriding `num_threads`. Mined output is identical to serial.

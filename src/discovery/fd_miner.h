@@ -33,7 +33,7 @@ struct FdMinerOptions {
   /// candidates are validated into per-candidate slots and emitted in the
   /// serial sweep's exact lexicographic order.
   size_t num_threads = 1;
-  /// Borrowed worker pool (e.g. the Semandaq facade's). When attached with
+  /// Borrowed worker pool (e.g. a scheduler lease's). When attached with
   /// more than one lane it powers both the base-partition builds and the
   /// per-level candidate fan-out, overriding `num_threads`. nullptr =
   /// honor `num_threads`.

@@ -6,36 +6,34 @@
 
 namespace semandaq::relational {
 
-Relation::Relation(const Relation& other)
-    : name_(other.name_),
-      schema_(other.schema_),
-      rows_(other.rows_),
-      hydrator_(other.hydrator_),
-      needs_hydration_(other.needs_hydration_.load(std::memory_order_acquire)),
-      live_(other.live_),
-      live_count_(other.live_count_),
-      version_(other.version_),
-      overwrite_version_(other.overwrite_version_) {
-  // observer_ stays nullptr: a copy is a new, unwatched relation — a WAL
-  // attachment must journal exactly the relation it was attached to.
-  // A copy of an unhydrated relation re-runs the (pure) hydrator
-  // independently, under its own fresh mutex.
-}
+Relation::Relation(const Relation& other) { *this = other; }
 
 Relation& Relation::operator=(const Relation& other) {
   if (this == &other) return *this;
+  // The source's rows, hydrator and hydration flag change together under
+  // its hydrate mutex (HydrateRows moves the hydrator out and fills the
+  // rows), so they are read under it too. An unhydrated source stays
+  // unhydrated: the copy re-runs the (pure) hydrator independently, under
+  // its own mutex, which keeps a clone of a lazily loaded epoch from
+  // pinning a second decoded copy of its rows.
+  {
+    std::unique_lock<std::mutex> lock;
+    if (other.hydrate_mu_ != nullptr) lock = std::unique_lock(*other.hydrate_mu_);
+    rows_ = other.rows_;
+    hydrator_ = other.hydrator_;
+    needs_hydration_.store(other.needs_hydration_.load(std::memory_order_acquire),
+                           std::memory_order_release);
+  }
   name_ = other.name_;
   schema_ = other.schema_;
-  rows_ = other.rows_;
-  hydrator_ = other.hydrator_;
-  needs_hydration_.store(other.needs_hydration_.load(std::memory_order_acquire),
-                         std::memory_order_release);
   // A moved-from shell being reused as an assignment target lost its mutex.
   if (hydrate_mu_ == nullptr) hydrate_mu_ = std::make_unique<std::mutex>();
   live_ = other.live_;
   live_count_ = other.live_count_;
   version_ = other.version_;
   overwrite_version_ = other.overwrite_version_;
+  // observer_ stays nullptr: a copy is a new, unwatched relation — a WAL
+  // attachment must journal exactly the relation it was attached to.
   observer_ = nullptr;
   return *this;
 }

@@ -122,8 +122,9 @@ class Relation {
   /// this automatically. Hydration itself is thread-safe (double-checked
   /// under an internal mutex), so concurrent *readers* of an immutable
   /// relation — e.g. server sessions sharing one pinned snapshot — may
-  /// race to the first row access safely; concurrent *mutation* remains
-  /// the caller's problem, as for every other mutator.
+  /// race to the first row access safely, and so may copies (they read
+  /// under the same mutex); concurrent *mutation* remains the caller's
+  /// problem, as for every other mutator.
   void EnsureHydrated() const {
     if (needs_hydration_.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lock(*hydrate_mu_);

@@ -59,7 +59,7 @@ struct RepairOptions {
   /// repairs identically. The row path ignores it.
   common::simd::Level simd_level = common::simd::Level::kAuto;
 
-  /// Borrowed worker pool (e.g. the Semandaq facade's shared one). nullptr
+  /// Borrowed worker pool (e.g. a scheduler lease's). nullptr
   /// = the engine resolves `num_threads` itself, spinning up a private pool
   /// for N >= 2.
   common::ThreadPool* pool = nullptr;

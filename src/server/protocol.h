@@ -13,7 +13,7 @@ namespace semandaq::server {
 /// speak (docs/server.md, Wire protocol):
 ///
 ///   frame    := u32-LE payload length | payload bytes
-///   request  := one command line of the Session grammar (UTF-8 text),
+///   request  := one command line of SemandaqService's grammar (UTF-8 text),
 ///               or a control frame (below)
 ///   response := u8 status | status-specific body
 ///

@@ -25,7 +25,7 @@ class RequestScheduler;
 /// (the head-of-line metric tools/bench_server_qps.py records).
 enum class RequestClass : uint8_t { kCheap = 0, kExpensive = 1 };
 
-/// The admission class of one Session-grammar verb. Unknown verbs come
+/// The admission class of one command-grammar verb. Unknown verbs come
 /// back cheap: they fail fast in Execute's dispatch anyway.
 RequestClass ClassifyVerb(std::string_view verb);
 

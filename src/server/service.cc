@@ -7,8 +7,7 @@
 #include "audit/report.h"
 #include "common/string_util.h"
 #include "core/command_words.h"
-#include "core/session.h"
-#include "detect/native_detector.h"
+#include "core/explorer.h"
 #include "discovery/cfd_miner.h"
 #include "relational/csv_io.h"
 #include "repair/cost_model.h"
@@ -21,6 +20,18 @@ namespace semandaq::server {
 using common::Result;
 using common::Status;
 
+namespace {
+
+/// The lane request of the detecting verbs without a threads= word (map,
+/// report, explore): every free lane.
+detect::DetectorOptions AllFreeLanes() {
+  detect::DetectorOptions options;
+  options.num_threads = 0;
+  return options;
+}
+
+}  // namespace
+
 SemandaqService::SemandaqService(ServiceOptions options)
     : scheduler_(options.scheduler_lanes),
       admission_(options.admission, scheduler_.total_lanes()) {
@@ -28,10 +39,53 @@ SemandaqService::SemandaqService(ServiceOptions options)
 }
 
 std::string SemandaqService::Help() {
-  return core::Session::Help() +
-         "  epoch REL                 latest published snapshot epoch of REL\n"
-         "  stats                     server counters (lanes, queues, sheds, "
-         "timeouts, cancels)\n";
+  return
+      "commands:\n"
+      "  help | ls\n"
+      "  load NAME PATH            import CSV as relation NAME\n"
+      "  save REL PATH [compact=N] [sync=MODE]\n"
+      "                            persist REL as a binary columnar snapshot\n"
+      "                            (WAL sidecar at PATH.wal); compact=N folds\n"
+      "                            the sidecar back into the snapshot once it\n"
+      "                            holds N mutation records; sync=MODE picks\n"
+      "                            WAL durability: always (fdatasync every\n"
+      "                            record), batch(N), or none\n"
+      "  open NAME PATH            load a snapshot (+ WAL tail) as NAME;\n"
+      "                            detect/mine need no re-encode afterwards\n"
+      "  savedb DIR                persist every relation into DIR plus a\n"
+      "                            catalog manifest (whole-database save)\n"
+      "  opendb DIR                reopen a savedb directory (snapshots +\n"
+      "                            WAL tails; warm restart)\n"
+      "  gen customer|hospital N NOISE%   generate a workload (dirty + gold)\n"
+      "  show REL [N]              print up to N tuples (default 10)\n"
+      "  cfd DEFINITION            e.g. cfd customer: [CC=44] -> [CNT=UK]\n"
+      "  cfds                      list registered CFDs\n"
+      "  validate REL              satisfiability analysis of Sigma(REL)\n"
+      "  mine REL [threads=N] [simd=LEVEL]\n"
+      "                            discover CFDs from REL into Sigma\n"
+      "                            (threads=N fans the levelwise sweep out,\n"
+      "                            0 = all hardware threads; mined output is\n"
+      "                            identical for every thread count and tier)\n"
+      "  detect REL [sql] [threads=N] [simd=scalar|sse2|avx2]\n"
+      "                            run the error detector (native or SQL\n"
+      "                            path; threads=N shards the native scan,\n"
+      "                            0 = all hardware threads; simd= forces a\n"
+      "                            kernel tier, default = best supported)\n"
+      "  map REL [N]               tuple-level data quality map\n"
+      "  report REL                data quality report\n"
+      "  explore REL CFD# PAT#     drill-down tables for a pattern\n"
+      "  clean REL [threads=N] [simd=LEVEL]\n"
+      "                            compute a candidate repair (pending);\n"
+      "                            threads=N fans the per-round candidate\n"
+      "                            evaluation and re-detection out, 0 = all\n"
+      "                            hardware threads; the repair is identical\n"
+      "                            for every thread count and tier\n"
+      "  diff                      show the pending repair\n"
+      "  apply                     write the pending repair back\n"
+      "  sql QUERY                 run a SELECT statement\n"
+      "  epoch REL                 latest published snapshot epoch of REL\n"
+      "  stats                     server counters (lanes, queues, sheds, "
+      "timeouts, cancels)\n";
 }
 
 std::string SemandaqService::RenderStats() const {
@@ -103,6 +157,23 @@ std::vector<cfd::Cfd> SemandaqService::CfdsFor(const std::string& relation) {
   return sys_.constraints().CfdsFor(relation);
 }
 
+common::Result<SemandaqService::PinnedDetection> SemandaqService::DetectPinned(
+    const std::string& relation, detect::DetectorOptions options,
+    common::CancelToken* cancel) {
+  PinnedDetection out;
+  out.snap = Pin(relation);
+  if (out.snap == nullptr) return Status::NotFound("no relation named " + relation);
+  out.cfds = CfdsFor(relation);
+  ThreadLease lease = scheduler_.Acquire(options.num_threads);
+  options.num_threads = lease.lanes();
+  options.cancel = cancel;
+  detect::NativeDetector detector(&out.snap->relation, out.cfds, options);
+  detector.set_thread_pool(lease.pool());
+  detector.set_encoded(&*out.snap->encoded);
+  SEMANDAQ_ASSIGN_OR_RETURN(out.table, detector.Detect());
+  return out;
+}
+
 common::Result<size_t> SemandaqService::AppendBatch(
     const std::string& relation, std::vector<relational::Row> rows) {
   std::lock_guard<std::mutex> lock(sys_mu_);
@@ -162,6 +233,7 @@ common::Result<std::string> SemandaqService::ExecuteAdmitted(
   if (verb == "clean") return CmdClean(session, args, cancel);
   if (verb == "map") return CmdMap(args, cancel);
   if (verb == "report") return CmdReport(args, cancel);
+  if (verb == "explore") return CmdExplore(args, cancel);
   if (verb == "sql") return CmdSql(line.substr(verb.size()), cancel);
   if (verb == "diff") return CmdDiff(session);
   if (verb == "apply") return CmdApply(session);
@@ -312,21 +384,6 @@ common::Result<std::string> SemandaqService::ExecuteAdmitted(
     return out;
   }
 
-  if (verb == "explore") {
-    if (args.size() < 3) {
-      return Status::InvalidArgument("usage: explore REL CFD# PAT#");
-    }
-    SEMANDAQ_ASSIGN_OR_RETURN(size_t ci, core::ParseCount(args[1]));
-    SEMANDAQ_ASSIGN_OR_RETURN(size_t pi, core::ParseCount(args[2]));
-    SEMANDAQ_ASSIGN_OR_RETURN(auto explorer, sys_.Explore(args[0]));
-    SEMANDAQ_ASSIGN_OR_RETURN(auto matches,
-                              explorer->LhsMatches(static_cast<int>(ci),
-                                                   static_cast<int>(pi)));
-    if (matches.empty()) return std::string("(no tuples match this pattern)\n");
-    return explorer->RenderDrilldown(static_cast<int>(ci), static_cast<int>(pi),
-                                     matches.front().lhs);
-  }
-
   return Status::InvalidArgument("unknown command '" + verb + "' (try: help)");
 }
 
@@ -386,17 +443,9 @@ common::Result<std::string> SemandaqService::CmdDetect(
     return table.Summary() + "\n";
   }
 
-  SnapshotPtr snap = Pin(args[0]);
-  if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
-  std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  ThreadLease lease = scheduler_.Acquire(options.num_threads);
-  options.num_threads = lease.lanes();
-  options.cancel = cancel;
-  detect::NativeDetector detector(&snap->relation, std::move(cfds), options);
-  detector.set_thread_pool(lease.pool());
-  detector.set_encoded(&*snap->encoded);
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table, detector.Detect());
-  return table.Summary() + "\n";
+  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d,
+                            DetectPinned(args[0], options, cancel));
+  return d.table.Summary() + "\n";
 }
 
 common::Result<std::string> SemandaqService::CmdMine(
@@ -529,41 +578,42 @@ common::Result<std::string> SemandaqService::CmdMap(
   if (args.size() > 1) {
     SEMANDAQ_ASSIGN_OR_RETURN(n, core::ParseCount(args[1]));
   }
-  SnapshotPtr snap = Pin(args[0]);
-  if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
-  std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  ThreadLease lease = scheduler_.Acquire(0);
-  detect::DetectorOptions options;
-  options.num_threads = lease.lanes();
-  options.cancel = cancel;
-  detect::NativeDetector detector(&snap->relation, std::move(cfds), options);
-  detector.set_thread_pool(lease.pool());
-  detector.set_encoded(&*snap->encoded);
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table, detector.Detect());
-  return audit::AsciiRender::QualityMap(snap->relation, table, n);
+  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d,
+                            DetectPinned(args[0], AllFreeLanes(), cancel));
+  return audit::AsciiRender::QualityMap(d.snap->relation, d.table, n);
 }
 
 common::Result<std::string> SemandaqService::CmdReport(
     const std::vector<std::string>& args, common::CancelToken* cancel) {
   if (args.size() != 1) return Status::InvalidArgument("usage: report REL");
-  SnapshotPtr snap = Pin(args[0]);
-  if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
-  std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  ThreadLease lease = scheduler_.Acquire(0);
-  detect::DetectorOptions options;
-  options.num_threads = lease.lanes();
-  options.cancel = cancel;
-  detect::NativeDetector detector(&snap->relation, cfds, options);
-  detector.set_thread_pool(lease.pool());
-  detector.set_encoded(&*snap->encoded);
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table, detector.Detect());
-  audit::DataAuditor auditor(&snap->relation, std::move(cfds));
-  SEMANDAQ_ASSIGN_OR_RETURN(auto outcome, auditor.Audit(table));
+  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d,
+                            DetectPinned(args[0], AllFreeLanes(), cancel));
+  audit::DataAuditor auditor(&d.snap->relation, std::move(d.cfds));
+  SEMANDAQ_ASSIGN_OR_RETURN(auto outcome, auditor.Audit(d.table));
   const audit::QualityReport report =
-      audit::BuildQualityReport(outcome, snap->relation.schema());
+      audit::BuildQualityReport(outcome, d.snap->relation.schema());
   return audit::AsciiRender::BarChart(report) + "\n" +
          audit::AsciiRender::PieChart(report) + "\n" +
          audit::AsciiRender::Statistics(report);
+}
+
+common::Result<std::string> SemandaqService::CmdExplore(
+    const std::vector<std::string>& args, common::CancelToken* cancel) {
+  if (args.size() < 3) {
+    return Status::InvalidArgument("usage: explore REL CFD# PAT#");
+  }
+  SEMANDAQ_ASSIGN_OR_RETURN(size_t ci, core::ParseCount(args[1]));
+  SEMANDAQ_ASSIGN_OR_RETURN(size_t pi, core::ParseCount(args[2]));
+  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d,
+                            DetectPinned(args[0], AllFreeLanes(), cancel));
+  // The explorer borrows the pinned detection; both die with this call.
+  const core::DataExplorer explorer(&d.snap->relation, &d.cfds, &d.table);
+  const int cfd = static_cast<int>(ci);
+  const int pattern = static_cast<int>(pi);
+  // Drill into the first matching LHS automatically.
+  SEMANDAQ_ASSIGN_OR_RETURN(auto matches, explorer.LhsMatches(cfd, pattern));
+  if (matches.empty()) return std::string("(no tuples match this pattern)\n");
+  return explorer.RenderDrilldown(cfd, pattern, matches.front().lhs);
 }
 
 common::Result<std::string> SemandaqService::CmdSql(

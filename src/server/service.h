@@ -14,6 +14,8 @@
 #include "common/cancel.h"
 #include "common/status.h"
 #include "core/semandaq.h"
+#include "detect/native_detector.h"
+#include "detect/violation.h"
 #include "repair/batch_repair.h"
 #include "server/scheduler.h"
 #include "server/snapshot.h"
@@ -48,19 +50,22 @@ struct ServiceStats {
   std::atomic<uint64_t> epochs_served{0};
 };
 
-/// The concurrent multi-session service over one Semandaq system: many
-/// sessions execute the core::Session command grammar against a shared
-/// database, with reads running in parallel against pinned immutable
-/// epochs and writes serialized behind one writer lock.
+/// The one implementation of Semandaq's text-command grammar (Help() lists
+/// it), over one Semandaq system: the stand-in for the paper's web front
+/// end. `semandaq_cli` drives it in-process with a single SessionState;
+/// `semandaq_server` with one per connection. Many sessions execute
+/// against a shared database, with reads running in parallel against
+/// pinned immutable epochs and writes serialized behind one writer lock.
 ///
 /// Concurrency model (docs/server.md):
 ///
 ///   * Every relation has a publication slot holding the latest
 ///     RelationSnapshot, swapped with atomic shared_ptr publication.
 ///     Read commands (detect / mine / clean / sql / show / map / report /
-///     epoch) pin the snapshot with one atomic load and compute on it
-///     lock-free — they never block on writers, and a writer never waits
-///     for readers (old epochs die by refcount when the last pin drops).
+///     explore / epoch) pin the snapshot with one atomic load and compute
+///     on it lock-free — they never block on writers, and a writer never
+///     waits for readers (old epochs die by refcount when the last pin
+///     drops).
 ///   * Write commands (load / open / gen / apply / savedb / opendb / the
 ///     programmatic AppendBatch) and constraint/catalog commands take
 ///     `sys_mu_`, mutate the master through the facade, and republish the
@@ -77,9 +82,10 @@ struct ServiceStats {
 /// standalone copy of the relation as of epoch k — the property
 /// tests/server_concurrency_test.cc stresses.
 ///
-/// Sessions are represented by SessionState values owned by the transport
-/// (one per connection); the service itself is stateless per request
-/// beyond them, so it is safe to call Execute from any number of threads.
+/// Sessions are represented by SessionState values owned by the caller
+/// (the CLI's one, or the transport's one per connection); the service
+/// itself is stateless per request beyond them, so it is safe to call
+/// Execute from any number of threads.
 class SemandaqService {
  public:
   explicit SemandaqService(ServiceOptions options = {});
@@ -104,9 +110,10 @@ class SemandaqService {
     uint32_t retry_after_ms = 0;
   };
 
-  /// Executes one command line for one session. Thread-safe; any number
-  /// of sessions may execute concurrently. The grammar is core::Session's
-  /// (same commands, same output bytes) plus `epoch REL` and `stats`.
+  /// Executes one command line for one session and returns the rendered
+  /// output. Thread-safe; any number of sessions may execute concurrently.
+  /// Blank lines and `#` comments yield empty output. Never throws: every
+  /// failure comes back as the Status inside the Result.
   common::Result<std::string> Execute(SessionState* session,
                                       std::string_view command_line) {
     RequestContext ctx;
@@ -168,6 +175,21 @@ class SemandaqService {
   /// Copy of the CFDs registered for `relation` (brief sys_mu_ hold).
   std::vector<cfd::Cfd> CfdsFor(const std::string& relation);
 
+  /// One native detection computed on a pinned epoch, with the CFDs the
+  /// table's indices refer to.
+  struct PinnedDetection {
+    SnapshotPtr snap;
+    std::vector<cfd::Cfd> cfds;
+    detect::ViolationTable table;
+  };
+
+  /// The read path of every detecting verb (detect, map, report, explore):
+  /// pin `relation`'s latest epoch, copy its CFDs, lease up to
+  /// options.num_threads lanes and run the native detector on the pin.
+  common::Result<PinnedDetection> DetectPinned(const std::string& relation,
+                                               detect::DetectorOptions options,
+                                               common::CancelToken* cancel);
+
   /// The dispatch body Execute wraps with admission control.
   common::Result<std::string> ExecuteAdmitted(SessionState* session,
                                               std::string_view line,
@@ -175,8 +197,6 @@ class SemandaqService {
                                               const std::vector<std::string>& args,
                                               common::CancelToken* cancel);
 
-  common::Result<std::string> CmdWrite(const std::string& verb,
-                                       const std::vector<std::string>& args);
   common::Result<std::string> CmdShow(const std::vector<std::string>& args);
   common::Result<std::string> CmdEpoch(const std::vector<std::string>& args);
   common::Result<std::string> CmdDetect(const std::vector<std::string>& args,
@@ -192,6 +212,8 @@ class SemandaqService {
                                      common::CancelToken* cancel);
   common::Result<std::string> CmdReport(const std::vector<std::string>& args,
                                         common::CancelToken* cancel);
+  common::Result<std::string> CmdExplore(const std::vector<std::string>& args,
+                                         common::CancelToken* cancel);
   common::Result<std::string> CmdSql(std::string_view query,
                                      common::CancelToken* cancel);
 

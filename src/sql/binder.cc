@@ -41,6 +41,7 @@ class Binder {
       SEMANDAQ_RETURN_IF_ERROR(BindExpr(q_.stmt.having.get(), /*allow_agg=*/true));
     }
     for (auto& o : q_.stmt.order_by) {
+      ResolveOutputAlias(&o.expr);
       SEMANDAQ_RETURN_IF_ERROR(BindExpr(o.expr.get(), /*allow_agg=*/true));
     }
     q_.is_aggregate = !q_.stmt.group_by.empty() || !q_.aggregates.empty();
@@ -106,6 +107,19 @@ class Binder {
       return Status::InvalidArgument("empty select list");
     }
     return Status::OK();
+  }
+
+  /// Standard SQL resolves an unqualified ORDER BY name against the select
+  /// list's aliases before the FROM tables: `ORDER BY n` sorts by the
+  /// expression that `... AS n` names.
+  void ResolveOutputAlias(std::unique_ptr<Expr>* e) const {
+    if ((*e)->kind != ExprKind::kColumnRef || !(*e)->qualifier.empty()) return;
+    for (const SelectItem& item : q_.stmt.items) {
+      if (!item.alias.empty() && common::EqualsIgnoreCase(item.alias, (*e)->column)) {
+        *e = CloneExpr(*item.expr);
+        return;
+      }
+    }
   }
 
   Status BindExpr(Expr* e, bool allow_agg) {

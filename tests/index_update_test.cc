@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "relational/index.h"
 #include "relational/update.h"
 #include "test_util.h"
 
@@ -15,45 +14,6 @@ Relation SampleRel() {
                                          {"UK", "W1", "London"},
                                          {"NL", "10", "Amsterdam"},
                                      });
-}
-
-TEST(HashIndexTest, BuildsGroups) {
-  Relation rel = SampleRel();
-  HashIndex idx(rel, {0, 1});
-  EXPECT_EQ(idx.NumKeys(), 3u);
-  Row key = {Value::String("UK"), Value::String("EH2")};
-  EXPECT_EQ(idx.Lookup(key).size(), 2u);
-  Row missing = {Value::String("DE"), Value::String("xx")};
-  EXPECT_TRUE(idx.Lookup(missing).empty());
-}
-
-TEST(HashIndexTest, AddRemoveMaintainsBuckets) {
-  Relation rel = SampleRel();
-  HashIndex idx(rel, {0});
-  Row uk = {Value::String("UK")};
-  EXPECT_EQ(idx.Lookup(uk).size(), 3u);
-  idx.Remove(0, rel.row(0));
-  EXPECT_EQ(idx.Lookup(uk).size(), 2u);
-  idx.Remove(1, rel.row(1));
-  idx.Remove(2, rel.row(2));
-  EXPECT_TRUE(idx.Lookup(uk).empty());
-  EXPECT_EQ(idx.NumKeys(), 1u);  // only NL remains
-  idx.Add(7, {Value::String("UK"), Value::String("x"), Value::String("y")});
-  EXPECT_EQ(idx.Lookup(uk).size(), 1u);
-  EXPECT_EQ(idx.Lookup(uk)[0], 7);
-}
-
-TEST(HashIndexTest, ForEachGroupVisitsAllKeys) {
-  Relation rel = SampleRel();
-  HashIndex idx(rel, {2});
-  size_t groups = 0;
-  size_t tuples = 0;
-  idx.ForEachGroup([&](const Row&, const std::vector<TupleId>& ids) {
-    ++groups;
-    tuples += ids.size();
-  });
-  EXPECT_EQ(groups, 3u);
-  EXPECT_EQ(tuples, 4u);
 }
 
 TEST(UpdateTest, ToStringDescribes) {

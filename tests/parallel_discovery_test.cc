@@ -15,7 +15,6 @@
 
 #include "common/simd/simd.h"
 #include "common/thread_pool.h"
-#include "core/session.h"
 #include "discovery/cfd_miner.h"
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
@@ -175,26 +174,6 @@ TEST(ParallelDiscoveryTest, SingleLanePoolAndEmptyRelation) {
   common::ThreadPool four(4);
   opts.pool = &four;
   EXPECT_EQ(serial.size(), FdMiner(&empty, opts).Mine().size());
-}
-
-TEST(ParallelDiscoveryTest, FacadeMineCommandMatchesSerial) {
-  // The CLI surface: `mine REL threads=N` must add the same CFDs in the
-  // same order as the serial `mine REL` (and report the same count).
-  auto run = [](const std::string& mine_cmd) {
-    core::Session session;
-    auto gen = session.Execute("gen customer 200 5");
-    EXPECT_TRUE(gen.ok()) << gen.status().ToString();
-    auto mined = session.Execute(mine_cmd);
-    EXPECT_TRUE(mined.ok()) << mined.status().ToString();
-    std::string listing;
-    for (const auto& c : session.system().constraints().cfds()) {
-      listing += c.ToString() + "\n";
-    }
-    return (mined.ok() ? *mined : std::string()) + listing;
-  };
-  const std::string serial = run("mine customer_gold");
-  EXPECT_EQ(serial, run("mine customer_gold threads=2"));
-  EXPECT_EQ(serial, run("mine customer_gold threads=0 simd=scalar"));
 }
 
 // ---------------------------------------------------------------------------

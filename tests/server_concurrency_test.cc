@@ -7,6 +7,7 @@
 // tiers) with snapshot immutability (pins never observe later writes).
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -203,6 +204,31 @@ TEST(ServerConcurrencyTest, ReadersAreByteIdenticalToSerialRunsOnTheirEpoch) {
 
   // All leases returned: the full lane budget is free again.
   EXPECT_EQ(service.scheduler().available(), service.scheduler().total_lanes());
+}
+
+// Every epoch's relation hydrates its rows lazily on first row access. A
+// `sql` or `clean` clone of a fresh epoch racing that epoch's first `show`
+// must copy either the unhydrated or the hydrated state — never a
+// hydrator the racing reader has already moved out.
+TEST(ServerConcurrencyTest, CloneRacingFirstHydrationIsSafe) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 256; ++i) rows.push_back({Value::String(std::to_string(i))});
+  for (int iter = 0; iter < 50; ++iter) {
+    std::atomic<bool> hydrating{false};
+    const Relation lazy = Relation::FromStorage(
+        "t", relational::Schema::AllStrings({"A"}),
+        std::vector<uint8_t>(rows.size(), 1), [&rows, &hydrating] {
+          hydrating.store(true);
+          // Hold the hydration open so the clone below lands inside it.
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          return rows;
+        });
+    std::thread reader([&lazy] { (void)lazy.row(0); });
+    while (!hydrating.load()) std::this_thread::yield();
+    const Relation copy = lazy.Clone();
+    reader.join();
+    ASSERT_EQ(copy.row(255)[0].AsString(), "255") << "iteration " << iter;
+  }
 }
 
 }  // namespace

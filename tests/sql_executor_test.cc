@@ -201,6 +201,23 @@ TEST_F(SqlExecutorTest, OrderByNullsFirst) {
   EXPECT_TRUE(r.cell(0, 0).is_null());
 }
 
+TEST_F(SqlExecutorTest, OrderByResolvesSelectAliasFirst) {
+  // ORDER BY names an aggregate by its select-list alias.
+  Relation r = Run(
+      "SELECT CNT, COUNT(*) AS n FROM customer GROUP BY CNT ORDER BY n DESC, CNT");
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_EQ(r.cell(0, 0).AsString(), "UK");
+  EXPECT_EQ(r.cell(0, 1).AsInt(), 3);
+  EXPECT_TRUE(r.cell(1, 0).is_null());  // count ties break on CNT, NULL first
+  EXPECT_EQ(r.cell(2, 0).AsString(), "NL");
+  // An alias shadows the same-named input column, as in standard SQL.
+  Relation s = Run(
+      "SELECT NAME AS CNT FROM customer WHERE CNT = 'UK' ORDER BY CNT DESC");
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.cell(0, 0).AsString(), "Rick");
+  EXPECT_EQ(s.cell(2, 0).AsString(), "Joe");
+}
+
 TEST_F(SqlExecutorTest, DuplicateOutputNamesUniquified) {
   Relation r = Run("SELECT NAME, NAME FROM customer LIMIT 1");
   EXPECT_EQ(r.schema().attr(0).name, "NAME");
