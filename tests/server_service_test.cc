@@ -1,10 +1,10 @@
 // The text-command service (src/server/service): the one implementation
 // of Semandaq's command grammar, which semandaq_cli drives in-process and
-// semandaq_server over TCP. Covers the grammar end to end, that every
-// pinned read renders exactly what the facade computes on the master,
-// error status codes, per-write epoch publication, and whole-database
-// save/open — including snapshot compaction and crash recovery across a
-// compaction boundary.
+// semandaq_server over TCP. Covers lane-count invariance of `mine`, that
+// every pinned read renders exactly what the facade computes on the
+// master, per-write epoch publication, and whole-database save/open —
+// including snapshot compaction and crash recovery across a compaction
+// boundary. The grammar as one session sees it is in session_test.cc.
 
 #include <string>
 #include <utility>
@@ -25,7 +25,6 @@
 namespace semandaq::server {
 namespace {
 
-using common::StatusCode;
 using relational::Row;
 using relational::Value;
 
@@ -66,117 +65,7 @@ std::string Canonical(const repair::RepairResult& r) {
   return out;
 }
 
-// ------------------------------------------------------------------ grammar
-
-TEST(ServerServiceTest, HelpBlankLinesAndComments) {
-  SemandaqService service;
-  SemandaqService::SessionState state;
-  const std::string help = Exec(&service, &state, "help");
-  EXPECT_EQ(help, SemandaqService::Help());
-  for (const char* line : {"commands:", "explore REL CFD# PAT#", "epoch REL",
-                           "stats"}) {
-    EXPECT_NE(help.find(line), std::string::npos) << line;
-  }
-  EXPECT_EQ(Exec(&service, &state, ""), "");
-  EXPECT_EQ(Exec(&service, &state, "   "), "");
-  EXPECT_EQ(Exec(&service, &state, "# a comment"), "");
-}
-
-// The paper's demonstration flow, one session, start to finish.
-TEST(ServerServiceTest, FullPipeline) {
-  const std::string csv = TempPath("svc_load.csv");
-  ASSERT_OK(common::WriteStringToFile(csv, "A,B\nx,1\ny,2\n"));
-  const std::vector<std::pair<std::string, std::string>> script = {
-      {"ls", "(no relations)"},
-      {"gen customer 150 8", "generated customer (+ customer_gold)"},
-      {"ls", "customer_gold"},
-      {"show customer 3", "NAME"},
-      {kCustomerCfds[0], "Sigma now has 1 CFD(s)"},
-      {kCustomerCfds[1], "Sigma now has 2 CFD(s)"},
-      {"cfds", "[CC] -> [CNT]"},
-      {"validate customer", "SATISFIABLE"},
-      {"map customer 5", "shade:"},
-      {"report customer", "Violation composition"},
-      {"explore customer 0 0", "-- CFDs --"},
-      {"clean customer", "candidate repair"},
-      {"diff", "pending repair for 'customer'"},
-      {"apply", "applied"},
-      {"detect customer", "total vio 0"},
-      {"gen hospital 80 5", "generated hospital"},
-      {"sql SELECT STATE, COUNT(*) AS n FROM hospital GROUP BY STATE "
-       "ORDER BY STATE",
-       "| AL"},
-      {"load t " + csv, "loaded t"},
-      {"show t", "| x"},
-      {"epoch t", "epoch 1"},
-      {"stats", "lanes.total="},
-  };
-  SemandaqService service;
-  SemandaqService::SessionState state;
-  for (const auto& [cmd, expect] : script) {
-    EXPECT_NE(Exec(&service, &state, cmd).find(expect), std::string::npos)
-        << cmd;
-  }
-}
-
-TEST(ServerServiceTest, ErrorsCarryTheirStatusCodes) {
-  const std::string path = TempPath("svc_errors.sdq");
-  SemandaqService service;
-  SemandaqService::SessionState state;
-  Exec(&service, &state, "gen customer 20 5");
-  Exec(&service, &state, "save customer " + path);
-  const std::vector<std::pair<std::string, StatusCode>> cases = {
-      {"frobnicate", StatusCode::kInvalidArgument},
-      {"show nosuch", StatusCode::kNotFound},
-      {"epoch nosuch", StatusCode::kNotFound},
-      {"detect nosuch", StatusCode::kNotFound},
-      {"map nosuch", StatusCode::kNotFound},
-      {"report nosuch", StatusCode::kNotFound},
-      {"explore nosuch 0 0", StatusCode::kNotFound},
-      {"explore customer 9 0", StatusCode::kOutOfRange},
-      {"mine nosuch", StatusCode::kNotFound},
-      {"clean nosuch", StatusCode::kNotFound},
-      {"sql SELECT broken FROM nowhere", StatusCode::kNotFound},
-      {"diff", StatusCode::kFailedPrecondition},   // no pending repair
-      {"apply", StatusCode::kFailedPrecondition},  // no pending repair
-      {"gen widgets 10 5", StatusCode::kInvalidArgument},
-      {"gen customer abc 5", StatusCode::kInvalidArgument},
-      {"detect customer threads=zero", StatusCode::kInvalidArgument},
-      {"detect customer sql threads=2", StatusCode::kInvalidArgument},
-      {"load onlyname", StatusCode::kInvalidArgument},
-      {"load u /does/not/exist.csv", StatusCode::kIoError},
-      {"validate", StatusCode::kInvalidArgument},
-      {"cfd not a cfd", StatusCode::kInvalidArgument},
-      {"save customer", StatusCode::kInvalidArgument},
-      {"save missing " + path, StatusCode::kNotFound},
-      {"open customer " + path, StatusCode::kAlreadyExists},  // name taken
-      {"open x /does/not/exist.sdq", StatusCode::kIoError},
-  };
-  for (const auto& [cmd, code] : cases) {
-    auto r = service.Execute(&state, cmd);
-    ASSERT_FALSE(r.ok()) << cmd;
-    EXPECT_EQ(r.status().code(), code) << cmd << " -> " << r.status().ToString();
-  }
-}
-
-TEST(ServerServiceTest, SaveOpenRoundTrip) {
-  const std::string path = TempPath("svc_snapshot.sdq");
-  SemandaqService service;
-  SemandaqService::SessionState state;
-  Exec(&service, &state, "gen customer 200 8");
-  for (const char* c : kCustomerCfds) Exec(&service, &state, c);
-  const std::string before = Exec(&service, &state, "detect customer");
-
-  EXPECT_NE(Exec(&service, &state, "save customer " + path).find("saved customer"),
-            std::string::npos);
-  EXPECT_NE(Exec(&service, &state, "open customer2 " + path).find("opened customer2"),
-            std::string::npos);
-  Exec(&service, &state, "cfd customer2: [CNT=UK, ZIP=_] -> [STR=_]");
-  Exec(&service, &state,
-       "cfd customer2: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
-  // Detection over the reloaded snapshot renders identically.
-  EXPECT_EQ(Exec(&service, &state, "detect customer2"), before);
-}
+// ------------------------------------------------------------------ lanes
 
 // `mine REL threads=N` adds the same CFDs in the same order as the serial
 // sweep, whatever lanes the scheduler grants.

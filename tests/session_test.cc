@@ -1,123 +1,179 @@
+// One session's view of the text-command grammar: what each line means
+// when executed through SemandaqService with a SessionState, exactly as
+// semandaq_cli runs it in-process and semandaq_server runs it per
+// connection. Covers help/blank/comment lines, the paper's demonstration
+// flow, error status codes, single-relation save/open, and that a pending
+// repair belongs to the session that planned it.
+
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
-#include "core/session.h"
+#include "server/service.h"
 #include "test_util.h"
 
-namespace semandaq::core {
+namespace semandaq::server {
 namespace {
 
-std::string Exec(Session* s, const std::string& cmd) {
-  auto r = s->Execute(cmd);
+using common::StatusCode;
+
+std::string Exec(SemandaqService* svc, SemandaqService::SessionState* session,
+                 const std::string& cmd) {
+  auto r = svc->Execute(session, cmd);
   EXPECT_TRUE(r.ok()) << cmd << " -> " << r.status().ToString();
   return r.ok() ? *r : std::string();
 }
 
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+const char* const kCustomerCfds[] = {
+    "cfd customer: [CNT=UK, ZIP=_] -> [STR=_]",
+    "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }",
+};
+
 TEST(SessionTest, HelpAndEmptyAndComments) {
-  Session s;
-  EXPECT_NE(Exec(&s, "help").find("commands:"), std::string::npos);
-  EXPECT_EQ(Exec(&s, ""), "");
-  EXPECT_EQ(Exec(&s, "   "), "");
-  EXPECT_EQ(Exec(&s, "# a comment"), "");
+  SemandaqService service;
+  SemandaqService::SessionState state;
+  const std::string help = Exec(&service, &state, "help");
+  EXPECT_EQ(help, SemandaqService::Help());
+  for (const char* line : {"commands:", "explore REL CFD# PAT#", "epoch REL",
+                           "stats"}) {
+    EXPECT_NE(help.find(line), std::string::npos) << line;
+  }
+  EXPECT_EQ(Exec(&service, &state, ""), "");
+  EXPECT_EQ(Exec(&service, &state, "   "), "");
+  EXPECT_EQ(Exec(&service, &state, "# a comment"), "");
 }
 
-TEST(SessionTest, UnknownCommandFails) {
-  Session s;
-  EXPECT_FALSE(s.Execute("frobnicate").ok());
-}
-
-TEST(SessionTest, GenLsShow) {
-  Session s;
-  EXPECT_NE(Exec(&s, "gen customer 50 10").find("generated customer"),
-            std::string::npos);
-  const std::string ls = Exec(&s, "ls");
-  EXPECT_NE(ls.find("customer"), std::string::npos);
-  EXPECT_NE(ls.find("customer_gold"), std::string::npos);
-  EXPECT_NE(Exec(&s, "show customer 3").find("NAME"), std::string::npos);
-  EXPECT_FALSE(s.Execute("show missing").ok());
-}
-
+// The paper's demonstration flow, one session, start to finish.
 TEST(SessionTest, FullPipeline) {
-  Session s;
-  Exec(&s, "gen customer 150 8");
-  Exec(&s, "cfd customer: [CNT=UK, ZIP=_] -> [STR=_]");
-  Exec(&s, "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
-  EXPECT_NE(Exec(&s, "cfds").find("[CC] -> [CNT]"), std::string::npos);
-  EXPECT_NE(Exec(&s, "validate customer").find("SATISFIABLE"), std::string::npos);
-
-  const std::string native = Exec(&s, "detect customer");
-  const std::string sql = Exec(&s, "detect customer sql");
-  EXPECT_EQ(native, sql);  // the two code paths agree verbatim
-
-  EXPECT_NE(Exec(&s, "map customer 5").find("shade:"), std::string::npos);
-  EXPECT_NE(Exec(&s, "report customer").find("Violation composition"),
-            std::string::npos);
-  EXPECT_NE(Exec(&s, "explore customer 0 0").find("-- CFDs --"), std::string::npos);
-
-  // Clean is pending until applied.
-  EXPECT_NE(Exec(&s, "clean customer").find("candidate repair"), std::string::npos);
-  EXPECT_NE(Exec(&s, "diff").find("pending repair"), std::string::npos);
-  EXPECT_NE(Exec(&s, "apply").find("applied"), std::string::npos);
-  EXPECT_NE(Exec(&s, "detect customer").find("total vio 0"), std::string::npos);
+  const std::string csv = TempPath("session_load.csv");
+  ASSERT_OK(common::WriteStringToFile(csv, "A,B\nx,1\ny,2\n"));
+  const std::vector<std::pair<std::string, std::string>> script = {
+      {"ls", "(no relations)"},
+      {"gen customer 150 8", "generated customer (+ customer_gold)"},
+      {"ls", "customer_gold"},
+      {"show customer 3", "NAME"},
+      {kCustomerCfds[0], "Sigma now has 1 CFD(s)"},
+      {kCustomerCfds[1], "Sigma now has 2 CFD(s)"},
+      {"cfds", "[CC] -> [CNT]"},
+      {"validate customer", "SATISFIABLE"},
+      {"map customer 5", "shade:"},
+      {"report customer", "Violation composition"},
+      {"explore customer 0 0", "-- CFDs --"},
+      {"clean customer", "candidate repair"},
+      {"diff", "pending repair for 'customer'"},
+      {"apply", "applied"},
+      {"detect customer", "total vio 0"},
+      {"gen hospital 80 5", "generated hospital"},
+      {"sql SELECT STATE, COUNT(*) AS n FROM hospital GROUP BY STATE "
+       "ORDER BY STATE",
+       "| AL"},
+      {"load t " + csv, "loaded t"},
+      {"show t", "| x"},
+      {"epoch t", "epoch 1"},
+      {"stats", "lanes.total="},
+  };
+  SemandaqService service;
+  SemandaqService::SessionState state;
+  for (const auto& [cmd, expect] : script) {
+    EXPECT_NE(Exec(&service, &state, cmd).find(expect), std::string::npos)
+        << cmd;
+  }
 }
 
-TEST(SessionTest, DiffApplyRequirePendingRepair) {
-  Session s;
-  EXPECT_FALSE(s.Execute("diff").ok());
-  EXPECT_FALSE(s.Execute("apply").ok());
-}
-
-TEST(SessionTest, SqlCommand) {
-  Session s;
-  Exec(&s, "gen hospital 80 5");
-  const std::string out =
-      Exec(&s, "sql SELECT STATE, COUNT(*) AS n FROM hospital GROUP BY STATE "
-              "ORDER BY STATE");
-  EXPECT_NE(out.find("STATE"), std::string::npos);
-  EXPECT_NE(out.find("AL"), std::string::npos);
-  EXPECT_FALSE(s.Execute("sql SELECT broken FROM nowhere").ok());
-}
-
-TEST(SessionTest, LoadCsvRoundTrip) {
-  Session s;
-  const std::string path = ::testing::TempDir() + "/session_load.csv";
-  ASSERT_OK(common::WriteStringToFile(path, "A,B\nx,1\ny,2\n"));
-  EXPECT_NE(Exec(&s, "load t " + path).find("loaded t"), std::string::npos);
-  EXPECT_NE(Exec(&s, "show t").find("x"), std::string::npos);
-  EXPECT_FALSE(s.Execute("load u /does/not/exist.csv").ok());
+TEST(SessionTest, ErrorsCarryTheirStatusCodes) {
+  const std::string path = TempPath("session_errors.sdq");
+  SemandaqService service;
+  SemandaqService::SessionState state;
+  Exec(&service, &state, "gen customer 20 5");
+  Exec(&service, &state, "save customer " + path);
+  const std::vector<std::pair<std::string, StatusCode>> cases = {
+      {"frobnicate", StatusCode::kInvalidArgument},
+      {"show nosuch", StatusCode::kNotFound},
+      {"epoch nosuch", StatusCode::kNotFound},
+      {"detect nosuch", StatusCode::kNotFound},
+      {"map nosuch", StatusCode::kNotFound},
+      {"report nosuch", StatusCode::kNotFound},
+      {"explore nosuch 0 0", StatusCode::kNotFound},
+      {"explore customer 9 0", StatusCode::kOutOfRange},
+      {"mine nosuch", StatusCode::kNotFound},
+      {"clean nosuch", StatusCode::kNotFound},
+      {"sql SELECT broken FROM nowhere", StatusCode::kNotFound},
+      {"diff", StatusCode::kFailedPrecondition},   // no pending repair
+      {"apply", StatusCode::kFailedPrecondition},  // no pending repair
+      {"gen widgets 10 5", StatusCode::kInvalidArgument},
+      {"gen customer abc 5", StatusCode::kInvalidArgument},
+      {"detect customer threads=zero", StatusCode::kInvalidArgument},
+      {"detect customer sql threads=2", StatusCode::kInvalidArgument},
+      {"load onlyname", StatusCode::kInvalidArgument},
+      {"load u /does/not/exist.csv", StatusCode::kIoError},
+      {"validate", StatusCode::kInvalidArgument},
+      {"cfd not a cfd", StatusCode::kInvalidArgument},
+      {"save customer", StatusCode::kInvalidArgument},
+      {"save missing " + path, StatusCode::kNotFound},
+      {"open customer " + path, StatusCode::kAlreadyExists},  // name taken
+      {"open x /does/not/exist.sdq", StatusCode::kIoError},
+  };
+  for (const auto& [cmd, code] : cases) {
+    auto r = service.Execute(&state, cmd);
+    ASSERT_FALSE(r.ok()) << cmd;
+    EXPECT_EQ(r.status().code(), code) << cmd << " -> " << r.status().ToString();
+  }
 }
 
 TEST(SessionTest, SaveOpenRoundTrip) {
-  Session s;
-  const std::string path = ::testing::TempDir() + "/session_snapshot.sdq";
-  Exec(&s, "gen customer 200 8");
-  Exec(&s, "cfd customer: [CNT=UK, ZIP=_] -> [STR=_]");
-  Exec(&s, "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
-  const std::string before = Exec(&s, "detect customer");
+  const std::string path = TempPath("session_snapshot.sdq");
+  SemandaqService service;
+  SemandaqService::SessionState state;
+  Exec(&service, &state, "gen customer 200 8");
+  for (const char* c : kCustomerCfds) Exec(&service, &state, c);
+  const std::string before = Exec(&service, &state, "detect customer");
 
-  EXPECT_NE(Exec(&s, "save customer " + path).find("saved customer"),
+  EXPECT_NE(Exec(&service, &state, "save customer " + path).find("saved customer"),
             std::string::npos);
-  EXPECT_NE(Exec(&s, "open customer2 " + path).find("opened customer2"),
+  EXPECT_NE(Exec(&service, &state, "open customer2 " + path).find("opened customer2"),
             std::string::npos);
-  Exec(&s, "cfd customer2: [CNT=UK, ZIP=_] -> [STR=_]");
-  Exec(&s, "cfd customer2: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
+  Exec(&service, &state, "cfd customer2: [CNT=UK, ZIP=_] -> [STR=_]");
+  Exec(&service, &state,
+       "cfd customer2: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
   // Detection over the reloaded snapshot renders identically.
-  EXPECT_EQ(Exec(&s, "detect customer2"), before);
-
-  EXPECT_FALSE(s.Execute("save customer").ok());
-  EXPECT_FALSE(s.Execute("save missing " + path).ok());
-  EXPECT_FALSE(s.Execute("open customer " + path).ok());  // name taken
-  EXPECT_FALSE(s.Execute("open x /does/not/exist.sdq").ok());
+  EXPECT_EQ(Exec(&service, &state, "detect customer2"), before);
 }
 
-TEST(SessionTest, BadArgumentsAreRejected) {
-  Session s;
-  EXPECT_FALSE(s.Execute("gen customer abc 5").ok());
-  EXPECT_FALSE(s.Execute("gen martian 10 5").ok());
-  EXPECT_FALSE(s.Execute("load onlyname").ok());
-  EXPECT_FALSE(s.Execute("validate").ok());
-  EXPECT_FALSE(s.Execute("cfd not a cfd").ok());
+// `clean` stores its plan in the calling session only: another session on
+// the same service has nothing to diff or apply, and its own clean does not
+// replace the first session's plan.
+TEST(SessionTest, PendingRepairBelongsToItsSession) {
+  SemandaqService service;
+  SemandaqService::SessionState planner;
+  SemandaqService::SessionState other;
+  Exec(&service, &planner, "gen customer 120 8");
+  for (const char* c : kCustomerCfds) Exec(&service, &planner, c);
+  EXPECT_NE(Exec(&service, &planner, "clean customer").find("candidate repair"),
+            std::string::npos);
+  ASSERT_TRUE(planner.pending_repair.has_value());
+
+  for (const char* cmd : {"diff", "apply"}) {
+    auto r = service.Execute(&other, cmd);
+    ASSERT_FALSE(r.ok()) << cmd;
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition) << cmd;
+  }
+  EXPECT_FALSE(other.pending_repair.has_value());
+
+  EXPECT_NE(Exec(&service, &other, "clean customer_gold").find("candidate repair"),
+            std::string::npos);
+  EXPECT_NE(Exec(&service, &planner, "diff").find("pending repair for 'customer'"),
+            std::string::npos);
+  EXPECT_NE(Exec(&service, &planner, "apply").find("applied"), std::string::npos);
+  EXPECT_NE(Exec(&service, &planner, "detect customer").find("total vio 0"),
+            std::string::npos);
 }
 
 }  // namespace
-}  // namespace semandaq::core
+}  // namespace semandaq::server
