@@ -1,11 +1,10 @@
 // EXP-D1 — detection scalability in |D| ([3] Fan et al., TODS'08 style):
 // wall time of a full detection pass over the customer relation as the
-// number of tuples grows, for the code paths native-encoded (dictionary
-// codes over a warm columnar snapshot), native-row (the original Row-hash
-// scan), and generated-SQL detection through the sql:: engine. The paper's
-// claim: detection is a small number of scans, scaling near-linearly; the
-// SQL path pays a constant interpreter factor but keeps the same
-// asymptotics. The encoded/row pair is the A/B for the columnar fast path.
+// number of tuples grows, for native detection (dictionary codes over a
+// warm or cold columnar snapshot) and generated-SQL detection through the
+// sql:: engine. The paper's claim: detection is a small number of scans,
+// scaling near-linearly; the SQL path pays a constant interpreter factor
+// but keeps the same asymptotics.
 
 #include <benchmark/benchmark.h>
 
@@ -22,9 +21,9 @@ namespace {
 
 constexpr double kNoise = 0.05;
 
-// Shared body of the three native-detection variants; `warm` attaches an
-// externally kept encoded snapshot (nullptr = whatever `options` implies,
-// building a local snapshot per Detect when the encoded path is on).
+// Shared body of the native-detection variants; `warm` attaches an
+// externally kept encoded snapshot (nullptr = the detector builds a local
+// snapshot per Detect).
 void RunNativeDetect(benchmark::State& state, detect::DetectorOptions options,
                      relational::EncodedRelation* warm) {
   const size_t tuples = static_cast<size_t>(state.range(0));
@@ -196,14 +195,6 @@ BENCHMARK(BM_NativeDetectSimd)
     ->Args({64000, 2})
     ->Args({256000, 0})
     ->Args({256000, 2})
-    ->Unit(benchmark::kMillisecond);
-
-// The pre-columnar baseline: hash partitioning on projected Rows.
-void BM_NativeDetectRows(benchmark::State& state) {
-  RunNativeDetect(state, detect::DetectorOptions{/*use_encoded=*/false},
-                  nullptr);
-}
-BENCHMARK(BM_NativeDetectRows)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SqlDetect(benchmark::State& state) {

@@ -61,10 +61,9 @@ void BM_CfdDiscoveryHospital(benchmark::State& state) {
 BENCHMARK(BM_CfdDiscoveryHospital)->Arg(1000)->Arg(4000)->Arg(16000)
     ->Unit(benchmark::kMillisecond);
 
-// Π_X construction — the workhorse of TANE-family mining — over projected
-// Row hashing vs. dictionary code columns. range(0) selects the attribute
-// set: 0 = single attribute (ZIP), 1 = pair (CNT, ZIP), 2 = triple
-// (CNT, ZIP, STR).
+// Π_X construction — the workhorse of TANE-family mining — over
+// dictionary code columns. range(0) selects the attribute set: 0 = single
+// attribute (ZIP), 1 = pair (CNT, ZIP), 2 = triple (CNT, ZIP, STR).
 std::vector<size_t> PartitionCols(int selector) {
   using C = workload::CustomerGenerator;
   switch (selector) {
@@ -88,21 +87,6 @@ void BM_PartitionBuild(benchmark::State& state) {
   state.counters["classes"] = static_cast<double>(classes);
 }
 BENCHMARK(BM_PartitionBuild)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PartitionBuildRows(benchmark::State& state) {
-  const auto& wl = bench::CachedCustomer(64000, 0.05);
-  const std::vector<size_t> cols = PartitionCols(static_cast<int>(state.range(0)));
-  size_t classes = 0;
-  for (auto _ : state) {
-    auto p = discovery::Partition::Build(wl.dirty, cols);
-    benchmark::DoNotOptimize(p);
-    classes = p.num_classes();
-  }
-  state.counters["lhs_size"] = static_cast<double>(cols.size());
-  state.counters["classes"] = static_cast<double>(classes);
-}
-BENCHMARK(BM_PartitionBuildRows)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // SIMD kernel A/B of the encoded partition build: range(0) selects the
@@ -170,25 +154,6 @@ BENCHMARK(BM_FdMine)
     ->Args({64000, 2, 2})
     ->Args({64000, 4, 2})
     ->Unit(benchmark::kMillisecond);
-
-// Single-thread A/B of the e(X) == e(X∪A) early-exit: the same serial
-// sweep with the error test disabled, deciding every candidate by the
-// stripped-class walk. Compare against BM_FdMine/64000/1/<tier>.
-void BM_FdMineClassWalk(benchmark::State& state) {
-  const auto& wl = bench::CachedCustomer(64000, 0.0, /*seed=*/24);
-  discovery::FdMinerOptions opts;
-  opts.max_lhs = 3;
-  opts.use_error_exit = false;
-  opts.simd_level = static_cast<semandaq::common::simd::Level>(state.range(0));
-  for (auto _ : state) {
-    discovery::FdMiner miner(&wl.clean, opts);
-    auto fds = miner.Mine();
-    benchmark::DoNotOptimize(fds);
-  }
-  state.counters["simd_level"] = static_cast<double>(
-      semandaq::common::simd::KernelsFor(opts.simd_level).level);
-}
-BENCHMARK(BM_FdMineClassWalk)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // Full CfdMiner::Mine (constant + variable CFDs, embedded FD run) over the
 // same axes: range(0) = tuples, range(1) = num_threads, range(2) = kernel

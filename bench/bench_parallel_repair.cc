@@ -1,13 +1,12 @@
-// EXP-R3 — the code-columnar repair A/B: BatchRepair with the detect ->
+// EXP-R3 — the code-columnar repair engine: BatchRepair with the detect ->
 // repair -> audit loop routed through one warm dictionary-encoded snapshot
 // (kernel-blocked re-detection, CountEq32 group tallies, coded cost fast
-// paths, parallel candidate evaluation) versus the row-hash serial
-// baseline it replaced. Axes: range(0) = tuples, range(1) = worker lanes
-// (0 = all hardware threads), range(2) = requested kernel tier. The
-// RepairResult is byte-identical across every configuration (gated by
-// tests/parallel_repair_test.cc) — only the wall clock may differ.
-// Acceptance (recorded in BENCH_repair.json by tools/bench_repair_ratio.py):
-// BM_Repair/64000 at hardware threads >= 3x over BM_RepairRows/64000.
+// paths, parallel candidate evaluation). Axes: range(0) = tuples,
+// range(1) = worker lanes (0 = all hardware threads), range(2) = requested
+// kernel tier. The RepairResult is byte-identical across every
+// configuration (gated by tests/parallel_repair_test.cc) — only the wall
+// clock may differ. tools/bench_repair_ratio.py records the thread and
+// tier ratios in BENCH_repair.json.
 
 #include <benchmark/benchmark.h>
 
@@ -44,11 +43,10 @@ void RunRepairBench(benchmark::State& state, const repair::RepairOptions& opts,
       static_cast<double>(tuples), benchmark::Counter::kIsIterationInvariantRate);
 }
 
-/// The encoded path: one warm snapshot across rounds, candidate costs on
-/// dictionary codes, per-round evaluation fanned out over the lanes.
+/// One warm snapshot across rounds, candidate costs on dictionary codes,
+/// per-round evaluation fanned out over the lanes.
 void BM_Repair(benchmark::State& state) {
   repair::RepairOptions opts;
-  opts.use_encoded = true;
   opts.num_threads = static_cast<size_t>(state.range(1));
   opts.simd_level = static_cast<common::simd::Level>(state.range(2));
   RunRepairBench(state, opts, static_cast<size_t>(state.range(0)));
@@ -60,22 +58,6 @@ BENCHMARK(BM_Repair)
     ->Args({64000, 2, 2})
     ->Args({64000, 4, 2})
     ->Args({64000, 0, 2})
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-/// The baseline: serial row-hash detection and Value-keyed group
-/// resolution (use_encoded = false), the engine's semantics reference.
-void BM_RepairRows(benchmark::State& state) {
-  repair::RepairOptions opts;
-  opts.use_encoded = false;
-  opts.num_threads = 1;
-  opts.simd_level = common::simd::Level::kScalar;
-  RunRepairBench(state, opts, static_cast<size_t>(state.range(0)));
-}
-BENCHMARK(BM_RepairRows)
-    ->Arg(16000)
-    ->Arg(64000)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -5,6 +5,7 @@
 // street values with violation counts guiding each step.
 
 #include <cstdio>
+#include <utility>
 
 #include "cfd/cfd_parser.h"
 #include "core/explorer.h"
@@ -66,7 +67,7 @@ int main() {
     return 1;
   }
 
-  semandaq::core::DataExplorer explorer(&rel, &cfds, &*table);
+  semandaq::core::DataExplorer explorer(&rel, std::move(cfds), std::move(*table));
   Row lhs = {Value::String("UK"), Value::String("EH2 4SD")};
   std::printf("%s\n", explorer.RenderDrilldown(0, 0, lhs).c_str());
 

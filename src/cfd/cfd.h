@@ -106,8 +106,10 @@ struct EmbeddedFdGroup {
   std::vector<std::pair<size_t, size_t>> members;
 };
 
-/// Groups the tableau rows of `cfds` by embedded FD. LHS attribute lists
-/// compare order-insensitively (case-insensitive names).
+/// Groups the tableau rows of `cfds` by embedded FD, in order of first
+/// appearance. Names compare case-insensitively, but LHS lists compare in
+/// order: [A, B] -> C and [B, A] -> C land in different groups, which keeps
+/// every member's pattern positions aligned with the group's LHS list.
 std::vector<EmbeddedFdGroup> GroupByEmbeddedFd(const std::vector<Cfd>& cfds);
 
 /// Resolves every CFD in the set against the schemas in `db`-like lookup:

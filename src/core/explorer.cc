@@ -16,10 +16,10 @@ using relational::TupleId;
 using relational::Value;
 
 common::Status DataExplorer::CheckCfdIndex(int cfd_index) const {
-  if (cfd_index < 0 || static_cast<size_t>(cfd_index) >= cfds_->size()) {
+  if (cfd_index < 0 || static_cast<size_t>(cfd_index) >= cfds_.size()) {
     return Status::OutOfRange("no CFD with index " + std::to_string(cfd_index));
   }
-  if (!(*cfds_)[static_cast<size_t>(cfd_index)].resolved()) {
+  if (!cfds_[static_cast<size_t>(cfd_index)].resolved()) {
     return Status::FailedPrecondition("CFD is not resolved against the schema");
   }
   return Status::OK();
@@ -27,7 +27,7 @@ common::Status DataExplorer::CheckCfdIndex(int cfd_index) const {
 
 common::Status DataExplorer::CheckPattern(int cfd_index, int pattern_index) const {
   SEMANDAQ_RETURN_IF_ERROR(CheckCfdIndex(cfd_index));
-  const Cfd& c = (*cfds_)[static_cast<size_t>(cfd_index)];
+  const Cfd& c = cfds_[static_cast<size_t>(cfd_index)];
   if (pattern_index < 0 ||
       static_cast<size_t>(pattern_index) >= c.tableau().size()) {
     return Status::OutOfRange("no pattern with index " + std::to_string(pattern_index));
@@ -37,8 +37,8 @@ common::Status DataExplorer::CheckPattern(int cfd_index, int pattern_index) cons
 
 common::Result<std::vector<DataExplorer::CfdEntry>> DataExplorer::ListCfds() const {
   std::vector<CfdEntry> out;
-  for (size_t ci = 0; ci < cfds_->size(); ++ci) {
-    const Cfd& c = (*cfds_)[ci];
+  for (size_t ci = 0; ci < cfds_.size(); ++ci) {
+    const Cfd& c = cfds_[ci];
     if (!c.resolved()) {
       return Status::FailedPrecondition("CFD is not resolved: " + c.ToString());
     }
@@ -63,7 +63,7 @@ common::Result<std::vector<DataExplorer::CfdEntry>> DataExplorer::ListCfds() con
           }
         }
         if (match) {
-          entry.violation_count += table_->vio(tid);
+          entry.violation_count += table_.vio(tid);
           return;
         }
       }
@@ -76,7 +76,7 @@ common::Result<std::vector<DataExplorer::CfdEntry>> DataExplorer::ListCfds() con
 common::Result<std::vector<DataExplorer::PatternEntry>> DataExplorer::PatternsOf(
     int cfd_index) const {
   SEMANDAQ_RETURN_IF_ERROR(CheckCfdIndex(cfd_index));
-  const Cfd& c = (*cfds_)[static_cast<size_t>(cfd_index)];
+  const Cfd& c = cfds_[static_cast<size_t>(cfd_index)];
   std::vector<PatternEntry> out;
   for (size_t pi = 0; pi < c.tableau().size(); ++pi) {
     const PatternTuple& pt = c.tableau()[pi];
@@ -88,7 +88,7 @@ common::Result<std::vector<DataExplorer::PatternEntry>> DataExplorer::PatternsOf
         if (!pt.lhs[i].Matches(row[c.lhs_cols()[i]])) return;
       }
       ++entry.matching_tuples;
-      entry.violation_count += table_->vio(tid);
+      entry.violation_count += table_.vio(tid);
     });
     out.push_back(std::move(entry));
   }
@@ -98,7 +98,7 @@ common::Result<std::vector<DataExplorer::PatternEntry>> DataExplorer::PatternsOf
 common::Result<std::vector<DataExplorer::LhsEntry>> DataExplorer::LhsMatches(
     int cfd_index, int pattern_index) const {
   SEMANDAQ_RETURN_IF_ERROR(CheckPattern(cfd_index, pattern_index));
-  const Cfd& c = (*cfds_)[static_cast<size_t>(cfd_index)];
+  const Cfd& c = cfds_[static_cast<size_t>(cfd_index)];
   const PatternTuple& pt = c.tableau()[static_cast<size_t>(pattern_index)];
 
   struct Acc {
@@ -116,7 +116,7 @@ common::Result<std::vector<DataExplorer::LhsEntry>> DataExplorer::LhsMatches(
     for (size_t col : c.lhs_cols()) key.push_back(row[col]);
     Acc& a = acc[std::move(key)];
     ++a.tuples;
-    a.vio += table_->vio(tid);
+    a.vio += table_.vio(tid);
     ++a.rhs[row[c.rhs_col()]];
   });
 
@@ -148,7 +148,7 @@ common::Result<std::vector<DataExplorer::LhsEntry>> DataExplorer::LhsMatches(
 common::Result<std::vector<DataExplorer::RhsEntry>> DataExplorer::RhsValues(
     int cfd_index, int pattern_index, const Row& lhs) const {
   SEMANDAQ_RETURN_IF_ERROR(CheckPattern(cfd_index, pattern_index));
-  const Cfd& c = (*cfds_)[static_cast<size_t>(cfd_index)];
+  const Cfd& c = cfds_[static_cast<size_t>(cfd_index)];
 
   struct Acc {
     size_t tuples = 0;
@@ -161,7 +161,7 @@ common::Result<std::vector<DataExplorer::RhsEntry>> DataExplorer::RhsValues(
     }
     Acc& a = acc[row[c.rhs_col()]];
     ++a.tuples;
-    a.vio += table_->vio(tid);
+    a.vio += table_.vio(tid);
   });
 
   std::vector<RhsEntry> out;
@@ -179,7 +179,7 @@ common::Result<std::vector<DataExplorer::RhsEntry>> DataExplorer::RhsValues(
 common::Result<std::vector<TupleId>> DataExplorer::TuplesFor(
     int cfd_index, int pattern_index, const Row& lhs, const Value& rhs) const {
   SEMANDAQ_RETURN_IF_ERROR(CheckPattern(cfd_index, pattern_index));
-  const Cfd& c = (*cfds_)[static_cast<size_t>(cfd_index)];
+  const Cfd& c = cfds_[static_cast<size_t>(cfd_index)];
   std::vector<TupleId> out;
   rel_->ForEach([&](TupleId tid, const Row& row) {
     for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
@@ -198,8 +198,8 @@ common::Result<std::vector<std::pair<int, int>>> DataExplorer::CfdsForTuple(
   }
   const Row& row = rel_->row(tid);
   std::vector<std::pair<int, int>> out;
-  for (size_t ci = 0; ci < cfds_->size(); ++ci) {
-    const Cfd& c = (*cfds_)[ci];
+  for (size_t ci = 0; ci < cfds_.size(); ++ci) {
+    const Cfd& c = cfds_[ci];
     for (size_t pi = 0; pi < c.tableau().size(); ++pi) {
       const PatternTuple& pt = c.tableau()[pi];
       bool match = true;

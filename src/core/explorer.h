@@ -2,6 +2,7 @@
 #define SEMANDAQ_CORE_EXPLORER_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cfd/cfd.h"
@@ -17,7 +18,8 @@ namespace semandaq::core {
 /// finally the tuples — with violation counts guiding every step.
 ///
 /// The explorer is a pure read API over one relation, a CFD set, and a
-/// detection result (the GUI of the paper renders exactly these tables).
+/// detection result (the GUI of the paper renders exactly these tables). It
+/// owns the CFDs and the detection result and borrows the relation.
 class DataExplorer {
  public:
   struct CfdEntry {
@@ -47,11 +49,12 @@ class DataExplorer {
     int64_t violation_count = 0;
   };
 
-  /// All inputs must outlive the explorer; `table` must be a detection
-  /// result for (rel, cfds) — violation counts are read from it.
-  DataExplorer(const relational::Relation* rel, const std::vector<cfd::Cfd>* cfds,
-               const detect::ViolationTable* table)
-      : rel_(rel), cfds_(cfds), table_(table) {}
+  /// `rel` must outlive the explorer. `cfds` must be resolved against its
+  /// schema and `table` must be a detection result for (rel, cfds) —
+  /// violation counts are read from it.
+  DataExplorer(const relational::Relation* rel, std::vector<cfd::Cfd> cfds,
+               detect::ViolationTable table)
+      : rel_(rel), cfds_(std::move(cfds)), table_(std::move(table)) {}
 
   /// Step 1: the CFDs (embedded FDs) to explore.
   common::Result<std::vector<CfdEntry>> ListCfds() const;
@@ -88,8 +91,8 @@ class DataExplorer {
   common::Status CheckPattern(int cfd_index, int pattern_index) const;
 
   const relational::Relation* rel_;
-  const std::vector<cfd::Cfd>* cfds_;
-  const detect::ViolationTable* table_;
+  std::vector<cfd::Cfd> cfds_;
+  detect::ViolationTable table_;
 };
 
 }  // namespace semandaq::core

@@ -312,12 +312,8 @@ common::Result<std::unique_ptr<DataExplorer>> Semandaq::Explore(
   SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
                             db_.GetRelation(relation));
   SEMANDAQ_ASSIGN_OR_RETURN(detect::ViolationTable table, DetectErrors(relation));
-  explorer_cfds_.push_back(
-      std::make_unique<std::vector<cfd::Cfd>>(engine_.CfdsFor(relation)));
-  explorer_tables_.push_back(
-      std::make_unique<detect::ViolationTable>(std::move(table)));
-  return std::make_unique<DataExplorer>(rel, explorer_cfds_.back().get(),
-                                        explorer_tables_.back().get());
+  return std::make_unique<DataExplorer>(rel, engine_.CfdsFor(relation),
+                                        std::move(table));
 }
 
 }  // namespace semandaq::core

@@ -227,9 +227,9 @@ class Semandaq {
       const std::string& relation, bool cleansed = false,
       repair::RepairOptions options = {}, repair::CostModelOptions cost = {});
 
-  /// Drill-down explorer over the latest detection of `relation`; the
-  /// returned explorer borrows the relation, CFD set, and violation table,
-  /// which all must stay alive (they live in this object).
+  /// Drill-down explorer over a fresh detection of `relation`. The explorer
+  /// owns its copy of the CFD set and the violation table; it borrows the
+  /// relation, which must stay alive and unreplaced while it is used.
   common::Result<std::unique_ptr<DataExplorer>> Explore(const std::string& relation);
 
  private:
@@ -273,10 +273,6 @@ class Semandaq {
   /// until the next save/open of that name overwrites it.
   std::unordered_map<std::string, std::unique_ptr<storage::WalAttachment>>
       wals_;
-
-  // Kept alive for explorers handed out by Explore().
-  std::vector<std::unique_ptr<std::vector<cfd::Cfd>>> explorer_cfds_;
-  std::vector<std::unique_ptr<detect::ViolationTable>> explorer_tables_;
 };
 
 }  // namespace semandaq::core

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/simd/simd.h"
 #include "common/thread_pool.h"
@@ -22,17 +21,12 @@ using relational::EncodedRelation;
 using relational::kAbsentCode;
 using relational::kNullCode;
 using relational::PackCodes;
-using relational::Row;
-using relational::RowEq;
-using relational::RowHash;
 using relational::TupleId;
-using relational::Value;
 
 namespace simd = common::simd;
 
 common::Result<ViolationTable> NativeDetector::Detect() {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
-  if (!options_.use_encoded) return DetectRows();
   if (encoded_ != nullptr && &encoded_->relation() == rel_ &&
       encoded_->InSync()) {
     return DetectEncoded(*encoded_);
@@ -706,93 +700,6 @@ common::Result<ViolationTable> NativeDetector::DetectEncoded(
   // A cancel that tripped inside the last group's kernel blocks left the
   // table truncated; surface it rather than returning partial output.
   SEMANDAQ_RETURN_IF_CANCELLED(options_.cancel);
-  return table;
-}
-
-common::Result<ViolationTable> NativeDetector::DetectRows() {
-  ViolationTable table;
-
-  const std::vector<EmbeddedFdGroup> groups = cfd::GroupByEmbeddedFd(cfds_);
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    SEMANDAQ_RETURN_IF_CANCELLED(options_.cancel);
-    const EmbeddedFdGroup& g = groups[gi];
-    // All members share the LHS column layout; take it from the first.
-    const Cfd& first = cfds_[g.members.front().first];
-    const std::vector<size_t>& lhs_cols = first.lhs_cols();
-    const size_t rhs_col = first.rhs_col();
-
-    struct GroupBucket {
-      std::vector<TupleId> members;
-      std::vector<Value> rhs;
-      int first_cfd = -1;
-      size_t distinct_nonnull = 0;
-      std::unordered_set<Value, relational::ValueHash> seen_rhs;
-    };
-    std::unordered_map<Row, GroupBucket, RowHash, RowEq> buckets;
-
-    rel_->ForEach([&](TupleId tid, const Row& row) {
-      bool in_var_scope = false;
-      int var_cfd = -1;
-      for (const auto& [ci, pi] : g.members) {
-        const PatternTuple& pt = cfds_[ci].tableau()[pi];
-        bool lhs_match = true;
-        for (size_t i = 0; i < lhs_cols.size(); ++i) {
-          if (!pt.lhs[i].Matches(row[lhs_cols[i]])) {
-            lhs_match = false;
-            break;
-          }
-        }
-        if (!lhs_match) continue;
-        if (pt.is_constant_rhs()) {
-          const Value& a = row[rhs_col];
-          if (!a.is_null() && !(a == pt.rhs.constant())) {
-            table.AddSingle(SingleViolation{tid, static_cast<int>(ci),
-                                            static_cast<int>(pi)});
-          }
-        } else if (!in_var_scope) {
-          in_var_scope = true;
-          var_cfd = static_cast<int>(ci);
-        }
-      }
-      if (!in_var_scope) return;
-      // Multi-tuple scope: NULL LHS values cannot witness equality.
-      Row key;
-      key.reserve(lhs_cols.size());
-      for (size_t c : lhs_cols) {
-        if (row[c].is_null()) return;
-        key.push_back(row[c]);
-      }
-      GroupBucket& b = buckets[std::move(key)];
-      if (b.first_cfd < 0) b.first_cfd = var_cfd;
-      b.members.push_back(tid);
-      const Value& a = row[rhs_col];
-      b.rhs.push_back(a);
-      if (!a.is_null() && b.seen_rhs.insert(a).second) ++b.distinct_nonnull;
-    });
-
-    for (auto& [key, b] : buckets) {
-      if (b.distinct_nonnull < 2) continue;
-      ViolationGroup vg;
-      vg.fd_group = static_cast<int>(gi);
-      vg.cfd_index = b.first_cfd;
-      vg.lhs_key = key;
-      vg.members = std::move(b.members);
-      if (options_.materialize_group_rhs) {
-        vg.member_rhs = std::move(b.rhs);
-      } else {
-        // Partner counts up front (the same exact-equality math AddGroup
-        // would derive from member_rhs), so the table's vio totals are
-        // identical with the member values dropped.
-        const int64_t n = static_cast<int64_t>(b.rhs.size());
-        std::unordered_map<Value, int64_t, relational::ValueHash> freq;
-        freq.reserve(b.rhs.size());
-        for (const Value& v : b.rhs) ++freq[v];
-        vg.member_partners.reserve(b.rhs.size());
-        for (const Value& v : b.rhs) vg.member_partners.push_back(n - freq[v]);
-      }
-      table.AddGroup(std::move(vg));
-    }
-  }
   return table;
 }
 

@@ -19,14 +19,7 @@ class ThreadPool;
 namespace semandaq::detect {
 
 struct DetectorOptions {
-  /// Route the scan through a dictionary-encoded columnar snapshot
-  /// (relational::EncodedRelation): pattern constants compile to integer
-  /// codes once per Detect, and grouping runs on packed code keys instead
-  /// of hashing projected Rows. Off = the original row-hash scan, kept for
-  /// A/B measurement and as the semantic reference.
-  bool use_encoded = true;
-
-  /// Worker lanes for the encoded scan.
+  /// Worker lanes for the scan.
   ///   1 (default)  the single-threaded scan, unchanged from before;
   ///   0            one lane per hardware thread;
   ///   >= 2         partition each CFD's LHS code-key space into that many
@@ -38,17 +31,16 @@ struct DetectorOptions {
   /// codes, never of thread timing. The planner may narrow the shard count
   /// on small relations (fork-join overhead would dominate) and caps it at
   /// shard_plan.h's kMaxShards (an oversized knob must not exhaust OS
-  /// threads); the row path (use_encoded = false) ignores this knob
-  /// entirely.
+  /// threads).
   size_t num_threads = 1;
 
-  /// Instruction-set tier of the encoded scan's kernels (pattern match,
+  /// Instruction-set tier of the scan's kernels (pattern match,
   /// liveness/NULL filtering, group-key packing — see docs/simd.md).
   /// kAuto (the default) resolves to the best tier the host supports,
   /// clamped by the SEMANDAQ_SIMD environment override; any explicit tier
   /// is clamped to what the host can run. Every tier produces byte-identical
   /// ViolationTables — this knob exists for A/B measurement and for forcing
-  /// the scalar dispatch floor in tests. The row path ignores it.
+  /// the scalar dispatch floor in tests.
   common::simd::Level simd_level = common::simd::Level::kAuto;
 
   /// Fill ViolationGroup::member_rhs with a decoded Value per group member.
@@ -67,8 +59,10 @@ struct DetectorOptions {
   common::CancelToken* cancel = nullptr;
 };
 
-/// In-process CFD violation detector: one scan per embedded-FD group with
-/// hash partitioning on the LHS attributes.
+/// In-process CFD violation detector: one scan per embedded-FD group over a
+/// dictionary-encoded columnar snapshot (relational::EncodedRelation).
+/// Pattern constants compile to integer codes once per Detect, and grouping
+/// runs on packed LHS code keys.
 ///
 /// Semantics are value-for-value identical to the SQL-based detector (the
 /// cross-check is a test invariant):
@@ -79,11 +73,11 @@ struct DetectorOptions {
 ///    no NULL among their LHS values, grouped by the LHS projection; a group
 ///    violates when it carries >= 2 distinct non-NULL RHS values.
 ///
-/// The encoded path (DetectorOptions::use_encoded, the default) produces a
-/// ViolationTable with identical contents; multi-tuple groups are emitted in
-/// deterministic first-touch order. With DetectorOptions::num_threads >= 2
-/// the encoded scan shards the LHS code-key space over a worker pool and
-/// merges per-shard results back into exactly that order.
+/// Multi-tuple groups are emitted in deterministic first-touch order. With
+/// DetectorOptions::num_threads >= 2 the scan shards the LHS code-key space
+/// over a worker pool and merges per-shard results back into exactly that
+/// order. tests/cfd_oracle_test.cc checks every configuration against a
+/// definition-level oracle.
 class NativeDetector {
  public:
   /// `cfds` are resolved internally against rel's schema (copies; the input
@@ -94,8 +88,8 @@ class NativeDetector {
 
   /// Attaches an externally owned, already-synced encoded snapshot of the
   /// relation so repeated Detect calls skip the encode pass (the warm-scan
-  /// production pattern). Ignored when use_encoded is off; a stale snapshot
-  /// is ignored too (a fresh local one is built instead). The snapshot is
+  /// production pattern). A stale snapshot is ignored (a fresh local one is
+  /// built instead). The snapshot is
   /// never written during Detect, which is what lets sharded workers share
   /// it without locks.
   void set_encoded(const relational::EncodedRelation* encoded) {
@@ -119,7 +113,6 @@ class NativeDetector {
   const std::vector<cfd::Cfd>& cfds() const { return cfds_; }
 
  private:
-  common::Result<ViolationTable> DetectRows();
   common::Result<ViolationTable> DetectEncoded(
       const relational::EncodedRelation& enc);
 

@@ -1,8 +1,6 @@
 #include "discovery/cfd_miner.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -27,57 +25,17 @@ using relational::Row;
 using relational::TupleId;
 using relational::Value;
 
-void ForEachSubset(size_t n, size_t k,
-                   const std::function<void(const std::vector<size_t>&)>& fn) {
-  if (k > n) return;
-  std::vector<size_t> idx(k);
-  for (size_t i = 0; i < k; ++i) idx[i] = i;
-  while (true) {
-    fn(idx);
-    size_t i = k;
-    bool advanced = false;
-    while (i > 0) {
-      --i;
-      if (idx[i] != i + n - k) {
-        ++idx[i];
-        for (size_t j = i + 1; j < k; ++j) idx[j] = idx[j - 1] + 1;
-        advanced = true;
-        break;
-      }
-    }
-    if (!advanced) return;
-  }
-}
-
-/// Is attribute `rhs` constant (and non-null) over the given tuples?
-/// When yes, the shared value lands in *value.
-bool ConstantOn(const relational::Relation& rel, const std::vector<TupleId>& tids,
-                size_t rhs, Value* value) {
-  bool first = true;
-  for (TupleId tid : tids) {
-    const Value& v = rel.cell(tid, rhs);
-    if (v.is_null()) return false;
-    if (first) {
-      *value = v;
-      first = false;
-    } else if (!(v == *value)) {
-      return false;
-    }
-  }
-  return !first;
-}
-
 /// Gather block size for the evidence scans: big enough to amortize the
 /// kernel dispatch, small enough that a candidate failing on its first
-/// tuples stops after one block (the scalar walk's first-conflict early
-/// exit, recovered at block granularity).
+/// tuples stops after one block.
 constexpr size_t kGatherBlock = 1024;
 
-/// Code-space twin of ConstantOn, in kernel blocks: the class members' RHS
-/// codes gather blockwise into a dense scratch array and a CountEq32 pass
-/// per block decides "all equal to the first code" (which also rejects
-/// NULLs, since the first code must be non-NULL itself); the first
-/// disagreeing block exits.
+/// Is attribute `rhs` constant (and non-NULL) over the given tuples? When
+/// yes, the shared value lands in *value. Runs in kernel blocks: the class
+/// members' RHS codes gather blockwise into a dense scratch array and a
+/// CountEq32 pass per block decides "all equal to the first code" (which
+/// also rejects NULLs, since the first code must be non-NULL itself); the
+/// first disagreeing block exits.
 bool ConstantOnEncoded(const relational::EncodedRelation& enc,
                        const simd::Kernels& kn,
                        const std::vector<TupleId>& tids, size_t rhs,
@@ -110,14 +68,13 @@ struct EvidenceScratch {
 };
 
 /// Does X -> A hold within the conditioning class `cls`, and over how much
-/// evidence (tuples in X-groups of size >= 2)? The encoded variable-CFD
-/// scan: class members' X and A codes gather into dense scratch columns,
-/// MaskNeAnd32 builds the non-NULL eligibility mask, and for |X| == 2
-/// PackKeys2x32 pre-packs the group keys so the hash grouping runs on one
-/// uint64 per tuple. Identical outcome to the scalar tuple walk: the walk
-/// breaks at the first RHS conflict, but (holds, evidence) — the only
-/// outputs — do not depend on where the conflict was seen, and evidence is
-/// only consumed when no conflict exists at all.
+/// evidence (tuples in X-groups of size >= 2)? Class members' X and A codes
+/// gather into dense scratch columns, MaskNeAnd32 builds the non-NULL
+/// eligibility mask, and for |X| == 2 PackKeys2x32 pre-packs the group keys
+/// so the hash grouping runs on one uint64 per tuple. A block after a
+/// conflict exits early; (holds, evidence) — the only outputs — do not
+/// depend on where the conflict was seen, and evidence is only consumed
+/// when no conflict exists at all.
 void VariableEvidenceEncoded(const relational::EncodedRelation& enc,
                              const simd::Kernels& kn,
                              const std::vector<TupleId>& cls,
@@ -195,50 +152,12 @@ void VariableEvidenceEncoded(const relational::EncodedRelation& enc,
     }
   }
   if (!*holds) return;
-  // Evidence = tuples in groups of size >= 2 (identical to the scalar
-  // walk's incremental +2/+1 counting).
+  // Evidence = tuples in groups of size >= 2.
   for (const auto& [k2, g] : groups2) {
     if (g.second >= 2) *evidence += static_cast<size_t>(g.second);
   }
   for (const auto& [k2, g] : groups_wide) {
     if (g.second >= 2) *evidence += static_cast<size_t>(g.second);
-  }
-}
-
-/// Row-space fallback of VariableEvidenceEncoded (use_encoded = false).
-void VariableEvidenceRows(const relational::Relation& rel,
-                          const std::vector<TupleId>& cls,
-                          const std::vector<size_t>& lhs, size_t rhs,
-                          bool* holds, size_t* evidence) {
-  *holds = true;
-  *evidence = 0;
-  std::unordered_map<Row, Value, relational::RowHash, relational::RowEq>
-      group_rhs;
-  std::unordered_map<Row, int, relational::RowHash, relational::RowEq>
-      group_size;
-  for (TupleId tid : cls) {
-    const Row& row = rel.row(tid);
-    Row key;
-    bool skip = false;
-    for (size_t c : lhs) {
-      if (row[c].is_null()) {
-        skip = true;
-        break;
-      }
-      key.push_back(row[c]);
-    }
-    if (skip || row[rhs].is_null()) continue;
-    auto [it, fresh] = group_rhs.emplace(key, row[rhs]);
-    if (!fresh && !(it->second == row[rhs])) {
-      *holds = false;
-      return;
-    }
-    const int n = ++group_size[key];
-    if (n == 2) {
-      *evidence += 2;  // the group just became nontrivial
-    } else if (n > 2) {
-      ++*evidence;
-    }
   }
 }
 
@@ -250,11 +169,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   std::vector<Cfd> out;
 
   // One columnar encode pass feeds every partition and evidence scan below.
-  std::unique_ptr<relational::EncodedRelation> encoded;
-  if (options_.use_encoded) {
-    encoded = std::make_unique<relational::EncodedRelation>(rel_, nullptr,
-                                                            options_.cancel);
-  }
+  const relational::EncodedRelation encoded(rel_, nullptr, options_.cancel);
 
   // Lane resolution is shared with the embedded FdMiner run below.
   std::unique_ptr<common::ThreadPool> local_pool;
@@ -267,7 +182,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   // prefixes, and the left-reduction's (k-1)-subsets all sit in the
   // previous generation, so Rotate() after each level keeps residency
   // bounded without forcing rebuilds.
-  PartitionCache cache(rel_, encoded.get(), options_.simd_level);
+  PartitionCache cache(&encoded, options_.simd_level);
   // BuildBases also pays row hydration once before any fan-out (the
   // candidate tasks below read rows for pattern constants, and lazy
   // hydration is not thread-safe).
@@ -318,9 +233,8 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
         for (const auto& cls : px.classes()) {
           if (cls.size() < options_.min_support) continue;
           Value shared;
-          if (encoded ? !ConstantOnEncoded(*encoded, kn, cls, rhs, &shared,
-                                           &scratch.constant)
-                      : !ConstantOn(*rel_, cls, rhs, &shared)) {
+          if (!ConstantOnEncoded(encoded, kn, cls, rhs, &shared,
+                                 &scratch.constant)) {
             continue;
           }
           // Left-reduction: skip when dropping any one LHS attribute
@@ -340,10 +254,8 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
                 if (psub.ClassOf(sup.front()) != cid) continue;
                 Value sub_shared;
                 if (sup.size() >= options_.min_support &&
-                    (encoded ? ConstantOnEncoded(*encoded, kn, sup, rhs,
-                                                 &sub_shared,
-                                                 &scratch.constant)
-                             : ConstantOn(*rel_, sup, rhs, &sub_shared)) &&
+                    ConstantOnEncoded(encoded, kn, sup, rhs, &sub_shared,
+                                      &scratch.constant) &&
                     sub_shared == shared) {
                   reducible = true;
                 }
@@ -383,12 +295,8 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
             // coincidences.
             bool holds = true;
             size_t evidence = 0;
-            if (encoded) {
-              VariableEvidenceEncoded(*encoded, kn, cls, lhs, rhs, &scratch,
-                                      &holds, &evidence);
-            } else {
-              VariableEvidenceRows(*rel_, cls, lhs, rhs, &holds, &evidence);
-            }
+            VariableEvidenceEncoded(encoded, kn, cls, lhs, rhs, &scratch,
+                                    &holds, &evidence);
             if (!holds || evidence < options_.min_support) continue;
             PatternTuple pt;
             const Value& c_value = rel_->cell(cls.front(), lhs[cond]);

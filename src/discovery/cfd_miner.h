@@ -29,9 +29,6 @@ struct CfdMinerOptions {
   bool include_global_fds = true;
   /// Cap on tableau rows per embedded FD (keeps Σ reviewable).
   size_t max_patterns_per_fd = 64;
-  /// Run the partition and evidence passes over a dictionary-encoded
-  /// snapshot (integer codes) instead of hashing Rows and Values.
-  bool use_encoded = true;
   /// Lanes for the per-level candidate fan-out (and the embedded FdMiner
   /// run): 1 = serial sweep (the default), 0 = one lane per hardware
   /// thread, N = N lanes. Without a borrowed `pool`, the miner spins up
@@ -59,17 +56,23 @@ struct CfdMinerOptions {
 /// Engine: constraints "may either be explicitly specified by users or
 /// automatically discovered from reference data").
 ///
-/// Levelwise over the attribute lattice (partitions shared with FdMiner):
+/// Levelwise over the attribute lattice (partitions shared with FdMiner,
+/// all built from one dictionary-encoded snapshot):
 ///  * a global FD X -> A becomes an all-wildcard CFD;
+///  * when a mined global FD implies X -> A (its LHS is a subset of X),
+///    neither pattern kind below is mined for X -> A;
 ///  * a class of Π_X with support >= k on which A is constant becomes a
 ///    constant CFD ([X=x] -> [A=a]), pruned when an immediate-subset class
-///    already implies the same constant (left-reduction);
+///    already implies the same constant (left-reduction). Only stripped
+///    classes, which have >= 2 tuples, can support a constant pattern, so a
+///    min_support below 2 acts as 2;
 ///  * when X -> A fails globally, each conditioning attribute C in X whose
 ///    value c restricts the data so that X -> A holds on σ_{C=c} with
 ///    support >= k yields a variable CFD ([C=c, X\C=_] -> [A=_]).
 ///
-/// Every emitted CFD holds on the mined instance by construction (the test
-/// suite re-verifies with the detector).
+/// Every emitted CFD holds on the mined instance by construction, and
+/// tests/cfd_oracle_test.cc checks the mined tableau against a brute-force
+/// enumeration of these rules.
 ///
 /// Like the FD miner, the sweep fans each level's candidate LHS sets out
 /// over a thread pool (one task per candidate, per-candidate result slots,

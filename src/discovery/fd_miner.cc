@@ -10,58 +10,33 @@
 
 namespace semandaq::discovery {
 
-namespace {
-
-/// All size-k subsets of {0..n-1}, emitted in lexicographic order.
 void ForEachSubset(size_t n, size_t k,
                    const std::function<void(const std::vector<size_t>&)>& fn) {
+  if (k > n) return;
   std::vector<size_t> idx(k);
   for (size_t i = 0; i < k; ++i) idx[i] = i;
-  if (k > n) return;
   while (true) {
     fn(idx);
-    // Advance.
     size_t i = k;
+    bool advanced = false;
     while (i > 0) {
       --i;
       if (idx[i] != i + n - k) {
         ++idx[i];
         for (size_t j = i + 1; j < k; ++j) idx[j] = idx[j - 1] + 1;
+        advanced = true;
         break;
       }
-      if (i == 0) return;
     }
-    if (k == 0) return;
+    if (!advanced) return;
   }
-}
-
-}  // namespace
-
-bool FdMiner::Holds(const relational::Relation& rel, const std::vector<size_t>& lhs,
-                    size_t rhs, bool use_encoded) {
-  std::vector<size_t> xa = lhs;
-  xa.push_back(rhs);
-  std::sort(xa.begin(), xa.end());
-  if (use_encoded) {
-    const relational::EncodedRelation encoded(&rel);
-    const Partition px = Partition::Build(encoded, lhs);
-    const Partition pxa = Partition::Build(encoded, xa);
-    return RefinesForFd(px, pxa);
-  }
-  const Partition px = Partition::Build(rel, lhs);
-  const Partition pxa = Partition::Build(rel, xa);
-  return RefinesForFd(px, pxa);
 }
 
 std::vector<DiscoveredFd> FdMiner::Mine() {
-  // Base partitions come from the dictionary-encoded snapshot when enabled:
-  // singletons then cost one dense code->class array pass each, with the
-  // array sized directly from the dictionary cardinality.
-  std::unique_ptr<relational::EncodedRelation> encoded;
-  if (options_.use_encoded) {
-    encoded = std::make_unique<relational::EncodedRelation>(rel_, nullptr,
-                                                           options_.cancel);
-  }
+  // Base partitions come from the dictionary-encoded snapshot: singletons
+  // cost one dense code->class array pass each, with the array sized
+  // directly from the dictionary cardinality.
+  const relational::EncodedRelation encoded(rel_, nullptr, options_.cancel);
   std::unique_ptr<common::ThreadPool> local_pool;
   common::ThreadPool* pool =
       common::ResolvePool(options_.pool, options_.num_threads, &local_pool);
@@ -69,7 +44,7 @@ std::vector<DiscoveredFd> FdMiner::Mine() {
   // for the intersect recurrence, level k products filling. Rotate() after
   // each level evicts everything older (rebuilt on demand if a pruning
   // path asks again).
-  PartitionCache cache(rel_, encoded.get(), options_.simd_level);
+  PartitionCache cache(&encoded, options_.simd_level);
   return Mine(&cache, pool);
 }
 
@@ -138,8 +113,7 @@ std::vector<DiscoveredFd> FdMiner::Mine(PartitionCache* cache,
         xa.push_back(slot.rhs[j]);
         std::sort(xa.begin(), xa.end());
         const Partition& pxa = cache->Get(xa);
-        slot.holds[j] = options_.use_error_exit ? RefinesForFd(px, pxa)
-                                                : px.Refines(pxa);
+        slot.holds[j] = RefinesForFd(px, pxa);
       }
     };
     if (parallel) {

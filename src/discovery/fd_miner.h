@@ -23,9 +23,6 @@ struct DiscoveredFd {
 struct FdMinerOptions {
   /// Maximum LHS size to explore (levelwise lattice depth).
   size_t max_lhs = 3;
-  /// Build base partitions from a dictionary-encoded snapshot (one encode
-  /// pass, then pure integer grouping) instead of hashing projected Rows.
-  bool use_encoded = true;
   /// Lanes for the per-level candidate fan-out: 1 = serial sweep (the
   /// default), 0 = one lane per hardware thread, N = N lanes. When no
   /// borrowed `pool` is attached, the miner spins up its own pool for the
@@ -42,11 +39,6 @@ struct FdMinerOptions {
   /// evidence scans (kAuto = the host's best; see docs/simd.md). Every
   /// tier mines the identical output.
   common::simd::Level simd_level = common::simd::Level::kAuto;
-  /// Decide candidates by the O(1) stripped-partition error test
-  /// e(X) == e(X∪A) when the covers match, instead of walking classes
-  /// (see RefinesForFd). Output is identical either way; the knob exists
-  /// for the A/B bench.
-  bool use_error_exit = true;
   /// Cooperative cancellation (common/cancel.h), checked at level and
   /// candidate boundaries. Mine() returns a vector, so a tripped token
   /// makes the sweep stop early with a *partial* result — callers that
@@ -55,9 +47,10 @@ struct FdMinerOptions {
   common::CancelToken* cancel = nullptr;
 };
 
-/// TANE-style levelwise FD discovery on stripped partitions: candidate
-/// X -> A is valid iff Π_X refines Π_{X∪{A}}. Only minimal FDs are emitted
-/// (no discovered FD's LHS contains another's for the same RHS).
+/// TANE-style levelwise FD discovery on stripped partitions built from one
+/// dictionary-encoded snapshot: candidate X -> A is valid iff Π_X refines
+/// Π_{X∪{A}} (decided by RefinesForFd). Only minimal FDs are emitted (no
+/// discovered FD's LHS contains another's for the same RHS).
 ///
 /// The sweep fans each level's candidates out over a thread pool (one task
 /// per candidate LHS; see FdMinerOptions::num_threads) and keeps partition
@@ -89,24 +82,22 @@ class FdMiner {
   /// miner shares its encode pass and PartitionCache with this embedded
   /// run instead of paying both twice. The cache is populated and
   /// Rotate()d by the sweep (call between your own levels only);
-  /// `pool` may be null (serial sweep). Only `max_lhs` and
-  /// `use_error_exit` of the options apply — the cache already fixes the
-  /// encode path and kernel tier. Output is identical to Mine().
+  /// `pool` may be null (serial sweep). Only `max_lhs` and `cancel` of
+  /// the options apply — the cache already fixes the snapshot and kernel
+  /// tier. Output is identical to Mine().
   std::vector<DiscoveredFd> Mine(PartitionCache* cache,
                                  common::ThreadPool* pool,
                                  const LevelHook& after_level = {});
-
-  /// Checks one FD directly (exposed for tests and the CFD miner). With
-  /// `use_encoded` (the default) both partitions come off one dictionary
-  /// encode pass — the same build path Mine() uses — instead of hashing
-  /// projected Rows.
-  static bool Holds(const relational::Relation& rel, const std::vector<size_t>& lhs,
-                    size_t rhs, bool use_encoded = true);
 
  private:
   const relational::Relation* rel_;
   FdMinerOptions options_;
 };
+
+/// Calls fn with every size-k subset of {0..n-1}, each ascending, in
+/// lexicographic order — the candidate order of both miners' level sweeps.
+void ForEachSubset(size_t n, size_t k,
+                   const std::function<void(const std::vector<size_t>&)>& fn);
 
 }  // namespace semandaq::discovery
 

@@ -3,44 +3,11 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "common/hash.h"
 #include "common/thread_pool.h"
 
 namespace semandaq::discovery {
 
-using relational::Row;
-using relational::RowEq;
-using relational::RowHash;
 using relational::TupleId;
-
-Partition Partition::Build(const relational::Relation& rel,
-                           const std::vector<size_t>& cols) {
-  Partition p;
-  p.class_of_.assign(static_cast<size_t>(rel.IdBound()), -1);
-  std::unordered_map<Row, int32_t, RowHash, RowEq> ids;
-  std::vector<std::vector<TupleId>> members;
-  rel.ForEach([&](TupleId tid, const Row& row) {
-    Row key;
-    key.reserve(cols.size());
-    for (size_t c : cols) {
-      if (row[c].is_null()) return;  // NULL excluded from partitions
-      key.push_back(row[c]);
-    }
-    auto [it, fresh] = ids.emplace(std::move(key), static_cast<int32_t>(ids.size()));
-    if (fresh) members.emplace_back();
-    members[static_cast<size_t>(it->second)].push_back(tid);
-    p.class_of_[static_cast<size_t>(tid)] = it->second;
-    ++p.covered_;
-  });
-  p.num_classes_ = ids.size();
-  // Strip singletons but keep ids dense within classes_ (class ids in
-  // class_of_ index the *original* numbering; classes_ holds only the
-  // non-singleton ones, order preserved).
-  for (auto& m : members) {
-    if (m.size() >= 2) p.classes_.push_back(std::move(m));
-  }
-  return p;
-}
 
 Partition Partition::Build(const relational::EncodedRelation& enc,
                            const std::vector<size_t>& cols,
@@ -93,8 +60,7 @@ Partition Partition::Build(const relational::EncodedRelation& enc,
 
   if (cols.size() == 1) {
     // Codes are dense 1..|dict|: the class of a tuple is a direct array
-    // lookup, with ids renumbered in first-touch order to stay structurally
-    // identical to the hash build.
+    // lookup, with ids renumbered in first-touch order.
     const Code* codes = colptrs[0];
     std::vector<int32_t> class_of_code(enc.dictionary(cols[0]).size() + 1, -1);
     int32_t next = 0;
@@ -234,8 +200,7 @@ const Partition& PartitionCache::Get(const std::vector<size_t>& cols) {
     }
     ClaimGuard<std::set<size_t>, size_t> guard(&mu_, &built_cv_,
                                                &building_bases_, col);
-    Partition p = enc_ != nullptr ? Partition::Build(*enc_, cols, level_)
-                                  : Partition::Build(*rel_, cols);
+    Partition p = Partition::Build(*enc_, cols, level_);
     std::lock_guard<std::mutex> lock(mu_);
     return bases_.try_emplace(col, std::move(p)).first->second;
   }
@@ -267,7 +232,7 @@ void PartitionCache::BuildBases(size_t ncols, common::ThreadPool* pool) {
     for (size_t c = 0; c < ncols; ++c) Get({c});
     return;
   }
-  if (rel_ != nullptr) rel_->EnsureHydrated();  // hydration is not thread-safe
+  enc_->relation().EnsureHydrated();  // hydration is not thread-safe
   pool->Run(ncols, [this](size_t c) { Get({c}); });
 }
 

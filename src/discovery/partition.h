@@ -24,16 +24,11 @@ namespace semandaq::discovery {
 /// cannot witness equality, matching the detector's semantics).
 class Partition {
  public:
-  /// Builds Π_X by hashing the X projection of every live tuple.
-  static Partition Build(const relational::Relation& rel,
-                         const std::vector<size_t>& cols);
-
   /// Builds Π_X from a dictionary-encoded snapshot: a counting/group pass
-  /// over code columns instead of hashing projected Rows. Single attributes
-  /// index a dense code->class array sized by the dictionary cardinality
-  /// (no hash table at all); wider sets group on packed code keys. Class
-  /// ids are assigned in first-touch (tuple id) order, so the result is
-  /// structurally identical to the row-hash Build.
+  /// over code columns. Single attributes index a dense code->class array
+  /// sized by the dictionary cardinality (no hash table at all); wider sets
+  /// group on packed code keys. Class ids are assigned in first-touch
+  /// (tuple id) order.
   ///
   /// The liveness + non-NULL filter and the two-column key packing run on
   /// the common::simd kernel tier `level` (kAuto = the host's best; see
@@ -132,13 +127,11 @@ inline bool RefinesForFd(const Partition& px, const Partition& pxa) {
 /// fan-out joined.
 class PartitionCache {
  public:
-  /// Both pointers are borrowed. `enc` selects the encoded build path and
-  /// may be null (row-hash fallback); `level` is the kernel tier every
-  /// build and intersect runs on.
-  PartitionCache(const relational::Relation* rel,
-                 const relational::EncodedRelation* enc,
-                 common::simd::Level level = common::simd::Level::kAuto)
-      : rel_(rel), enc_(enc), level_(level) {}
+  /// `enc` is borrowed: the snapshot every base partition is built from.
+  /// `level` is the kernel tier every build and intersect runs on.
+  explicit PartitionCache(const relational::EncodedRelation* enc,
+                          common::simd::Level level = common::simd::Level::kAuto)
+      : enc_(enc), level_(level) {}
 
   PartitionCache(const PartitionCache&) = delete;
   PartitionCache& operator=(const PartitionCache&) = delete;
@@ -171,8 +164,7 @@ class PartitionCache {
   size_t builds() const { return builds_; }
 
  private:
-  const relational::Relation* rel_;
-  const relational::EncodedRelation* enc_;  // null = row-hash builds
+  const relational::EncodedRelation* enc_;
   common::simd::Level level_;
 
   std::mutex mu_;

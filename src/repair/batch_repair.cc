@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/thread_pool.h"
 #include "detect/native_detector.h"
@@ -47,27 +48,21 @@ struct SingleEval {
   std::vector<std::pair<Value, double>> alts;
 };
 
-/// One live group member at round start. `label` is a uint32 stand-in for
-/// the member's RHS value — the dictionary code in encoded mode, a
-/// first-occurrence ordinal in the row fallback — with 0 (kNullCode)
-/// reserved for NULL in both. Label equality means value equality either
-/// way, which is what lets the apply phase and the equivalence classes run
-/// on integers.
+/// One live group member at round start. `label` is the dictionary code of
+/// the member's RHS value (kNullCode for NULL): label equality means value
+/// equality, which is what lets the apply phase and the equivalence classes
+/// run on integers.
 struct GroupMember {
   TupleId tid = -1;
-  uint32_t label = 0;
-  bool is_mutable = true;
+  Code label = kNullCode;
 };
 
 /// Phase-A output for one multi-tuple violation group.
 struct GroupEval {
   bool actionable = false;
-  /// Immutable members disagree among themselves: the RHS cannot be
-  /// repaired at all, mutable members leave via an LHS break.
-  bool frozen_conflict = false;
   std::vector<GroupMember> members;
   Value best;
-  uint32_t best_label = 0;
+  Code best_label = kNullCode;
   double best_cost = 0;
   double escape_cost = 0;
   std::vector<size_t> escapees;  ///< indices into `members`
@@ -88,9 +83,7 @@ class RepairEngine {
     SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, work_.schema()));
     work_.EnsureHydrated();  // Phase A reads rows from worker lanes
     pool_ = common::ResolvePool(options_.pool, options_.num_threads, &owned_pool_);
-    if (options_.use_encoded) {
-      enc_ = std::make_unique<EncodedRelation>(&work_, pool_, options_.cancel);
-    }
+    enc_ = std::make_unique<EncodedRelation>(&work_, pool_, options_.cancel);
     kernels_ = &common::simd::KernelsFor(options_.simd_level);
     ComputeFrequentValues();
 
@@ -99,7 +92,6 @@ class RepairEngine {
     // the touched cell), so each round's re-detection is a warm kernel scan
     // instead of a cold per-round re-encode.
     detect::DetectorOptions dopts;
-    dopts.use_encoded = options_.use_encoded;
     dopts.num_threads = options_.num_threads;
     dopts.simd_level = options_.simd_level;
     // The engine reads current cells (or codes) itself; decoding a Value
@@ -111,7 +103,7 @@ class RepairEngine {
     dopts.cancel = options_.cancel;
     detect::NativeDetector detector(&work_, cfds_, dopts);
     detector.set_thread_pool(pool_);
-    if (enc_) detector.set_encoded(enc_.get());
+    detector.set_encoded(enc_.get());
 
     RepairResult result;
     int it = 0;
@@ -133,8 +125,7 @@ class RepairEngine {
       if (table.TotalVio() > 0) EscapePass(table, &result);
     }
 
-    // Final audit of what is left (non-zero only when frozen tuples pin
-    // irreconcilable values).
+    // Final audit: after the escape pass nothing is left to flag.
     {
       SEMANDAQ_ASSIGN_OR_RETURN(ViolationTable table, detector.Detect());
       result.remaining_violations = static_cast<size_t>(table.TotalVio());
@@ -169,10 +160,6 @@ class RepairEngine {
     return (static_cast<uint64_t>(tid) << 16) | static_cast<uint64_t>(col);
   }
 
-  bool Mutable(TupleId tid) const {
-    return !options_.restrict_to_mutable || options_.mutable_tids.count(tid) > 0;
-  }
-
   /// One repair round over a fresh violation table, in two phases.
   ///
   /// Phase A evaluates every violation's resolution against the round-start
@@ -182,9 +169,7 @@ class RepairEngine {
   /// applies the decisions serially in one canonical order (singles by
   /// (cfd, pattern, tid), then groups by (fd group, first member)), with
   /// the pending-target/touched-cell conflict machinery arbitrating cells
-  /// claimed by more than one violation. The canonical order also erases
-  /// the emission-order difference between the encoded and row detectors,
-  /// which is what makes encoded/row runs repair identically.
+  /// claimed by more than one violation.
   size_t ResolveRound(const ViolationTable& table, RepairResult* result) {
     touched_this_round_.clear();
     pending_targets_.clear();
@@ -241,7 +226,7 @@ class RepairEngine {
   void EvalSingle(const SingleViolation& sv, SingleEval* out) const {
     const Cfd& c = cfds_[static_cast<size_t>(sv.cfd_index)];
     const PatternTuple& pt = c.tableau()[static_cast<size_t>(sv.pattern_index)];
-    if (!work_.IsLive(sv.tid) || !Mutable(sv.tid)) return;
+    if (!work_.IsLive(sv.tid)) return;
     const Row& row = work_.row(sv.tid);
     for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
       if (!pt.lhs[i].Matches(row[c.lhs_cols()[i]])) return;
@@ -310,133 +295,78 @@ class RepairEngine {
     return 1;
   }
 
-  /// Round-start RHS label of a live member: the dictionary code in encoded
-  /// mode; in the row fallback an ordinal assigned per group by first
-  /// occurrence (via `ords`, the group-local value->ordinal map).
-  uint32_t MemberLabel(
-      TupleId tid, size_t rhs_col,
-      std::unordered_map<Value, uint32_t, relational::ValueHash>* ords) const {
-    if (enc_) return enc_->code(tid, rhs_col);
-    const Value& v = work_.cell(tid, rhs_col);
-    if (v.is_null()) return kNullCode;
-    return ords->emplace(v, static_cast<uint32_t>(ords->size()) + 1).first->second;
-  }
-
-  const Value& LabelValue(size_t rhs_col, uint32_t label, TupleId carrier) const {
-    if (enc_) return enc_->Decode(rhs_col, label);
-    return work_.cell(carrier, rhs_col);
-  }
-
   void EvalGroup(const ViolationGroup& vg, GroupEval* out) const {
     if (vg.cfd_index < 0) return;
     const Cfd& c = cfds_[static_cast<size_t>(vg.cfd_index)];
     const size_t rhs_col = c.rhs_col();
 
-    std::unordered_map<Value, uint32_t, relational::ValueHash> ords;
     out->members.reserve(vg.members.size());
     for (TupleId tid : vg.members) {
       if (!work_.IsLive(tid)) continue;
-      out->members.push_back({tid, MemberLabel(tid, rhs_col, &ords), Mutable(tid)});
+      out->members.push_back({tid, enc_->code(tid, rhs_col)});
     }
 
-    // Distinct non-NULL RHS labels in first-occurrence order, with a
-    // carrier tid per label so the row fallback can read the value back.
-    // Counting runs on integers: the encoded path gathers the member codes
-    // into a scratch column and lets CountEq32 tally each distinct code,
-    // which is the same kernel pass the detector's partner counts use.
-    std::vector<uint32_t> distinct;
-    std::vector<TupleId> carrier;
+    // Distinct non-NULL RHS codes in first-occurrence order. Counting runs
+    // on integers: the member codes gather into a scratch column and
+    // CountEq32 tallies each distinct code, which is the same kernel pass
+    // the detector's partner counts use.
+    std::vector<Code> distinct;
     std::vector<Code> codes;  // the gathered scratch column (all members)
-    std::vector<Code> mut_codes;
     codes.reserve(out->members.size());
-    mut_codes.reserve(out->members.size());
-    int64_t mut_nulls = 0;
+    int64_t nulls = 0;
     for (const GroupMember& m : out->members) {
       codes.push_back(m.label);
-      if (m.is_mutable) {
-        mut_codes.push_back(m.label);
-        if (m.label == kNullCode) ++mut_nulls;
+      if (m.label == kNullCode) {
+        ++nulls;
+        continue;
       }
-      if (m.label == kNullCode) continue;
       if (std::find(distinct.begin(), distinct.end(), m.label) == distinct.end()) {
         distinct.push_back(m.label);
-        carrier.push_back(m.tid);
       }
     }
     if (distinct.size() < 2) return;  // already resolved
 
-    std::vector<int64_t> mut_counts(distinct.size());
+    std::vector<int64_t> counts(distinct.size());
     for (size_t d = 0; d < distinct.size(); ++d) {
-      mut_counts[d] = static_cast<int64_t>(
-          kernels_->CountEq32(mut_codes.data(), mut_codes.size(), distinct[d]));
+      counts[d] = static_cast<int64_t>(
+          kernels_->CountEq32(codes.data(), codes.size(), distinct[d]));
     }
 
-    // Frozen members pin the target: if they disagree among themselves the
-    // group cannot be repaired on the RHS at all.
-    std::vector<uint32_t> frozen;
-    for (const GroupMember& m : out->members) {
-      if (m.is_mutable || m.label == kNullCode) continue;
-      if (std::find(frozen.begin(), frozen.end(), m.label) == frozen.end()) {
-        frozen.push_back(m.label);
-      }
-    }
-    if (frozen.size() > 1) {
-      out->actionable = true;
-      out->frozen_conflict = true;
-      return;
-    }
-
-    // Candidate targets with total weighted rewrite cost over the mutable
-    // members, summed per distinct label (count x per-value cost — one
-    // CellChangeCost per (label, candidate) pair instead of one per member).
-    auto total_cost = [&](uint32_t target, const Value& target_v) {
+    // Candidate targets with total weighted rewrite cost over the members,
+    // summed per distinct code (count x per-value cost — one CellChangeCost
+    // per (code, candidate) pair instead of one per member).
+    auto total_cost = [&](Code target, const Value& target_v) {
       double cost = 0;
       for (size_t d = 0; d < distinct.size(); ++d) {
-        if (mut_counts[d] == 0) continue;
-        cost += static_cast<double>(mut_counts[d]) *
-                (enc_ ? cost_model_.CellChangeCostCoded(
-                            rhs_col, distinct[d], target, enc_->dictionary(rhs_col))
-                      : cost_model_.CellChangeCost(
-                            rhs_col, LabelValue(rhs_col, distinct[d], carrier[d]),
-                            target_v));
+        cost += static_cast<double>(counts[d]) *
+                cost_model_.CellChangeCostCoded(rhs_col, distinct[d], target,
+                                                enc_->dictionary(rhs_col));
       }
-      if (mut_nulls > 0) {
-        cost += static_cast<double>(mut_nulls) *
+      if (nulls > 0) {
+        cost += static_cast<double>(nulls) *
                 cost_model_.CellChangeCost(rhs_col, Value::Null(), target_v);
       }
       return cost;
     };
 
+    std::vector<size_t> order(distinct.size());
+    std::vector<double> costs(distinct.size());
+    for (size_t d = 0; d < distinct.size(); ++d) {
+      order[d] = d;
+      costs[d] = total_cost(distinct[d], enc_->Decode(rhs_col, distinct[d]));
+    }
+    // Ties break to the first-occurring value — stable under every thread
+    // count.
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return costs[a] < costs[b]; });
     std::vector<Candidate> candidates;
-    std::vector<uint32_t> candidate_labels;
-    if (frozen.size() == 1) {
-      size_t d = 0;
-      while (distinct[d] != frozen.front()) ++d;
-      candidates.push_back(
-          {LabelValue(rhs_col, frozen.front(), carrier[d]),
-           total_cost(frozen.front(), LabelValue(rhs_col, frozen.front(), carrier[d]))});
-      candidate_labels.push_back(frozen.front());
-    } else {
-      candidates.reserve(distinct.size());
-      candidate_labels.reserve(distinct.size());
-      std::vector<size_t> order(distinct.size());
-      for (size_t d = 0; d < distinct.size(); ++d) order[d] = d;
-      std::vector<double> costs(distinct.size());
-      for (size_t d = 0; d < distinct.size(); ++d) {
-        costs[d] = total_cost(distinct[d], LabelValue(rhs_col, distinct[d], carrier[d]));
-      }
-      // Ties break to the first-occurring value — stable under every thread
-      // count and both detector paths, unlike the old unstable sort.
-      std::stable_sort(order.begin(), order.end(),
-                       [&](size_t a, size_t b) { return costs[a] < costs[b]; });
-      for (size_t d : order) {
-        candidates.push_back({LabelValue(rhs_col, distinct[d], carrier[d]), costs[d]});
-        candidate_labels.push_back(distinct[d]);
-      }
+    candidates.reserve(distinct.size());
+    for (size_t d : order) {
+      candidates.push_back({enc_->Decode(rhs_col, distinct[d]), costs[d]});
     }
     out->actionable = true;
     out->best = candidates.front().value;
-    out->best_label = candidate_labels.front();
+    out->best_label = distinct[order.front()];
     out->best_cost = candidates.front().cost;
     out->alts = RankAlternatives(candidates);
 
@@ -448,7 +378,7 @@ class RepairEngine {
       const size_t escape_col = c.lhs_cols().back();
       for (size_t i = 0; i < out->members.size(); ++i) {
         const GroupMember& m = out->members[i];
-        if (!m.is_mutable || m.label == out->best_label) continue;
+        if (m.label == out->best_label) continue;
         out->escapees.push_back(i);
         out->escape_cost += cost_model_.CellChangeCost(
             escape_col, work_.cell(m.tid, escape_col), Value::Null());
@@ -463,20 +393,6 @@ class RepairEngine {
     const Cfd& c = cfds_[static_cast<size_t>(vg.cfd_index)];
     const size_t rhs_col = c.rhs_col();
     const size_t escape_col = c.lhs_cols().back();
-
-    if (e.frozen_conflict) {
-      // Move mutable members out of the group by breaking the LHS key.
-      size_t edits = 0;
-      if (options_.enable_lhs_repairs) {
-        for (const GroupMember& m : e.members) {
-          if (!m.is_mutable) continue;
-          ApplyChange(m.tid, escape_col, Value::Null(), {});
-          ++result->null_escapes;
-          ++edits;
-        }
-      }
-      return edits;
-    }
 
     if (options_.enable_lhs_repairs && !e.escapees.empty() &&
         e.escape_cost < e.best_cost) {
@@ -499,7 +415,6 @@ class RepairEngine {
         aligned.push_back(m.tid);
         continue;
       }
-      if (!m.is_mutable) continue;
       if (const Value* pending = PendingTarget(m.tid, rhs_col)) {
         if (*pending == e.best) {
           aligned.push_back(m.tid);
@@ -569,7 +484,6 @@ class RepairEngine {
 
     for (const SingleViolation* sv : singles) {
       const Cfd& c = cfds_[static_cast<size_t>(sv->cfd_index)];
-      if (!Mutable(sv->tid)) continue;
       ApplyChange(sv->tid, c.rhs_col(), Value::Null(), {});
       ++result->null_escapes;
     }
@@ -599,7 +513,6 @@ class RepairEngine {
         }
       }
       for (size_t i = 0; i < vg->members.size(); ++i) {
-        if (!Mutable(vg->members[i])) continue;
         const Value& rhs = work_.cell(vg->members[i], c.rhs_col());
         if (rhs.is_null()) continue;
         if (majority != nullptr && rhs == *majority) continue;
@@ -609,48 +522,27 @@ class RepairEngine {
     }
   }
 
-  /// Per-column frequent values from one histogram pass. In encoded mode
-  /// the pass counts dictionary codes over the live code column — integer
-  /// increments, no Value hashing; the row fallback counts values in the
-  /// same first-occurrence-over-live order, so both paths produce the same
-  /// list (count descending, ties to first occurrence).
+  /// Per-column frequent values (count descending, ties to first
+  /// occurrence) from one histogram pass over each live code column —
+  /// integer increments, no Value hashing.
   void ComputeFrequentValues() {
     const size_t ncols = work_.schema().size();
     frequent_.resize(ncols);
-    if (enc_) {
-      for (size_t col = 0; col < ncols; ++col) {
-        const relational::CodeColumn& codes = enc_->column(col);
-        std::vector<int64_t> counts(enc_->dictionary(col).size() + 1, 0);
-        std::vector<Code> order;
-        enc_->ForEachLive([&](TupleId tid) {
-          const Code code = codes[static_cast<size_t>(tid)];
-          if (code == kNullCode) return;
-          if (counts[code]++ == 0) order.push_back(code);
-        });
-        std::stable_sort(order.begin(), order.end(),
-                         [&](Code a, Code b) { return counts[a] > counts[b]; });
-        const size_t keep = std::min<size_t>(order.size(), 4);
-        for (size_t i = 0; i < keep; ++i) {
-          frequent_[col].push_back(enc_->Decode(col, order[i]));
-        }
+    for (size_t col = 0; col < ncols; ++col) {
+      const relational::CodeColumn& codes = enc_->column(col);
+      std::vector<int64_t> counts(enc_->dictionary(col).size() + 1, 0);
+      std::vector<Code> order;
+      enc_->ForEachLive([&](TupleId tid) {
+        const Code code = codes[static_cast<size_t>(tid)];
+        if (code == kNullCode) return;
+        if (counts[code]++ == 0) order.push_back(code);
+      });
+      std::stable_sort(order.begin(), order.end(),
+                       [&](Code a, Code b) { return counts[a] > counts[b]; });
+      const size_t keep = std::min<size_t>(order.size(), 4);
+      for (size_t i = 0; i < keep; ++i) {
+        frequent_[col].push_back(enc_->Decode(col, order[i]));
       }
-      return;
-    }
-    std::vector<std::unordered_map<Value, size_t, relational::ValueHash>> slot(ncols);
-    std::vector<std::vector<std::pair<Value, int64_t>>> items(ncols);
-    work_.ForEach([&](TupleId, const Row& row) {
-      for (size_t c = 0; c < ncols; ++c) {
-        if (row[c].is_null()) continue;
-        auto [it, fresh] = slot[c].emplace(row[c], items[c].size());
-        if (fresh) items[c].emplace_back(row[c], 0);
-        ++items[c][it->second].second;
-      }
-    });
-    for (size_t c = 0; c < ncols; ++c) {
-      std::stable_sort(items[c].begin(), items[c].end(),
-                       [](const auto& a, const auto& b) { return a.second > b.second; });
-      const size_t keep = std::min<size_t>(items[c].size(), 4);
-      for (size_t i = 0; i < keep; ++i) frequent_[c].push_back(items[c][i].first);
     }
   }
 
@@ -658,7 +550,7 @@ class RepairEngine {
                    std::vector<std::pair<Value, double>> alternatives) {
     pending_targets_[CellKey(tid, col)] = v;
     (void)work_.SetCell(tid, col, std::move(v));
-    if (enc_) enc_->ApplyCell(tid, col);  // keep the snapshot warm
+    enc_->ApplyCell(tid, col);  // keep the snapshot warm
     touched_this_round_.insert(CellKey(tid, col));
     auto& slot = change_alternatives_[CellKey(tid, col)];
     if (!alternatives.empty() || slot.empty()) slot = std::move(alternatives);

@@ -1,7 +1,6 @@
 #ifndef SEMANDAQ_REPAIR_BATCH_REPAIR_H_
 #define SEMANDAQ_REPAIR_BATCH_REPAIR_H_
 
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -33,19 +32,6 @@ struct RepairOptions {
   /// cleansing-review UI (paper Fig. 5).
   size_t alternatives_k = 3;
 
-  /// When non-empty, only these tuples may be modified (IncRepair mode:
-  /// existing clean data is immutable, only the delta is repaired).
-  std::unordered_set<relational::TupleId> mutable_tids;
-  bool restrict_to_mutable = false;
-
-  /// Route the per-round re-detection and candidate-cost evaluation through
-  /// one dictionary-encoded snapshot of the working relation, kept warm
-  /// across rounds via the delta hooks (every applied cell edit re-encodes
-  /// exactly that cell). Off = the original row-hash walk, kept for A/B
-  /// measurement and as the semantic reference; the computed RepairResult
-  /// is byte-identical either way.
-  bool use_encoded = true;
-
   /// Worker lanes for the per-round candidate evaluation and the sharded
   /// re-detection scans: 1 (default) = serial, 0 = one lane per hardware
   /// thread, N >= 2 = exactly N lanes. Each round evaluates all violation
@@ -56,7 +42,7 @@ struct RepairOptions {
   size_t num_threads = 1;
 
   /// Kernel tier of the encoded scans (see docs/simd.md); every tier
-  /// repairs identically. The row path ignores it.
+  /// repairs identically.
   common::simd::Level simd_level = common::simd::Level::kAuto;
 
   /// Borrowed worker pool (e.g. a scheduler lease's). nullptr
@@ -92,8 +78,9 @@ struct RepairResult {
   std::vector<CellChange> changes;
   double total_cost = 0;
   int iterations = 0;
-  /// Violations left when the heuristic gave up (0 unless the constraint
-  /// set is effectively unsatisfiable on some tuple in restricted mode).
+  /// Violations the final re-detection still finds. The NULL-escape pass
+  /// clears whatever the rounds leave, so this is 0 — also for an
+  /// unsatisfiable Σ (tests/cfd_oracle_test.cc checks it).
   size_t remaining_violations = 0;
   /// Number of cells forced to NULL by the termination escape.
   size_t null_escapes = 0;
@@ -108,6 +95,10 @@ struct RepairResult {
 /// candidate repair is obtained from the original data using attribute value
 /// modifications on the violations ... the repair algorithm aims to find a
 /// repair that minimally differs from the original data").
+///
+/// The working relation is mirrored by one dictionary-encoded snapshot,
+/// kept warm across rounds (every applied cell edit re-encodes exactly that
+/// cell), so re-detection and candidate costs run on integer codes.
 ///
 /// Each round: detect violations; resolve every single-tuple violation by
 /// the cheaper of (RHS := pattern constant) and (break the LHS match);

@@ -606,8 +606,9 @@ common::Result<std::string> SemandaqService::CmdExplore(
   SEMANDAQ_ASSIGN_OR_RETURN(size_t pi, core::ParseCount(args[2]));
   SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d,
                             DetectPinned(args[0], AllFreeLanes(), cancel));
-  // The explorer borrows the pinned detection; both die with this call.
-  const core::DataExplorer explorer(&d.snap->relation, &d.cfds, &d.table);
+  // The explorer takes the pinned detection; both die with this call.
+  const core::DataExplorer explorer(&d.snap->relation, std::move(d.cfds),
+                                    std::move(d.table));
   const int cfd = static_cast<int>(ci);
   const int pattern = static_cast<int>(pi);
   // Drill into the first matching LHS automatically.

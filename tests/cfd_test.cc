@@ -124,14 +124,20 @@ TEST(CfdTest, GroupByEmbeddedFdMergesSameFd) {
 
 TEST(CfdTest, GroupKeyRespectsAttributeOrder) {
   // [A,B] -> C and [B,A] -> C are the same FD semantically, but pattern
-  // positions differ; grouping must keep them apart.
-  Cfd ab("t", {"A", "B"}, "C",
-         {PatternTuple{{PatternValue::Wildcard(), PatternValue::Wildcard()},
-                       PatternValue::Wildcard()}});
-  Cfd ba("t", {"B", "A"}, "C",
-         {PatternTuple{{PatternValue::Wildcard(), PatternValue::Wildcard()},
-                       PatternValue::Wildcard()}});
-  EXPECT_EQ(GroupByEmbeddedFd({ab, ba}).size(), 2u);
+  // positions differ; grouping must keep them apart. Names still compare
+  // case-insensitively, so [a,b] -> c joins [A,B] -> C.
+  const PatternTuple any{{PatternValue::Wildcard(), PatternValue::Wildcard()},
+                         PatternValue::Wildcard()};
+  Cfd ab("t", {"A", "B"}, "C", {any});
+  Cfd ba("t", {"B", "A"}, "C", {any});
+  Cfd ab_lower("t", {"a", "b"}, "c", {any});
+  const auto groups = GroupByEmbeddedFd({ab, ba, ab_lower});
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].lhs_attrs, (std::vector<std::string>{"A", "B"}));
+  EXPECT_EQ(groups[0].members,
+            (std::vector<std::pair<size_t, size_t>>{{0, 0}, {2, 0}}));
+  EXPECT_EQ(groups[1].lhs_attrs, (std::vector<std::string>{"B", "A"}));
+  EXPECT_EQ(groups[1].members, (std::vector<std::pair<size_t, size_t>>{{1, 0}}));
 }
 
 // ---------------------------------------------------------------- Parser --

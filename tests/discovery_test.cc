@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "cfd/cfd_parser.h"
+#include "cfd_oracle.h"
 #include "detect/native_detector.h"
 #include "discovery/cfd_miner.h"
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
+#include "relational/encoded_relation.h"
 #include "test_util.h"
 #include "workload/customer_gen.h"
 
@@ -16,10 +18,28 @@ using relational::Value;
 
 // -------------------------------------------------------------- Partition --
 
+/// Π_X over the encoded snapshot must be Π_X from the definition: the same
+/// classes (stripped of singletons) in first-touch order, the same coverage.
+void ExpectOraclePartition(const Partition& p, const Relation& rel,
+                           const std::vector<size_t>& cols) {
+  const auto want = oracle::PartitionClasses(rel, cols);
+  std::vector<std::vector<relational::TupleId>> stripped;
+  size_t covered = 0;
+  for (const auto& cls : want) {
+    covered += cls.size();
+    if (cls.size() >= 2) stripped.push_back(cls);
+  }
+  EXPECT_EQ(p.num_classes(), want.size());
+  EXPECT_EQ(p.num_tuples(), covered);
+  EXPECT_EQ(p.classes(), stripped);
+}
+
 TEST(PartitionTest, BuildGroupsEqualValues) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "2"}, {"y", "1"}, {"x", "3"}});
-  Partition p = Partition::Build(rel, {0});
+  const relational::EncodedRelation enc(&rel);
+  Partition p = Partition::Build(enc, {0});
+  ExpectOraclePartition(p, rel, {0});
   EXPECT_EQ(p.num_classes(), 2u);
   EXPECT_EQ(p.num_tuples(), 4u);
   ASSERT_EQ(p.classes().size(), 1u);  // only {x} is non-singleton
@@ -31,7 +51,9 @@ TEST(PartitionTest, BuildGroupsEqualValues) {
 TEST(PartitionTest, NullsExcluded) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A"}, {{"x"}, {""}, {"x"}});
-  Partition p = Partition::Build(rel, {0});
+  const relational::EncodedRelation enc(&rel);
+  Partition p = Partition::Build(enc, {0});
+  ExpectOraclePartition(p, rel, {0});
   EXPECT_EQ(p.num_tuples(), 2u);
   EXPECT_EQ(p.ClassOf(1), -1);
 }
@@ -39,34 +61,41 @@ TEST(PartitionTest, NullsExcluded) {
 TEST(PartitionTest, IntersectIsProductPartition) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "1"}, {"x", "2"}, {"y", "1"}});
-  Partition pa = Partition::Build(rel, {0});
-  Partition pb = Partition::Build(rel, {1});
-  Partition pab = Partition::Intersect(pa, pb);
-  Partition direct = Partition::Build(rel, {0, 1});
-  EXPECT_EQ(pab.num_classes(), direct.num_classes());
-  EXPECT_EQ(pab.num_tuples(), direct.num_tuples());
+  const relational::EncodedRelation enc(&rel);
+  Partition pa = Partition::Build(enc, {0});
+  Partition pb = Partition::Build(enc, {1});
+  ExpectOraclePartition(Partition::Intersect(pa, pb), rel, {0, 1});
+  ExpectOraclePartition(Partition::Build(enc, {0, 1}), rel, {0, 1});
 }
 
 TEST(PartitionTest, RefinesDetectsFd) {
   // A -> B holds; B -> A does not (B=1 spans A=x and A=y).
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "1"}, {"y", "2"}, {"z", "1"}});
-  Partition pa = Partition::Build(rel, {0});
-  Partition pab = Partition::Build(rel, {0, 1});
+  const relational::EncodedRelation enc(&rel);
+  const oracle::Pairs pairs(rel);
+  Partition pa = Partition::Build(enc, {0});
+  Partition pab = Partition::Build(enc, {0, 1});
+  EXPECT_TRUE(pairs.FdHolds(0b01, 1));
   EXPECT_TRUE(pa.Refines(pab));
-  Partition pb = Partition::Build(rel, {1});
+  Partition pb = Partition::Build(enc, {1});
+  EXPECT_FALSE(pairs.FdHolds(0b10, 0));
   EXPECT_FALSE(pb.Refines(pab));
 }
 
 // ---------------------------------------------------------------- FdMiner --
 
-TEST(FdMinerTest, HoldsChecksSingleFd) {
+TEST(FdMinerTest, MinesExactlyTheOracleFds) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "1"}, {"y", "2"}});
-  EXPECT_TRUE(FdMiner::Holds(rel, {0}, 1));
+  EXPECT_EQ(oracle::FdsOf(FdMiner(&rel).Mine()),
+            oracle::MinimalFds(oracle::Pairs(rel), 3));
+  EXPECT_TRUE(oracle::Pairs(rel).FdHolds(0b01, 1));
   Relation bad = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "2"}});
-  EXPECT_FALSE(FdMiner::Holds(bad, {0}, 1));
+  EXPECT_EQ(oracle::FdsOf(FdMiner(&bad).Mine()),
+            oracle::MinimalFds(oracle::Pairs(bad), 3));
+  EXPECT_FALSE(oracle::Pairs(bad).FdHolds(0b01, 1));
 }
 
 TEST(FdMinerTest, FindsPlantedFds) {

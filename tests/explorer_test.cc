@@ -34,7 +34,7 @@ class ExplorerTest : public ::testing::Test {
 };
 
 TEST_F(ExplorerTest, ListCfdsShowsViolationMass) {
-  DataExplorer explorer(&rel_, &cfds_, &table_);
+  DataExplorer explorer(&rel_, std::move(cfds_), std::move(table_));
   ASSERT_OK_AND_ASSIGN(auto entries, explorer.ListCfds());
   ASSERT_EQ(entries.size(), 2u);
   // phi2 [CNT,ZIP]->[STR]: the UK group carries vio 1+2+1 = 4.
@@ -47,7 +47,7 @@ TEST_F(ExplorerTest, ListCfdsShowsViolationMass) {
 }
 
 TEST_F(ExplorerTest, PatternsShowMatchCounts) {
-  DataExplorer explorer(&rel_, &cfds_, &table_);
+  DataExplorer explorer(&rel_, std::move(cfds_), std::move(table_));
   ASSERT_OK_AND_ASSIGN(auto patterns, explorer.PatternsOf(0));
   ASSERT_EQ(patterns.size(), 1u);
   EXPECT_EQ(patterns[0].display, "(UK, _ || _)");
@@ -57,7 +57,7 @@ TEST_F(ExplorerTest, PatternsShowMatchCounts) {
 
 TEST_F(ExplorerTest, LhsMatchesDrilldown) {
   // The Fig. 2 step: distinct (CNT, ZIP) under pattern (UK, _).
-  DataExplorer explorer(&rel_, &cfds_, &table_);
+  DataExplorer explorer(&rel_, std::move(cfds_), std::move(table_));
   ASSERT_OK_AND_ASSIGN(auto matches, explorer.LhsMatches(0, 0));
   ASSERT_EQ(matches.size(), 2u);
   // Sorted dirtiest-first: (UK, EH2 4SD) with 3 tuples / 3 streets.
@@ -70,7 +70,7 @@ TEST_F(ExplorerTest, LhsMatchesDrilldown) {
 }
 
 TEST_F(ExplorerTest, RhsValuesForSelectedLhs) {
-  DataExplorer explorer(&rel_, &cfds_, &table_);
+  DataExplorer explorer(&rel_, std::move(cfds_), std::move(table_));
   Row lhs = {Value::String("UK"), Value::String("EH2 4SD")};
   ASSERT_OK_AND_ASSIGN(auto rhs, explorer.RhsValues(0, 0, lhs));
   ASSERT_EQ(rhs.size(), 2u);
@@ -82,7 +82,7 @@ TEST_F(ExplorerTest, RhsValuesForSelectedLhs) {
 }
 
 TEST_F(ExplorerTest, TuplesForFinalSelection) {
-  DataExplorer explorer(&rel_, &cfds_, &table_);
+  DataExplorer explorer(&rel_, std::move(cfds_), std::move(table_));
   Row lhs = {Value::String("UK"), Value::String("EH2 4SD")};
   ASSERT_OK_AND_ASSIGN(auto tids,
                        explorer.TuplesFor(0, 0, lhs, Value::String("Mayfield Rd")));
@@ -90,7 +90,7 @@ TEST_F(ExplorerTest, TuplesForFinalSelection) {
 }
 
 TEST_F(ExplorerTest, ReverseExplorationFromTuple) {
-  DataExplorer explorer(&rel_, &cfds_, &table_);
+  DataExplorer explorer(&rel_, std::move(cfds_), std::move(table_));
   // Eve (6): matches phi4's LHS (CC=44); phi2's LHS (CNT=UK) does not match.
   ASSERT_OK_AND_ASSIGN(auto pairs, explorer.CfdsForTuple(6));
   ASSERT_EQ(pairs.size(), 1u);
@@ -101,7 +101,7 @@ TEST_F(ExplorerTest, ReverseExplorationFromTuple) {
 }
 
 TEST_F(ExplorerTest, RenderDrilldownShowsFourTables) {
-  DataExplorer explorer(&rel_, &cfds_, &table_);
+  DataExplorer explorer(&rel_, std::move(cfds_), std::move(table_));
   Row lhs = {Value::String("UK"), Value::String("EH2 4SD")};
   const std::string out = explorer.RenderDrilldown(0, 0, lhs);
   EXPECT_NE(out.find("-- CFDs --"), std::string::npos);
@@ -112,7 +112,7 @@ TEST_F(ExplorerTest, RenderDrilldownShowsFourTables) {
 }
 
 TEST_F(ExplorerTest, IndexValidation) {
-  DataExplorer explorer(&rel_, &cfds_, &table_);
+  DataExplorer explorer(&rel_, std::move(cfds_), std::move(table_));
   EXPECT_FALSE(explorer.PatternsOf(-1).ok());
   EXPECT_FALSE(explorer.PatternsOf(99).ok());
   EXPECT_FALSE(explorer.LhsMatches(0, 99).ok());

@@ -4,15 +4,19 @@
 // kernel tier — and the mined output must be IDENTICAL to the serial
 // scalar run — same FDs/CFDs in the same order — for every thread count ×
 // tier combination, because candidates are validated into per-candidate
-// slots and emitted in the serial sweep's exact lexicographic order.
-// Also covers the two-generation PartitionCache (level-scoped residency,
-// rebuild-on-demand after eviction, never stale).
+// slots and emitted in the serial sweep's exact lexicographic order. The
+// serial reference must itself match the definition-level oracle
+// (cfd_oracle.h). Also covers the two-generation PartitionCache
+// (level-scoped residency, rebuild-on-demand after eviction, never stale).
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cfd_oracle.h"
 #include "common/simd/simd.h"
 #include "common/thread_pool.h"
 #include "discovery/cfd_miner.h"
@@ -61,11 +65,22 @@ std::string CfdSignature(const Relation& rel, const CfdMinerOptions& opts) {
 
 /// Mined FD and CFD output must be byte-identical to the serial scalar
 /// sweep for every thread count × kernel tier (tiers above the host's
-/// support clamp down, so the sweep is safe everywhere).
+/// support clamp down, so the sweep is safe everywhere), and the serial
+/// sweep must mine exactly what the oracle derives from the definitions.
 void ExpectIdenticalMining(const Relation& rel) {
   FdMinerOptions serial_fd;
   serial_fd.simd_level = simd::Level::kScalar;
-  const std::string fd_base = FdSignature(FdMiner(&rel, serial_fd).Mine());
+  const std::vector<DiscoveredFd> serial_fds = FdMiner(&rel, serial_fd).Mine();
+  EXPECT_EQ(oracle::MinimalFds(oracle::Pairs(rel), serial_fd.max_lhs),
+            oracle::FdsOf(serial_fds));
+  const std::string fd_base = FdSignature(serial_fds);
+
+  CfdMinerOptions uncapped;
+  uncapped.simd_level = simd::Level::kScalar;
+  uncapped.max_patterns_per_fd = SIZE_MAX;
+  auto mined = CfdMiner(&rel, uncapped).Mine();
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  EXPECT_EQ(oracle::MinedCfdRows(rel, uncapped), oracle::RowsOf(*mined));
 
   CfdMinerOptions serial_cfd;
   serial_cfd.simd_level = simd::Level::kScalar;
@@ -95,21 +110,6 @@ void ExpectIdenticalMining(const Relation& rel) {
   CfdMinerOptions pooled_cfd;
   pooled_cfd.pool = &pool;
   EXPECT_EQ(cfd_base, CfdSignature(rel, pooled_cfd));
-
-  // The row-hash fallback path must fan out identically too.
-  FdMinerOptions rows_fd;
-  rows_fd.use_encoded = false;
-  rows_fd.num_threads = 4;
-  EXPECT_EQ(fd_base, FdSignature(FdMiner(&rel, rows_fd).Mine()));
-  CfdMinerOptions rows_cfd;
-  rows_cfd.use_encoded = false;
-  rows_cfd.num_threads = 4;
-  EXPECT_EQ(cfd_base, CfdSignature(rel, rows_cfd));
-
-  // The e(X) == e(X∪A) early-exit is an optimization, never a semantic.
-  FdMinerOptions no_exit;
-  no_exit.use_error_exit = false;
-  EXPECT_EQ(fd_base, FdSignature(FdMiner(&rel, no_exit).Mine()));
 }
 
 TEST(ParallelDiscoveryTest, PaperCustomerIdentical) {
@@ -192,7 +192,7 @@ void ExpectSamePartition(const Partition& a, const Partition& b) {
 TEST(PartitionCacheTest, EvictedPartitionsRebuildOnDemandNeverStale) {
   Relation rel = semandaq::testing::PaperCustomerRelation();
   relational::EncodedRelation enc(&rel);
-  PartitionCache cache(&rel, &enc);
+  PartitionCache cache(&enc);
 
   const Partition& first = cache.Get({1, 3});
   const Partition reference = Partition::Intersect(
@@ -227,7 +227,7 @@ TEST(PartitionCacheTest, ResidencyStaysLevelScoped) {
   // two lattice levels' worth of products.
   Relation rel = semandaq::testing::PaperCustomerRelation();
   relational::EncodedRelation enc(&rel);
-  PartitionCache cache(&rel, &enc);
+  PartitionCache cache(&enc);
   const size_t ncols = 4;
 
   // Level 1: candidates are pinned bases; products of size 2 get built.
@@ -292,7 +292,7 @@ TEST(PartitionCacheTest, AfterLevelHookSharesLevelPartitionsWithCfdSweep) {
   // Old schedule: full FD run, then a separate level walk with its own
   // rotations (what CfdMiner::Mine did before the hook existed).
   relational::EncodedRelation enc_a(&wl.dirty);
-  PartitionCache cache_a(&wl.dirty, &enc_a);
+  PartitionCache cache_a(&enc_a);
   const auto fds_a = miner.Mine(&cache_a, nullptr);
   for (size_t level = 1; level <= kMaxLhs && level < ncols; ++level) {
     touch_level(&cache_a, level);
@@ -303,7 +303,7 @@ TEST(PartitionCacheTest, AfterLevelHookSharesLevelPartitionsWithCfdSweep) {
   // Interleaved schedule: the same accesses inside the hook are all
   // resident hits.
   relational::EncodedRelation enc_b(&wl.dirty);
-  PartitionCache cache_b(&wl.dirty, &enc_b);
+  PartitionCache cache_b(&enc_b);
   std::vector<size_t> hook_levels;
   const auto fds_b = miner.Mine(
       &cache_b, nullptr,
@@ -342,7 +342,7 @@ TEST(PartitionCacheTest, ConcurrentGetsAreSafeAndDeterministic) {
   }
 
   common::ThreadPool pool(4);
-  PartitionCache cache(&wl.dirty, &enc);
+  PartitionCache cache(&enc);
   std::vector<std::vector<size_t>> wanted;
   for (size_t a = 0; a < ncols; ++a) {
     for (size_t b = a + 1; b < ncols; ++b) wanted.push_back({a, b});
@@ -355,13 +355,19 @@ TEST(PartitionCacheTest, ConcurrentGetsAreSafeAndDeterministic) {
   }
 }
 
-TEST(FdMinerTest, HoldsMatchesEncodedAndRowPaths) {
+TEST(FdMinerTest, RefinesForFdMatchesOracle) {
+  // The miner's validation test on every single-attribute candidate of the
+  // paper instance, against the pairwise FD definition.
   const Relation rel = semandaq::testing::PaperCustomerRelation();
+  const relational::EncodedRelation enc(&rel);
+  const oracle::Pairs pairs(rel);
   for (size_t rhs = 0; rhs < rel.schema().size(); ++rhs) {
     for (size_t lhs = 0; lhs < rel.schema().size(); ++lhs) {
       if (lhs == rhs) continue;
-      EXPECT_EQ(FdMiner::Holds(rel, {lhs}, rhs, /*use_encoded=*/true),
-                FdMiner::Holds(rel, {lhs}, rhs, /*use_encoded=*/false))
+      const Partition px = Partition::Build(enc, {lhs});
+      const Partition pxa =
+          Partition::Build(enc, {std::min(lhs, rhs), std::max(lhs, rhs)});
+      EXPECT_EQ(pairs.FdHolds(uint64_t{1} << lhs, rhs), RefinesForFd(px, pxa))
           << "lhs=" << lhs << " rhs=" << rhs;
     }
   }

@@ -1,12 +1,13 @@
 // The code-columnar repair path: BatchRepair evaluates each round's
-// candidate resolutions in parallel against the round-start state (encoded
-// or row mode, any SIMD tier) and applies them serially in a canonical
-// order — so the ENTIRE RepairResult (changes with ranked alternatives and
-// costs, the repaired relation, and every audit counter including the
-// merged equivalence classes) must be byte-identical across
-// {1,2,4,hw} threads x {scalar,sse2,avx2} x {encoded,row} on every
-// relation shape: the paper walkthrough, generated customer/hospital
-// workloads, empty input, NULL-heavy rows, and tombstoned tuples.
+// candidate resolutions in parallel against the round-start state (any
+// SIMD tier) and applies them serially in a canonical order — so the
+// ENTIRE RepairResult (changes with ranked alternatives and costs, the
+// repaired relation, and every audit counter including the merged
+// equivalence classes) must be byte-identical across {1,2,4,hw} threads x
+// {scalar,sse2,avx2} on every relation shape: the paper walkthrough,
+// generated customer/hospital workloads, empty input, NULL-heavy rows, and
+// tombstoned tuples. The serial scalar reference must itself satisfy the
+// repair post-conditions of the definition-level oracle (cfd_oracle.h).
 // Also gates the facade loop end to end: repair -> ApplyRepair -> WAL ->
 // reopen -> re-detect must land on the identical (clean) detection state.
 
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "cfd/cfd_parser.h"
+#include "cfd_oracle.h"
 #include "common/simd/simd.h"
 #include "core/semandaq.h"
 #include "relational/relation.h"
@@ -75,30 +77,28 @@ std::string RepairSignature(const RepairResult& r) {
   return out.str();
 }
 
-std::string RunRepair(const Relation& rel, const std::string& cfd_text,
-                      bool use_encoded, size_t threads, simd::Level tier) {
+common::Result<RepairResult> RunRepair(const Relation& rel,
+                                       const std::string& cfd_text,
+                                       size_t threads, simd::Level tier) {
   RepairOptions opts;
-  opts.use_encoded = use_encoded;
   opts.num_threads = threads;
   opts.simd_level = tier;
-  BatchRepair repair(&rel, Parse(cfd_text), CostModel(rel.schema()), opts);
-  auto result = repair.Run();
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? RepairSignature(*result) : std::string();
+  return BatchRepair(&rel, Parse(cfd_text), CostModel(rel.schema()), opts).Run();
 }
 
-/// Repairs `rel` under every mode combination and requires each signature
-/// to equal the serial row-mode scalar reference.
+/// Repairs `rel` under every thread count x tier and requires each
+/// signature to equal the serial scalar reference, which must itself pass
+/// the oracle's repair post-conditions.
 void ExpectInvariantRepair(const Relation& rel, const std::string& cfds) {
-  const std::string reference =
-      RunRepair(rel, cfds, /*use_encoded=*/false, 1, simd::Level::kScalar);
-  for (bool encoded : {false, true}) {
-    for (size_t threads : kThreadCounts) {
-      for (simd::Level tier : kTiers) {
-        EXPECT_EQ(reference, RunRepair(rel, cfds, encoded, threads, tier))
-            << "encoded=" << encoded << " threads=" << threads
-            << " tier=" << static_cast<int>(tier);
-      }
+  ASSERT_OK_AND_ASSIGN(RepairResult serial,
+                       RunRepair(rel, cfds, 1, simd::Level::kScalar));
+  EXPECT_EQ("", oracle::RepairDiff(rel, Parse(cfds), serial));
+  const std::string reference = RepairSignature(serial);
+  for (size_t threads : kThreadCounts) {
+    for (simd::Level tier : kTiers) {
+      ASSERT_OK_AND_ASSIGN(RepairResult result, RunRepair(rel, cfds, threads, tier));
+      EXPECT_EQ(reference, RepairSignature(result))
+          << "threads=" << threads << " tier=" << static_cast<int>(tier);
     }
   }
 }
@@ -142,10 +142,8 @@ TEST(ParallelRepairTest, EmptyRelationIsModeInvariant) {
 }
 
 TEST(ParallelRepairTest, NullHeavyRelationIsModeInvariant) {
-  // NULLs in LHS cells exempt tuples from matching; NULLs in RHS cells
-  // still violate constant patterns; whole-row NULL tuples ride along.
-  // The kNullCode handling of the encoded path must agree with the row
-  // walk everywhere.
+  // NULLs in constant LHS positions exempt tuples from matching; NULL RHS
+  // cells are unknown, not wrong; whole-row NULL tuples ride along.
   const Relation rel = semandaq::testing::MakeStringRelation(
       "customer", {"NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"},
       {
@@ -161,8 +159,8 @@ TEST(ParallelRepairTest, NullHeavyRelationIsModeInvariant) {
 }
 
 TEST(ParallelRepairTest, TombstonedRelationIsModeInvariant) {
-  // Deleted tuples must be invisible to both detection modes: the encoded
-  // snapshot's liveness mask and the row walk's IsLive filter.
+  // Deleted tuples must be invisible to the encoded snapshot's liveness
+  // mask and to the engine's IsLive filters.
   Relation rel = semandaq::testing::PaperCustomerRelation();
   const TupleId extra = rel.MustInsert(
       {Value::String("Zed"), Value::String("UK"), Value::String("Edinburgh"),

@@ -199,40 +199,6 @@ TEST(BatchRepairTest, UnsatisfiableConstantsEscapeToNull) {
   EXPECT_GT(result.null_escapes, 0u);
 }
 
-TEST(BatchRepairTest, RestrictedModeOnlyTouchesMutableTuples) {
-  Relation rel = semandaq::testing::MakeStringRelation(
-      "t", {"A", "B"}, {{"1", "x"}, {"1", "x"}, {"1", "y"}});
-  CostModel cm(rel.schema());
-  RepairOptions opts;
-  opts.restrict_to_mutable = true;
-  opts.mutable_tids = {2};
-  BatchRepair repair(&rel, Parse("t: [A] -> [B]"), cm, opts);
-  ASSERT_OK_AND_ASSIGN(RepairResult result, repair.Run());
-  EXPECT_EQ(CountViolations(result.repaired, "t: [A] -> [B]"), 0u);
-  // Frozen tuples keep their values; tuple 2 adopts them.
-  EXPECT_EQ(result.repaired.cell(0, 1).AsString(), "x");
-  EXPECT_EQ(result.repaired.cell(1, 1).AsString(), "x");
-  EXPECT_EQ(result.repaired.cell(2, 1).AsString(), "x");
-}
-
-TEST(BatchRepairTest, RestrictedModeWithIrreconcilableFrozenValues) {
-  // Frozen tuples disagree: the mutable tuple is moved out of the group via
-  // the LHS NULL escape and the frozen conflict is reported as remaining.
-  Relation rel = semandaq::testing::MakeStringRelation(
-      "t", {"A", "B"}, {{"1", "x"}, {"1", "y"}, {"1", "z"}});
-  CostModel cm(rel.schema());
-  RepairOptions opts;
-  opts.restrict_to_mutable = true;
-  opts.mutable_tids = {2};
-  BatchRepair repair(&rel, Parse("t: [A] -> [B]"), cm, opts);
-  ASSERT_OK_AND_ASSIGN(RepairResult result, repair.Run());
-  // Tuple 2 no longer participates…
-  EXPECT_TRUE(result.repaired.cell(2, 0).is_null() ||
-              result.repaired.cell(2, 1).is_null());
-  // …but the frozen pair still violates: honestly reported.
-  EXPECT_GT(result.remaining_violations, 0u);
-}
-
 // -------------------------------------------------------------- IncRepair --
 
 TEST(IncRepairTest, RepairsOnlyTheDelta) {

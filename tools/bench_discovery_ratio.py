@@ -20,8 +20,6 @@ ran after host clamping) and writes back into BENCH_discovery.json under
     shows pool overhead instead, which the artifact records honestly).
   * scalar_over_vector: time(scalar) / time(best vector tier) at
     threads=1 — the evidence-scan/intersect kernel win.
-  * classwalk_over_error_exit: BM_FdMineClassWalk / BM_FdMine at the same
-    serial configuration — what the e(X) == e(X∪A) early-exit buys.
 
 Exits nonzero only on malformed input — shared CI runners are too noisy
 for a hard perf gate; acceptance is judged from the recorded artifact.
@@ -73,24 +71,6 @@ def mine_ratios(benchmarks, family):
     return out
 
 
-def classwalk_ratio(benchmarks):
-    """BM_FdMineClassWalk vs serial BM_FdMine at matching tiers."""
-    walk = real_runs(benchmarks, "BM_FdMineClassWalk")
-    mine = real_runs(benchmarks, "BM_FdMine")
-    out = {}
-    for (level,), wb in walk.items():
-        mb = mine.get(("64000", "1", level))
-        if mb is None:
-            continue
-        out[f"level_{wb.get('simd_level')}"] = {
-            "classwalk_ms": wb["real_time"],
-            "error_exit_ms": mb["real_time"],
-            "classwalk_over_error_exit": round(
-                wb["real_time"] / mb["real_time"], 3),
-        }
-    return out
-
-
 def main(argv):
     build_type = None
     args = []
@@ -112,7 +92,6 @@ def main(argv):
     data["discovery_ratios"] = {
         "BM_FdMine": mine_ratios(benchmarks, "BM_FdMine"),
         "BM_CfdMine": mine_ratios(benchmarks, "BM_CfdMine"),
-        "BM_FdMineClassWalk": classwalk_ratio(benchmarks),
     }
     with open(path, "w") as f:
         json.dump(data, f, indent=1)

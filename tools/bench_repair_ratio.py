@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Records the code-columnar repair engine's A/B ratios in the artifact.
+"""Records the code-columnar repair engine's thread and tier ratios.
 
 Usage: bench_repair_ratio.py [--semandaq-build-type=TYPE] BENCH_repair.json
 
@@ -10,21 +10,14 @@ Debian package ships as "debug" — see bench_simd_ratio.py).
 
 Reads the BM_Repair sweep (benchmark args = tuples / worker lanes /
 requested kernel tier, 0 lanes = all hardware threads; the "simd_level"
-counter is the tier that actually ran after host clamping) and the
-BM_RepairRows baseline (serial row-hash detection, Value-keyed group
-resolution) and writes back into BENCH_repair.json under "repair_ratios",
-per tuple count:
+counter is the tier that actually ran after host clamping) and writes back
+into BENCH_repair.json under "repair_ratios", per tuple count:
 
-  * rows_over_encoded_hw: BM_RepairRows / BM_Repair at hardware threads and
-    the best vector tier — the detect -> repair -> audit loop routed
-    through one warm encoded snapshot versus the row-hash serial engine it
-    replaced. The acceptance bar is >= 3x at 64k tuples.
-  * rows_over_encoded_best: the same numerator over the fastest encoded
-    configuration that ran (single-core hosts often beat the "hw threads"
-    row by skipping pool dispatch).
-  * scalar_over_vector: encoded serial scalar / encoded serial best vector
-    tier — what the kernel tier contributes inside the repair loop.
-  * serial_over_N_threads: encoded thread scaling at the best vector tier.
+  * scalar_over_vector: serial scalar / serial best vector tier — what the
+    kernel tier contributes inside the repair loop.
+  * serial_over_N_threads: thread scaling at the best vector tier.
+  * encoded_hw_ms: the run at all hardware threads and the best vector
+    tier.
 
 The RepairResult itself is byte-identical across every configuration
 (gated by tests/parallel_repair_test.cc) — these ratios are wall-clock
@@ -59,7 +52,6 @@ def real_runs(benchmarks, prefix):
 
 
 def repair_ratios(benchmarks):
-    rows = real_runs(benchmarks, "BM_RepairRows")
     encoded = real_runs(benchmarks, "BM_Repair")
     by_tuples = {}
     for (tuples, threads, _level), b in encoded.items():
@@ -85,16 +77,8 @@ def repair_ratios(benchmarks):
                 rec[f"threads_{t}_ms"] = ms
                 rec[f"serial_over_{t}_threads"] = round(serial_ms / ms, 3)
         hw = [ms for t, lvl, ms in vector if t == 0 and lvl == best_lvl]
-        rows_b = rows.get((tuples,))
-        if rows_b is not None:
-            rec["rows_ms"] = rows_b["real_time"]
-            if hw:
-                rec["encoded_hw_ms"] = hw[0]
-                rec["rows_over_encoded_hw"] = round(rows_b["real_time"] / hw[0], 3)
-            if entries:
-                best_ms = min(ms for _t, _lvl, ms in entries)
-                rec["rows_over_encoded_best"] = round(
-                    rows_b["real_time"] / best_ms, 3)
+        if hw:
+            rec["encoded_hw_ms"] = hw[0]
         if rec:
             out[tuples] = rec
     return out
