@@ -127,40 +127,13 @@ void BM_NativeDetectColdLoad(benchmark::State& state) {
 BENCHMARK(BM_NativeDetectColdLoad)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)
     ->Unit(benchmark::kMillisecond);
 
-// Thread sweep of the sharded scan over a warm snapshot: the LHS code-key
-// space partitions into num_threads shards (second Arg; 1 = the serial
-// fast path, the baseline the speedup is measured against). The output is
-// identical to serial for every point of the sweep — this measures pure
-// scan parallelism, not a semantic variant.
-void BM_NativeDetectSharded(benchmark::State& state) {
-  const auto& wl =
-      bench::CachedCustomer(static_cast<size_t>(state.range(0)), kNoise);
-  relational::EncodedRelation encoded(&wl.dirty);
-  detect::DetectorOptions options;
-  options.num_threads = static_cast<size_t>(state.range(1));
-  RunNativeDetect(state, options, &encoded);
-  // "shards", not "threads": benchmark emits its own per-run "threads" JSON
-  // field and duplicate keys would make the artifact parser-dependent.
-  state.counters["shards"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_NativeDetectSharded)
-    ->Args({64000, 1})
-    ->Args({64000, 2})
-    ->Args({64000, 4})
-    ->Args({64000, 8})
-    ->Args({256000, 4})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // SIMD kernel A/B over a warm snapshot: same blocked scan algorithm, the
 // second Arg forces the kernel tier (0 = the scalar dispatch floor, 1 =
 // SSE2, 2 = AVX2; tiers above the host's support clamp down — the
 // "simd_level" counter records what actually ran). The constant-tableau Σ
 // keeps the run kernel-bound (pattern match + liveness/NULL filtering +
 // RHS disagreement masks), which is exactly the layer the tiers differ
-// in; the mixed-workload scaling story stays with BM_NativeDetect. The
-// scalar-vs-vector ratio of this A/B is the acceptance number recorded in
-// BENCH_detect.json.
+// in; the mixed-workload scaling story stays with BM_NativeDetect.
 void BM_NativeDetectSimd(benchmark::State& state) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   const auto& wl = bench::CachedCustomer(tuples, kNoise);

@@ -123,11 +123,8 @@ BENCHMARK(BM_PartitionBuildSimd)
 // sweep), range(2) = kernel tier request (0 = scalar floor, 2 = AVX2,
 // clamped to host support — the "simd_level" counter records what ran).
 // Mined output is byte-identical across all configurations; only the wall
-// clock moves. tools/bench_discovery_ratio.py digests the serial-vs-
-// parallel and scalar-vs-vector ratios into BENCH_discovery.json.
-// NOTE: on a single-core build host the thread sweep shows pool overhead,
-// not speedup — multi-core CI is where the parallel ratio materializes
-// (same caveat as BM_NativeDetectSharded).
+// clock moves. On a single-core host the thread sweep shows pool overhead,
+// not speedup.
 void BM_FdMine(benchmark::State& state) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   const auto& wl = bench::CachedCustomer(tuples, 0.0, /*seed=*/24);

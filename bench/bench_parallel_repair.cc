@@ -1,12 +1,9 @@
 // EXP-R3 — the code-columnar repair engine: BatchRepair with the detect ->
 // repair -> audit loop routed through one warm dictionary-encoded snapshot
 // (kernel-blocked re-detection, CountEq32 group tallies, coded cost fast
-// paths, parallel candidate evaluation). Axes: range(0) = tuples,
-// range(1) = worker lanes (0 = all hardware threads), range(2) = requested
-// kernel tier. The RepairResult is byte-identical across every
-// configuration (gated by tests/parallel_repair_test.cc) — only the wall
-// clock may differ. tools/bench_repair_ratio.py records the thread and
-// tier ratios in BENCH_repair.json.
+// paths). Axes: range(0) = tuples, range(1) = requested kernel tier. The
+// RepairResult is byte-identical across every configuration (gated by
+// tests/parallel_repair_test.cc) — only the wall clock may differ.
 
 #include <benchmark/benchmark.h>
 
@@ -16,8 +13,10 @@
 namespace semandaq {
 namespace {
 
-void RunRepairBench(benchmark::State& state, const repair::RepairOptions& opts,
-                    size_t tuples) {
+void BM_Repair(benchmark::State& state) {
+  const size_t tuples = static_cast<size_t>(state.range(0));
+  repair::RepairOptions opts;
+  opts.simd_level = static_cast<common::simd::Level>(state.range(1));
   const auto& wl = bench::CachedCustomer(tuples, 0.05, /*seed=*/9);
   const auto cfds = bench::MustParseCfds(workload::CustomerGenerator::PaperCfds());
   repair::CostModel cm(wl.dirty.schema());
@@ -34,7 +33,6 @@ void RunRepairBench(benchmark::State& state, const repair::RepairOptions& opts,
     }
   }
   state.counters["tuples"] = static_cast<double>(tuples);
-  state.counters["threads"] = static_cast<double>(opts.num_threads);
   state.counters["changed_cells"] = static_cast<double>(changes);
   state.counters["rounds"] = static_cast<double>(iterations);
   state.counters["simd_level"] = static_cast<double>(
@@ -42,24 +40,11 @@ void RunRepairBench(benchmark::State& state, const repair::RepairOptions& opts,
   state.counters["tuples_per_sec"] = benchmark::Counter(
       static_cast<double>(tuples), benchmark::Counter::kIsIterationInvariantRate);
 }
-
-/// One warm snapshot across rounds, candidate costs on dictionary codes,
-/// per-round evaluation fanned out over the lanes.
-void BM_Repair(benchmark::State& state) {
-  repair::RepairOptions opts;
-  opts.num_threads = static_cast<size_t>(state.range(1));
-  opts.simd_level = static_cast<common::simd::Level>(state.range(2));
-  RunRepairBench(state, opts, static_cast<size_t>(state.range(0)));
-}
 BENCHMARK(BM_Repair)
-    ->Args({16000, 1, 2})
-    ->Args({64000, 1, 0})
-    ->Args({64000, 1, 2})
-    ->Args({64000, 2, 2})
-    ->Args({64000, 4, 2})
-    ->Args({64000, 0, 2})
+    ->Args({16000, 2})
+    ->Args({64000, 0})
+    ->Args({64000, 2})
     ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
     ->UseRealTime();
 
 }  // namespace

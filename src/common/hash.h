@@ -19,9 +19,9 @@ size_t HashMix(size_t seed, const T& v) {
 }
 
 /// The splitmix64 step: golden-gamma increment + full-avalanche finalizer.
-/// The one definition shared by shard routing (detect::ShardPlan), the
-/// storage checksum (storage::Checksum64), and anything else needing a
-/// cheap statistically strong 64-bit mix — keep the constants in one place.
+/// The mixer of the storage checksum (storage::Checksum64); kept here so
+/// anything else needing a cheap, statistically strong 64-bit mix shares
+/// the constants.
 inline uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;

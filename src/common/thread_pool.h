@@ -34,13 +34,13 @@ ThreadPool* ResolvePool(ThreadPool* attached, size_t num_threads,
 /// when all of them have completed.
 ///
 /// The pool is deliberately minimal — no futures, no task graph, no work
-/// stealing beyond a shared index counter — because the sharded detection
-/// scan needs exactly "run these N closures, then continue". A pool of
+/// stealing beyond a shared index counter — because the miners' per-level
+/// fan-out needs exactly "run these N closures, then continue". A pool of
 /// `num_threads` lanes starts `num_threads - 1` background workers; the
 /// thread calling Run is the remaining lane, so a single-lane pool runs
 /// everything inline with no synchronization beyond one atomic. Workers are
-/// parked on a condition variable between batches, so repeated Detect()
-/// calls do not pay thread spawn cost.
+/// parked on a condition variable between batches, so repeated levels and
+/// Mine() calls do not pay thread spawn cost.
 ///
 /// Closures must not throw: an exception escaping a background worker would
 /// std::terminate. Tasks that can fail report through their slot of a

@@ -181,12 +181,10 @@ class Semandaq {
   }
 
   /// Runs the error detector over one relation with the CFDs registered for
-  /// it. `options` only applies to the native detector; in particular
-  /// DetectorOptions::num_threads >= 2 (or 0 = all hardware threads) turns
-  /// on the sharded parallel scan over a per-call pool, whose output is
-  /// identical to the serial one (see docs/architecture.md). The
-  /// components that detect internally (Audit, Report, QualityMap,
-  /// Explore) run the default, serial scan.
+  /// it, on the calling thread. `options` only applies to the native
+  /// detector (its kernel tier and cancel token; num_threads is ignored).
+  /// The components that detect internally (Audit, Report, QualityMap,
+  /// Explore) run the default options.
   common::Result<detect::ViolationTable> DetectErrors(
       const std::string& relation, DetectorKind kind = DetectorKind::kNative,
       detect::DetectorOptions options = {});
@@ -201,13 +199,10 @@ class Semandaq {
   common::Result<std::string> QualityMap(const std::string& relation,
                                          size_t max_rows = 40);
 
-  /// Runs the data cleanser; the database is not modified (review first,
-  /// then ApplyRepair). RepairOptions::num_threads selects the parallel
-  /// candidate-evaluation and sharded re-detection path: 1 (the default)
-  /// repairs serially, and 0 (all hardware threads) or N >= 2 run that many
-  /// lanes on RepairOptions::pool or, without one, a private pool — the
-  /// RepairResult is byte-identical for every thread count and SIMD tier
-  /// (docs/repair.md).
+  /// Runs the data cleanser on the calling thread; the database is not
+  /// modified (review first, then ApplyRepair). The RepairResult is
+  /// byte-identical for every SIMD tier (docs/repair.md);
+  /// RepairOptions::num_threads and ::pool are ignored.
   common::Result<repair::RepairResult> Clean(const std::string& relation,
                                              repair::RepairOptions options = {},
                                              repair::CostModelOptions cost = {});

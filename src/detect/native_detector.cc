@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "common/simd/simd.h"
-#include "common/thread_pool.h"
-#include "detect/shard_plan.h"
 
 namespace semandaq::detect {
 
@@ -20,7 +16,6 @@ using relational::CodeVecHash;
 using relational::EncodedRelation;
 using relational::kAbsentCode;
 using relational::kNullCode;
-using relational::PackCodes;
 using relational::TupleId;
 
 namespace simd = common::simd;
@@ -31,7 +26,7 @@ common::Result<ViolationTable> NativeDetector::Detect() {
       encoded_->InSync()) {
     return DetectEncoded(*encoded_);
   }
-  const EncodedRelation local(rel_, pool_, options_.cancel);
+  const EncodedRelation local(rel_, options_.cancel);
   return DetectEncoded(local);
 }
 
@@ -77,10 +72,10 @@ constexpr uint32_t kNoBucket = UINT32_MAX;
 
 /// Kernel block size: the scan runs the SIMD kernels over contiguous
 /// tuple-id blocks of this many tuples, then emits per block in ascending
-/// tid order — which is exactly the serial live-list order, so blocking is
-/// invisible in the output (and shard stripes, being contiguous tid ranges,
-/// chunk the same way). 4096 tuples = 16 KiB of codes per column per pass:
-/// the working set of one block stays in L1/L2 across the mask passes.
+/// tid order — which is exactly the live-list order, so blocking is
+/// invisible in the output. 4096 tuples = 16 KiB of codes per column per
+/// pass: the working set of one block stays in L1/L2 across the mask
+/// passes.
 constexpr size_t kScanBlock = 4096;
 constexpr size_t kScanBlockWords = kScanBlock / 64;
 
@@ -93,8 +88,7 @@ constexpr size_t kCountEqGroupLimit = 64;
 /// One embedded-FD group lowered for the encoded scan: tableau rows
 /// compiled to codes, raw column pointers, the kernel table of the pass,
 /// and the geometry of the dense slot index when the LHS is narrow enough
-/// to afford one. Built once per group and shared read-only by the serial
-/// and sharded scan bodies.
+/// to afford one. Built once per group and read-only during the scan.
 struct GroupScan {
   const EncodedRelation* enc = nullptr;
   const simd::Kernels* kn = nullptr;
@@ -213,9 +207,8 @@ bool CompileGroup(const EncodedRelation& enc, const std::vector<Cfd>& cfds,
   return true;
 }
 
-/// Reusable per-lane mask/key scratch for the blocked kernel scan. One
-/// instance per scan body (serial) or per worker lane (sharded); nothing in
-/// it outlives a block.
+/// Reusable mask/key scratch for the blocked kernel scan; nothing in it
+/// outlives a block.
 struct ScanScratch {
   std::vector<uint64_t> live_bits;    // live-tuple bitmap of the block
   std::vector<uint64_t> elig;         // live && every LHS code non-NULL
@@ -244,7 +237,7 @@ struct ScanScratch {
 };
 
 /// Scans the contiguous tuple block [lo, hi) through the group's kernel
-/// table and emits, in exactly the serial per-tuple order:
+/// table and emits, in per-tuple order:
 ///  * on_single(tid, ci, pi) for every single-tuple violation (ascending
 ///    tid; tableau-row order within a tid);
 ///  * on_group(tid, var_cfd, packed_key) for every live tuple in
@@ -370,8 +363,8 @@ void ScanBlock(const GroupScan& gs, TupleId lo, TupleId hi, ScanScratch* sc,
     const TupleId tid = lo + static_cast<TupleId>(i);
     int var_cfd = gs.var_always_cfd;
     if (!gs.var_always) {
-      // First matching variable row, in tableau order — the serial scan's
-      // VarScopeOf choice, which decides a fresh bucket's first_cfd.
+      // First matching variable row, in tableau order: it decides a fresh
+      // bucket's first_cfd.
       for (size_t r = 0; r < gs.var_rows.size(); ++r) {
         const uint64_t* m = sc->var_rows.data() + r * kScanBlockWords;
         if ((m[i / 64] >> (i % 64)) & 1) {
@@ -382,20 +375,6 @@ void ScanBlock(const GroupScan& gs, TupleId lo, TupleId hi, ScanScratch* sc,
     }
     on_group(tid, var_cfd, gs.arity <= 2 ? sc->packed[i] : 0);
   });
-}
-
-/// Runs ScanBlock over [lo, hi) in kScanBlock chunks. A tripped cancel
-/// token abandons the remaining blocks; the scan's output is then
-/// incomplete, but it only ever fills thread-local scratch — the caller
-/// checks the token again before anything is published.
-template <typename SingleFn, typename GroupFn>
-void ScanRange(const GroupScan& gs, TupleId lo, TupleId hi, ScanScratch* sc,
-               const SingleFn& on_single, const GroupFn& on_group) {
-  for (TupleId b = lo; b < hi; b += static_cast<TupleId>(kScanBlock)) {
-    if (gs.cancel != nullptr && !gs.cancel->Check().ok()) return;
-    const TupleId e = std::min<TupleId>(hi, b + kScanBlock);
-    ScanBlock(gs, b, e, sc, on_single, on_group);
-  }
 }
 
 /// Materializes one violating bucket as a ViolationGroup. Partner counts on
@@ -440,9 +419,11 @@ ViolationGroup MakeGroup(const GroupScan& gs, CodeBucket* b,
   return vg;
 }
 
-/// The single-threaded scan body (the semantic reference for the sharded
-/// path): kernel blocks over [0, IdBound), buckets in first-touch order.
-void ScanGroupSerial(const GroupScan& gs, ViolationTable* table) {
+/// The scan body: kernel blocks over [0, IdBound), buckets in first-touch
+/// order. A tripped cancel token abandons the remaining blocks; `table` is
+/// then incomplete, and DetectEncoded checks the token again before it
+/// returns anything.
+void ScanGroup(const GroupScan& gs, ViolationTable* table) {
   const EncodedRelation& enc = *gs.enc;
   const size_t arity = gs.arity;
   const Code* const* lhs_ptrs = gs.lhs_ptrs();
@@ -456,47 +437,51 @@ void ScanGroupSerial(const GroupScan& gs, ViolationTable* table) {
   ScanScratch sc;
   sc.Prepare(gs);
 
-  ScanRange(
-      gs, 0, enc.IdBound(), &sc,
-      [&](TupleId tid, int ci, int pi) {
-        table->AddSingle(SingleViolation{tid, ci, pi});
-      },
-      [&](TupleId tid, int var_cfd, uint64_t packed) {
-        uint32_t bi;
-        if (arity <= 2) {
-          const Code c0 = static_cast<Code>(packed >> 32);
-          const Code c1 = static_cast<Code>(packed);
-          if (gs.use_dense) {
-            uint32_t& entry = dense_index[gs.SlotOf(c0, c1)];
-            if (entry == kNoBucket) {
-              entry = static_cast<uint32_t>(buckets.size());
-              buckets.emplace_back();
-            }
-            bi = entry;
-          } else {
-            auto [it, fresh] = narrow_index.emplace(
-                packed, static_cast<uint32_t>(buckets.size()));
-            if (fresh) buckets.emplace_back();
-            bi = it->second;
-          }
-          scratch_key[0] = c0;
-          if (arity == 2) scratch_key[1] = c1;
-        } else {
-          // Codes are non-NULL here: the eligibility mask proved it.
-          for (size_t i = 0; i < arity; ++i) scratch_key[i] = lhs_ptrs[i][tid];
-          auto [it, fresh] = wide_index.emplace(
-              scratch_key, static_cast<uint32_t>(buckets.size()));
-          if (fresh) buckets.emplace_back();
-          bi = it->second;
+  const auto on_single = [&](TupleId tid, int ci, int pi) {
+    table->AddSingle(SingleViolation{tid, ci, pi});
+  };
+  const auto on_group = [&](TupleId tid, int var_cfd, uint64_t packed) {
+    uint32_t bi;
+    if (arity <= 2) {
+      const Code c0 = static_cast<Code>(packed >> 32);
+      const Code c1 = static_cast<Code>(packed);
+      if (gs.use_dense) {
+        uint32_t& entry = dense_index[gs.SlotOf(c0, c1)];
+        if (entry == kNoBucket) {
+          entry = static_cast<uint32_t>(buckets.size());
+          buckets.emplace_back();
         }
-        CodeBucket& b = buckets[bi];
-        if (b.first_cfd < 0) {
-          b.first_cfd = var_cfd;
-          b.key = scratch_key;
-        }
-        b.members.push_back(tid);
-        b.AddRhs(gs.rhs_ptr[tid]);
-      });
+        bi = entry;
+      } else {
+        auto [it, fresh] = narrow_index.emplace(
+            packed, static_cast<uint32_t>(buckets.size()));
+        if (fresh) buckets.emplace_back();
+        bi = it->second;
+      }
+      scratch_key[0] = c0;
+      if (arity == 2) scratch_key[1] = c1;
+    } else {
+      // Codes are non-NULL here: the eligibility mask proved it.
+      for (size_t i = 0; i < arity; ++i) scratch_key[i] = lhs_ptrs[i][tid];
+      auto [it, fresh] = wide_index.emplace(
+          scratch_key, static_cast<uint32_t>(buckets.size()));
+      if (fresh) buckets.emplace_back();
+      bi = it->second;
+    }
+    CodeBucket& b = buckets[bi];
+    if (b.first_cfd < 0) {
+      b.first_cfd = var_cfd;
+      b.key = scratch_key;
+    }
+    b.members.push_back(tid);
+    b.AddRhs(gs.rhs_ptr[tid]);
+  };
+  const TupleId bound = enc.IdBound();
+  for (TupleId lo = 0; lo < bound; lo += static_cast<TupleId>(kScanBlock)) {
+    if (gs.cancel != nullptr && !gs.cancel->Check().ok()) return;
+    ScanBlock(gs, lo, std::min<TupleId>(bound, lo + kScanBlock), &sc,
+              on_single, on_group);
+  }
 
   std::vector<int64_t> freq(enc.dictionary(gs.rhs_col).size() + 1, 0);
   std::vector<Code> rhs_scratch;
@@ -504,153 +489,6 @@ void ScanGroupSerial(const GroupScan& gs, ViolationTable* table) {
     if (!b.two_distinct) continue;
     table->AddGroup(MakeGroup(gs, &b, &freq, &rhs_scratch));
   }
-}
-
-/// A tuple routed to a shard during the partition phase. The LHS codes are
-/// not buffered — the build phase re-reads them from the encoded columns,
-/// which are already in cache-friendly flat arrays.
-struct ShardEntry {
-  TupleId tid;
-  int var_cfd;
-};
-
-/// The sharded scan body. Two fork-join phases over `plan.num_shards`
-/// lanes, then a merge on the calling thread:
-///
-///   Phase A (partition): the live-tuple list is cut into contiguous
-///   stripes, one per lane; each stripe becomes the contiguous tuple-id
-///   range [live[begin], live[end]) and is scanned in kernel blocks like
-///   the serial body. Each lane collects its single-tuple violations
-///   (stripe-local, in tuple order) and routes every in-scope tuple to the
-///   shard owning its LHS code key (a pure function of the key — see
-///   ShardPlan).
-///
-///   Phase B (build): lane w builds the buckets of shard w, consuming the
-///   routed entries stripe by stripe so members accumulate in ascending
-///   tuple order, then materializes that shard's violating groups. The
-///   dense slot index is one shared array — shards own disjoint slot
-///   ranges, so concurrent writes never alias.
-///
-///   Merge: singles concatenate in stripe order (= tuple order, exactly
-///   the serial emission order). Groups sort by first member tuple id —
-///   the serial path emits buckets in first-touch order, and a bucket's
-///   first member IS its first toucher, so this reproduces the serial
-///   order exactly. The result is byte-identical to ScanGroupSerial for
-///   every shard count AND every kernel tier: determinism is structural,
-///   not best-effort.
-void ScanGroupSharded(const GroupScan& gs, const std::vector<TupleId>& live,
-                      const ShardPlan& plan, common::ThreadPool* pool,
-                      ViolationTable* table) {
-  const EncodedRelation& enc = *gs.enc;
-  const size_t arity = gs.arity;
-  const size_t num_shards = plan.num_shards;
-
-  std::vector<std::vector<SingleViolation>> stripe_singles(num_shards);
-  // routed[stripe][shard]: entries found by `stripe` owned by `shard`.
-  std::vector<std::vector<std::vector<ShardEntry>>> routed(
-      num_shards, std::vector<std::vector<ShardEntry>>(num_shards));
-  std::vector<uint32_t> dense_index;
-  if (gs.use_dense) dense_index.assign(gs.dense_slots, kNoBucket);
-
-  pool->Run(num_shards, [&](size_t s) {
-    const size_t begin = live.size() * s / num_shards;
-    const size_t end = live.size() * (s + 1) / num_shards;
-    if (begin == end) return;
-    // The stripe's live tuples occupy the contiguous id range
-    // [live[begin], live[end]); dead ids inside it are masked out by the
-    // kernels, so scanning the range visits exactly the stripe's tuples.
-    const TupleId lo = live[begin];
-    const TupleId hi = end == live.size() ? enc.IdBound() : live[end];
-    const Code* const* lhs_ptrs = gs.lhs_ptrs();
-    std::vector<SingleViolation>& singles = stripe_singles[s];
-    std::vector<std::vector<ShardEntry>>& out = routed[s];
-    std::vector<Code> key(arity);
-    ScanScratch sc;
-    sc.Prepare(gs);
-    ScanRange(
-        gs, lo, hi, &sc,
-        [&](TupleId tid, int ci, int pi) {
-          singles.push_back(SingleViolation{tid, ci, pi});
-        },
-        [&](TupleId tid, int var_cfd, uint64_t packed) {
-          size_t shard;
-          if (gs.use_dense) {
-            shard = plan.ShardOfSlot(
-                gs.SlotOf(static_cast<Code>(packed >> 32),
-                          static_cast<Code>(packed)),
-                gs.dense_slots);
-          } else if (arity <= 2) {
-            shard = plan.ShardOfHash(packed);
-          } else {
-            for (size_t i = 0; i < arity; ++i) key[i] = lhs_ptrs[i][tid];
-            shard = plan.ShardOfHash(CodeVecHash{}(key));
-          }
-          out[shard].push_back(ShardEntry{tid, var_cfd});
-        });
-  });
-
-  std::vector<std::vector<ViolationGroup>> shard_groups(num_shards);
-  pool->Run(num_shards, [&](size_t w) {
-    const Code* const* lhs_ptrs = gs.lhs_ptrs();
-    std::vector<CodeBucket> buckets;
-    std::unordered_map<uint64_t, uint32_t> narrow_index;
-    std::unordered_map<std::vector<Code>, uint32_t, CodeVecHash> wide_index;
-    std::vector<Code> key(arity);
-    for (size_t s = 0; s < num_shards; ++s) {
-      for (const ShardEntry& e : routed[s][w]) {
-        for (size_t i = 0; i < arity; ++i) key[i] = lhs_ptrs[i][e.tid];
-        uint32_t bi;
-        if (gs.use_dense) {
-          uint32_t& entry =
-              dense_index[gs.SlotOf(key[0], arity == 2 ? key[1] : 0)];
-          if (entry == kNoBucket) {
-            entry = static_cast<uint32_t>(buckets.size());
-            buckets.emplace_back();
-          }
-          bi = entry;
-        } else if (arity <= 2) {
-          auto [it, fresh] = narrow_index.emplace(
-              PackCodes(key[0], arity == 2 ? key[1] : kNullCode),
-              static_cast<uint32_t>(buckets.size()));
-          if (fresh) buckets.emplace_back();
-          bi = it->second;
-        } else {
-          auto [it, fresh] = wide_index.emplace(
-              key, static_cast<uint32_t>(buckets.size()));
-          if (fresh) buckets.emplace_back();
-          bi = it->second;
-        }
-        CodeBucket& b = buckets[bi];
-        if (b.first_cfd < 0) {
-          b.first_cfd = e.var_cfd;
-          b.key = key;
-        }
-        b.members.push_back(e.tid);
-        b.AddRhs(gs.rhs_ptr[e.tid]);
-      }
-    }
-    std::vector<int64_t> freq(enc.dictionary(gs.rhs_col).size() + 1, 0);
-    std::vector<Code> rhs_scratch;
-    for (CodeBucket& b : buckets) {
-      if (!b.two_distinct) continue;
-      shard_groups[w].push_back(MakeGroup(gs, &b, &freq, &rhs_scratch));
-    }
-  });
-
-  for (const std::vector<SingleViolation>& singles : stripe_singles) {
-    for (const SingleViolation& sv : singles) table->AddSingle(sv);
-  }
-  std::vector<ViolationGroup> merged;
-  for (std::vector<ViolationGroup>& sg : shard_groups) {
-    for (ViolationGroup& vg : sg) merged.push_back(std::move(vg));
-  }
-  // First members are distinct across buckets of one group (a tuple joins
-  // at most one bucket), so this order is total.
-  std::sort(merged.begin(), merged.end(),
-            [](const ViolationGroup& a, const ViolationGroup& b) {
-              return a.members.front() < b.members.front();
-            });
-  for (ViolationGroup& vg : merged) table->AddGroup(std::move(vg));
 }
 
 }  // namespace
@@ -668,22 +506,6 @@ common::Result<ViolationTable> NativeDetector::DetectEncoded(
         rel_->name() + "' has id bound " + std::to_string(enc.IdBound()));
   }
   const simd::Kernels& kn = simd::KernelsFor(options_.simd_level);
-
-  // One shard plan for the whole CFD batch. The worker pool is the
-  // facade-owned one when attached (reused across Detect calls); only a
-  // bare detector still builds a pool per call. The live-id list is only
-  // materialized when the plan actually shards (stripe boundaries need
-  // it); the serial kernels read the liveness bytes directly.
-  const ShardPlan plan = PlanShards(options_.num_threads, rel_->size());
-  std::vector<TupleId> live;
-  if (plan.sharded()) live = rel_->LiveIds();
-  std::optional<common::ThreadPool> local_pool;
-  common::ThreadPool* pool = pool_;
-  if (plan.sharded() && pool == nullptr) {
-    local_pool.emplace(plan.num_shards);
-    pool = &*local_pool;
-  }
-
   const std::vector<EmbeddedFdGroup> groups = cfd::GroupByEmbeddedFd(cfds_);
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     SEMANDAQ_RETURN_IF_CANCELLED(options_.cancel);
@@ -691,11 +513,7 @@ common::Result<ViolationTable> NativeDetector::DetectEncoded(
     if (!CompileGroup(enc, cfds_, groups[gi], gi, kn, &gs)) continue;
     gs.want_rhs = options_.materialize_group_rhs;
     gs.cancel = options_.cancel;
-    if (plan.sharded()) {
-      ScanGroupSharded(gs, live, plan, pool, &table);
-    } else {
-      ScanGroupSerial(gs, &table);
-    }
+    ScanGroup(gs, &table);
   }
   // A cancel that tripped inside the last group's kernel blocks left the
   // table truncated; surface it rather than returning partial output.

@@ -19,19 +19,8 @@ class ThreadPool;
 namespace semandaq::detect {
 
 struct DetectorOptions {
-  /// Worker lanes for the scan.
-  ///   1 (default)  the single-threaded scan, unchanged from before;
-  ///   0            one lane per hardware thread;
-  ///   >= 2         partition each CFD's LHS code-key space into that many
-  ///                shards and scan them on a worker pool.
-  ///
-  /// The sharded result is *identical* to the serial one — same violations,
-  /// same emission order — for every thread count (see docs/architecture.md,
-  /// "Sharded detection"): a tuple's shard is a pure function of its LHS
-  /// codes, never of thread timing. The planner may narrow the shard count
-  /// on small relations (fork-join overhead would dominate) and caps it at
-  /// shard_plan.h's kMaxShards (an oversized knob must not exhaust OS
-  /// threads).
+  /// Ignored: detection runs on the calling thread (docs/architecture.md,
+  /// "Where lanes are used"). Kept so existing callers still compile.
   size_t num_threads = 1;
 
   /// Instruction-set tier of the scan's kernels (pattern match,
@@ -73,11 +62,9 @@ struct DetectorOptions {
 ///    no NULL among their LHS values, grouped by the LHS projection; a group
 ///    violates when it carries >= 2 distinct non-NULL RHS values.
 ///
-/// Multi-tuple groups are emitted in deterministic first-touch order. With
-/// DetectorOptions::num_threads >= 2 the scan shards the LHS code-key space
-/// over a worker pool and merges per-shard results back into exactly that
-/// order. tests/cfd_oracle_test.cc checks every configuration against a
-/// definition-level oracle.
+/// Multi-tuple groups are emitted in deterministic first-touch order, on
+/// the calling thread. tests/cfd_oracle_test.cc checks every SIMD tier
+/// against a definition-level oracle.
 class NativeDetector {
  public:
   /// `cfds` are resolved internally against rel's schema (copies; the input
@@ -89,22 +76,14 @@ class NativeDetector {
   /// Attaches an externally owned, already-synced encoded snapshot of the
   /// relation so repeated Detect calls skip the encode pass (the warm-scan
   /// production pattern). A stale snapshot is ignored (a fresh local one is
-  /// built instead). The snapshot is
-  /// never written during Detect, which is what lets sharded workers share
-  /// it without locks.
+  /// built instead). The snapshot is never written during Detect.
   void set_encoded(const relational::EncodedRelation* encoded) {
     encoded_ = encoded;
   }
 
-  /// Attaches an externally owned worker pool reused across Detect calls
-  /// (the server's scheduler leases one per request), so repeated sharded
-  /// detections skip thread construction. The pool's lane count is independent of
-  /// DetectorOptions::num_threads — the shard plan still decides the task
-  /// count; a pool with fewer lanes just runs shards queued, with output
-  /// unchanged. Without one, a sharded Detect builds a pool per call (the
-  /// pre-reuse behavior); the cold encode pass also fans out over this pool
-  /// when present.
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
+  /// Ignored, like DetectorOptions::num_threads. Kept so existing callers
+  /// still compile.
+  void set_thread_pool(common::ThreadPool* /*pool*/) {}
 
   /// Full-relation detection pass.
   common::Result<ViolationTable> Detect();
@@ -120,7 +99,6 @@ class NativeDetector {
   std::vector<cfd::Cfd> cfds_;
   DetectorOptions options_;
   const relational::EncodedRelation* encoded_ = nullptr;
-  common::ThreadPool* pool_ = nullptr;  // borrowed; nullptr = per-call pool
 };
 
 }  // namespace semandaq::detect

@@ -169,7 +169,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   std::vector<Cfd> out;
 
   // One columnar encode pass feeds every partition and evidence scan below.
-  const relational::EncodedRelation encoded(rel_, nullptr, options_.cancel);
+  const relational::EncodedRelation encoded(rel_, options_.cancel);
 
   // Lane resolution is shared with the embedded FdMiner run below.
   std::unique_ptr<common::ThreadPool> local_pool;

@@ -36,7 +36,7 @@ std::vector<DiscoveredFd> FdMiner::Mine() {
   // Base partitions come from the dictionary-encoded snapshot: singletons
   // cost one dense code->class array pass each, with the array sized
   // directly from the dictionary cardinality.
-  const relational::EncodedRelation encoded(rel_, nullptr, options_.cancel);
+  const relational::EncodedRelation encoded(rel_, options_.cancel);
   std::unique_ptr<common::ThreadPool> local_pool;
   common::ThreadPool* pool =
       common::ResolvePool(options_.pool, options_.num_threads, &local_pool);

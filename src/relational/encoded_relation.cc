@@ -4,24 +4,18 @@
 #include <memory>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace semandaq::relational {
 
 namespace {
-
-/// Below this many cells a rebuild is too small for fork-join dispatch to
-/// pay for itself; encode serially even when a pool is attached.
-constexpr uint64_t kParallelEncodeMinCells = uint64_t{1} << 14;
 
 /// Rows between cancel checkpoints in the encode loops.
 constexpr TupleId kEncodeCancelBatch = 4096;
 
 }  // namespace
 
-EncodedRelation::EncodedRelation(const Relation* rel, common::ThreadPool* pool,
+EncodedRelation::EncodedRelation(const Relation* rel,
                                  common::CancelToken* cancel)
-    : rel_(rel), pool_(pool), cancel_(cancel) {
+    : rel_(rel), cancel_(cancel) {
   Rebuild();
 }
 
@@ -107,22 +101,9 @@ void EncodedRelation::Sync() {
 bool EncodedRelation::EncodeRows(TupleId from, TupleId to) {
   const size_t ncols = columns_.size();
   if (to <= from || ncols == 0) return true;
-  // Detach dictionaries shared with frozen views up front, on this thread:
-  // the per-column workers below must never swap a shared_ptr another
-  // reader could be copying.
+  // Detach dictionaries shared with frozen views (copy-on-write) once, up
+  // front, instead of per encoded cell.
   for (size_t c = 0; c < ncols; ++c) MutableDict(c);
-  const uint64_t cells = static_cast<uint64_t>(to - from) * ncols;
-  if (pool_ != nullptr && ncols >= 2 && cells >= kParallelEncodeMinCells) {
-    // Per-column fan-out: each column owns its dictionary, and within one
-    // column codes are issued in row order serially or not — the parallel
-    // encode is byte-identical to the serial one. Hydrate lazily loaded
-    // rows on this thread first; workers must never race the materializer.
-    rel_->EnsureHydrated();
-    // Workers check the token themselves (per kEncodeCancelBatch rows) and
-    // stop early; the re-check below decides whether the fan-out finished.
-    pool_->Run(ncols, [&](size_t c) { EncodeColumn(c, from, to); });
-    return cancel_ == nullptr || cancel_->Check().ok();
-  }
   for (TupleId tid = from; tid < to; ++tid) {
     if (cancel_ != nullptr && (tid - from) % kEncodeCancelBatch == 0 &&
         !cancel_->Check().ok()) {
@@ -135,19 +116,6 @@ bool EncodedRelation::EncodeRows(TupleId from, TupleId to) {
     }
   }
   return cancel_ == nullptr || cancel_->Check().ok();
-}
-
-void EncodedRelation::EncodeColumn(size_t col, TupleId from, TupleId to) {
-  Dictionary& dict = *dicts_[col];  // detached by EncodeRows already
-  CodeColumn& codes = columns_[col];
-  for (TupleId tid = from; tid < to; ++tid) {
-    if (cancel_ != nullptr && (tid - from) % kEncodeCancelBatch == 0 &&
-        !cancel_->Check().ok()) {
-      return;  // EncodeRows re-checks and withholds the sync marks
-    }
-    if (!rel_->IsLive(tid)) continue;
-    codes.Set(static_cast<size_t>(tid), dict.Encode(rel_->row(tid)[col]));
-  }
 }
 
 void EncodedRelation::ApplyInsert(TupleId tid) {

@@ -11,10 +11,6 @@
 #include "relational/dictionary.h"
 #include "relational/relation.h"
 
-namespace semandaq::common {
-class ThreadPool;
-}  // namespace semandaq::common
-
 namespace semandaq::relational {
 
 /// A dictionary-encoded columnar snapshot of a Relation: one flat,
@@ -59,15 +55,13 @@ namespace semandaq::relational {
 /// block on the writer.
 class EncodedRelation {
  public:
-  /// Builds the snapshot with one pass over the live tuples. With a pool,
-  /// the encode fans out per column (see set_thread_pool). With a cancel
-  /// token (common/cancel.h, checked every few thousand rows per column), a
+  /// Builds the snapshot with one pass over the live tuples. With a cancel
+  /// token (common/cancel.h, checked every few thousand rows), a
   /// tripped token abandons the encode and leaves the snapshot *out of
   /// sync* — InSync() stays false, so nothing ever reads the half-encoded
   /// codes as current; callers surface the latched token as
   /// Status::Cancelled before using the snapshot.
   explicit EncodedRelation(const Relation* rel,
-                           common::ThreadPool* pool = nullptr,
                            common::CancelToken* cancel = nullptr);
 
   /// Adopts already-encoded state instead of re-encoding — the storage
@@ -93,15 +87,6 @@ class EncodedRelation {
   /// marked in sync with `view_rel`'s current counters; since a frozen
   /// view's relation never mutates, its Sync() stays a no-op forever.
   EncodedRelation Freeze(const Relation* view_rel) const;
-
-  /// Attaches a worker pool used to fan the encode passes (Rebuild and the
-  /// append path of Sync) out per column. Column dictionaries are
-  /// independent and codes are first-seen in row order within one column
-  /// either way, so the parallel result is byte-identical to the serial
-  /// one. The pool is borrowed, never owned; nullptr restores the serial
-  /// encode. Must not be a pool that is currently inside a Run call (the
-  /// pool is not reentrant).
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
   /// Attaches a cooperative cancellation token checked by the encode
   /// passes (constructor, Sync, Rebuild). A tripped token makes them stop
@@ -185,7 +170,6 @@ class EncodedRelation {
   /// False when a cancel token tripped mid-encode; the caller must then
   /// leave the sync marks untouched (the snapshot stays stale).
   bool EncodeRows(TupleId from, TupleId to);
-  void EncodeColumn(size_t col, TupleId from, TupleId to);
 
   /// Detaches dicts_[col] if it is shared with a frozen view (COW), then
   /// returns it mutable.
@@ -194,7 +178,6 @@ class EncodedRelation {
   const Relation* rel_ = nullptr;
   std::vector<std::shared_ptr<Dictionary>> dicts_;  // one per column, COW
   std::vector<CodeColumn> columns_;                 // [col][tid], chunked COW
-  common::ThreadPool* pool_ = nullptr;  // borrowed; nullptr = serial encode
   common::CancelToken* cancel_ = nullptr;  // borrowed; nullptr = not cancellable
   uint64_t synced_version_ = 0;
   uint64_t synced_overwrite_version_ = 0;

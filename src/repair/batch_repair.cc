@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
 #include "detect/native_detector.h"
 #include "relational/encoded_relation.h"
 #include "repair/equivalence.h"
@@ -81,9 +80,7 @@ class RepairEngine {
 
   Result<RepairResult> Run() {
     SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, work_.schema()));
-    work_.EnsureHydrated();  // Phase A reads rows from worker lanes
-    pool_ = common::ResolvePool(options_.pool, options_.num_threads, &owned_pool_);
-    enc_ = std::make_unique<EncodedRelation>(&work_, pool_, options_.cancel);
+    enc_ = std::make_unique<EncodedRelation>(&work_, options_.cancel);
     kernels_ = &common::simd::KernelsFor(options_.simd_level);
     ComputeFrequentValues();
 
@@ -92,7 +89,6 @@ class RepairEngine {
     // the touched cell), so each round's re-detection is a warm kernel scan
     // instead of a cold per-round re-encode.
     detect::DetectorOptions dopts;
-    dopts.num_threads = options_.num_threads;
     dopts.simd_level = options_.simd_level;
     // The engine reads current cells (or codes) itself; decoding a Value
     // per group member per round would dominate re-detection on the mega
@@ -102,7 +98,6 @@ class RepairEngine {
     // the round loop below adds the round-boundary checkpoint.
     dopts.cancel = options_.cancel;
     detect::NativeDetector detector(&work_, cfds_, dopts);
-    detector.set_thread_pool(pool_);
     detector.set_encoded(enc_.get());
 
     RepairResult result;
@@ -164,12 +159,11 @@ class RepairEngine {
   ///
   /// Phase A evaluates every violation's resolution against the round-start
   /// state only — each slot is a pure function of (table, work_ at round
-  /// start, frequent_, cost model), so the slots fan out over the worker
-  /// pool and land byte-identical for every thread count. Phase B then
-  /// applies the decisions serially in one canonical order (singles by
-  /// (cfd, pattern, tid), then groups by (fd group, first member)), with
-  /// the pending-target/touched-cell conflict machinery arbitrating cells
-  /// claimed by more than one violation.
+  /// start, frequent_, cost model). Phase B then applies the decisions in
+  /// one canonical order (singles by (cfd, pattern, tid), then groups by
+  /// (fd group, first member)), with the pending-target/touched-cell
+  /// conflict machinery arbitrating cells claimed by more than one
+  /// violation.
   size_t ResolveRound(const ViolationTable& table, RepairResult* result) {
     touched_this_round_.clear();
     pending_targets_.clear();
@@ -197,19 +191,12 @@ class RepairEngine {
 
     // Phase A: evaluate.
     std::vector<SingleEval> single_evals(singles.size());
+    for (size_t i = 0; i < singles.size(); ++i) {
+      EvalSingle(*singles[i], &single_evals[i]);
+    }
     std::vector<GroupEval> group_evals(groups.size());
-    const size_t n_slots = singles.size() + groups.size();
-    auto eval_slot = [&](size_t i) {
-      if (i < singles.size()) {
-        EvalSingle(*singles[i], &single_evals[i]);
-      } else {
-        EvalGroup(*groups[i - singles.size()], &group_evals[i - singles.size()]);
-      }
-    };
-    if (pool_ != nullptr) {
-      pool_->Run(n_slots, eval_slot);
-    } else {
-      for (size_t i = 0; i < n_slots; ++i) eval_slot(i);
+    for (size_t i = 0; i < groups.size(); ++i) {
+      EvalGroup(*groups[i], &group_evals[i]);
     }
 
     // Phase B: apply in canonical order.
@@ -355,8 +342,7 @@ class RepairEngine {
       order[d] = d;
       costs[d] = total_cost(distinct[d], enc_->Decode(rhs_col, distinct[d]));
     }
-    // Ties break to the first-occurring value — stable under every thread
-    // count.
+    // Ties break to the first-occurring value.
     std::stable_sort(order.begin(), order.end(),
                      [&](size_t a, size_t b) { return costs[a] < costs[b]; });
     std::vector<Candidate> candidates;
@@ -582,8 +568,6 @@ class RepairEngine {
   CostModel cost_model_;
   RepairOptions options_;
 
-  std::unique_ptr<common::ThreadPool> owned_pool_;
-  common::ThreadPool* pool_ = nullptr;                 // resolved lane source
   std::unique_ptr<EncodedRelation> enc_;               // warm across rounds
   const common::simd::Kernels* kernels_ = nullptr;
   EquivalenceClasses eq_;

@@ -32,22 +32,15 @@ struct RepairOptions {
   /// cleansing-review UI (paper Fig. 5).
   size_t alternatives_k = 3;
 
-  /// Worker lanes for the per-round candidate evaluation and the sharded
-  /// re-detection scans: 1 (default) = serial, 0 = one lane per hardware
-  /// thread, N >= 2 = exactly N lanes. Each round evaluates all violation
-  /// resolutions against the round-start state into per-violation slots
-  /// (fanned out over the lanes) and then applies them serially in a
-  /// canonical order, so the RepairResult — changes, alternatives, costs,
-  /// null escapes — is byte-identical for every thread count.
+  /// Ignored: repair runs on the calling thread (docs/architecture.md,
+  /// "Where lanes are used"). Kept so existing callers still compile.
   size_t num_threads = 1;
 
   /// Kernel tier of the encoded scans (see docs/simd.md); every tier
   /// repairs identically.
   common::simd::Level simd_level = common::simd::Level::kAuto;
 
-  /// Borrowed worker pool (e.g. a scheduler lease's). nullptr
-  /// = the engine resolves `num_threads` itself, spinning up a private pool
-  /// for N >= 2.
+  /// Ignored, like `num_threads`.
   common::ThreadPool* pool = nullptr;
 
   /// Cooperative cancellation (common/cancel.h), checked at round

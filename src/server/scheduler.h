@@ -19,10 +19,10 @@ class RequestScheduler;
 
 /// Admission cost class of one request (docs/robustness.md, Admission
 /// control). Cheap verbs answer from already-materialized state in
-/// microseconds; expensive verbs run engine scans/sweeps that hold worker
-/// lanes for milliseconds to minutes. Classing them separately keeps a
-/// storm of expensive requests from starving the cheap ones behind it
-/// (the head-of-line metric tools/bench_server_qps.py records).
+/// microseconds; expensive verbs run engine scans/sweeps for milliseconds
+/// to minutes. Classing them separately keeps a storm of expensive
+/// requests from starving the cheap ones behind it (the head-of-line
+/// metric tools/bench_server_qps.py records).
 enum class RequestClass : uint8_t { kCheap = 0, kExpensive = 1 };
 
 /// The admission class of one command-grammar verb. Unknown verbs come
@@ -95,9 +95,10 @@ class AdmissionController {
 /// A request's granted slice of the server's worker-lane budget: how many
 /// lanes it may run (>= 1; the session's own thread is always one) and,
 /// when more than one, a private ThreadPool sized to exactly that many
-/// lanes. Engines take it as (options.num_threads = lanes(), options.pool
-/// = pool()) — because every engine's output is byte-identical across
-/// thread counts, a degraded grant changes only latency, never results.
+/// lanes. Only the miners take it, as (options.num_threads = lanes(),
+/// options.pool = pool()); detection, repair and encoding run on the
+/// request's own thread. Mined output is byte-identical across thread
+/// counts, so a degraded grant changes only latency, never results.
 ///
 /// Move-only; destruction returns the lanes (and the pool, for reuse) to
 /// the scheduler.
@@ -113,7 +114,7 @@ class ThreadLease {
   /// run serial).
   size_t lanes() const { return workers_ + 1; }
 
-  /// The pool backing the extra lanes; nullptr when lanes() == 1 (engines
+  /// The pool backing the extra lanes; nullptr when lanes() == 1 (the miners
   /// treat that as "run serial", matching num_threads == 1).
   common::ThreadPool* pool() const { return pool_.get(); }
 
@@ -135,8 +136,8 @@ class ThreadLease {
 /// Policy: admission control by degradation, never by blocking. Acquire
 /// resolves the request (0 = all hardware threads) and grants
 /// min(resolved - 1, lanes still free) extra workers — under load that
-/// rounds down to a serial grant, which is always legal because every
-/// engine's output is thread-count invariant. Each session's own thread is
+/// rounds down to a serial grant, which is always legal because the
+/// miners' output is thread-count invariant. Each session's own thread is
 /// its first lane and is never budgeted: total CPU demand is bounded by
 /// (connections + lane budget), and a request never waits on another
 /// request's lease to make progress.

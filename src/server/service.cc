@@ -1,5 +1,7 @@
 #include "server/service.h"
 
+#include <algorithm>
+#include <climits>
 #include <sstream>
 #include <utility>
 
@@ -19,18 +21,6 @@ namespace semandaq::server {
 
 using common::Result;
 using common::Status;
-
-namespace {
-
-/// The lane request of the detecting verbs without a threads= word (map,
-/// report, explore): every free lane.
-detect::DetectorOptions AllFreeLanes() {
-  detect::DetectorOptions options;
-  options.num_threads = 0;
-  return options;
-}
-
-}  // namespace
 
 SemandaqService::SemandaqService(ServiceOptions options)
     : scheduler_(options.scheduler_lanes),
@@ -68,20 +58,19 @@ std::string SemandaqService::Help() {
       "                            identical for every thread count and tier)\n"
       "  detect REL [sql] [threads=N] [simd=scalar|sse2|avx2]\n"
       "                            run the error detector (native or SQL\n"
-      "                            path; threads=N shards the native scan,\n"
-      "                            0 = all hardware threads; simd= forces a\n"
-      "                            kernel tier, default = best supported)\n"
+      "                            path; simd= forces a kernel tier, default\n"
+      "                            = best supported; threads=N is accepted\n"
+      "                            and ignored: detection runs serially)\n"
       "  map REL [N]               tuple-level data quality map\n"
       "  report REL                data quality report\n"
       "  explore REL CFD# PAT#     drill-down tables for a pattern\n"
       "  clean REL [threads=N] [simd=LEVEL]\n"
       "                            compute a candidate repair (pending);\n"
-      "                            threads=N fans the per-round candidate\n"
-      "                            evaluation and re-detection out, 0 = all\n"
-      "                            hardware threads; the repair is identical\n"
-      "                            for every thread count and tier\n"
+      "                            the repair is identical for every tier;\n"
+      "                            threads=N is accepted and ignored\n"
       "  diff                      show the pending repair\n"
-      "  apply                     write the pending repair back\n"
+      "  apply                     write the pending repair back (fails if\n"
+      "                            cells were rewritten since its clean)\n"
       "  sql QUERY                 run a SELECT statement\n"
       "  epoch REL                 latest published snapshot epoch of REL\n"
       "  stats                     server counters (lanes, queues, sheds, "
@@ -127,7 +116,12 @@ common::Status SemandaqService::RepublishLocked(const std::string& relation) {
     return Status::OK();
   }
   relational::EncodedRelation* warm = sys_.WarmOrEncode(relation);
-  SnapshotPtr snap = BuildRelationSnapshot(*rel, *warm, slot->next_epoch++);
+  const uint64_t epoch = slot->next_epoch++;
+  if (rel->overwrite_version() != slot->overwrite_version) {
+    slot->overwrite_version = rel->overwrite_version();
+    slot->rewrite_epoch = epoch;
+  }
+  SnapshotPtr snap = BuildRelationSnapshot(*rel, *warm, epoch);
   std::atomic_store(&slot->snap, std::move(snap));
   return Status::OK();
 }
@@ -164,11 +158,8 @@ common::Result<SemandaqService::PinnedDetection> SemandaqService::DetectPinned(
   out.snap = Pin(relation);
   if (out.snap == nullptr) return Status::NotFound("no relation named " + relation);
   out.cfds = CfdsFor(relation);
-  ThreadLease lease = scheduler_.Acquire(options.num_threads);
-  options.num_threads = lease.lanes();
   options.cancel = cancel;
   detect::NativeDetector detector(&out.snap->relation, out.cfds, options);
-  detector.set_thread_pool(lease.pool());
   detector.set_encoded(&*out.snap->encoded);
   SEMANDAQ_ASSIGN_OR_RETURN(out.table, detector.Detect());
   return out;
@@ -415,6 +406,7 @@ common::Result<std::string> SemandaqService::CmdDetect(
   }
   bool want_sql = false;
   detect::DetectorOptions options;
+  size_t threads = 1;  // validated, then ignored: detection runs serially
   bool native_opts_given = false;
   for (size_t i = 1; i < args.size(); ++i) {
     if (common::EqualsIgnoreCase(args[i], "sql")) {
@@ -423,7 +415,7 @@ common::Result<std::string> SemandaqService::CmdDetect(
     }
     bool matched = false;
     SEMANDAQ_RETURN_IF_ERROR(core::ParseSweepOption(
-        args[i], &options.num_threads, &options.simd_level, &matched));
+        args[i], &threads, &options.simd_level, &matched));
     if (!matched) {
       return Status::InvalidArgument(
           "unknown detect option '" + args[i] +
@@ -494,10 +486,11 @@ common::Result<std::string> SemandaqService::CmdClean(
     return Status::InvalidArgument("usage: clean REL [threads=N] [simd=LEVEL]");
   }
   repair::RepairOptions options;
+  size_t threads = 1;  // validated, then ignored: repair runs serially
   for (size_t i = 1; i < args.size(); ++i) {
     bool matched = false;
     SEMANDAQ_RETURN_IF_ERROR(core::ParseSweepOption(
-        args[i], &options.num_threads, &options.simd_level, &matched));
+        args[i], &threads, &options.simd_level, &matched));
     if (!matched) {
       return Status::InvalidArgument(
           "unknown clean option '" + args[i] +
@@ -507,9 +500,6 @@ common::Result<std::string> SemandaqService::CmdClean(
   SnapshotPtr snap = Pin(args[0]);
   if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
   std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  ThreadLease lease = scheduler_.Acquire(options.num_threads);
-  options.num_threads = lease.lanes();
-  options.pool = lease.pool();
   options.cancel = cancel;
   repair::CostModel model(snap->relation.schema(), {});
   repair::BatchRepair cleaner(&snap->relation, std::move(cfds),
@@ -558,9 +548,27 @@ common::Result<std::string> SemandaqService::CmdApply(SessionState* session) {
     return Status::FailedPrecondition("no pending repair (run 'clean REL' first)");
   }
   std::lock_guard<std::mutex> lock(sys_mu_);
+  // Appends leave a repair valid; an in-place rewrite after the epoch it
+  // was computed on (another session's apply) makes it stale, unless every
+  // change is already in place, so that writing it changes no value.
+  const std::shared_ptr<Slot> slot = SlotFor(session->pending_relation, false);
+  const relational::Relation* rel =
+      sys_.database().FindRelation(session->pending_relation);
+  const auto& changes = session->pending_repair->changes;
+  const auto in_place = [rel](const repair::CellChange& ch) {
+    return rel->IsLive(ch.tid) && rel->cell(ch.tid, ch.col) == ch.repaired;
+  };
+  if (slot != nullptr && rel != nullptr &&
+      slot->rewrite_epoch > session->pending_epoch &&
+      !std::all_of(changes.begin(), changes.end(), in_place)) {
+    return Status::FailedPrecondition(
+        "pending repair of '" + session->pending_relation +
+        "' is stale: cells were rewritten after epoch " +
+        std::to_string(session->pending_epoch) + " (run 'clean' again)");
+  }
   SEMANDAQ_RETURN_IF_ERROR(
       sys_.ApplyRepair(session->pending_relation, *session->pending_repair));
-  const size_t n = session->pending_repair->changes.size();
+  const size_t n = changes.size();
   session->pending_repair.reset();
   std::string out = "applied " + std::to_string(n) + " change(s) to " +
                     session->pending_relation;
@@ -578,16 +586,14 @@ common::Result<std::string> SemandaqService::CmdMap(
   if (args.size() > 1) {
     SEMANDAQ_ASSIGN_OR_RETURN(n, core::ParseCount(args[1]));
   }
-  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d,
-                            DetectPinned(args[0], AllFreeLanes(), cancel));
+  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d, DetectPinned(args[0], {}, cancel));
   return audit::AsciiRender::QualityMap(d.snap->relation, d.table, n);
 }
 
 common::Result<std::string> SemandaqService::CmdReport(
     const std::vector<std::string>& args, common::CancelToken* cancel) {
   if (args.size() != 1) return Status::InvalidArgument("usage: report REL");
-  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d,
-                            DetectPinned(args[0], AllFreeLanes(), cancel));
+  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d, DetectPinned(args[0], {}, cancel));
   audit::DataAuditor auditor(&d.snap->relation, std::move(d.cfds));
   SEMANDAQ_ASSIGN_OR_RETURN(auto outcome, auditor.Audit(d.table));
   const audit::QualityReport report =
@@ -604,8 +610,9 @@ common::Result<std::string> SemandaqService::CmdExplore(
   }
   SEMANDAQ_ASSIGN_OR_RETURN(size_t ci, core::ParseCount(args[1]));
   SEMANDAQ_ASSIGN_OR_RETURN(size_t pi, core::ParseCount(args[2]));
-  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d,
-                            DetectPinned(args[0], AllFreeLanes(), cancel));
+  SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d, DetectPinned(args[0], {}, cancel));
+  if (ci > INT_MAX) return Status::OutOfRange("no CFD with index " + args[1]);
+  if (pi > INT_MAX) return Status::OutOfRange("no pattern with index " + args[2]);
   // The explorer takes the pinned detection; both die with this call.
   const core::DataExplorer explorer(&d.snap->relation, std::move(d.cfds),
                                     std::move(d.table));

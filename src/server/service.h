@@ -73,10 +73,11 @@ struct ServiceStats {
 ///   * Mining is read-compute + a brief write tail: the levelwise sweep
 ///     runs on the pinned epoch, only the final AddCfd batch takes the
 ///     writer lock.
-///   * Worker lanes come from the RequestScheduler: each request leases
-///     min(requested, free) lanes and degrades toward serial under load —
-///     legal because every engine's output is byte-identical across
-///     thread counts (the invariant the whole stack maintains).
+///   * Worker lanes come from the RequestScheduler, for `mine` only: it
+///     leases min(requested, free) lanes and degrades toward serial under
+///     load — legal because the miners' output is byte-identical across
+///     thread counts. Detection, repair and encoding run on the request's
+///     own thread (docs/architecture.md, "Where lanes are used").
 ///
 /// A read computed on epoch k is byte-identical to a serial run against a
 /// standalone copy of the relation as of epoch k — the property
@@ -94,7 +95,8 @@ class SemandaqService {
   SemandaqService& operator=(const SemandaqService&) = delete;
 
   /// Per-session command state: the pending candidate repair of the last
-  /// `clean`, and the epoch it was computed against.
+  /// `clean`, and the epoch it was computed against (`apply` refuses it
+  /// once a later epoch rewrote cells in place).
   struct SessionState {
     std::optional<repair::RepairResult> pending_repair;
     std::string pending_relation;
@@ -159,10 +161,14 @@ class SemandaqService {
 
  private:
   /// One relation's publication slot. `snap` is accessed with the atomic
-  /// shared_ptr free functions; `next_epoch` only under sys_mu_.
+  /// shared_ptr free functions; the counters only under sys_mu_.
   struct Slot {
     SnapshotPtr snap;
     uint64_t next_epoch = 1;
+    /// The master's overwrite_version at the last publication, and the
+    /// last epoch published after it moved (appends leave it alone).
+    uint64_t overwrite_version = 0;
+    uint64_t rewrite_epoch = 0;
   };
 
   /// The slot for `relation` (lowercase key), created on demand.
@@ -184,8 +190,8 @@ class SemandaqService {
   };
 
   /// The read path of every detecting verb (detect, map, report, explore):
-  /// pin `relation`'s latest epoch, copy its CFDs, lease up to
-  /// options.num_threads lanes and run the native detector on the pin.
+  /// pin `relation`'s latest epoch, copy its CFDs and run the native
+  /// detector on the pin.
   common::Result<PinnedDetection> DetectPinned(const std::string& relation,
                                                detect::DetectorOptions options,
                                                common::CancelToken* cancel);

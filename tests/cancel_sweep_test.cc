@@ -193,21 +193,6 @@ TEST(CancelSweepTest, DetectIsAllOrNothing) {
   });
 }
 
-TEST(CancelSweepTest, DetectShardedIsAllOrNothing) {
-  const Relation rel = testing::PaperCustomerRelation();
-  SweepCheckpoints("detect-sharded", [&](CancelToken* token)
-                                         -> common::Result<std::string> {
-    detect::DetectorOptions options;
-    options.cancel = token;
-    options.num_threads = 4;
-    detect::NativeDetector detector(&rel, Parse(testing::PaperCfdText()),
-                                    options);
-    auto table = detector.Detect();
-    if (!table.ok()) return table.status();
-    return Fingerprint(*table);
-  });
-}
-
 TEST(CancelSweepTest, MineIsAllOrNothing) {
   const Relation rel = testing::PaperCustomerRelation();
   const std::string before = Fingerprint(rel);

@@ -1,16 +1,16 @@
 // Every CFD engine against the definition-level oracle (cfd_oracle.h): a
 // seeded random sweep of small relations and tableaux, plus a few fixed
 // instances. The sweep covers
-//  * NativeDetector cold, then at threads {1, 2, 4, hw} x every SIMD tier
-//    over a warm snapshot (every eighth relation is large enough for the
-//    sharded scan), and without materialized group values;
+//  * NativeDetector cold, then at every SIMD tier over a warm snapshot
+//    (every eighth relation has 1,100-2,600 rows), and without
+//    materialized group values;
 //  * SqlDetector on the small relations whose Σ holds no NULL constant
 //    (its tableau relations encode wildcards as NULL);
 //  * IncrementalDetector after a random update stream;
 //  * FdMiner and CfdMiner at LHS arity 1-3, support 2-4, threads {1, 4},
 //    every tier;
-//  * BatchRepair at threads {1, 4}, whose output must satisfy the repair
-//    post-conditions — also when Σ is unsatisfiable.
+//  * BatchRepair, whose output must satisfy the repair post-conditions —
+//    also when Σ is unsatisfiable.
 // A failure names the seed; rerun with it to reproduce.
 
 #include <algorithm>
@@ -56,11 +56,11 @@ constexpr uint64_t kRepairSeeds = 600;
 
 const simd::Level kTiers[] = {simd::Level::kScalar, simd::Level::kSse2,
                               simd::Level::kAvx2};
-const size_t kDetectThreads[] = {1, 2, 4, 0};  // 0 = all hardware threads
-const size_t kEngineThreads[] = {1, 4};
+const size_t kMineThreads[] = {1, 4};
 
-/// The 4-lane pool the parallel runs borrow, as a scheduler lease lends one
-/// (a pool per run would spend the sweep's time on thread start-up).
+/// The 4-lane pool the parallel mining runs borrow, as a scheduler lease
+/// lends one (a pool per run would spend the sweep's time on thread
+/// start-up).
 common::ThreadPool& SharedPool() {
   static common::ThreadPool pool(4);
   return pool;
@@ -227,31 +227,22 @@ std::vector<Cfd> Parse(const std::string& text) {
 
 // ------------------------------------------------------------- detection
 
-/// NativeDetector against the oracle: a cold run on all hardware threads
-/// that encodes the relation and builds its pool itself, then every thread
-/// count x tier over one warm snapshot and a borrowed pool (the server's
+/// NativeDetector against the oracle: a cold run that encodes the
+/// relation itself, then every tier over one warm snapshot (the server's
 /// pattern), and a run without materialized group values.
 void ExpectNativeDetection(const Relation& rel, const std::vector<Cfd>& sigma) {
   const Detection want = Detect(rel, sigma);
-  detect::DetectorOptions cold;
-  cold.num_threads = 0;
-  ASSERT_OK_AND_ASSIGN(auto cold_table,
-                       detect::NativeDetector(&rel, sigma, cold).Detect());
+  ASSERT_OK_AND_ASSIGN(auto cold_table, detect::NativeDetector(&rel, sigma).Detect());
   ASSERT_EQ("", DetectionDiff(want, cold_table)) << "cold";
 
   const relational::EncodedRelation warm(&rel);
-  for (size_t threads : kDetectThreads) {
-    for (simd::Level tier : kTiers) {
-      detect::DetectorOptions opts;
-      opts.num_threads = threads;
-      opts.simd_level = tier;
-      detect::NativeDetector detector(&rel, sigma, opts);
-      detector.set_encoded(&warm);
-      detector.set_thread_pool(&SharedPool());
-      ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
-      ASSERT_EQ("", DetectionDiff(want, table))
-          << "threads=" << threads << " tier=" << simd::LevelName(tier);
-    }
+  for (simd::Level tier : kTiers) {
+    detect::DetectorOptions opts;
+    opts.simd_level = tier;
+    detect::NativeDetector detector(&rel, sigma, opts);
+    detector.set_encoded(&warm);
+    ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
+    ASSERT_EQ("", DetectionDiff(want, table)) << "tier=" << simd::LevelName(tier);
   }
 
   detect::DetectorOptions lean;
@@ -324,7 +315,7 @@ TEST(CfdOracleTest, MiningSweep) {
 
     const auto want_fds = MinimalFds(Pairs(rel), max_lhs);
     const std::vector<std::string> want_rows = MinedCfdRows(rel, cfd_opts);
-    for (size_t threads : kEngineThreads) {
+    for (size_t threads : kMineThreads) {
       for (simd::Level tier : kTiers) {
         SCOPED_TRACE("threads=" + std::to_string(threads) + " tier=" +
                      std::string(simd::LevelName(tier)));
@@ -353,14 +344,11 @@ TEST(CfdOracleTest, RepairSweep) {
     const Relation rel = RandomRelation(&rng, rng.NextIndex(61), &shape);
     const std::vector<Cfd> sigma = RandomSigma(&rng, shape);
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + SigmaText(sigma));
-    for (size_t threads : kEngineThreads) {
-      repair::RepairOptions opts;
-      opts.num_threads = threads;
-      opts.simd_level = kTiers[seed % 3];
-      repair::BatchRepair cleaner(&rel, sigma, repair::CostModel(rel.schema()), opts);
-      ASSERT_OK_AND_ASSIGN(auto result, cleaner.Run());
-      ASSERT_EQ("", RepairDiff(rel, sigma, result)) << "threads=" << threads;
-    }
+    repair::RepairOptions opts;
+    opts.simd_level = kTiers[seed % 3];
+    repair::BatchRepair cleaner(&rel, sigma, repair::CostModel(rel.schema()), opts);
+    ASSERT_OK_AND_ASSIGN(auto result, cleaner.Run());
+    ASSERT_EQ("", RepairDiff(rel, sigma, result));
   }
 }
 
@@ -401,6 +389,29 @@ TEST(CfdOracleTest, NoisyHospital) {
   opts.seed = 8;
   const auto wl = workload::HospitalGenerator::Generate(opts);
   ExpectNativeDetection(wl.dirty, Parse(workload::HospitalGenerator::HospitalCfds()));
+}
+
+TEST(CfdOracleTest, EmptyRelation) {
+  const Relation rel("t", relational::Schema::AllStrings({"A", "B"}));
+  const std::vector<Cfd> sigma = Parse("t: [A] -> [B]\nt: [A=1] -> [B=x]\n");
+  ExpectNativeDetection(rel, sigma);
+  ASSERT_OK_AND_ASSIGN(auto table, detect::NativeDetector(&rel, sigma).Detect());
+  EXPECT_EQ(table.TotalVio(), 0);
+  EXPECT_TRUE(table.groups().empty());
+  EXPECT_TRUE(table.singles().empty());
+}
+
+TEST(CfdOracleTest, OneGroupOfTwoThousand) {
+  // Every tuple shares one LHS key: the most skewed group there is.
+  Relation rel("t", relational::Schema::AllStrings({"K", "V"}));
+  for (int i = 0; i < 2000; ++i) {
+    rel.MustInsert({Value::String("key"), Value::String(i % 2 ? "x" : "y")});
+  }
+  const std::vector<Cfd> sigma = Parse("t: [K] -> [V]");
+  ExpectNativeDetection(rel, sigma);
+  ASSERT_OK_AND_ASSIGN(auto table, detect::NativeDetector(&rel, sigma).Detect());
+  ASSERT_EQ(table.groups().size(), 1u);
+  EXPECT_EQ(table.groups()[0].members.size(), 2000u);
 }
 
 TEST(CfdOracleTest, NullHeavy) {

@@ -1,13 +1,12 @@
 // The code-columnar repair path: BatchRepair evaluates each round's
-// candidate resolutions in parallel against the round-start state (any
-// SIMD tier) and applies them serially in a canonical order — so the
-// ENTIRE RepairResult (changes with ranked alternatives and costs, the
-// repaired relation, and every audit counter including the merged
-// equivalence classes) must be byte-identical across {1,2,4,hw} threads x
-// {scalar,sse2,avx2} on every relation shape: the paper walkthrough,
-// generated customer/hospital workloads, empty input, NULL-heavy rows, and
-// tombstoned tuples. The serial scalar reference must itself satisfy the
-// repair post-conditions of the definition-level oracle (cfd_oracle.h).
+// candidate resolutions against the round-start state (any SIMD tier) and
+// applies them in a canonical order — so the ENTIRE RepairResult (changes
+// with ranked alternatives and costs, the repaired relation, and every
+// audit counter including the merged equivalence classes) must be
+// byte-identical across {scalar,sse2,avx2} on every relation shape: the
+// paper walkthrough, generated customer/hospital workloads, empty input,
+// NULL-heavy rows, and tombstoned tuples. The scalar reference must itself
+// satisfy the repair post-conditions of the definition-level oracle (cfd_oracle.h).
 // Also gates the facade loop end to end: repair -> ApplyRepair -> WAL ->
 // reopen -> re-detect must land on the identical (clean) detection state.
 
@@ -40,7 +39,6 @@ using relational::Value;
 
 const simd::Level kTiers[] = {simd::Level::kScalar, simd::Level::kSse2,
                               simd::Level::kAvx2};
-const size_t kThreadCounts[] = {1, 2, 4, 0};  // 0 = all hardware threads
 
 std::vector<cfd::Cfd> Parse(const std::string& text) {
   auto r = cfd::ParseCfdSet(text);
@@ -79,27 +77,22 @@ std::string RepairSignature(const RepairResult& r) {
 
 common::Result<RepairResult> RunRepair(const Relation& rel,
                                        const std::string& cfd_text,
-                                       size_t threads, simd::Level tier) {
+                                       simd::Level tier) {
   RepairOptions opts;
-  opts.num_threads = threads;
   opts.simd_level = tier;
   return BatchRepair(&rel, Parse(cfd_text), CostModel(rel.schema()), opts).Run();
 }
 
-/// Repairs `rel` under every thread count x tier and requires each
-/// signature to equal the serial scalar reference, which must itself pass
-/// the oracle's repair post-conditions.
+/// Repairs `rel` under every tier and requires each signature to equal
+/// the scalar reference, which must itself pass the oracle's repair
+/// post-conditions.
 void ExpectInvariantRepair(const Relation& rel, const std::string& cfds) {
-  ASSERT_OK_AND_ASSIGN(RepairResult serial,
-                       RunRepair(rel, cfds, 1, simd::Level::kScalar));
-  EXPECT_EQ("", oracle::RepairDiff(rel, Parse(cfds), serial));
-  const std::string reference = RepairSignature(serial);
-  for (size_t threads : kThreadCounts) {
-    for (simd::Level tier : kTiers) {
-      ASSERT_OK_AND_ASSIGN(RepairResult result, RunRepair(rel, cfds, threads, tier));
-      EXPECT_EQ(reference, RepairSignature(result))
-          << "threads=" << threads << " tier=" << static_cast<int>(tier);
-    }
+  ASSERT_OK_AND_ASSIGN(RepairResult scalar, RunRepair(rel, cfds, simd::Level::kScalar));
+  EXPECT_EQ("", oracle::RepairDiff(rel, Parse(cfds), scalar));
+  const std::string reference = RepairSignature(scalar);
+  for (simd::Level tier : kTiers) {
+    ASSERT_OK_AND_ASSIGN(RepairResult result, RunRepair(rel, cfds, tier));
+    EXPECT_EQ(reference, RepairSignature(result)) << "tier=" << static_cast<int>(tier);
   }
 }
 
@@ -131,10 +124,8 @@ TEST(ParallelRepairTest, EmptyRelationIsModeInvariant) {
       "customer", {"NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"}, {});
   ExpectInvariantRepair(empty, semandaq::testing::PaperCfdText());
   // And the repair itself must be a no-op.
-  RepairOptions opts;
-  opts.num_threads = 2;
   BatchRepair repair(&empty, Parse(semandaq::testing::PaperCfdText()),
-                     CostModel(empty.schema()), opts);
+                     CostModel(empty.schema()));
   auto result = repair.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->changes.empty());
@@ -187,10 +178,7 @@ TEST(ParallelRepairTest, RepairWalReopenRedetectRoundTrip) {
   ASSERT_OK_AND_ASSIGN(auto saved, sys.SaveRelation("customer", path));
   (void)saved;
 
-  // Parallel encoded clean; the facade routes threads=2 into the engine.
-  RepairOptions opts;
-  opts.num_threads = 2;
-  ASSERT_OK_AND_ASSIGN(auto repair, sys.Clean("customer", opts));
+  ASSERT_OK_AND_ASSIGN(auto repair, sys.Clean("customer"));
   EXPECT_FALSE(repair.changes.empty());
   EXPECT_EQ(repair.remaining_violations, 0u);
   ASSERT_OK(sys.ApplyRepair("customer", repair));

@@ -86,8 +86,7 @@ std::string SerialRecompute(const Observation& obs,
     EXPECT_TRUE(mined.ok()) << mined.status().ToString();
     return mined.ok() ? CanonicalMine(*mined) : std::string();
   }
-  detect::DetectorOptions options;  // num_threads = 1: the serial scan
-  detect::NativeDetector det(&rebuilt, cfds, options);
+  detect::NativeDetector det(&rebuilt, cfds);
   det.set_encoded(&enc);
   auto table = det.Detect();
   EXPECT_TRUE(table.ok()) << table.status().ToString();
@@ -144,11 +143,11 @@ TEST(ServerConcurrencyTest, ReadersAreByteIdenticalToSerialRunsOnTheirEpoch) {
         Observation obs;
         obs.snap = service.Pin("customer");
         ASSERT_NE(obs.snap, nullptr);
-        // Lease worker lanes the way the command layer does: contended
-        // requests degrade toward serial, output unchanged.
-        ThreadLease lease = service.scheduler().Acquire((r % 4) + 1);
         obs.is_mine = (r + i) % 3 == 0;
         if (obs.is_mine) {
+          // Lease worker lanes the way `mine` does: contended requests
+          // degrade toward serial, output unchanged.
+          ThreadLease lease = service.scheduler().Acquire((r % 4) + 1);
           discovery::CfdMinerOptions options;
           options.num_threads = lease.lanes();
           options.pool = lease.pool();
@@ -157,10 +156,7 @@ TEST(ServerConcurrencyTest, ReadersAreByteIdenticalToSerialRunsOnTheirEpoch) {
           ASSERT_TRUE(mined.ok()) << mined.status().ToString();
           obs.result = CanonicalMine(*mined);
         } else {
-          detect::DetectorOptions options;
-          options.num_threads = lease.lanes();
-          detect::NativeDetector det(&obs.snap->relation, cfds, options);
-          det.set_thread_pool(lease.pool());
+          detect::NativeDetector det(&obs.snap->relation, cfds);
           det.set_encoded(&*obs.snap->encoded);
           auto table = det.Detect();
           ASSERT_TRUE(table.ok()) << table.status().ToString();

@@ -106,7 +106,9 @@ TEST(ServerServiceTest, PinnedReadsMatchTheFacadeOnTheMaster) {
 
     ASSERT_OK_AND_ASSIGN(auto table, sys.DetectErrors("customer"));
     EXPECT_EQ(exec("detect customer"), table.Summary() + "\n");
+    // threads=N is accepted and ignored: detection runs serially.
     EXPECT_EQ(exec("detect customer threads=3"), table.Summary() + "\n");
+    EXPECT_EQ(exec("detect customer threads=0"), table.Summary() + "\n");
     // The generated-SQL detector agrees with the native one verbatim.
     EXPECT_EQ(exec("detect customer sql"), table.Summary() + "\n");
 
@@ -136,6 +138,8 @@ TEST(ServerServiceTest, PinnedReadsMatchTheFacadeOnTheMaster) {
     ASSERT_TRUE(state.pending_repair.has_value());
     EXPECT_EQ(state.pending_epoch, epoch);
     ASSERT_OK_AND_ASSIGN(auto repair, sys.Clean("customer"));
+    EXPECT_EQ(Canonical(*state.pending_repair), Canonical(repair));
+    exec("clean customer threads=0");
     EXPECT_EQ(Canonical(*state.pending_repair), Canonical(repair));
 
     // The next epoch adds a tuple violating [CC] -> [CNT] (44 | UK).

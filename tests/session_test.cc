@@ -2,8 +2,9 @@
 // when executed through SemandaqService with a SessionState, exactly as
 // semandaq_cli runs it in-process and semandaq_server runs it per
 // connection. Covers help/blank/comment lines, the paper's demonstration
-// flow, error status codes, single-relation save/open, and that a pending
-// repair belongs to the session that planned it.
+// flow, error status codes, single-relation save/open, that a pending
+// repair belongs to the session that planned it, and that another
+// session's apply makes it stale.
 
 #include <string>
 #include <utility>
@@ -92,6 +93,7 @@ TEST(SessionTest, ErrorsCarryTheirStatusCodes) {
   SemandaqService service;
   SemandaqService::SessionState state;
   Exec(&service, &state, "gen customer 20 5");
+  for (const char* c : kCustomerCfds) Exec(&service, &state, c);
   Exec(&service, &state, "save customer " + path);
   const std::vector<std::pair<std::string, StatusCode>> cases = {
       {"frobnicate", StatusCode::kInvalidArgument},
@@ -102,6 +104,8 @@ TEST(SessionTest, ErrorsCarryTheirStatusCodes) {
       {"report nosuch", StatusCode::kNotFound},
       {"explore nosuch 0 0", StatusCode::kNotFound},
       {"explore customer 9 0", StatusCode::kOutOfRange},
+      {"explore customer 4294967296 0", StatusCode::kOutOfRange},  // not #0
+      {"explore customer 0 4294967296", StatusCode::kOutOfRange},
       {"mine nosuch", StatusCode::kNotFound},
       {"clean nosuch", StatusCode::kNotFound},
       {"sql SELECT broken FROM nowhere", StatusCode::kNotFound},
@@ -173,6 +177,43 @@ TEST(SessionTest, PendingRepairBelongsToItsSession) {
   EXPECT_NE(Exec(&service, &planner, "apply").find("applied"), std::string::npos);
   EXPECT_NE(Exec(&service, &planner, "detect customer").find("total vio 0"),
             std::string::npos);
+}
+
+// A repair planned on an epoch that another session's apply has since
+// rewritten is stale: `apply` refuses it, writes nothing and keeps it
+// pending until the session cleans again. A repair that is already in
+// place (the same plan, applied by another session) still applies.
+TEST(SessionTest, ApplyRefusesARepairAnotherApplyMadeStale) {
+  SemandaqService service;
+  SemandaqService::SessionState a;
+  SemandaqService::SessionState b;
+  SemandaqService::SessionState twin;
+  Exec(&service, &a, "gen customer 3000 10");
+  Exec(&service, &a, "cfd customer: [CNT, ZIP] -> [CITY]");
+  Exec(&service, &a, "clean customer");
+
+  Exec(&service, &b, "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
+  Exec(&service, &b, "cfd customer: [CNT, CITY] -> [AC]");
+  Exec(&service, &b, "clean customer");
+  Exec(&service, &twin, "clean customer");
+  const std::string applied = Exec(&service, &b, "apply");
+  EXPECT_NE(applied.find("applied"), std::string::npos);
+  EXPECT_NE(Exec(&service, &b, "detect customer").find("total vio 0"), std::string::npos);
+  EXPECT_EQ(Exec(&service, &twin, "apply"), applied);
+
+  auto stale = service.Execute(&a, "apply");
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition)
+      << stale.status().ToString();
+  EXPECT_TRUE(a.pending_repair.has_value());
+  EXPECT_NE(Exec(&service, &a, "detect customer").find("total vio 0"), std::string::npos);
+
+  // Appends do not invalidate a repair; a fresh clean can be applied.
+  Exec(&service, &a, "clean customer");
+  SnapshotPtr snap = service.Pin("customer");
+  ASSERT_OK(service.AppendBatch("customer", {snap->relation.row(0)}).status());
+  EXPECT_NE(Exec(&service, &a, "apply").find("applied"), std::string::npos);
+  EXPECT_NE(Exec(&service, &a, "detect customer").find("total vio 0"), std::string::npos);
 }
 
 }  // namespace

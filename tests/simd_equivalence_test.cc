@@ -1,8 +1,8 @@
 // End-to-end SIMD/scalar equivalence: DetectErrors output and Partition
 // contents must be *byte-identical* — same violations in the same order,
 // same classes in the same order — across every kernel tier
-// (DetectorOptions::simd_level = scalar/SSE2/AVX2) and every thread count,
-// over the same relation sweep the snapshot tests use: paper customer,
+// (DetectorOptions::simd_level = scalar/SSE2/AVX2), over the same
+// relation sweep the snapshot tests use: paper customer,
 // generated customer/hospital (with tombstones), empty, NULL-heavy,
 // unicode, and typed relations. This is the tentpole's correctness gate:
 // vectorization must never be observable in the output.
@@ -41,10 +41,9 @@ std::vector<cfd::Cfd> Parse(const std::string& text) {
 }
 
 ViolationTable DetectWith(const Relation& rel, const std::vector<cfd::Cfd>& cfds,
-                          simd::Level level, size_t num_threads) {
+                          simd::Level level) {
   DetectorOptions options;
   options.simd_level = level;
-  options.num_threads = num_threads;
   NativeDetector detector(&rel, cfds, options);
   auto table = detector.Detect();
   EXPECT_TRUE(table.ok()) << table.status().ToString();
@@ -84,20 +83,14 @@ void ExpectExactlyEqual(const ViolationTable& a, const ViolationTable& b,
   }
 }
 
-/// The core property: for every kernel tier and thread count, the table
-/// equals the scalar-serial reference exactly.
+/// The core property: for every kernel tier, the table equals the scalar
+/// reference exactly.
 void ExpectTierInvariant(const Relation& rel, const std::string& cfd_text) {
   const std::vector<cfd::Cfd> cfds = Parse(cfd_text);
-  const ViolationTable reference =
-      DetectWith(rel, cfds, simd::Level::kScalar, 1);
+  const ViolationTable reference = DetectWith(rel, cfds, simd::Level::kScalar);
   for (const simd::Level level : kLevels) {
-    for (const size_t threads : {size_t{1}, size_t{3}}) {
-      SCOPED_TRACE(std::string("level=") +
-                   std::string(simd::LevelName(level)) +
-                   " threads=" + std::to_string(threads));
-      ExpectExactlyEqual(reference, DetectWith(rel, cfds, level, threads),
-                         rel);
-    }
+    SCOPED_TRACE(std::string("level=") + std::string(simd::LevelName(level)));
+    ExpectExactlyEqual(reference, DetectWith(rel, cfds, level), rel);
   }
 }
 
