@@ -111,8 +111,7 @@ void BM_NativeDetectColdLoad(benchmark::State& state) {
   for (auto _ : state) {
     auto loaded = storage::SnapshotReader::Read(path);
     if (!loaded.ok()) std::abort();
-    relational::EncodedRelation enc = relational::EncodedRelation::FromStorage(
-        &loaded->relation, std::move(loaded->dicts), std::move(loaded->columns));
+    const relational::EncodedRelation enc(&loaded->relation);  // adopts
     detect::NativeDetector detector(&loaded->relation, cfds);
     detector.set_encoded(&enc);
     auto table = detector.Detect();

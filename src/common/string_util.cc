@@ -74,15 +74,15 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-std::string QuoteSqlString(std::string_view s) {
+std::string QuoteSqlString(std::string_view s, char quote) {
   std::string out;
   out.reserve(s.size() + 2);
-  out.push_back('\'');
+  out.push_back(quote);
   for (char c : s) {
-    if (c == '\'') out.push_back('\'');
+    if (c == quote) out.push_back(quote);
     out.push_back(c);
   }
-  out.push_back('\'');
+  out.push_back(quote);
   return out;
 }
 

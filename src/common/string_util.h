@@ -33,9 +33,9 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
-/// Doubles embedded single quotes and wraps in single quotes, producing a
-/// SQL string literal: Abe's -> 'Abe''s'.
-std::string QuoteSqlString(std::string_view s);
+/// Doubles embedded quotes and wraps in quotes, producing a SQL string
+/// literal (Abe's -> 'Abe''s') or, with quote = '"', a quoted identifier.
+std::string QuoteSqlString(std::string_view s, char quote = '\'');
 
 /// Damerau-Levenshtein edit distance (insert / delete / substitute /
 /// transpose-adjacent), the string-similarity primitive of the repair cost

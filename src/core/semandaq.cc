@@ -203,9 +203,8 @@ common::Result<Semandaq::OpenStats> Semandaq::OpenRelation(
   snap.relation.set_name(name);
   SEMANDAQ_RETURN_IF_ERROR(db_.AddRelation(std::move(snap.relation)));
   relational::Relation* rel = db_.FindMutableRelation(name);
-  auto enc = std::make_unique<relational::EncodedRelation>(
-      relational::EncodedRelation::FromStorage(rel, std::move(snap.dicts),
-                                               std::move(snap.columns)));
+  // Adopts the loaded code columns before the replay mutates the relation.
+  auto enc = std::make_unique<relational::EncodedRelation>(rel);
   // The WAL tail replays through the relation's ordinary mutators; Sync()
   // then absorbs it along the encoded append path (or a rebuild after an
   // in-place overwrite record). A bad WAL unwinds the registration.

@@ -75,8 +75,10 @@ class NativeDetector {
 
   /// Attaches an externally owned, already-synced encoded snapshot of the
   /// relation so repeated Detect calls skip the encode pass (the warm-scan
-  /// production pattern). A stale snapshot is ignored (a fresh local one is
-  /// built instead). The snapshot is never written during Detect.
+  /// production pattern). Without one, or with a stale one, Detect builds
+  /// a local EncodedRelation, which adopts the codes of a column-backed
+  /// relation instead of encoding. The snapshot is never written during
+  /// Detect.
   void set_encoded(const relational::EncodedRelation* encoded) {
     encoded_ = encoded;
   }

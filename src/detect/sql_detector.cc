@@ -22,6 +22,12 @@ common::Result<ViolationTable> SqlDetector::Detect() {
   }
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, target->schema()));
 
+  // The tableau relations live in db_ only while this call runs, whichever
+  // path it returns by.
+  struct TableauGuard {
+    relational::Database* db;
+    ~TableauGuard() { cfd::TableauStore::Clear(db); }
+  } tableau_guard{db_};
   std::vector<std::string> tableau_names;
   SEMANDAQ_RETURN_IF_ERROR(cfd::TableauStore::Store(cfds_, db_, &tableau_names));
   queries_ = GenerateDetectionSql(cfds_, relation_, tableau_names);
@@ -86,7 +92,6 @@ common::Result<ViolationTable> SqlDetector::Detect() {
     }
   }
 
-  cfd::TableauStore::Clear(db_);
   return table;
 }
 

@@ -24,7 +24,8 @@ namespace semandaq::detect {
 class SqlDetector {
  public:
   /// `db` must contain `relation`; tableau and key relations are
-  /// materialized into it during Detect and removed afterwards.
+  /// materialized into it during Detect and removed before Detect returns,
+  /// on success and failure alike.
   SqlDetector(relational::Database* db, std::string relation,
               std::vector<cfd::Cfd> cfds)
       : db_(db), relation_(std::move(relation)), cfds_(std::move(cfds)) {}

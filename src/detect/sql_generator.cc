@@ -6,8 +6,11 @@ namespace semandaq::detect {
 
 namespace {
 
-/// Quotes an identifier for safe embedding in generated SQL.
-std::string Ident(const std::string& name) { return "\"" + name + "\""; }
+/// Quotes an identifier for safe embedding in generated SQL (embedded `"`
+/// doubled, the escape the SQL lexer reads back as one quote).
+std::string Ident(const std::string& name) {
+  return common::QuoteSqlString(name, '"');
+}
 
 /// `(t.X = tp.X OR tp.X IS NULL)` for every LHS attribute — the pattern
 /// match predicate with NULL-encoded wildcards.

@@ -21,7 +21,6 @@ using cfd::PatternTuple;
 using cfd::PatternValue;
 using relational::Code;
 using relational::kNullCode;
-using relational::Row;
 using relational::TupleId;
 using relational::Value;
 
@@ -168,7 +167,9 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   const size_t ncols = schema.size();
   std::vector<Cfd> out;
 
-  // One columnar encode pass feeds every partition and evidence scan below.
+  // One set of code columns (adopted from a column-backed relation, else
+  // encoded once) feeds every partition and evidence scan and every
+  // pattern constant below; the miner never reads a row.
   const relational::EncodedRelation encoded(rel_, options_.cancel);
 
   // Lane resolution is shared with the embedded FdMiner run below.
@@ -183,9 +184,6 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   // previous generation, so Rotate() after each level keeps residency
   // bounded without forcing rebuilds.
   PartitionCache cache(&encoded, options_.simd_level);
-  // BuildBases also pays row hydration once before any fan-out (the
-  // candidate tasks below read rows for pattern constants, and lazy
-  // hydration is not thread-safe).
   if (parallel) cache.BuildBases(ncols, pool);
   const simd::Kernels& kn = simd::KernelsFor(options_.simd_level);
 
@@ -265,8 +263,10 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
           }
           if (reducible) continue;
           PatternTuple pt;
-          const Row& sample = rel_->row(cls.front());
-          for (size_t c : lhs) pt.lhs.push_back(PatternValue::Constant(sample[c]));
+          for (size_t c : lhs) {
+            pt.lhs.push_back(PatternValue::Constant(
+                encoded.Decode(c, encoded.code(cls.front(), c))));
+          }
           pt.rhs = PatternValue::Constant(shared);
           rows.push_back(std::move(pt));
           if (rows.size() >= options_.max_patterns_per_fd) break;
@@ -299,7 +299,8 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
                                     &holds, &evidence);
             if (!holds || evidence < options_.min_support) continue;
             PatternTuple pt;
-            const Value& c_value = rel_->cell(cls.front(), lhs[cond]);
+            const Value& c_value =
+                encoded.Decode(lhs[cond], encoded.code(cls.front(), lhs[cond]));
             for (size_t i = 0; i < lhs.size(); ++i) {
               pt.lhs.push_back(i == cond ? PatternValue::Constant(c_value)
                                          : PatternValue::Wildcard());

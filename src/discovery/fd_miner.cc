@@ -57,8 +57,8 @@ std::vector<DiscoveredFd> FdMiner::Mine(PartitionCache* cache,
   std::map<size_t, std::vector<std::vector<size_t>>> minimal_lhs;
 
   const bool parallel = pool != nullptr && pool->num_threads() > 1 && ncols > 0;
-  // BuildBases also pays row hydration once before the fan-out (it is not
-  // thread-safe lazily) — a no-op when the CFD miner primed the cache.
+  // Base partitions build fanned out up front — a no-op when the CFD miner
+  // primed the cache.
   if (parallel) cache->BuildBases(ncols, pool);
 
   auto has_subset_fd = [&](const std::vector<size_t>& lhs, size_t rhs) {

@@ -232,7 +232,6 @@ void PartitionCache::BuildBases(size_t ncols, common::ThreadPool* pool) {
     for (size_t c = 0; c < ncols; ++c) Get({c});
     return;
   }
-  enc_->relation().EnsureHydrated();  // hydration is not thread-safe
   pool->Run(ncols, [this](size_t c) { Get({c}); });
 }
 

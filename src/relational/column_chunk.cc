@@ -96,7 +96,7 @@ CodeColumn CodeColumn::ShareFrozen() const {
   view.size_ = size_;
   view.shared_below_ = size_;  // the view itself must never write at all
   view.owns_tail_ = false;
-  shared_below_ = size_;  // writer overwrites below here must detach
+  MarkShared();  // writer overwrites below here must detach
   return view;
 }
 
@@ -104,27 +104,6 @@ bool operator==(const CodeColumn& a, const CodeColumn& b) {
   if (a.size_ != b.size_) return false;
   if (a.size_ == 0) return true;
   return std::memcmp(a.data(), b.data(), a.size_ * sizeof(Code)) == 0;
-}
-
-std::vector<Row> DecodeRowsFromColumns(
-    const std::vector<std::shared_ptr<Dictionary>>& dicts,
-    const std::vector<CodeColumn>& columns, const std::vector<uint8_t>& live) {
-  const size_t ncols = columns.size();
-  const size_t bound = live.size();
-  std::vector<Row> rows(bound);
-  for (size_t tid = 0; tid < bound; ++tid) {
-    if (live[tid]) rows[tid].resize(ncols);
-  }
-  for (size_t c = 0; c < ncols; ++c) {
-    const Code* codes = columns[c].data();
-    const Dictionary& dict = *dicts[c];
-    for (size_t tid = 0; tid < bound; ++tid) {
-      if (!live[tid]) continue;
-      const Code code = codes[tid];
-      if (code != kNullCode) rows[tid][c] = dict.Decode(code);
-    }
-  }
-  return rows;
 }
 
 }  // namespace semandaq::relational

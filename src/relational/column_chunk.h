@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "relational/dictionary.h"
 
@@ -77,16 +76,10 @@ class CodeColumn {
         size_(other.size_),
         shared_below_(other.size_),
         owns_tail_(false) {
-    other.shared_below_ = other.size_;
+    other.MarkShared();
   }
   CodeColumn& operator=(const CodeColumn& other) {
-    if (this != &other) {
-      chunk_ = other.chunk_;
-      size_ = other.size_;
-      shared_below_ = other.size_;
-      owns_tail_ = false;
-      other.shared_below_ = other.size_;
-    }
+    if (this != &other) *this = CodeColumn(other);
     return *this;
   }
   CodeColumn(CodeColumn&&) noexcept = default;
@@ -136,6 +129,12 @@ class CodeColumn {
   }
 
  private:
+  /// Raises the shared watermark to the current size, writing only when it
+  /// moves: readers sharing an already frozen view race on nothing.
+  void MarkShared() const {
+    if (shared_below_ != size_) shared_below_ = size_;
+  }
+
   /// Relocates into a fresh chunk of at least `capacity`, copying the
   /// current prefix. The fresh chunk is unshared and fully owned.
   void Relocate(size_t capacity);
@@ -160,16 +159,6 @@ class CodeColumn {
   /// are created not owning it and relocate before their first append.
   bool owns_tail_ = true;
 };
-
-/// Decodes the live rows of a chunked snapshot back into materialized Rows
-/// (dead ids keep empty placeholder rows, matching the storage loader's
-/// semantics). This is the shared row hydrator of the storage load path
-/// and the server's pinned snapshots: both defer row materialization to
-/// first access and decode from the same refcounted chunks + dictionaries
-/// the encoded scans use, so nothing retains a second copy of the data.
-std::vector<Row> DecodeRowsFromColumns(
-    const std::vector<std::shared_ptr<Dictionary>>& dicts,
-    const std::vector<CodeColumn>& columns, const std::vector<uint8_t>& live);
 
 }  // namespace semandaq::relational
 

@@ -16,41 +16,32 @@ constexpr TupleId kEncodeCancelBatch = 4096;
 EncodedRelation::EncodedRelation(const Relation* rel,
                                  common::CancelToken* cancel)
     : rel_(rel), cancel_(cancel) {
-  Rebuild();
-}
-
-EncodedRelation EncodedRelation::FromStorage(
-    const Relation* rel, std::vector<std::shared_ptr<Dictionary>> dicts,
-    std::vector<CodeColumn> columns) {
-  assert(rel != nullptr);
-  assert(dicts.size() == rel->schema().size());
-  assert(columns.size() == rel->schema().size());
-  EncodedRelation enc;
-  enc.rel_ = rel;
-  enc.dicts_ = std::move(dicts);
-  enc.columns_ = std::move(columns);
-  for (const auto& col : enc.columns_) {
-    assert(col.size() == static_cast<size_t>(rel->IdBound()));
-    (void)col;
+  if (rel->has_columns()) {
+    Share(rel->dictionaries(), rel->columns());
+  } else {
+    Rebuild();
   }
-  enc.synced_version_ = rel->version();
-  enc.synced_overwrite_version_ = rel->overwrite_version();
-  return enc;
 }
 
 EncodedRelation EncodedRelation::Freeze(const Relation* view_rel) const {
   assert(view_rel != nullptr);
-  assert(view_rel->schema().size() == columns_.size());
-  assert(static_cast<size_t>(view_rel->IdBound()) ==
-         static_cast<size_t>(IdBound()));
   EncodedRelation out;
   out.rel_ = view_rel;
-  out.dicts_ = dicts_;  // shared by refcount; writer detaches before mutating
-  out.columns_.reserve(columns_.size());
-  for (const auto& col : columns_) out.columns_.push_back(col.ShareFrozen());
-  out.synced_version_ = view_rel->version();
-  out.synced_overwrite_version_ = view_rel->overwrite_version();
+  out.Share(dicts_, columns_);
   return out;
+}
+
+void EncodedRelation::Share(const std::vector<std::shared_ptr<Dictionary>>& dicts,
+                            const std::vector<CodeColumn>& columns) {
+  assert(rel_->schema().size() == columns.size());
+  dicts_ = dicts;  // shared by refcount; writers detach before mutating
+  columns_.reserve(columns.size());
+  for (const CodeColumn& col : columns) {
+    assert(col.size() == static_cast<size_t>(rel_->IdBound()));
+    columns_.push_back(col.ShareFrozen());
+  }
+  synced_version_ = rel_->version();
+  synced_overwrite_version_ = rel_->overwrite_version();
 }
 
 Dictionary& EncodedRelation::MutableDict(size_t col) {

@@ -47,7 +47,8 @@ namespace semandaq::relational {
 ///
 /// Sharing protocol (the server's epoch-published snapshots, docs/server.md).
 /// Freeze() captures an immutable view of the current encoded state in O(1)
-/// per column: frozen views share the chunks and dictionaries by refcount.
+/// per column: frozen views share the chunks and dictionaries by refcount,
+/// and so does every snapshot that adopts a column-backed relation.
 /// Afterwards the writer may keep mutating this object freely — appends land
 /// past every frozen view's size, and overwrites (Rebuild, ApplyCell after a
 /// SetCell) detach the touched chunk/dictionary copy-on-write first — so a
@@ -55,28 +56,16 @@ namespace semandaq::relational {
 /// block on the writer.
 class EncodedRelation {
  public:
-  /// Builds the snapshot with one pass over the live tuples. With a cancel
-  /// token (common/cancel.h, checked every few thousand rows), a
-  /// tripped token abandons the encode and leaves the snapshot *out of
-  /// sync* — InSync() stays false, so nothing ever reads the half-encoded
-  /// codes as current; callers surface the latched token as
-  /// Status::Cancelled before using the snapshot.
+  /// The snapshot of `rel`. A relation that carries its build columns
+  /// (Relation::has_columns) is adopted in O(columns): frozen views of its
+  /// chunks and its shared dictionaries, as Freeze takes them; later writes
+  /// detach copy-on-write. Any other relation is encoded in one pass over
+  /// its live tuples; a tripped `cancel` token (common/cancel.h, checked
+  /// every few thousand rows) abandons that encode and leaves the snapshot
+  /// *out of sync* (InSync() false), so nothing ever reads half-encoded
+  /// codes as current.
   explicit EncodedRelation(const Relation* rel,
                            common::CancelToken* cancel = nullptr);
-
-  /// Adopts already-encoded state instead of re-encoding — the storage
-  /// layer's load path (storage::SnapshotReader): `dicts` and `columns`
-  /// come straight off disk, `rel` is the relation they describe (same
-  /// column count; each column sized to rel->IdBound()). The snapshot is
-  /// marked in sync with the relation's *current* version counters, so
-  /// mutations applied to `rel` afterwards (e.g. a WAL tail) flow through
-  /// the ordinary Sync() append path. The dictionaries and chunks arrive
-  /// refcounted, so the loader's deferred row hydrator shares them instead
-  /// of retaining a second copy of the file. Shape mismatches are caller
-  /// bugs and assert in debug builds.
-  static EncodedRelation FromStorage(
-      const Relation* rel, std::vector<std::shared_ptr<Dictionary>> dicts,
-      std::vector<CodeColumn> columns);
 
   /// An immutable view of the current encoded state for `view_rel` — a
   /// frozen materialization of the same tuples this snapshot describes
@@ -145,9 +134,11 @@ class EncodedRelation {
   /// a published snapshot.
   Dictionary& mutable_dictionary(size_t col) { return MutableDict(col); }
 
-  /// The refcounted dictionary itself (shared with frozen views).
-  const std::shared_ptr<Dictionary>& shared_dictionary(size_t col) const {
-    return dicts_[col];
+  /// Every code column and refcounted dictionary (shared with frozen
+  /// views) at once, in column order.
+  const std::vector<CodeColumn>& columns() const { return columns_; }
+  const std::vector<std::shared_ptr<Dictionary>>& dictionaries() const {
+    return dicts_;
   }
 
   /// Decoded value of a cell (NULL for kNullCode).
@@ -165,7 +156,12 @@ class EncodedRelation {
   }
 
  private:
-  EncodedRelation() = default;  // for FromStorage/Freeze
+  EncodedRelation() = default;  // for Freeze
+
+  /// Fills a fresh snapshot of rel_ with frozen views of `columns` and
+  /// shared `dicts` (adoption and Freeze alike), in sync with rel_.
+  void Share(const std::vector<std::shared_ptr<Dictionary>>& dicts,
+             const std::vector<CodeColumn>& columns);
 
   /// False when a cancel token tripped mid-encode; the caller must then
   /// leave the sync marks untouched (the snapshot stays stale).

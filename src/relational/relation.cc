@@ -10,17 +10,18 @@ Relation::Relation(const Relation& other) { *this = other; }
 
 Relation& Relation::operator=(const Relation& other) {
   if (this == &other) return *this;
-  // The source's rows, hydrator and hydration flag change together under
-  // its hydrate mutex (HydrateRows moves the hydrator out and fills the
-  // rows), so they are read under it too. An unhydrated source stays
-  // unhydrated: the copy re-runs the (pure) hydrator independently, under
-  // its own mutex, which keeps a clone of a lazily loaded epoch from
+  // The source's rows, build columns and hydration flag change together
+  // under its hydrate mutex (HydrateRows fills the rows and may drop the
+  // columns), so they are read under it too. An unhydrated source stays
+  // unhydrated: the copy keeps the same frozen columns and decodes from
+  // them independently, which keeps a clone of a lazily loaded epoch from
   // pinning a second decoded copy of its rows.
   {
     std::unique_lock<std::mutex> lock;
     if (other.hydrate_mu_ != nullptr) lock = std::unique_lock(*other.hydrate_mu_);
     rows_ = other.rows_;
-    hydrator_ = other.hydrator_;
+    dicts_ = other.dicts_;
+    columns_ = other.columns_;
     needs_hydration_.store(other.needs_hydration_.load(std::memory_order_acquire),
                            std::memory_order_release);
   }
@@ -42,16 +43,17 @@ Relation::Relation(Relation&& other) noexcept
     : name_(std::move(other.name_)),
       schema_(std::move(other.schema_)),
       rows_(std::move(other.rows_)),
-      hydrator_(std::move(other.hydrator_)),
       needs_hydration_(other.needs_hydration_.load(std::memory_order_acquire)),
       hydrate_mu_(std::move(other.hydrate_mu_)),
       live_(std::move(other.live_)),
+      dicts_(std::move(other.dicts_)),
+      columns_(std::move(other.columns_)),
       live_count_(other.live_count_),
       version_(other.version_),
       overwrite_version_(other.overwrite_version_),
       observer_(other.observer_) {
   other.observer_ = nullptr;
-  // The moved-from shell has neither hydrator nor mutex left; make sure it
+  // The moved-from shell has neither columns nor mutex left; make sure it
   // can never try to hydrate.
   other.needs_hydration_.store(false, std::memory_order_release);
 }
@@ -61,11 +63,12 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   name_ = std::move(other.name_);
   schema_ = std::move(other.schema_);
   rows_ = std::move(other.rows_);
-  hydrator_ = std::move(other.hydrator_);
   needs_hydration_.store(other.needs_hydration_.load(std::memory_order_acquire),
                          std::memory_order_release);
   hydrate_mu_ = std::move(other.hydrate_mu_);
   live_ = std::move(other.live_);
+  dicts_ = std::move(other.dicts_);
+  columns_ = std::move(other.columns_);
   live_count_ = other.live_count_;
   version_ = other.version_;
   overwrite_version_ = other.overwrite_version_;
@@ -75,29 +78,51 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   return *this;
 }
 
-Relation Relation::FromStorage(std::string name, Schema schema,
+Relation Relation::FromColumns(std::string name, Schema schema,
                                std::vector<uint8_t> live,
-                               RowHydrator hydrator) {
+                               std::vector<std::shared_ptr<Dictionary>> dicts,
+                               std::vector<CodeColumn> columns) {
+  assert(dicts.size() == schema.size() && columns.size() == schema.size());
   Relation rel(std::move(name), std::move(schema));
   rel.rows_.resize(live.size());  // empty placeholders until hydration
   for (size_t i = 0; i < live.size(); ++i) {
     if (live[i] != 0) ++rel.live_count_;
   }
   rel.live_ = std::move(live);
-  rel.hydrator_ = std::move(hydrator);
+  rel.dicts_ = std::move(dicts);
+  rel.columns_.reserve(columns.size());
+  for (const CodeColumn& col : columns) {
+    assert(col.size() == rel.live_.size());
+    rel.columns_.push_back(col.ShareFrozen());  // never written from here on
+  }
   rel.needs_hydration_.store(true, std::memory_order_release);
   return rel;
 }
 
 void Relation::HydrateRows() const {
-  // Detach first so a buggy hydrator touching the relation cannot recurse.
-  RowHydrator hydrator = std::move(hydrator_);
-  hydrator_ = nullptr;
-  std::vector<Row> rows = hydrator();
-  // Appends after FromStorage may have grown the tail past the hydrated
-  // prefix; the hydrator only covers the ids it was installed for.
-  assert(rows.size() <= rows_.size());
-  for (size_t i = 0; i < rows.size(); ++i) rows_[i] = std::move(rows[i]);
+  // Appends may have grown the tail past the ids the columns cover; those
+  // rows are materialized already. Dead ids keep empty placeholders.
+  const size_t ncols = columns_.size();
+  const size_t bound = ncols == 0 ? 0 : columns_[0].size();
+  for (size_t tid = 0; tid < bound; ++tid) {
+    if (live_[tid]) rows_[tid].resize(ncols);
+  }
+  for (size_t c = 0; c < ncols; ++c) {
+    const Code* codes = columns_[c].data();
+    const Dictionary& dict = *dicts_[c];
+    for (size_t tid = 0; tid < bound; ++tid) {
+      if (!live_[tid]) continue;
+      const Code code = codes[tid];
+      if (code != kNullCode) rows_[tid][c] = dict.Decode(code);
+    }
+  }
+}
+
+void Relation::ReleaseStaleColumns() const {
+  if (version_ != 0 && !needs_hydration_.load(std::memory_order_acquire)) {
+    dicts_.clear();
+    columns_.clear();
+  }
 }
 
 common::Result<TupleId> Relation::Insert(Row row) {
@@ -110,6 +135,7 @@ common::Result<TupleId> Relation::Insert(Row row) {
   live_.push_back(1);
   ++live_count_;
   ++version_;
+  ReleaseStaleColumns();
   const TupleId tid = static_cast<TupleId>(rows_.size() - 1);
   if (observer_ != nullptr) observer_->OnInsert(tid, rows_.back());
   return tid;
@@ -143,6 +169,7 @@ common::Status Relation::Delete(TupleId tid) {
   live_[static_cast<size_t>(tid)] = 0;
   --live_count_;
   ++version_;
+  ReleaseStaleColumns();
   if (observer_ != nullptr) observer_->OnDelete(tid);
   return common::Status::OK();
 }
@@ -154,6 +181,7 @@ common::Status Relation::SetCell(TupleId tid, size_t col, Value v) {
   rows_[static_cast<size_t>(tid)][col] = std::move(v);
   ++version_;
   ++overwrite_version_;
+  ReleaseStaleColumns();
   if (observer_ != nullptr) {
     observer_->OnSetCell(tid, col, rows_[static_cast<size_t>(tid)][col]);
   }

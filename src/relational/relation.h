@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -11,6 +10,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "relational/column_chunk.h"
+#include "relational/dictionary.h"
 #include "relational/schema.h"
 #include "relational/value.h"
 
@@ -54,24 +55,18 @@ class Relation {
   Relation(Relation&& other) noexcept;
   Relation& operator=(Relation&& other) noexcept;
 
-  /// Produces the decoded rows for the ids a lazily loaded relation was
-  /// created with — the deferred half of Relation::FromStorage. Must be
-  /// pure (a Clone of an unhydrated relation re-runs it independently) and
-  /// infallible (the storage loader checksum-validates everything before
-  /// installing one; by hydration time there is nothing left to fail).
-  using RowHydrator = std::function<std::vector<Row>()>;
-
-  /// Bulk-load hook for the storage layer: adopts a liveness mask (one
-  /// byte per id; nonzero = live) — the positional index is the TupleId, so
-  /// ids and tombstones of a persisted relation come back exactly — and a
-  /// deferred row materializer. Rows
-  /// stay unmaterialized until the first row access (EnsureHydrated), so a
-  /// load-then-detect path that scans encoded columns never pays the
-  /// per-cell decode at all; audit/repair/SQL hydrate transparently on
-  /// first touch. Version counters start at 0, as for a freshly built
-  /// relation.
-  static Relation FromStorage(std::string name, Schema schema,
-                              std::vector<uint8_t> live, RowHydrator hydrator);
+  /// The one factory for column-backed relations (storage loads and
+  /// published server epochs): a liveness mask (one byte per TupleId;
+  /// nonzero = live, so ids and tombstones come back exactly) plus one
+  /// shared dictionary and code column per attribute, each column sized
+  /// live.size(). The relation keeps frozen views of them: it decodes its
+  /// rows from them on first row access (EnsureHydrated), and while it is
+  /// unmutated EncodedRelation(&rel) adopts them instead of re-encoding;
+  /// copies keep them too. Once both mutated and hydrated, it drops them.
+  static Relation FromColumns(std::string name, Schema schema,
+                              std::vector<uint8_t> live,
+                              std::vector<std::shared_ptr<Dictionary>> dicts,
+                              std::vector<CodeColumn> columns);
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
@@ -117,8 +112,21 @@ class Relation {
   /// appends/deletes and can catch up without a full rebuild.
   uint64_t overwrite_version() const { return overwrite_version_; }
 
+  /// True while the relation carries the columns it was built from
+  /// (FromColumns) and is unmutated, i.e. while they describe exactly its
+  /// contents; only then may dictionaries() and columns() be adopted.
+  bool has_columns() const { return version_ == 0 && !columns_.empty(); }
+
+  /// One shared dictionary and frozen code column (indexed by TupleId) per
+  /// attribute; see has_columns. Never written: adopters detach
+  /// copy-on-write.
+  const std::vector<std::shared_ptr<Dictionary>>& dictionaries() const {
+    return dicts_;
+  }
+  const std::vector<CodeColumn>& columns() const { return columns_; }
+
   /// Materializes lazily loaded rows (no-op for every relation not built
-  /// by FromStorage, and after the first call). Every row accessor invokes
+  /// by FromColumns, and after the first call). Every row accessor invokes
   /// this automatically. Hydration itself is thread-safe (double-checked
   /// under an internal mutex), so concurrent *readers* of an immutable
   /// relation — e.g. server sessions sharing one pinned snapshot — may
@@ -131,6 +139,7 @@ class Relation {
       if (needs_hydration_.load(std::memory_order_relaxed)) {
         HydrateRows();
         needs_hydration_.store(false, std::memory_order_release);
+        ReleaseStaleColumns();
       }
     }
   }
@@ -183,8 +192,11 @@ class Relation {
   std::string ToAsciiTable(size_t max_rows = 20) const;
 
  private:
-  /// Runs and discards the installed hydrator (see FromStorage).
+  /// Decodes the live rows the build columns cover (see FromColumns).
   void HydrateRows() const;
+
+  /// Drops the build columns once mutated and hydrated: no one can use them.
+  void ReleaseStaleColumns() const;
 
   std::string name_;
   Schema schema_;
@@ -192,7 +204,6 @@ class Relation {
   // mutable; hydration replaces empty placeholders with equal-by-contract
   // decoded rows, so observable state never changes.
   mutable std::vector<Row> rows_;
-  mutable RowHydrator hydrator_;  // non-null = rows_ prefix pending
   mutable std::atomic<bool> needs_hydration_{false};
   mutable std::unique_ptr<std::mutex> hydrate_mu_ =
       std::make_unique<std::mutex>();
@@ -200,6 +211,11 @@ class Relation {
   // kernels need a raw byte pointer, and byte loads beat bit extraction in
   // the scalar paths too.
   std::vector<uint8_t> live_;
+  // The FromColumns inputs (empty for row-built relations). Hydrating a
+  // mutated relation drops them, but readers only look while version_ == 0,
+  // so concurrent readers of an epoch never race with that.
+  mutable std::vector<std::shared_ptr<Dictionary>> dicts_;
+  mutable std::vector<CodeColumn> columns_;
   size_t live_count_ = 0;
   uint64_t version_ = 0;
   uint64_t overwrite_version_ = 0;

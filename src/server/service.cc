@@ -10,6 +10,7 @@
 #include "common/string_util.h"
 #include "core/command_words.h"
 #include "core/explorer.h"
+#include "detect/sql_detector.h"
 #include "discovery/cfd_miner.h"
 #include "relational/csv_io.h"
 #include "repair/cost_model.h"
@@ -21,6 +22,23 @@ namespace semandaq::server {
 
 using common::Result;
 using common::Status;
+
+namespace {
+
+/// The scratch catalog the SQL verbs run on: one clone per pinned epoch.
+/// They never touch the live master and hold no lock while they run. The
+/// clones are unmutated and carry their epoch's code columns, so the SQL
+/// executor adopts those instead of re-encoding.
+Result<relational::Database> ScratchCatalog(
+    const std::vector<SnapshotPtr>& pinned) {
+  relational::Database scratch;
+  for (const SnapshotPtr& snap : pinned) {
+    SEMANDAQ_RETURN_IF_ERROR(scratch.AddRelation(snap->relation.Clone()));
+  }
+  return scratch;
+}
+
+}  // namespace
 
 SemandaqService::SemandaqService(ServiceOptions options)
     : scheduler_(options.scheduler_lanes),
@@ -428,10 +446,13 @@ common::Result<std::string> SemandaqService::CmdDetect(
         "threads=/simd= apply to the native detector only");
   }
   if (want_sql) {
-    // The generated-SQL detector reads the shared catalog: writer lock.
-    std::lock_guard<std::mutex> lock(sys_mu_);
-    SEMANDAQ_ASSIGN_OR_RETURN(
-        auto table, sys_.DetectErrors(args[0], core::Semandaq::DetectorKind::kSql));
+    // The SQL detector stores its tableaus beside the data: it runs on a
+    // scratch catalog of the pinned epoch, never on the master.
+    SnapshotPtr snap = Pin(args[0]);
+    if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
+    SEMANDAQ_ASSIGN_OR_RETURN(relational::Database scratch, ScratchCatalog({snap}));
+    detect::SqlDetector detector(&scratch, args[0], CfdsFor(args[0]));
+    SEMANDAQ_ASSIGN_OR_RETURN(auto table, detector.Detect());
     return table.Summary() + "\n";
   }
 
@@ -627,42 +648,18 @@ common::Result<std::string> SemandaqService::CmdExplore(
 common::Result<std::string> SemandaqService::CmdSql(
     std::string_view query, common::CancelToken* cancel) {
   // Pin one consistent set: the latest epoch of every published relation.
-  // The scratch catalog below is built from those pins alone, so the
-  // query never touches the live master (and holds no lock while it runs).
   std::vector<SnapshotPtr> pinned;
   {
-    std::vector<std::shared_ptr<Slot>> slots;
-    {
-      std::lock_guard<std::mutex> lock(slots_mu_);
-      slots.reserve(slots_.size());
-      for (const auto& [key, slot] : slots_) slots.push_back(slot);
-    }
-    for (const auto& slot : slots) {
+    std::lock_guard<std::mutex> lock(slots_mu_);
+    for (const auto& [key, slot] : slots_) {
       if (SnapshotPtr snap = std::atomic_load(&slot->snap)) {
         pinned.push_back(std::move(snap));
       }
     }
   }
-  relational::Database scratch;
-  std::vector<std::unique_ptr<relational::EncodedRelation>> frozen;
-  std::unordered_map<const relational::Relation*,
-                     const relational::EncodedRelation*>
-      encoded_of;
-  for (const SnapshotPtr& snap : pinned) {
-    SEMANDAQ_RETURN_IF_ERROR(scratch.AddRelation(snap->relation.Clone()));
-    relational::Relation* rel = scratch.FindMutableRelation(snap->name);
-    frozen.push_back(std::make_unique<relational::EncodedRelation>(
-        snap->encoded->Freeze(rel)));
-    encoded_of[rel] = frozen.back().get();
-  }
+  SEMANDAQ_ASSIGN_OR_RETURN(relational::Database scratch, ScratchCatalog(pinned));
   sql::Engine engine(&scratch);
   engine.set_cancel(cancel);
-  engine.set_encoded_provider(
-      [&encoded_of](const relational::Relation* rel)
-          -> const relational::EncodedRelation* {
-        auto it = encoded_of.find(rel);
-        return it == encoded_of.end() ? nullptr : it->second;
-      });
   SEMANDAQ_ASSIGN_OR_RETURN(relational::Relation result,
                             engine.Query(common::Trim(query)));
   return result.ToAsciiTable(50);

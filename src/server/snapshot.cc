@@ -1,10 +1,6 @@
 #include "server/snapshot.h"
 
-#include <utility>
 #include <vector>
-
-#include "relational/column_chunk.h"
-#include "relational/dictionary.h"
 
 namespace semandaq::server {
 
@@ -15,35 +11,16 @@ SnapshotPtr BuildRelationSnapshot(const relational::Relation& master,
   snap->epoch = epoch;
   snap->name = master.name();
 
+  // The epoch's relation is built over frozen views of the warm encoded
+  // form's chunks and shared references to its dictionaries. The master
+  // may relocate chunks or clone dictionaries later; these views keep the
+  // epoch's bytes alive and unchanged by refcount.
   const size_t bound = static_cast<size_t>(master.IdBound());
-  std::vector<uint8_t> live(master.live_data(), master.live_data() + bound);
-
-  // The deferred row hydrator captures frozen views of the warm encoded
-  // form's chunks and shared references to its dictionaries — the same
-  // zero-copy shape the storage loader uses (storage/snapshot.cc). The
-  // master may relocate chunks or clone dictionaries later; these views
-  // keep the epoch's bytes alive and unchanged by refcount.
-  struct HydrationSource {
-    std::vector<std::shared_ptr<relational::Dictionary>> dicts;
-    std::vector<relational::CodeColumn> columns;
-    std::vector<uint8_t> live;
-  };
-  auto source = std::make_shared<HydrationSource>();
-  const size_t ncols = warm.num_columns();
-  source->dicts.reserve(ncols);
-  source->columns.reserve(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    source->dicts.push_back(warm.shared_dictionary(c));
-    source->columns.push_back(warm.column(c).ShareFrozen());
-  }
-  source->live = live;
-
-  snap->relation = relational::Relation::FromStorage(
-      master.name(), master.schema(), std::move(live), [source]() {
-        return relational::DecodeRowsFromColumns(source->dicts, source->columns,
-                                                 source->live);
-      });
-  snap->encoded.emplace(warm.Freeze(&snap->relation));
+  snap->relation = relational::Relation::FromColumns(
+      master.name(), master.schema(),
+      std::vector<uint8_t>(master.live_data(), master.live_data() + bound),
+      warm.dictionaries(), warm.columns());
+  snap->encoded.emplace(&snap->relation);  // adopts the same columns
   return snap;
 }
 

@@ -16,14 +16,16 @@ namespace semandaq::server {
 ///
 /// The replica is cheap because nothing in it is a second copy of the data:
 ///
-///   * `relation` is built via Relation::FromStorage — a liveness bitmap
-///     plus a deferred row hydrator that decodes from the *same* refcounted
-///     column chunks and dictionaries the encoded form scans (hydration is
-///     thread-safe, so racing readers may hydrate it on first row access);
-///   * `encoded` is an EncodedRelation::Freeze view — O(1) per column,
-///     sharing the master's chunks by refcount; the master's later appends
-///     land past this view's published sizes and its overwrites detach
-///     (copy-on-write), so the bytes a pinned epoch sees never change.
+///   * `relation` is built by Relation::FromColumns over frozen views of
+///     the master's warm encoded chunks and its shared dictionaries — a
+///     liveness bitmap plus the columns, decoded into rows only on first
+///     row access (hydration is thread-safe, so racing readers may hydrate
+///     it). The master's later appends land past these views' sizes and
+///     its overwrites detach (copy-on-write), so the bytes a pinned epoch
+///     sees never change;
+///   * `encoded` adopts the same columns (EncodedRelation(&relation)), as
+///     does every engine that builds its own EncodedRelation over the
+///     epoch or over a clone of it.
 ///
 /// Lifetime: snapshots are handed out as shared_ptr<const RelationSnapshot>
 /// and published via atomic shared_ptr swaps (SemandaqService); a session

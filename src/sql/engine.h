@@ -1,15 +1,20 @@
 #ifndef SEMANDAQ_SQL_ENGINE_H_
 #define SEMANDAQ_SQL_ENGINE_H_
 
+#include <functional>
 #include <string_view>
-#include <utility>
 
 #include "common/status.h"
 #include "relational/database.h"
+#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 #include "sql/executor.h"
 
 namespace semandaq::sql {
+
+/// The argument type of the ignored Engine::set_encoded_provider.
+using EncodedProvider = std::function<const relational::EncodedRelation*(
+    const relational::Relation*)>;
 
 /// Front door of the SQL substrate: parse + bind + execute against a
 /// database. This is the component the error detector hands its generated
@@ -20,13 +25,10 @@ class Engine {
   /// The database must outlive the engine. Not owned.
   explicit Engine(const relational::Database* db) : db_(db) {}
 
-  /// Attaches the warm-snapshot resolver enabling the executor's
-  /// code-compiled fast paths (see sql::Execute): string-equality scans,
-  /// shared-dictionary hash joins, and GROUP BY on dictionary codes.
-  /// Results are identical with or without it.
-  void set_encoded_provider(EncodedProvider provider) {
-    provider_ = std::move(provider);
-  }
+  /// Ignored: the executor adopts the codes of every column-backed,
+  /// unmutated table itself (see sql::Execute). Kept so existing callers
+  /// still compile.
+  void set_encoded_provider(EncodedProvider /*provider*/) {}
 
   /// Attaches a cooperative cancellation token (common/cancel.h) checked
   /// at the executor's batch boundaries. nullptr = not cancellable.
@@ -38,7 +40,6 @@ class Engine {
 
  private:
   const relational::Database* db_;
-  EncodedProvider provider_;
   common::CancelToken* cancel_ = nullptr;
 };
 

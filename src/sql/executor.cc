@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -9,6 +10,7 @@
 #include "common/hash.h"
 #include "common/simd/simd.h"
 #include "common/string_util.h"
+#include "relational/encoded_relation.h"
 
 namespace semandaq::sql {
 
@@ -82,9 +84,8 @@ constexpr size_t kCancelBatch = 4096;
 
 class ExecutorImpl {
  public:
-  ExecutorImpl(const BoundQuery& q, const EncodedProvider& encoded,
-               common::CancelToken* cancel)
-      : q_(q), provider_(encoded), cancel_(cancel) {}
+  ExecutorImpl(const BoundQuery& q, common::CancelToken* cancel)
+      : q_(q), cancel_(cancel), enc_(q.tables.size()) {}
 
   Result<Relation> Run(std::string_view result_name) {
     SEMANDAQ_ASSIGN_OR_RETURN(std::vector<JoinedRow> rows, BuildJoin());
@@ -320,25 +321,15 @@ class ExecutorImpl {
     return mask;
   }
 
-  /// The table's warm encoded snapshot, if the provider has one that is in
-  /// sync and shape-matching; nullptr disables the code fast paths for it.
-  /// Resolved once per table index (validation included) and cached.
+  /// The codes of FROM table t when the table carries the code columns it
+  /// was built from and is unmutated (Relation::has_columns): adopted once
+  /// per table index, in O(columns). nullptr keeps the value paths.
   const EncodedRelation* EncodedFor(size_t t) {
-    if (!provider_) return nullptr;
-    if (enc_.empty()) {
-      enc_.assign(q_.tables.size(), nullptr);
-      enc_resolved_.assign(q_.tables.size(), false);
+    const Relation* rel = q_.tables[t];
+    if (enc_[t] == nullptr && rel->has_columns()) {
+      enc_[t] = std::make_unique<EncodedRelation>(rel);
     }
-    if (!enc_resolved_[t]) {
-      enc_resolved_[t] = true;
-      const Relation* rel = q_.tables[t];
-      const EncodedRelation* e = provider_(rel);
-      if (e != nullptr && e->InSync() && e->IdBound() == rel->IdBound() &&
-          e->num_columns() == rel->schema().size()) {
-        enc_[t] = e;
-      }
-    }
-    return enc_[t];
+    return enc_[t].get();
   }
 
   /// True when conjunct `e` is `col = 'string literal'` (either side order)
@@ -861,22 +852,19 @@ class ExecutorImpl {
   }
 
   const BoundQuery& q_;
-  const EncodedProvider& provider_;
   common::CancelToken* cancel_ = nullptr;
   size_t rows_since_check_ = 0;
-  /// Per-FROM-table resolved encoded snapshots (see EncodedFor); lazily
-  /// filled, nullptr = fall back to the value paths for that table.
-  std::vector<const EncodedRelation*> enc_;
-  std::vector<bool> enc_resolved_;
+  /// Per-FROM-table adopted codes (see EncodedFor), filled on first use;
+  /// nullptr = the value paths for that table.
+  std::vector<std::unique_ptr<EncodedRelation>> enc_;
 };
 
 }  // namespace
 
 common::Result<relational::Relation> Execute(const BoundQuery& query,
                                              std::string_view result_name,
-                                             const EncodedProvider& encoded,
                                              common::CancelToken* cancel) {
-  ExecutorImpl impl(query, encoded, cancel);
+  ExecutorImpl impl(query, cancel);
   return impl.Run(result_name);
 }
 

@@ -1,24 +1,15 @@
 #ifndef SEMANDAQ_SQL_EXECUTOR_H_
 #define SEMANDAQ_SQL_EXECUTOR_H_
 
-#include <functional>
 #include <string>
 #include <string_view>
 
 #include "common/cancel.h"
 #include "common/status.h"
-#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 #include "sql/binder.h"
 
 namespace semandaq::sql {
-
-/// Resolves a FROM table to its warm dictionary-encoded snapshot, or
-/// nullptr when none exists. The executor validates the snapshot itself
-/// (in sync, shape-matching) before trusting it, so providers can hand
-/// back whatever the facade has without freshness bookkeeping.
-using EncodedProvider = std::function<const relational::EncodedRelation*(
-    const relational::Relation*)>;
 
 /// Evaluates a bound query and materializes the result as a relation.
 ///
@@ -30,10 +21,13 @@ using EncodedProvider = std::function<const relational::EncodedRelation*(
 /// DISTINCT / SUM / AVG / MIN / MAX. NULL comparison follows three-valued
 /// logic throughout.
 ///
-/// With an EncodedProvider, tables whose warm snapshot is in sync get the
-/// code-compiled fast paths — results are row-for-row identical to the
-/// value paths (the group emission order of an un-ORDER-BY'd aggregate may
-/// differ, as it always could between hash-map states):
+/// A FROM table that carries the code columns it was built from and is
+/// unmutated (Relation::has_columns: a loaded snapshot, a published epoch,
+/// or a clone of either) gets the code-compiled fast paths; the executor
+/// adopts its columns itself, in O(columns). Results are row-for-row
+/// identical to the value paths (the group emission order of an
+/// un-ORDER-BY'd aggregate may differ, as it always could between hash-map
+/// states):
 ///  * `col = 'string literal'` conjuncts on a base scan compile to one
 ///    dictionary lookup + a FilterEqMulti32/MaskLive kernel pass over the
 ///    code column (only non-NULL string literals: a numeric literal can
@@ -50,7 +44,6 @@ using EncodedProvider = std::function<const relational::EncodedRelation*(
 /// publishes nothing.
 common::Result<relational::Relation> Execute(const BoundQuery& query,
                                              std::string_view result_name = "result",
-                                             const EncodedProvider& encoded = {},
                                              common::CancelToken* cancel = nullptr);
 
 }  // namespace semandaq::sql

@@ -48,18 +48,6 @@ void PatchU64(std::string* buf, size_t at, uint64_t v) {
   std::memcpy(&(*buf)[at], &v, sizeof v);
 }
 
-/// Everything the deferred row materializer needs: frozen views of the
-/// same refcounted chunks and dictionaries the adopted EncodedRelation
-/// scans — NOT a second copy of the file. Shared by the hydrator closure
-/// and by its copies when an unhydrated relation is cloned. All of it was
-/// checksum-verified by Read before the hydrator was installed, so
-/// hydration itself cannot fail.
-struct HydrationSource {
-  std::vector<std::shared_ptr<Dictionary>> dicts;
-  std::vector<relational::CodeColumn> columns;  // frozen views
-  std::vector<uint8_t> live;  // one byte per id, nonzero = live
-};
-
 /// Verifies one section's bounds (inside the data area between header and
 /// manifest) and checksum, returning a pointer to its first byte.
 Result<const uint8_t*> CheckSection(const std::string& file, uint64_t offset,
@@ -313,8 +301,10 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
   SEMANDAQ_ASSIGN_OR_RETURN(uint32_t ncols, m.GetU32());
   std::vector<AttributeDef> attrs;
   attrs.reserve(ncols);
-  out.dicts.reserve(ncols);
-  out.columns.reserve(ncols);
+  std::vector<std::shared_ptr<Dictionary>> dicts;
+  std::vector<relational::CodeColumn> columns;
+  dicts.reserve(ncols);
+  columns.reserve(ncols);
   for (uint32_t c = 0; c < ncols; ++c) {
     AttributeDef attr;
     SEMANDAQ_ASSIGN_OR_RETURN(attr.name, m.GetString());
@@ -359,12 +349,12 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
     }
     SEMANDAQ_ASSIGN_OR_RETURN(Dictionary dict,
                               Dictionary::FromDecodedValues(std::move(decoded)));
-    out.dicts.push_back(std::make_shared<Dictionary>(std::move(dict)));
+    dicts.push_back(std::make_shared<Dictionary>(std::move(dict)));
 
     // Code array: one memcpy off the file buffer into a refcounted chunk,
     // no per-value decoding — and the only copy of the codes this load
-    // retains (the row hydrator shares the chunk; the file buffer dies
-    // with this call). The file offsets are arbitrary, so the memcpy also
+    // retains (the relation keeps the chunk; the file buffer dies with
+    // this call). The file offsets are arbitrary, so the memcpy also
     // realigns the codes for the SIMD-friendly chunk storage.
     if (ext.codes_size != id_bound * sizeof(Code)) {
       return Status::IoError("corrupted snapshot manifest: code array of " +
@@ -378,7 +368,7 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
     relational::CodeColumn codes;
     codes.Assign(reinterpret_cast<const Code*>(code_bytes),
                  static_cast<size_t>(id_bound));
-    out.columns.push_back(std::move(codes));
+    columns.push_back(std::move(codes));
   }
   if (!m.exhausted()) {
     return Status::IoError("corrupted snapshot manifest: trailing bytes");
@@ -387,8 +377,7 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
   // Rebuild the relation: same TupleIds, tombstones preserved. Every live
   // code is bounds-checked against its dictionary now — a code past the
   // dictionary means the file lies — but the per-cell *decode* into rows
-  // is deferred: the relation gets a hydrator that materializes from the
-  // retained file buffer on first row access (Relation::FromStorage), so
+  // is deferred to the first row access (Relation::FromColumns), so
   // load-then-detect never pays it.
   Schema schema(std::move(attrs));
   std::vector<uint8_t> live(static_cast<size_t>(id_bound), 0);
@@ -404,8 +393,8 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
                            "with the recorded live count");
   }
   for (uint32_t c = 0; c < ncols; ++c) {
-    const Dictionary& dict = *out.dicts[c];
-    const relational::CodeColumn& codes = out.columns[c];
+    const Dictionary& dict = *dicts[c];
+    const relational::CodeColumn& codes = columns[c];
     for (uint64_t tid = 0; tid < id_bound; ++tid) {
       if (live[static_cast<size_t>(tid)] &&
           !dict.Contains(codes[static_cast<size_t>(tid)])) {
@@ -415,22 +404,9 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
     }
   }
 
-  // The deferred row hydrator decodes from frozen views of the chunks and
-  // dictionaries just built — by refcount, not by copy. The file buffer is
-  // NOT captured: it dies when this function returns, so a loaded-but-
-  // unhydrated relation holds exactly one copy of the data (the chunks).
-  auto source = std::make_shared<HydrationSource>();
-  source->dicts = out.dicts;
-  source->columns.reserve(ncols);
-  for (const auto& col : out.columns) {
-    source->columns.push_back(col.ShareFrozen());
-  }
-  source->live = live;
-  out.relation = Relation::FromStorage(
-      out.saved_name, std::move(schema), std::move(live), [source]() {
-        return relational::DecodeRowsFromColumns(source->dicts,
-                                                 source->columns, source->live);
-      });
+  out.relation = Relation::FromColumns(out.saved_name, std::move(schema),
+                                       std::move(live), std::move(dicts),
+                                       std::move(columns));
   return out;
 }
 

@@ -2,13 +2,9 @@
 #define SEMANDAQ_STORAGE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "relational/column_chunk.h"
-#include "relational/dictionary.h"
 #include "relational/encoded_relation.h"
 #include "relational/relation.h"
 
@@ -49,16 +45,14 @@ class SnapshotWriter {
 };
 
 /// A snapshot pulled back into memory: the reconstructed relation (same
-/// TupleIds, tombstones preserved) plus the encoded columns exactly as
-/// saved — refcounted chunks and dictionaries ready for
-/// EncodedRelation::FromStorage, no per-value re-encode. The relation's
-/// deferred row hydrator decodes from frozen views of these same chunks
-/// and dictionaries, so nothing holds a second copy of the data (the file
-/// buffer is released before Read returns).
+/// TupleIds, tombstones preserved), built by Relation::FromColumns over the
+/// encoded columns exactly as saved — refcounted chunks and dictionaries,
+/// no per-value re-encode. EncodedRelation(&relation) adopts them in
+/// O(columns), and the relation decodes its rows from them on first row
+/// access, so nothing holds a second copy of the data (the file buffer is
+/// released before Read returns).
 struct LoadedSnapshot {
   relational::Relation relation;
-  std::vector<std::shared_ptr<relational::Dictionary>> dicts;
-  std::vector<relational::CodeColumn> columns;
   std::string saved_name;           ///< relation name at save time
   uint64_t manifest_checksum = 0;   ///< identity the WAL sidecar must carry
 };
@@ -68,8 +62,8 @@ class SnapshotReader {
   /// Loads a snapshot with one bulk read: the file is pulled into memory
   /// with a single read and the code arrays are memcpy'd straight into
   /// their column chunks — no per-value decoding on the code path, and no
-  /// second retained copy (the deferred row hydrator shares the chunks by
-  /// refcount; the file buffer dies with this call). Every section is
+  /// second retained copy (the relation keeps the chunks; the file buffer
+  /// dies with this call). Every section is
   /// checksum-verified before use; corruption and truncation come back
   /// as IoError, never as garbage data. Does NOT replay the WAL sidecar
   /// (storage::ReplayWal; the relation must be registered at its final

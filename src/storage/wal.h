@@ -149,8 +149,8 @@ class WalAttachment : public relational::MutationObserver {
 /// predecessor's empty sidecar beside the fresh snapshot). A torn final
 /// record is dropped silently (crash tail); any earlier corruption is an
 /// IoError. Returns the number of records applied — after it,
-/// EncodedRelation::Sync() brings a snapshot loaded via FromStorage up to
-/// date.
+/// EncodedRelation::Sync() brings the codes adopted from the loaded
+/// snapshot up to date.
 ///
 /// `cancel` (common/cancel.h) is checked once per record: a tripped token
 /// stops the replay with Status::Cancelled / Status::DeadlineExceeded,

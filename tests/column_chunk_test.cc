@@ -1,7 +1,8 @@
 // The COW column-chunk layer (src/relational/column_chunk): frozen shares
 // must be bit-stable forever — writer appends land past their size, writer
-// overwrites detach first — copies must keep plain value semantics, and
-// the shared row hydrator must decode exactly the rows that were encoded.
+// overwrites detach first — copies must keep plain value semantics, and a
+// relation built over columns must decode exactly the rows that were
+// encoded.
 // These invariants are the foundation of the server's lock-free epoch
 // publication (docs/server.md), so they are tested directly here in
 // isolation from the server.
@@ -14,6 +15,7 @@
 
 #include "relational/column_chunk.h"
 #include "relational/dictionary.h"
+#include "relational/relation.h"
 #include "relational/value.h"
 #include "test_util.h"
 
@@ -169,7 +171,7 @@ TEST(CodeColumnTest, EqualityComparesLogicalContents) {
   EXPECT_EQ(a.ShareFrozen(), a);
 }
 
-TEST(CodeColumnTest, DecodeRowsFromColumnsRoundTrips) {
+TEST(CodeColumnTest, ColumnBackedRelationDecodesItsRows) {
   // Two columns over shared dictionaries, one dead row in the middle.
   auto dict0 = std::make_shared<Dictionary>();
   auto dict1 = std::make_shared<Dictionary>();
@@ -184,20 +186,26 @@ TEST(CodeColumnTest, DecodeRowsFromColumnsRoundTrips) {
     columns[1].PushBack(dict1->Encode(row[1]));
   }
   const std::vector<uint8_t> live = {1, 0, 1};
+  const Schema schema = Schema::AllStrings({"A", "B"});
 
-  const std::vector<Row> decoded =
-      DecodeRowsFromColumns({dict0, dict1}, columns, live);
-  ASSERT_EQ(decoded.size(), 3u);
-  EXPECT_EQ(decoded[0], rows[0]);
-  EXPECT_TRUE(decoded[1].empty());  // dead id: placeholder row
-  EXPECT_EQ(decoded[2], rows[2]);
+  const Relation rel =
+      Relation::FromColumns("t", schema, live, {dict0, dict1}, columns);
+  ASSERT_EQ(rel.IdBound(), 3);
+  EXPECT_EQ(rel.size(), 2u);
+  EXPECT_FALSE(rel.IsLive(1));
+  EXPECT_EQ(rel.row(0), rows[0]);
+  EXPECT_EQ(rel.row(2), rows[2]);
 
-  // Decoding from a frozen share of the columns yields the same rows —
-  // the server's snapshot hydrator path.
+  // Built over frozen shares of the columns (the server's epoch path), the
+  // relation decodes the same rows, and the source columns stay untouched.
   std::vector<CodeColumn> frozen;
   frozen.push_back(columns[0].ShareFrozen());
   frozen.push_back(columns[1].ShareFrozen());
-  EXPECT_EQ(DecodeRowsFromColumns({dict0, dict1}, frozen, live), decoded);
+  const Relation shared =
+      Relation::FromColumns("t", schema, live, {dict0, dict1}, frozen);
+  EXPECT_EQ(shared.row(0), rows[0]);
+  EXPECT_EQ(shared.row(2), rows[2]);
+  EXPECT_EQ(columns[0].data(), shared.columns()[0].data());
 }
 
 }  // namespace

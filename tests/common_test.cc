@@ -108,6 +108,7 @@ TEST(StringUtilTest, StartsEndsWith) {
 TEST(StringUtilTest, QuoteSqlStringEscapesQuotes) {
   EXPECT_EQ(QuoteSqlString("Abe's"), "'Abe''s'");
   EXPECT_EQ(QuoteSqlString(""), "''");
+  EXPECT_EQ(QuoteSqlString("B\"x", '"'), "\"B\"\"x\"");  // identifiers
 }
 
 TEST(StringUtilTest, DamerauLevenshteinBasics) {

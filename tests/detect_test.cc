@@ -205,6 +205,40 @@ TEST(SqlDetectorTest, ExposesGeneratedQueries) {
   }
 }
 
+// An attribute name holding `"` survives the generated SQL's identifier
+// quoting: the SQL path finds exactly the native violations.
+TEST(SqlDetectorTest, QuotedAttributeNameMatchesNative) {
+  Relation rel{"t", relational::Schema::AllStrings({"A", "B\"x"})};
+  rel.MustInsert({Value::String("x"), Value::String("1")});
+  rel.MustInsert({Value::String("x"), Value::String("2")});
+  rel.MustInsert({Value::String("y"), Value::String("3")});
+  const auto cfds = Parse("t: [A] -> [B\"x]");
+
+  NativeDetector native(&rel, cfds);
+  ASSERT_OK_AND_ASSIGN(ViolationTable native_table, native.Detect());
+  EXPECT_EQ(native_table.TotalVio(), 2);
+  Database db;
+  ASSERT_OK(db.AddRelation(rel.Clone()));
+  SqlDetector sql(&db, "t", cfds);
+  ASSERT_OK_AND_ASSIGN(ViolationTable sql_table, sql.Detect());
+  ExpectTablesEquivalent(native_table, sql_table, rel);
+}
+
+// A detection that fails after storing some tableau relations still removes
+// them: the database holds only the data afterwards.
+TEST(SqlDetectorTest, FailedDetectLeavesOnlyTheData) {
+  // The second embedded FD's tableau needs a `__cfd_id` column for its RHS
+  // next to its own `__cfd_id` bookkeeping column, which the store rejects
+  // after it stored the first group's tableau.
+  Relation rel{"t", relational::Schema::AllStrings({"A", "B", "__cfd_id"})};
+  rel.MustInsert({Value::String("x"), Value::String("1"), Value::String("1")});
+  Database db;
+  ASSERT_OK(db.AddRelation(std::move(rel)));
+  SqlDetector sql(&db, "t", Parse("t: [A] -> [B]\nt: [A] -> [__cfd_id]"));
+  EXPECT_FALSE(sql.Detect().ok());
+  EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"t"});
+}
+
 TEST(SqlDetectorTest, MissingRelationFails) {
   Database db;
   SqlDetector sql(&db, "nope", Parse("nope: [A] -> [B]"));

@@ -204,26 +204,29 @@ TEST(ServerConcurrencyTest, ReadersAreByteIdenticalToSerialRunsOnTheirEpoch) {
 
 // Every epoch's relation hydrates its rows lazily on first row access. A
 // `sql` or `clean` clone of a fresh epoch racing that epoch's first `show`
-// must copy either the unhydrated or the hydrated state — never a
-// hydrator the racing reader has already moved out.
+// must copy either the unhydrated or the hydrated state — never a half-
+// decoded one. The relation is large enough that decoding it spans the
+// clone.
 TEST(ServerConcurrencyTest, CloneRacingFirstHydrationIsSafe) {
-  std::vector<Row> rows;
-  for (int i = 0; i < 256; ++i) rows.push_back({Value::String(std::to_string(i))});
-  for (int iter = 0; iter < 50; ++iter) {
-    std::atomic<bool> hydrating{false};
-    const Relation lazy = Relation::FromStorage(
+  constexpr size_t kRows = 100000;
+  auto dict = std::make_shared<relational::Dictionary>();
+  relational::CodeColumn codes;
+  for (size_t i = 0; i < kRows; ++i) {
+    codes.PushBack(dict->Encode(Value::String(std::to_string(i % 5000))));
+  }
+  for (int iter = 0; iter < 20; ++iter) {
+    const Relation lazy = Relation::FromColumns(
         "t", relational::Schema::AllStrings({"A"}),
-        std::vector<uint8_t>(rows.size(), 1), [&rows, &hydrating] {
-          hydrating.store(true);
-          // Hold the hydration open so the clone below lands inside it.
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          return rows;
-        });
+        std::vector<uint8_t>(kRows, 1), {dict}, {codes});
     std::thread reader([&lazy] { (void)lazy.row(0); });
-    while (!hydrating.load()) std::this_thread::yield();
+    // Give the reader a head start into the decode, which takes
+    // milliseconds at this size.
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
     const Relation copy = lazy.Clone();
     reader.join();
-    ASSERT_EQ(copy.row(255)[0].AsString(), "255") << "iteration " << iter;
+    ASSERT_EQ(copy.row(kRows - 1)[0].AsString(), std::to_string((kRows - 1) % 5000))
+        << "iteration " << iter;
+    ASSERT_EQ(lazy.row(kRows - 1)[0].AsString(), copy.row(kRows - 1)[0].AsString());
   }
 }
 

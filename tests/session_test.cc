@@ -2,9 +2,10 @@
 // when executed through SemandaqService with a SessionState, exactly as
 // semandaq_cli runs it in-process and semandaq_server runs it per
 // connection. Covers help/blank/comment lines, the paper's demonstration
-// flow, error status codes, single-relation save/open, that a pending
-// repair belongs to the session that planned it, and that another
-// session's apply makes it stale.
+// flow, error status codes, single-relation save/open, that SQL detection
+// leaves the served database as it found it, that a pending repair belongs
+// to the session that planned it, and that another session's apply makes
+// it stale.
 
 #include <string>
 #include <utility>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
+#include "common/string_util.h"
 #include "server/service.h"
 #include "test_util.h"
 
@@ -148,6 +150,34 @@ TEST(SessionTest, SaveOpenRoundTrip) {
        "cfd customer2: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
   // Detection over the reloaded snapshot renders identically.
   EXPECT_EQ(Exec(&service, &state, "detect customer2"), before);
+}
+
+// `detect REL sql` keeps its tableau relations in a scratch catalog of the
+// pinned epoch: the served database never lists them, whether the SQL
+// detection succeeds or fails, so `savedb` never persists them either.
+TEST(SessionTest, SqlDetectLeavesOnlyTheData) {
+  const std::string quoted = TempPath("session_quoted.csv");
+  ASSERT_OK(common::WriteStringToFile(quoted, "A,\"B\"\"x\"\nx,1\nx,2\ny,3\n"));
+  const std::string clash = TempPath("session_clash.csv");
+  ASSERT_OK(common::WriteStringToFile(clash, "A,B,__cfd_id\nx,1,1\n"));
+  SemandaqService service;
+  SemandaqService::SessionState state;
+  Exec(&service, &state, "load t " + quoted);
+  Exec(&service, &state, "cfd t: [A] -> [B\"x]");
+  EXPECT_EQ(Exec(&service, &state, "detect t sql"), Exec(&service, &state, "detect t"));
+
+  // The second tableau of u clashes with the SQL detector's bookkeeping
+  // column; the detection fails after storing the first one.
+  Exec(&service, &state, "load u " + clash);
+  Exec(&service, &state, "cfd u: [A] -> [B]");
+  Exec(&service, &state, "cfd u: [A] -> [__cfd_id]");
+  EXPECT_FALSE(service.Execute(&state, "detect u sql").ok());
+
+  std::vector<std::string> listed;
+  for (const std::string& line : common::Split(Exec(&service, &state, "ls"), '\n')) {
+    if (!line.empty()) listed.push_back(line.substr(0, line.find(' ')));
+  }
+  EXPECT_EQ(listed, (std::vector<std::string>{"t", "u"}));
 }
 
 // `clean` stores its plan in the calling session only: another session on

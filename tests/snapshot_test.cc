@@ -1,7 +1,9 @@
 // The persistent columnar store (src/storage): snapshot round-trips must be
 // lossless — same schema, same TupleIds (tombstones included), byte-identical
 // code columns — and detection over a loaded snapshot must be *exactly* the
-// detection over the original in-memory relation. The corruption paths
+// detection over the original in-memory relation. Engines adopt the codes a
+// loaded relation (or a published epoch, or a clone of one) carries, and
+// never write them. The corruption paths
 // (manifest, sections, truncation, WAL) must come back as IoError, never as
 // quietly wrong data.
 
@@ -18,6 +20,8 @@
 #include "detect/native_detector.h"
 #include "discovery/cfd_miner.h"
 #include "relational/encoded_relation.h"
+#include "repair/batch_repair.h"
+#include "server/snapshot.h"
 #include "storage/format.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
@@ -117,22 +121,24 @@ void ExpectLosslessRoundTrip(const Relation& rel, const std::string& cfd_text,
     }
   }
 
-  // Code columns come back byte-identical, dictionaries value-identical.
-  ASSERT_EQ(loaded.columns.size(), rel.schema().size());
+  // The loaded relation carries its code columns; adopting them yields
+  // byte-identical code columns and value-identical dictionaries.
+  ASSERT_TRUE(loaded.relation.has_columns());
+  const EncodedRelation adopted(&loaded.relation);
+  ASSERT_EQ(adopted.num_columns(), rel.schema().size());
+  EXPECT_TRUE(adopted.InSync());
   for (size_t c = 0; c < rel.schema().size(); ++c) {
-    EXPECT_EQ(loaded.columns[c], enc.column(c)) << "column " << c;
-    EXPECT_EQ(loaded.dicts[c]->values(), enc.dictionary(c).values())
+    EXPECT_EQ(adopted.column(c), enc.column(c)) << "column " << c;
+    EXPECT_EQ(adopted.dictionary(c).values(), enc.dictionary(c).values())
         << "dictionary " << c;
   }
 
   // Detection over the loaded snapshot is exactly detection over the
-  // original — both through the adopted encoded form and through a fresh
-  // re-encode of the reconstructed relation.
+  // original (encoded from rows) — through the attached adopted form and
+  // through the detector's own adoption.
   if (!cfd_text.empty()) {
     const auto cfds = Parse(cfd_text);
     const ViolationTable original = Detect(rel, cfds);
-    const EncodedRelation adopted = EncodedRelation::FromStorage(
-        &loaded.relation, std::move(loaded.dicts), std::move(loaded.columns));
     ExpectTablesEqual(original, Detect(loaded.relation, cfds, &adopted));
     ExpectTablesEqual(original, Detect(loaded.relation, cfds));
   }
@@ -356,8 +362,7 @@ TEST(WalTest, InsertTailReplaysThroughSyncAppendPath) {
 
   // Load = snapshot + WAL replay + Sync.
   ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, SnapshotReader::Read(path));
-  EncodedRelation adopted = EncodedRelation::FromStorage(
-      &loaded.relation, std::move(loaded.dicts), std::move(loaded.columns));
+  EncodedRelation adopted(&loaded.relation);
   ASSERT_OK_AND_ASSIGN(
       size_t replayed,
       ReplayWal(WalPathFor(path), stats.manifest_checksum, &loaded.relation));
@@ -389,8 +394,7 @@ TEST(WalTest, DeleteAndSetCellRecordsReplay) {
   enc.Sync();
 
   ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, SnapshotReader::Read(path));
-  EncodedRelation adopted = EncodedRelation::FromStorage(
-      &loaded.relation, std::move(loaded.dicts), std::move(loaded.columns));
+  EncodedRelation adopted(&loaded.relation);
   ASSERT_OK_AND_ASSIGN(
       size_t replayed,
       ReplayWal(WalPathFor(path), stats.manifest_checksum, &loaded.relation));
@@ -536,6 +540,117 @@ TEST(SemandaqStorageTest, WarmSnapshotSurvivesRepairCycle) {
   ASSERT_NE(rel, nullptr);
   ExpectTablesEqual(Detect(*rel, Parse(semandaq::testing::PaperCfdText())),
                     warm_detect);
+}
+
+// ----------------------------------------------------------------- adoption
+
+/// A saved-and-reopened customer workload with tombstones, so the file
+/// holds dictionary codes only dead tuples used (a fresh encode of the live
+/// rows would not issue them).
+LoadedSnapshot OpenedCustomer(const std::string& tag) {
+  workload::CustomerWorkloadOptions opts;
+  opts.num_tuples = 400;
+  opts.noise_rate = 0.05;
+  auto wl = workload::CustomerGenerator::Generate(opts);
+  for (TupleId tid = 0; tid < wl.dirty.IdBound(); tid += 9) {
+    EXPECT_OK(wl.dirty.Delete(tid));
+  }
+  const std::string path = TempPath("adopt_" + tag + ".sdq");
+  const EncodedRelation enc(&wl.dirty);
+  EXPECT_OK(SnapshotWriter::Write(wl.dirty, enc, path).status());
+  auto loaded = SnapshotReader::Read(path);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return std::move(*loaded);
+}
+
+/// Every code and dictionary value of an encoded snapshot.
+std::pair<std::vector<std::vector<Code>>, std::vector<std::vector<Value>>>
+CodeImage(const EncodedRelation& enc) {
+  std::pair<std::vector<std::vector<Code>>, std::vector<std::vector<Value>>> out;
+  for (size_t c = 0; c < enc.num_columns(); ++c) {
+    out.first.emplace_back(enc.column(c).begin(), enc.column(c).end());
+    out.second.push_back(enc.dictionary(c).values());
+  }
+  return out;
+}
+
+TEST(AdoptionTest, OpenedRelationEpochAndCloneShareTheirChunks) {
+  LoadedSnapshot loaded = OpenedCustomer("share");
+  const Relation& rel = loaded.relation;
+  ASSERT_TRUE(rel.has_columns());
+  const EncodedRelation opened(&rel);
+  ASSERT_TRUE(opened.InSync());
+
+  const server::SnapshotPtr epoch = server::BuildRelationSnapshot(rel, opened, 1);
+  const EncodedRelation on_epoch(&epoch->relation);
+  const Relation clone = epoch->relation.Clone();
+  ASSERT_TRUE(clone.has_columns());
+  const EncodedRelation on_clone(&clone);
+  for (size_t c = 0; c < rel.schema().size(); ++c) {
+    const Code* chunk = rel.columns()[c].data();
+    EXPECT_EQ(opened.column(c).data(), chunk) << "column " << c;
+    EXPECT_EQ(epoch->encoded->column(c).data(), chunk) << "column " << c;
+    EXPECT_EQ(on_epoch.column(c).data(), chunk) << "column " << c;
+    EXPECT_EQ(on_clone.column(c).data(), chunk) << "column " << c;
+    EXPECT_EQ(&on_clone.dictionary(c), &opened.dictionary(c)) << "column " << c;
+  }
+  // Adoption never hydrates: the rows decode from the same chunks later.
+  EXPECT_EQ(clone.row(1), rel.row(1));
+}
+
+TEST(AdoptionTest, MutatedRelationReencodes) {
+  LoadedSnapshot loaded = OpenedCustomer("mutate");
+  const Relation& rel = loaded.relation;
+  const auto cfds = Parse(workload::CustomerGenerator::PaperCfds());
+
+  Relation rewritten = rel.Clone();
+  ASSERT_OK(rewritten.SetCell(1, 0, Value::String("rewritten")));
+  EXPECT_FALSE(rewritten.has_columns());
+  EXPECT_TRUE(rewritten.columns().empty());  // mutated and hydrated: dropped
+  Relation appended = rel.Clone();
+  appended.MustInsert(rel.row(1));
+  EXPECT_FALSE(appended.has_columns());
+
+  for (const Relation* mutated : {&rewritten, &appended}) {
+    const EncodedRelation enc(mutated);
+    EXPECT_TRUE(enc.InSync());
+    for (size_t c = 0; c < rel.schema().size(); ++c) {
+      EXPECT_NE(enc.column(c).data(), rel.columns()[c].data()) << "column " << c;
+    }
+    EXPECT_EQ(enc.Decode(0, enc.code(1, 0)), mutated->cell(1, 0));
+    // The re-encode detects exactly what a row-built copy does.
+    Relation rows{mutated->name(), mutated->schema()};
+    for (TupleId tid = 0; tid < mutated->IdBound(); ++tid) {
+      rows.MustInsert(mutated->IsLive(tid) ? mutated->row(tid) : rel.row(1));
+    }
+    for (TupleId tid = 0; tid < mutated->IdBound(); ++tid) {
+      if (!mutated->IsLive(tid)) ASSERT_OK(rows.Delete(tid));
+    }
+    ExpectTablesEqual(Detect(rows, cfds), Detect(*mutated, cfds));
+  }
+}
+
+TEST(AdoptionTest, RepairAndMiningLeaveTheEpochUntouched) {
+  LoadedSnapshot loaded = OpenedCustomer("untouched");
+  const EncodedRelation opened(&loaded.relation);
+  const server::SnapshotPtr epoch =
+      server::BuildRelationSnapshot(loaded.relation, opened, 1);
+  const auto before = CodeImage(*epoch->encoded);
+
+  repair::BatchRepair cleaner(&epoch->relation,
+                              Parse(workload::CustomerGenerator::PaperCfds()),
+                              repair::CostModel(epoch->relation.schema(), {}));
+  ASSERT_OK_AND_ASSIGN(repair::RepairResult repair, cleaner.Run());
+  EXPECT_FALSE(repair.changes.empty());
+  discovery::CfdMinerOptions mine_opts;
+  mine_opts.max_lhs = 2;
+  discovery::CfdMiner miner(&epoch->relation, mine_opts);
+  ASSERT_OK_AND_ASSIGN(std::vector<cfd::Cfd> mined, miner.Mine());
+  EXPECT_FALSE(mined.empty());
+
+  EXPECT_TRUE(epoch->relation.has_columns());
+  EXPECT_EQ(CodeImage(*epoch->encoded), before);
+  EXPECT_EQ(CodeImage(EncodedRelation(&epoch->relation)), before);
 }
 
 }  // namespace

@@ -1,16 +1,27 @@
 // Property tests for the SQL substrate: on randomized relations, executor
 // results must agree with a naive reference evaluation done in the test
-// (independent code path, no shared logic with the engine).
+// (independent code path, no shared logic with the engine). Every property
+// runs twice against the same reference: once on the row-built relations
+// (the value paths) and once on their column-backed twins, saved and
+// reopened (the code paths: string-literal filters, same-column joins and
+// GROUP BY on dictionary codes).
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "relational/database.h"
+#include "relational/encoded_relation.h"
 #include "sql/engine.h"
+#include "storage/snapshot.h"
 #include "test_util.h"
 
 namespace semandaq::sql {
@@ -38,13 +49,42 @@ Relation RandomRelation(common::Rng* rng, size_t rows) {
   return rel;
 }
 
-class SqlProperty : public ::testing::TestWithParam<uint64_t> {};
+/// Parameters: the seed, and whether the queries run on column-backed
+/// twins of the generated relations.
+class SqlProperty
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {
+ protected:
+  uint64_t Seed() const { return std::get<0>(GetParam()); }
+
+  /// Registers `rel` in `db` as generated, or as its column-backed twin:
+  /// saved as a snapshot and reopened, so the executor adopts its codes.
+  /// Returns the generated relation, the reference's input.
+  const Relation* Serve(Database* db, Relation rel) {
+    generated_.push_back(std::make_unique<Relation>(std::move(rel)));
+    const Relation& ref = *generated_.back();
+    if (!std::get<1>(GetParam())) {
+      EXPECT_OK(db->AddRelation(ref.Clone()));
+      return &ref;
+    }
+    const std::string path = ::testing::TempDir() + "/sql_property_" +
+                             ref.name() + "_" + std::to_string(Seed()) + ".sdq";
+    const relational::EncodedRelation enc(&ref);
+    EXPECT_OK(storage::SnapshotWriter::Write(ref, enc, path).status());
+    auto loaded = storage::SnapshotReader::Read(path);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(loaded->relation.has_columns());
+    EXPECT_OK(db->AddRelation(std::move(loaded->relation)));
+    return &ref;
+  }
+
+ private:
+  std::vector<std::unique_ptr<Relation>> generated_;
+};
 
 TEST_P(SqlProperty, FilterEqualsReference) {
-  common::Rng rng(GetParam());
+  common::Rng rng(Seed());
   Database db;
-  ASSERT_OK(db.AddRelation(RandomRelation(&rng, 200)));
-  const Relation* rel = db.FindRelation("r");
+  const Relation* rel = Serve(&db, RandomRelation(&rng, 200));
   Engine engine(&db);
 
   ASSERT_OK_AND_ASSIGN(Relation got,
@@ -64,10 +104,9 @@ TEST_P(SqlProperty, FilterEqualsReference) {
 }
 
 TEST_P(SqlProperty, GroupCountEqualsReference) {
-  common::Rng rng(GetParam() ^ 0xABCD);
+  common::Rng rng(Seed() ^ 0xABCD);
   Database db;
-  ASSERT_OK(db.AddRelation(RandomRelation(&rng, 300)));
-  const Relation* rel = db.FindRelation("r");
+  const Relation* rel = Serve(&db, RandomRelation(&rng, 300));
   Engine engine(&db);
 
   ASSERT_OK_AND_ASSIGN(
@@ -93,9 +132,9 @@ TEST_P(SqlProperty, GroupCountEqualsReference) {
 }
 
 TEST_P(SqlProperty, JoinEqualsReference) {
-  common::Rng rng(GetParam() ^ 0x1234);
+  common::Rng rng(Seed() ^ 0x1234);
   Database db;
-  ASSERT_OK(db.AddRelation(RandomRelation(&rng, 120)));
+  const Relation* r = Serve(&db, RandomRelation(&rng, 120));
   // Second relation S(K, V) joining on r.A = s.K.
   Relation s{"s", Schema::AllStrings({"K", "V"})};
   for (size_t i = 0; i < 40; ++i) {
@@ -105,9 +144,7 @@ TEST_P(SqlProperty, JoinEqualsReference) {
                                                          'a' + rng.NextBelow(5)))),
                   Value::String(std::to_string(i))});
   }
-  ASSERT_OK(db.AddRelation(std::move(s)));
-  const Relation* r = db.FindRelation("r");
-  const Relation* s2 = db.FindRelation("s");
+  const Relation* s2 = Serve(&db, std::move(s));
   Engine engine(&db);
 
   ASSERT_OK_AND_ASSIGN(
@@ -127,9 +164,9 @@ TEST_P(SqlProperty, JoinEqualsReference) {
 }
 
 TEST_P(SqlProperty, OrderByIsTotalAndStable) {
-  common::Rng rng(GetParam() ^ 0x77);
+  common::Rng rng(Seed() ^ 0x77);
   Database db;
-  ASSERT_OK(db.AddRelation(RandomRelation(&rng, 150)));
+  Serve(&db, RandomRelation(&rng, 150));
   Engine engine(&db);
   ASSERT_OK_AND_ASSIGN(Relation got,
                        engine.Query("SELECT A, B FROM r ORDER BY A, B DESC"));
@@ -151,10 +188,9 @@ TEST_P(SqlProperty, OrderByIsTotalAndStable) {
 }
 
 TEST_P(SqlProperty, DistinctMatchesSetSemantics) {
-  common::Rng rng(GetParam() ^ 0x3141);
+  common::Rng rng(Seed() ^ 0x3141);
   Database db;
-  ASSERT_OK(db.AddRelation(RandomRelation(&rng, 250)));
-  const Relation* rel = db.FindRelation("r");
+  const Relation* rel = Serve(&db, RandomRelation(&rng, 250));
   Engine engine(&db);
   ASSERT_OK_AND_ASSIGN(Relation got, engine.Query("SELECT DISTINCT A, B FROM r"));
   std::set<std::pair<std::string, std::string>> want;
@@ -164,8 +200,42 @@ TEST_P(SqlProperty, DistinctMatchesSetSemantics) {
   EXPECT_EQ(got.size(), want.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SqlProperty,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+// The self-join shape of the Q_V detection query: both sides read the same
+// columns of the same relation, so the code path joins on codes.
+TEST_P(SqlProperty, SameColumnSelfJoinEqualsReference) {
+  common::Rng rng(Seed() ^ 0x5E1F);
+  Database db;
+  const Relation* rel = Serve(&db, RandomRelation(&rng, 120));
+  Engine engine(&db);
+  ASSERT_OK_AND_ASSIGN(
+      Relation got,
+      engine.Query("SELECT t1.__tid, t2.__tid FROM r t1, r t2 WHERE "
+                   "t1.A = t2.A AND t1.B = t2.B AND t1.C <> t2.C"));
+  std::set<std::pair<TupleId, TupleId>> got_pairs;
+  got.ForEach([&](TupleId, const Row& row) {
+    got_pairs.emplace(row[0].AsInt(), row[1].AsInt());
+  });
+  EXPECT_EQ(got_pairs.size(), got.size());  // no pair twice
+
+  std::set<std::pair<TupleId, TupleId>> want;
+  rel->ForEach([&](TupleId t1, const Row& a) {
+    rel->ForEach([&](TupleId t2, const Row& b) {
+      const auto eq = [](const Value& x, const Value& y) {
+        return !x.is_null() && !y.is_null() && x == y;
+      };
+      if (eq(a[0], b[0]) && eq(a[1], b[1]) && !a[2].is_null() &&
+          !b[2].is_null() && a[2] != b[2]) {
+        want.emplace(t1, t2);
+      }
+    });
+  });
+  EXPECT_EQ(got_pairs, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SqlProperty,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace semandaq::sql
