@@ -2,15 +2,48 @@
 
 #include <algorithm>
 
+#include "common/simd/simd.h"
+
 namespace semandaq::audit {
 
 using cfd::Cfd;
 using cfd::PatternTuple;
+using detect::SingleViolation;
 using detect::ViolationGroup;
 using detect::ViolationTable;
-using relational::Row;
+using relational::Code;
+using relational::EncodedRelation;
+using relational::kAbsentCode;
+using relational::kNullCode;
 using relational::TupleId;
 using relational::Value;
+
+namespace simd = common::simd;
+
+namespace {
+
+// Per-tuple flags, one byte per tuple id.
+constexpr uint8_t kSingle = 1;     // some single-tuple violation
+constexpr uint8_t kMulti = 2;      // member of some multi-tuple group
+constexpr uint8_t kMinority = 4;   // outside the strict majority of a group
+constexpr uint8_t kConfirmed = 8;  // a constant-RHS row confirms the tuple
+
+// Per-cell flags, one byte per (tuple id, column).
+constexpr uint8_t kDirtyCell = 1;     // implicated other than as a majority
+constexpr uint8_t kArguableCell = 2;  // in a group's strict majority
+constexpr uint8_t kVerifiedCell = 4;  // confirmed by a constant-RHS row
+
+// Tuples per kernel block of the confirmation scan.
+constexpr size_t kBlock = 4096;
+
+CleanGrade CellGrade(uint8_t flags) {
+  if (flags & kDirtyCell) return CleanGrade::kDirty;
+  if (flags & kArguableCell) return CleanGrade::kArguablyClean;
+  if (flags & kVerifiedCell) return CleanGrade::kVerifiedClean;
+  return CleanGrade::kProbablyClean;
+}
+
+}  // namespace
 
 const char* CleanGradeToString(CleanGrade g) {
   switch (g) {
@@ -46,128 +79,138 @@ double AttributeStats::pct_arguably() const {
 }
 
 CleanGrade AuditOutcome::GradeOf(TupleId tid) const {
-  auto it = tuple_grades.find(tid);
-  return it == tuple_grades.end() ? CleanGrade::kProbablyClean : it->second;
+  return tid >= 0 && static_cast<size_t>(tid) < tuple_grades.size()
+             ? tuple_grades[static_cast<size_t>(tid)]
+             : CleanGrade::kProbablyClean;
 }
 
 common::Result<AuditOutcome> DataAuditor::Audit(const ViolationTable& table) {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
+  if (encoded_ != nullptr && &encoded_->relation() == rel_ &&
+      encoded_->InSync()) {
+    return AuditEncoded(*encoded_, table);
+  }
+  const EncodedRelation local(rel_);
+  return AuditEncoded(local, table);
+}
+
+AuditOutcome DataAuditor::AuditEncoded(const EncodedRelation& enc,
+                                       const ViolationTable& table) const {
   AuditOutcome out;
   const size_t ncols = rel_->schema().size();
+  const size_t bound = static_cast<size_t>(rel_->IdBound());
+  const uint8_t* live = rel_->live_data();
   out.attr_stats.resize(ncols);
-
-  // Precompute, per group in the table, each member's agreement status:
-  // does the strict majority of the group share its RHS value?
-  // Also collect cell-level implication: which (tid, col) cells are dirty or
-  // only arguably clean.
-  struct CellFlag {
-    bool dirty = false;
-    bool arguable_only = false;  // dirty but majority agrees
+  std::vector<uint8_t> tuple_flags(bound, 0);
+  std::vector<uint8_t> cell_flags(bound * ncols, 0);
+  const auto cell_flag = [&](TupleId tid, size_t col) -> uint8_t& {
+    return cell_flags[static_cast<size_t>(tid) * ncols + col];
   };
-  std::unordered_map<uint64_t, CellFlag> cell_flags;
-  auto cell_key = [](TupleId tid, size_t col) {
-    return (static_cast<uint64_t>(tid) << 16) | static_cast<uint64_t>(col);
+  const auto known = [bound](TupleId tid) {
+    return tid >= 0 && static_cast<size_t>(tid) < bound;
   };
 
-  // tid -> has single / has multi / all groups bulk-agree.
-  std::unordered_map<TupleId, bool> has_single;
-  std::unordered_map<TupleId, bool> has_multi;
-  std::unordered_map<TupleId, bool> bulk_agrees_everywhere;
-
-  for (const auto& sv : table.singles()) {
-    has_single[sv.tid] = true;
+  // A single-tuple violation implicates its RHS cell and every constant
+  // LHS position: one of them carries the error.
+  for (const SingleViolation& sv : table.singles()) {
+    if (!known(sv.tid)) continue;
     const Cfd& c = cfds_[static_cast<size_t>(sv.cfd_index)];
-    // Implicate the RHS cell and every constant LHS position: one of them
-    // carries the error.
-    cell_flags[cell_key(sv.tid, c.rhs_col())].dirty = true;
     const PatternTuple& pt = c.tableau()[static_cast<size_t>(sv.pattern_index)];
+    tuple_flags[static_cast<size_t>(sv.tid)] |= kSingle;
+    cell_flag(sv.tid, c.rhs_col()) |= kDirtyCell;
     for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-      if (pt.lhs[i].is_constant()) {
-        cell_flags[cell_key(sv.tid, c.lhs_cols()[i])].dirty = true;
-      }
+      if (pt.lhs[i].is_constant()) cell_flag(sv.tid, c.lhs_cols()[i]) |= kDirtyCell;
     }
   }
 
+  // A group member shares its RHS with n - partners members (NULLs agree
+  // with each other, as on codes): the strict majority when that is more
+  // than half the group.
   for (const ViolationGroup& g : table.groups()) {
+    const size_t n = g.members.size();
     out.num_groups += 1;
-    out.max_group_size = std::max(out.max_group_size, g.members.size());
-    out.min_group_size = out.min_group_size == 0
-                             ? g.members.size()
-                             : std::min(out.min_group_size, g.members.size());
-    out.avg_group_size += static_cast<double>(g.members.size());
-
-    const Cfd& c = cfds_[static_cast<size_t>(
-        g.cfd_index >= 0 ? g.cfd_index : 0)];
-    std::unordered_map<Value, int64_t, relational::ValueHash> freq;
-    for (const Value& v : g.member_rhs) ++freq[v];
-    const int64_t n = static_cast<int64_t>(g.members.size());
-    for (size_t i = 0; i < g.members.size(); ++i) {
+    out.max_group_size = std::max(out.max_group_size, n);
+    out.min_group_size =
+        out.min_group_size == 0 ? n : std::min(out.min_group_size, n);
+    out.avg_group_size += static_cast<double>(n);
+    const size_t rhs =
+        cfds_[static_cast<size_t>(g.cfd_index >= 0 ? g.cfd_index : 0)].rhs_col();
+    for (size_t i = 0; i < n; ++i) {
       const TupleId tid = g.members[i];
-      has_multi[tid] = true;
-      const bool majority = 2 * freq[g.member_rhs[i]] > n;
-      auto it = bulk_agrees_everywhere.find(tid);
-      if (it == bulk_agrees_everywhere.end()) {
-        bulk_agrees_everywhere[tid] = majority;
-      } else {
-        it->second = it->second && majority;
-      }
-      CellFlag& flag = cell_flags[cell_key(tid, c.rhs_col())];
-      flag.dirty = true;
-      if (majority) flag.arguable_only = true;
+      if (!known(tid)) continue;
+      const int64_t agree = static_cast<int64_t>(n) - g.member_partners[i];
+      const bool majority = 2 * agree > static_cast<int64_t>(n);
+      tuple_flags[static_cast<size_t>(tid)] |= majority ? kMulti : kMulti | kMinority;
+      cell_flag(tid, rhs) |= majority ? kArguableCell : kDirtyCell;
     }
   }
   if (out.num_groups > 0) {
     out.avg_group_size /= static_cast<double>(out.num_groups);
   }
 
-  // Cells (and tuples) confirmed by a satisfied constant-RHS pattern.
-  std::unordered_map<uint64_t, bool> cell_verified;
-  std::unordered_map<TupleId, bool> tuple_has_verifier;
-
-  rel_->ForEach([&](TupleId tid, const Row& row) {
-    for (const Cfd& c : cfds_) {
-      for (const PatternTuple& pt : c.tableau()) {
-        if (!pt.is_constant_rhs()) continue;
-        bool lhs_match = true;
-        for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-          if (!pt.lhs[i].Matches(row[c.lhs_cols()[i]])) {
-            lhs_match = false;
-            break;
-          }
+  // Confirmations: the live tuples whose codes equal a constant-RHS row's
+  // RHS constant and LHS constants, found with the detector's kernels one
+  // block of tuples at a time. A NULL or absent constant matches no cell,
+  // so its row confirms nothing.
+  const simd::Kernels& kn = simd::KernelsFor();
+  std::vector<uint64_t> mask(simd::MaskWords(kBlock));
+  std::vector<size_t> cols;  // the compared columns: the cells a match confirms
+  std::vector<Code> codes;
+  std::vector<const Code*> block_cols;
+  for (const Cfd& c : cfds_) {
+    for (const PatternTuple& pt : c.tableau()) {
+      if (!pt.is_constant_rhs()) continue;
+      cols.clear();
+      codes.clear();
+      const auto require = [&](size_t col, const Value& v) {
+        cols.push_back(col);
+        codes.push_back(v.is_null() ? kAbsentCode : enc.dictionary(col).Lookup(v));
+      };
+      require(c.rhs_col(), pt.rhs.constant());
+      for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
+        if (pt.lhs[i].is_constant()) require(c.lhs_cols()[i], pt.lhs[i].constant());
+      }
+      if (std::find(codes.begin(), codes.end(), kAbsentCode) != codes.end()) continue;
+      block_cols.resize(cols.size());
+      for (size_t lo = 0; lo < bound; lo += kBlock) {
+        const size_t n = std::min(kBlock, bound - lo);
+        if (kn.MaskLive(live + lo, nullptr, 0, kNullCode, n, mask.data()) == 0) continue;
+        for (size_t k = 0; k < cols.size(); ++k) {
+          block_cols[k] = enc.column(cols[k]).data() + lo;
         }
-        if (!lhs_match) continue;
-        const Value& a = row[c.rhs_col()];
-        if (a.is_null() || !(a == pt.rhs.constant())) continue;
-        // Confirmed: the RHS cell and every constant LHS cell.
-        tuple_has_verifier[tid] = true;
-        cell_verified[cell_key(tid, c.rhs_col())] = true;
-        for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-          if (pt.lhs[i].is_constant()) {
-            cell_verified[cell_key(tid, c.lhs_cols()[i])] = true;
-          }
-        }
+        kn.FilterEqMulti32(block_cols.data(), codes.data(), cols.size(), n, mask.data());
+        simd::ForEachSetBit(mask.data(), simd::MaskWords(n), [&](size_t i) {
+          tuple_flags[lo + i] |= kConfirmed;
+          for (size_t col : cols) cell_flags[(lo + i) * ncols + col] |= kVerifiedCell;
+        });
       }
     }
-  });
+  }
 
-  // Tuple grades + composition; attribute-value grades.
+  // Tuple grades and composition; attribute-value grades, tallied per
+  // column by flag byte first and folded into grades once.
+  out.tuple_grades.assign(bound, CleanGrade::kProbablyClean);
+  std::vector<int64_t> by_flags(ncols * 8, 0);
   int64_t sum_vio = 0;
-  rel_->ForEach([&](TupleId tid, const Row&) {
+  for (size_t t = 0; t < bound; ++t) {
+    if (live[t] == 0) continue;
+    const TupleId tid = static_cast<TupleId>(t);
     ++out.num_tuples;
+    const uint8_t f = tuple_flags[t];
+    const bool single = (f & kSingle) != 0;
+    const bool multi = (f & kMulti) != 0;
     const int64_t vio = table.vio(tid);
-    const bool single = has_single.count(tid) > 0;
-    const bool multi = has_multi.count(tid) > 0;
 
     CleanGrade grade;
     if (vio == 0) {
-      grade = tuple_has_verifier.count(tid) > 0 ? CleanGrade::kVerifiedClean
-                                                : CleanGrade::kProbablyClean;
-    } else if (!single && multi && bulk_agrees_everywhere[tid]) {
+      grade = (f & kConfirmed) ? CleanGrade::kVerifiedClean
+                               : CleanGrade::kProbablyClean;
+    } else if (!single && multi && (f & kMinority) == 0) {
       grade = CleanGrade::kArguablyClean;
     } else {
       grade = CleanGrade::kDirty;
     }
-    out.tuple_grades[tid] = grade;
+    out.tuple_grades[t] = grade;
     ++out.tuple_counts[static_cast<size_t>(grade)];
 
     if (vio == 0) {
@@ -187,20 +230,14 @@ common::Result<AuditOutcome> DataAuditor::Audit(const ViolationTable& table) {
           out.min_vio_nonzero == 0 ? vio : std::min(out.min_vio_nonzero, vio);
     }
 
-    for (size_t c = 0; c < ncols; ++c) {
-      auto fit = cell_flags.find(cell_key(tid, c));
-      CleanGrade cell_grade;
-      if (fit != cell_flags.end() && fit->second.dirty) {
-        cell_grade = fit->second.arguable_only ? CleanGrade::kArguablyClean
-                                               : CleanGrade::kDirty;
-      } else if (cell_verified.count(cell_key(tid, c)) > 0) {
-        cell_grade = CleanGrade::kVerifiedClean;
-      } else {
-        cell_grade = CleanGrade::kProbablyClean;
-      }
-      ++out.attr_stats[c].counts[static_cast<size_t>(cell_grade)];
+    const uint8_t* cells = cell_flags.data() + t * ncols;
+    for (size_t c = 0; c < ncols; ++c) ++by_flags[c * 8 + cells[c]];
+  }
+  for (size_t c = 0; c < ncols; ++c) {
+    for (uint8_t f = 0; f < 8; ++f) {
+      out.attr_stats[c].counts[static_cast<size_t>(CellGrade(f))] += by_flags[c * 8 + f];
     }
-  });
+  }
 
   out.total_vio = table.TotalVio();
   const size_t violating = table.NumViolatingTuples();

@@ -3,12 +3,12 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cfd/cfd.h"
 #include "common/status.h"
 #include "detect/violation.h"
+#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 
 namespace semandaq::audit {
@@ -16,7 +16,7 @@ namespace semandaq::audit {
 /// The cleanliness grades of the paper's data quality report (§3), from
 /// worst to best. The three "clean" grades nest: verified => probably =>
 /// arguably; a tuple's grade is the strongest that applies.
-enum class CleanGrade {
+enum class CleanGrade : uint8_t {
   kDirty = 0,
   /// Probably clean, OR in a multi-tuple violation where the bulk (strict
   /// majority) of the jointly violating tuples agree with it.
@@ -30,6 +30,13 @@ enum class CleanGrade {
 const char* CleanGradeToString(CleanGrade g);
 
 /// Per-attribute cell-grade tallies (counts of live cells at each grade).
+/// A cell is implicated by a single-tuple violation (its RHS cell and every
+/// constant-LHS cell of the violated row) and by each multi-tuple group
+/// whose RHS it is. It is dirty when some violation implicates it other
+/// than as a member of a group's strict majority; arguably clean when every
+/// implicating violation is such a group; verified clean when nothing
+/// implicates it and a constant-RHS row confirms it (the row's RHS cell or
+/// one of its constant-LHS cells); probably clean otherwise.
 struct AttributeStats {
   std::array<int64_t, 4> counts = {0, 0, 0, 0};
 
@@ -45,8 +52,9 @@ struct AttributeStats {
 /// "vio(t) is enriched with statistical information w.r.t. the occurrences
 /// of violations in the data, at both the tuple and the attribute level").
 struct AuditOutcome {
-  // Tuple level.
-  std::unordered_map<relational::TupleId, CleanGrade> tuple_grades;
+  // Tuple level: one grade per tuple id in [0, IdBound()); dead ids read
+  // probably clean. Query through GradeOf.
+  std::vector<CleanGrade> tuple_grades;
   size_t num_tuples = 0;
   std::array<int64_t, 4> tuple_counts = {0, 0, 0, 0};
 
@@ -71,11 +79,15 @@ struct AuditOutcome {
   size_t min_group_size = 0;
   double avg_group_size = 0;
 
+  /// The tuple's grade; an unknown or dead id is probably clean.
   CleanGrade GradeOf(relational::TupleId tid) const;
 };
 
 /// The data auditor: summarizes a detector's ViolationTable into the grades
-/// and statistics above.
+/// and statistics above. It reads the table, Σ and the relation's
+/// dictionary codes, never a row: a group member holds the strict majority
+/// iff 2·(n − member_partners) > n, and the confirmations behind "verified
+/// clean" come from one scan of the code columns per constant-RHS row.
 class DataAuditor {
  public:
   /// `cfds` are resolved internally against rel's schema; the relation and
@@ -83,11 +95,24 @@ class DataAuditor {
   DataAuditor(const relational::Relation* rel, std::vector<cfd::Cfd> cfds)
       : rel_(rel), cfds_(std::move(cfds)) {}
 
+  /// Attaches an externally owned encoded snapshot of the relation, under
+  /// NativeDetector::set_encoded's contract: Audit uses it when it
+  /// describes the relation and is in sync, and otherwise builds a local
+  /// EncodedRelation, which adopts the codes of a column-backed relation
+  /// instead of encoding.
+  void set_encoded(const relational::EncodedRelation* encoded) {
+    encoded_ = encoded;
+  }
+
   common::Result<AuditOutcome> Audit(const detect::ViolationTable& table);
 
  private:
+  AuditOutcome AuditEncoded(const relational::EncodedRelation& enc,
+                            const detect::ViolationTable& table) const;
+
   const relational::Relation* rel_;
   std::vector<cfd::Cfd> cfds_;
+  const relational::EncodedRelation* encoded_ = nullptr;
 };
 
 }  // namespace semandaq::audit

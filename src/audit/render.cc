@@ -33,9 +33,10 @@ std::string AsciiRender::QualityMap(const relational::Relation& rel,
   out << "Data quality map for '" << rel.name() << "' (" << table.Summary() << ")\n";
   out << "shade: ' '=0  '.'=1  ':'=2  '*'=3-4  '#'=5-8  '@'=9+\n";
   size_t shown = 0;
-  rel.ForEach([&](TupleId tid, const Row& row) {
-    if (shown >= max_rows) return;
+  for (TupleId tid = 0; tid < rel.IdBound() && shown < max_rows; ++tid) {
+    if (!rel.IsLive(tid)) continue;
     ++shown;
+    const Row& row = rel.row(tid);
     const int64_t vio = table.vio(tid);
     out << "[" << ShadeFor(vio) << "] vio=" << vio << "  #" << tid << " ";
     std::string line;
@@ -44,7 +45,7 @@ std::string AsciiRender::QualityMap(const relational::Relation& rel,
       line += row[c].ToDisplayString();
     }
     out << line << "\n";
-  });
+  }
   if (rel.size() > shown) {
     out << "... " << (rel.size() - shown) << " more tuple(s)\n";
   }

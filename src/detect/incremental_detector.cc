@@ -341,11 +341,22 @@ ViolationTable IncrementalDetector::Snapshot() const {
       for (size_t i = 0; i < key.size(); ++i) {
         vg.lhs_key.push_back(enc_->Decode(gs.lhs_cols[i], key[i]));
       }
-      vg.members = bucket.members;
-      vg.member_rhs.reserve(bucket.members.size());
+      // rhs_counts holds the non-NULL RHS values; the NULL members, which
+      // agree with each other, are the rest.
+      const int64_t n = static_cast<int64_t>(bucket.members.size());
+      int64_t nulls = n;
+      for (const auto& [v, count] : bucket.rhs_counts) nulls -= count;
+      vg.member_partners.reserve(bucket.members.size());
       for (TupleId tid : bucket.members) {
-        vg.member_rhs.push_back(rel_->cell(tid, gs.rhs_col));
+        const Code c = enc_->code(tid, gs.rhs_col);
+        int64_t same = nulls;
+        if (c != kNullCode) {
+          auto it = bucket.rhs_counts.find(enc_->Decode(gs.rhs_col, c));
+          same = it == bucket.rhs_counts.end() ? 0 : it->second;
+        }
+        vg.member_partners.push_back(n - same);
       }
+      vg.members = bucket.members;
       table.AddGroup(std::move(vg));
     }
   }

@@ -115,11 +115,6 @@ struct GroupScan {
   /// FilterEq32 fast path (emit matching tuple ids directly, no masks).
   bool single_const_filter = false;
 
-  /// Decode member RHS values into ViolationGroup::member_rhs
-  /// (DetectorOptions::materialize_group_rhs). Partner counts are computed
-  /// on codes regardless.
-  bool want_rhs = true;
-
   /// Dense slot-index geometry: codes are dense per column, so for one LHS
   /// column the code itself indexes a flat array, and for two the code
   /// *product* does whenever it fits; hashing is the fallback.
@@ -396,7 +391,6 @@ ViolationGroup MakeGroup(const GroupScan& gs, CodeBucket* b,
   }
   const int64_t n = static_cast<int64_t>(b->members.size());
   vg.member_partners.reserve(b->members.size());
-  if (gs.want_rhs) vg.member_rhs.reserve(b->members.size());
   if (b->members.size() <= kCountEqGroupLimit) {
     rhs_scratch->clear();
     for (TupleId m : b->members) rhs_scratch->push_back(gs.rhs_ptr[m]);
@@ -404,14 +398,11 @@ ViolationGroup MakeGroup(const GroupScan& gs, CodeBucket* b,
       vg.member_partners.push_back(
           n - static_cast<int64_t>(gs.kn->CountEq32(
                   rhs_scratch->data(), rhs_scratch->size(), c)));
-      if (gs.want_rhs) vg.member_rhs.push_back(enc.Decode(gs.rhs_col, c));
     }
   } else {
     for (TupleId m : b->members) ++(*freq)[gs.rhs_ptr[m]];
     for (TupleId m : b->members) {
-      const Code c = gs.rhs_ptr[m];
-      vg.member_partners.push_back(n - (*freq)[c]);
-      if (gs.want_rhs) vg.member_rhs.push_back(enc.Decode(gs.rhs_col, c));
+      vg.member_partners.push_back(n - (*freq)[gs.rhs_ptr[m]]);
     }
     for (TupleId m : b->members) (*freq)[gs.rhs_ptr[m]] = 0;
   }
@@ -511,7 +502,6 @@ common::Result<ViolationTable> NativeDetector::DetectEncoded(
     SEMANDAQ_RETURN_IF_CANCELLED(options_.cancel);
     GroupScan gs;
     if (!CompileGroup(enc, cfds_, groups[gi], gi, kn, &gs)) continue;
-    gs.want_rhs = options_.materialize_group_rhs;
     gs.cancel = options_.cancel;
     ScanGroup(gs, &table);
   }

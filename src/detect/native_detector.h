@@ -32,14 +32,6 @@ struct DetectorOptions {
   /// the scalar dispatch floor in tests.
   common::simd::Level simd_level = common::simd::Level::kAuto;
 
-  /// Fill ViolationGroup::member_rhs with a decoded Value per group member.
-  /// Consumers that only need tuple ids and exact vio accounting (the batch
-  /// repair engine reads current cells itself) turn this off: the mega
-  /// groups of low-cardinality LHS keys would otherwise cost one Value copy
-  /// per member per Detect. member_partners is always populated when this
-  /// is off, so ViolationTable totals are byte-identical either way.
-  bool materialize_group_rhs = true;
-
   /// Cooperative cancellation (common/cancel.h): checked once per kernel
   /// block and per CFD group. A tripped token turns Detect into
   /// Status::Cancelled / Status::DeadlineExceeded with nothing published —
@@ -63,8 +55,10 @@ struct DetectorOptions {
 ///    violates when it carries >= 2 distinct non-NULL RHS values.
 ///
 /// Multi-tuple groups are emitted in deterministic first-touch order, on
-/// the calling thread. tests/cfd_oracle_test.cc checks every SIMD tier
-/// against a definition-level oracle.
+/// the calling thread. A group's only per-member output is its partner
+/// count, taken from RHS codes; only the LHS key is decoded. tests/
+/// cfd_oracle_test.cc checks every SIMD tier against a definition-level
+/// oracle.
 class NativeDetector {
  public:
   /// `cfds` are resolved internally against rel's schema (copies; the input

@@ -84,8 +84,14 @@ common::Result<ViolationTable> SqlDetector::Detect() {
           vg.fd_group = q.fd_group;
           vg.cfd_index = representative;
           vg.lhs_key = key;
+          // Partners of a member: the members whose RHS value differs
+          // (two NULLs agree).
+          std::unordered_map<Value, int64_t, relational::ValueHash> freq;
+          for (const Value& v : b.rhs) ++freq[v];
+          const int64_t n = static_cast<int64_t>(b.members.size());
+          vg.member_partners.reserve(b.rhs.size());
+          for (const Value& v : b.rhs) vg.member_partners.push_back(n - freq[v]);
           vg.members = std::move(b.members);
-          vg.member_rhs = std::move(b.rhs);
           table.AddGroup(std::move(vg));
         }
       }

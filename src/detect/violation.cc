@@ -1,6 +1,7 @@
 #include "detect/violation.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace semandaq::detect {
 
@@ -36,29 +37,16 @@ bool ViolationTable::AddSingle(SingleViolation v) {
 }
 
 void ViolationTable::AddGroup(ViolationGroup g) {
-  const int64_t n = static_cast<int64_t>(g.members.size());
   drilldown_built_ = false;
   if (!g.members.empty()) {
     relational::TupleId max_tid = g.members.front();
     for (relational::TupleId tid : g.members) max_tid = std::max(max_tid, tid);
     EnsureTid(max_tid);
   }
-  if (g.member_partners.size() == g.members.size()) {
-    // Producer supplied exact partner counts (computed on integer codes).
-    for (size_t i = 0; i < g.members.size(); ++i) {
-      const int64_t partners = g.member_partners[i];
-      if (partners > 0) AddVio(g.members[i], partners);
-    }
-  } else {
-    // Partner count for member i is |G| - |{j : rhs_j == rhs_i}| (exact
-    // Value equality: two NULL RHS cells count as agreeing). One counting
-    // pass keeps this linear even for very wide groups.
-    std::unordered_map<relational::Value, int64_t, relational::ValueHash> freq;
-    for (const relational::Value& v : g.member_rhs) ++freq[v];
-    for (size_t i = 0; i < g.members.size(); ++i) {
-      const int64_t partners = n - freq[g.member_rhs[i]];
-      if (partners > 0) AddVio(g.members[i], partners);
-    }
+  assert(g.member_partners.size() == g.members.size());
+  for (size_t i = 0; i < g.members.size(); ++i) {
+    const int64_t partners = g.member_partners[i];
+    if (partners > 0) AddVio(g.members[i], partners);
   }
   groups_.push_back(std::move(g));
 }

@@ -31,16 +31,12 @@ struct ViolationGroup {
   int cfd_index = -1;  ///< representative CFD (first contributing member)
   relational::Row lhs_key;
   std::vector<relational::TupleId> members;
-  /// RHS value of each member, parallel to `members` (kept so auditing can
-  /// judge "bulk agreement" without re-reading the relation). Empty when
-  /// the producer was asked not to materialize it
-  /// (DetectorOptions::materialize_group_rhs = false) — member_partners is
-  /// always present then, so vio accounting never depends on it.
-  std::vector<relational::Value> member_rhs;
-  /// Optional producer hint, parallel to `members`: the number of group
-  /// members whose RHS disagrees with this member's. Detectors that group
-  /// on dictionary codes fill it from integer counts; when absent (size
-  /// mismatch), AddGroup derives it from member_rhs by value hashing.
+  /// Parallel to `members`, required: the number of group members whose
+  /// RHS disagrees with this member's (two NULL RHS cells agree). Producers
+  /// count it on what they group by — dictionary codes, or values in the
+  /// SQL detector — and AddGroup credits vio(t) with it. The data auditor
+  /// reads the majority from it: member i agrees with n − member_partners[i]
+  /// of the n members.
   std::vector<int64_t> member_partners;
 };
 
@@ -62,7 +58,8 @@ class ViolationTable {
   bool AddSingle(SingleViolation v);
 
   /// Records a multi-tuple violation group and credits every member's
-  /// vio(t) with its number of disagreeing partners.
+  /// vio(t) with its number of disagreeing partners (member_partners, which
+  /// must be parallel to members).
   void AddGroup(ViolationGroup g);
 
   int64_t vio(relational::TupleId tid) const;

@@ -144,6 +144,12 @@ class Relation {
     }
   }
 
+  /// False while a column-backed relation has not decoded its rows yet;
+  /// engines that read only codes leave it false.
+  bool rows_materialized() const {
+    return !needs_hydration_.load(std::memory_order_acquire);
+  }
+
   /// Appends a row; the row arity must match the schema.
   common::Result<TupleId> Insert(Row row);
 

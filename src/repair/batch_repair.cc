@@ -90,10 +90,6 @@ class RepairEngine {
     // instead of a cold per-round re-encode.
     detect::DetectorOptions dopts;
     dopts.simd_level = options_.simd_level;
-    // The engine reads current cells (or codes) itself; decoding a Value
-    // per group member per round would dominate re-detection on the mega
-    // groups low-cardinality LHS keys produce.
-    dopts.materialize_group_rhs = false;
     // The re-detection scans inherit the token (kernel-block granularity);
     // the round loop below adds the round-boundary checkpoint.
     dopts.cancel = options_.cancel;
@@ -457,8 +453,8 @@ class RepairEngine {
               });
 
     // Detect-time RHS snapshot per group, taken before ANY escape edit:
-    // the detector no longer materializes member_rhs for this engine, and
-    // the majorities below must not see edits this very pass applies.
+    // groups carry no RHS values, and the majorities below must not see
+    // edits this very pass applies.
     std::vector<std::vector<Value>> group_rhs(groups.size());
     for (size_t g = 0; g < groups.size(); ++g) {
       const Cfd& c = cfds_[static_cast<size_t>(groups[g]->cfd_index)];

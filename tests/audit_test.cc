@@ -5,6 +5,7 @@
 #include "audit/report.h"
 #include "cfd/cfd_parser.h"
 #include "detect/native_detector.h"
+#include "relational/encoded_relation.h"
 #include "test_util.h"
 
 namespace semandaq::audit {
@@ -12,6 +13,7 @@ namespace {
 
 using relational::Relation;
 using relational::TupleId;
+using relational::Value;
 
 std::vector<cfd::Cfd> Parse(const std::string& text) {
   auto r = cfd::ParseCfdSet(text);
@@ -109,6 +111,68 @@ TEST(AuditTest, CleanInstanceAllProbablyOrBetter) {
   AuditOutcome outcome = AuditOf(rel, semandaq::testing::PaperCfdText());
   EXPECT_EQ(outcome.GradeOf(0), CleanGrade::kVerifiedClean);
   EXPECT_EQ(outcome.total_vio, 0);
+}
+
+TEST(AuditTest, CellInTwoGroupsIsDirtyWhereItIsTheMinority) {
+  // Tuple 0's C cell holds the majority of the A=a1 group (x, x, y) but is
+  // the minority x of the B=b1 group (x, z, z): dirty, like its tuple.
+  const Relation rel = semandaq::testing::MakeStringRelation(
+      "t", {"A", "B", "C"},
+      {{"a1", "b1", "x"},
+       {"a1", "b2", "x"},
+       {"a1", "b3", "y"},
+       {"a2", "b1", "z"},
+       {"a3", "b1", "z"}});
+  const AuditOutcome outcome = AuditOf(rel, "t: [A] -> [C]\nt: [B] -> [C]\n");
+  EXPECT_EQ(outcome.GradeOf(0), CleanGrade::kDirty);
+  const AttributeStats& c = outcome.attr_stats[2];
+  EXPECT_EQ(c.counts[static_cast<size_t>(CleanGrade::kDirty)], 2);  // tuples 0, 2
+  EXPECT_EQ(c.counts[static_cast<size_t>(CleanGrade::kArguablyClean)], 3);
+  EXPECT_NEAR(c.pct_arguably(), 60.0, 1e-9);
+}
+
+TEST(AuditTest, CellOfASingleTupleViolationIsDirtyInAGroupMajority) {
+  // Tuple 0 violates [B=b1] -> [C=x] by itself, which implicates its C
+  // cell, although that cell is in the A=a1 majority (z, z, x).
+  const Relation rel = semandaq::testing::MakeStringRelation(
+      "u", {"A", "B", "C"},
+      {{"a1", "b1", "z"}, {"a1", "b2", "z"}, {"a1", "b3", "x"}});
+  const AuditOutcome outcome =
+      AuditOf(rel, "u: [A] -> [C]\nu: [B=b1] -> [C=x]\n");
+  EXPECT_EQ(outcome.GradeOf(0), CleanGrade::kDirty);
+  const AttributeStats& c = outcome.attr_stats[2];
+  EXPECT_EQ(c.counts[static_cast<size_t>(CleanGrade::kDirty)], 2);  // tuples 0, 2
+  EXPECT_EQ(c.counts[static_cast<size_t>(CleanGrade::kArguablyClean)], 1);
+  EXPECT_NEAR(c.pct_arguably(), 100.0 / 3.0, 1e-9);
+}
+
+TEST(AuditTest, GradesOfDeadAndUnknownTuplesReadProbablyClean) {
+  Relation rel = semandaq::testing::PaperCustomerRelation();
+  ASSERT_OK(rel.Delete(6));  // Eve, the single-tuple violator
+  const AuditOutcome outcome = AuditOf(rel, semandaq::testing::PaperCfdText());
+  EXPECT_EQ(outcome.num_tuples, 6u);
+  EXPECT_EQ(outcome.GradeOf(6), CleanGrade::kProbablyClean);
+  EXPECT_EQ(outcome.GradeOf(7), CleanGrade::kProbablyClean);
+  EXPECT_EQ(outcome.GradeOf(-1), CleanGrade::kProbablyClean);
+  EXPECT_EQ(outcome.tuples_single_only, 0u);
+}
+
+TEST(AuditTest, StaleSnapshotIsNotUsed) {
+  // An attached snapshot that no longer describes the relation is ignored:
+  // the auditor encodes the relation itself, as the detector does.
+  Relation rel = semandaq::testing::PaperCustomerRelation();
+  const relational::EncodedRelation stale(&rel);
+  rel.MustInsert({Value::String("Zoe"), Value::String("UK"), Value::String("Edi"),
+                  Value::String("EH4 1DT"), Value::String("Mayfield"),
+                  Value::String("44"), Value::String("131")});
+  const auto cfds = Parse(semandaq::testing::PaperCfdText());
+  detect::NativeDetector detector(&rel, cfds);
+  ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
+  DataAuditor auditor(&rel, cfds);
+  auditor.set_encoded(&stale);
+  ASSERT_OK_AND_ASSIGN(AuditOutcome outcome, auditor.Audit(table));
+  EXPECT_EQ(outcome.num_tuples, 8u);
+  EXPECT_EQ(outcome.GradeOf(7), CleanGrade::kVerifiedClean);  // CC=44, CNT=UK
 }
 
 TEST(ReportTest, BuildsBarsAndPie) {

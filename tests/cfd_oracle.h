@@ -4,13 +4,15 @@
 // A definition-level reference for the CFD engines. Every answer here is
 // computed straight from the semantics the engines document — CFD
 // satisfaction and violation (Fan et al. [TODS'08], restated in
-// native_detector.h and violation.h), FD validity and minimality, the
-// CTANE-style candidate rules of cfd_miner.h, and the repair
-// post-conditions — by looking at pairs of live tuples with Value ==.
+// native_detector.h and violation.h), the data auditor's grades
+// (audit/metrics.h), FD validity and minimality, the CTANE-style candidate
+// rules of cfd_miner.h, and the repair post-conditions — by looking at
+// pairs of live tuples with Value ==.
 //
 // It is naive on purpose: quadratic, no hashing, no dictionary codes. It
 // uses the data model only (Relation, Value, Cfd::Resolve,
-// PatternValue::Matches) and none of the engine code it judges
+// PatternValue::Matches, and audit::AuditOutcome as a plain result type)
+// and none of the engine code it judges
 // (GroupByEmbeddedFd, EncodedRelation, Partition, the SIMD kernels), so an
 // engine bug cannot cancel out against itself.
 
@@ -22,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "audit/metrics.h"
 #include "cfd/cfd.h"
 #include "common/string_util.h"
 #include "detect/violation.h"
@@ -63,6 +66,30 @@ inline bool LhsMatches(const cfd::Cfd& c, const cfd::PatternTuple& pt,
   return true;
 }
 
+/// The embedded-FD groups of resolved CFDs: CFDs with the same relation,
+/// the same LHS list in the same order and the same RHS, in order of first
+/// appearance.
+inline std::vector<std::vector<size_t>> EmbeddedFds(
+    const std::vector<cfd::Cfd>& cfds) {
+  auto same_fd = [&](const cfd::Cfd& x, const cfd::Cfd& y) {
+    return common::ToLower(x.relation()) == common::ToLower(y.relation()) &&
+           x.lhs_cols() == y.lhs_cols() && x.rhs_col() == y.rhs_col();
+  };
+  std::vector<std::vector<size_t>> fd_groups;
+  for (size_t ci = 0; ci < cfds.size(); ++ci) {
+    auto it = std::find_if(fd_groups.begin(), fd_groups.end(),
+                           [&](const std::vector<size_t>& g) {
+                             return same_fd(cfds[g.front()], cfds[ci]);
+                           });
+    if (it == fd_groups.end()) {
+      fd_groups.push_back({ci});
+    } else {
+      it->push_back(ci);
+    }
+  }
+  return fd_groups;
+}
+
 /// Detection from the definitions:
 ///  * a live tuple matching a constant-RHS row's LHS whose RHS is non-NULL
 ///    and differs from the constant is a single-tuple violation; each
@@ -98,24 +125,7 @@ inline Detection Detect(const Relation& rel, std::vector<cfd::Cfd> cfds) {
     }
   }
 
-  // Embedded-FD groups in order of first appearance.
-  auto same_fd = [&](const cfd::Cfd& x, const cfd::Cfd& y) {
-    return common::ToLower(x.relation()) == common::ToLower(y.relation()) &&
-           x.lhs_cols() == y.lhs_cols() && x.rhs_col() == y.rhs_col();
-  };
-  std::vector<std::vector<size_t>> fd_groups;
-  for (size_t ci = 0; ci < cfds.size(); ++ci) {
-    auto it = std::find_if(fd_groups.begin(), fd_groups.end(),
-                           [&](const std::vector<size_t>& g) {
-                             return same_fd(cfds[g.front()], cfds[ci]);
-                           });
-    if (it == fd_groups.end()) {
-      fd_groups.push_back({ci});
-    } else {
-      it->push_back(ci);
-    }
-  }
-
+  const std::vector<std::vector<size_t>> fd_groups = EmbeddedFds(cfds);
   for (size_t gi = 0; gi < fd_groups.size(); ++gi) {
     const cfd::Cfd& first = cfds[fd_groups[gi].front()];
     std::vector<std::pair<Row, std::vector<TupleId>>> buckets;
@@ -223,6 +233,226 @@ inline std::string DetectionDiff(const Relation& rel,
                                  const std::vector<cfd::Cfd>& cfds,
                                  const detect::ViolationTable& table) {
   return DetectionDiff(Detect(rel, cfds), table);
+}
+
+/// How a detection implicates one cell.
+struct Implication {
+  bool single = false;  ///< by a single-tuple violation
+  int majority = 0;     ///< groups in whose strict majority the cell is
+  int minority = 0;     ///< groups in which it is not
+};
+
+/// Per live cell ([tid][col]), the violations of `d` that implicate it:
+/// a single-tuple violation implicates the tuple's RHS cell and every cell
+/// under a constant LHS entry of the violated row; a violation group
+/// implicates each member's RHS cell, as a majority member when strictly
+/// more than half of the group holds an equal RHS value (two NULLs are
+/// equal). `cfds` must be resolved.
+inline std::vector<std::vector<Implication>> Implications(
+    const Relation& rel, const std::vector<cfd::Cfd>& cfds,
+    const Detection& d) {
+  std::vector<std::vector<Implication>> cells(
+      static_cast<size_t>(rel.IdBound()),
+      std::vector<Implication>(rel.schema().size()));
+  for (const auto& [t, ci, pi] : d.singles) {
+    const cfd::Cfd& c = cfds[static_cast<size_t>(ci)];
+    const cfd::PatternTuple& pt = c.tableau()[static_cast<size_t>(pi)];
+    auto& row = cells[static_cast<size_t>(t)];
+    row[c.rhs_col()].single = true;
+    for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
+      if (pt.lhs[i].is_constant()) row[c.lhs_cols()[i]].single = true;
+    }
+  }
+  const std::vector<std::vector<size_t>> fd_groups = EmbeddedFds(cfds);
+  for (const auto& [gi, members] : d.groups) {
+    const size_t rhs = cfds[fd_groups[static_cast<size_t>(gi)].front()].rhs_col();
+    std::vector<std::pair<Value, size_t>> counts;  // RHS value, members holding it
+    for (TupleId m : members) {
+      const Value& v = rel.cell(m, rhs);
+      auto it = std::find_if(counts.begin(), counts.end(),
+                             [&](const auto& c) { return c.first == v; });
+      if (it == counts.end()) {
+        counts.emplace_back(v, 1);
+      } else {
+        ++it->second;
+      }
+    }
+    for (TupleId m : members) {
+      const Value& v = rel.cell(m, rhs);
+      const size_t same = std::find_if(counts.begin(), counts.end(), [&](const auto& c) {
+                            return c.first == v;
+                          })->second;
+      Implication& cell = cells[static_cast<size_t>(m)][rhs];
+      if (2 * same > members.size()) {
+        ++cell.majority;
+      } else {
+        ++cell.minority;
+      }
+    }
+  }
+  return cells;
+}
+
+/// The data auditor's outcome from the definitions (audit/metrics.h), on
+/// the oracle's own detection and Value compares:
+///  * a constant-RHS row confirms a live tuple whose cells match its LHS
+///    and equal its RHS constant (a NULL cell matches no constant), and
+///    with it the tuple's RHS cell and its cells under constant LHS
+///    entries;
+///  * a cell is dirty when some violation implicates it other than as a
+///    majority member (Implications), arguably clean when every one that
+///    implicates it is a group in whose strict majority it is, verified
+///    clean when none implicates it and some row confirms it, and
+///    probably clean otherwise;
+///  * a tuple with vio(t) = 0 is verified clean when some row confirms it
+///    and probably clean otherwise; a violating tuple is arguably clean
+///    when it is in no single-tuple violation and in the strict majority of
+///    every group that holds it, and dirty otherwise. Dead and unknown ids
+///    read probably clean.
+inline audit::AuditOutcome Audit(const Relation& rel, std::vector<cfd::Cfd> cfds) {
+  using audit::CleanGrade;
+  audit::AuditOutcome out;
+  for (cfd::Cfd& c : cfds) {
+    if (!c.Resolve(rel.schema()).ok()) return out;
+  }
+  const Detection d = Detect(rel, cfds);
+  const auto cells = Implications(rel, cfds, d);
+  const size_t ncols = rel.schema().size();
+  const size_t bound = static_cast<size_t>(rel.IdBound());
+  out.attr_stats.resize(ncols);
+  out.tuple_grades.assign(bound, CleanGrade::kProbablyClean);
+
+  std::vector<bool> confirmed(bound, false);
+  std::vector<std::vector<bool>> confirmed_cell(bound, std::vector<bool>(ncols, false));
+  for (TupleId t : LiveTuples(rel)) {
+    const Row& row = rel.row(t);
+    for (const cfd::Cfd& c : cfds) {
+      for (const cfd::PatternTuple& pt : c.tableau()) {
+        if (!pt.is_constant_rhs() || !LhsMatches(c, pt, row)) continue;
+        const Value& a = row[c.rhs_col()];
+        if (a.is_null() || !(a == pt.rhs.constant())) continue;
+        const auto i = static_cast<size_t>(t);
+        confirmed[i] = true;
+        confirmed_cell[i][c.rhs_col()] = true;
+        for (size_t k = 0; k < c.lhs_cols().size(); ++k) {
+          if (pt.lhs[k].is_constant()) confirmed_cell[i][c.lhs_cols()[k]] = true;
+        }
+      }
+    }
+  }
+
+  std::vector<bool> single(bound, false);
+  for (const auto& s : d.singles) single[static_cast<size_t>(std::get<0>(s))] = true;
+  int64_t sum_vio = 0;
+  size_t violating = 0;
+  for (TupleId t : LiveTuples(rel)) {
+    const auto i = static_cast<size_t>(t);
+    const int64_t vio = d.vio[i];
+    bool multi = false;
+    bool minority = false;
+    for (const Implication& cell : cells[i]) {
+      multi = multi || cell.majority + cell.minority > 0;
+      minority = minority || cell.minority > 0;
+    }
+    CleanGrade grade = CleanGrade::kDirty;
+    if (vio == 0) {
+      grade = confirmed[i] ? CleanGrade::kVerifiedClean : CleanGrade::kProbablyClean;
+    } else if (!single[i] && multi && !minority) {
+      grade = CleanGrade::kArguablyClean;
+    }
+    out.tuple_grades[i] = grade;
+    ++out.num_tuples;
+    ++out.tuple_counts[static_cast<size_t>(grade)];
+    if (vio == 0) {
+      ++out.tuples_clean;
+    } else if (single[i] && multi) {
+      ++out.tuples_both;
+    } else if (single[i]) {
+      ++out.tuples_single_only;
+    } else {
+      ++out.tuples_multi_only;
+    }
+    if (vio > 0) {
+      sum_vio += vio;
+      ++violating;
+      out.max_vio = std::max(out.max_vio, vio);
+      out.min_vio_nonzero = out.min_vio_nonzero == 0 ? vio : std::min(out.min_vio_nonzero, vio);
+    }
+    for (size_t c = 0; c < ncols; ++c) {
+      const Implication& cell = cells[i][c];
+      CleanGrade g = CleanGrade::kProbablyClean;
+      if (cell.single || cell.minority > 0) {
+        g = CleanGrade::kDirty;
+      } else if (cell.majority > 0) {
+        g = CleanGrade::kArguablyClean;
+      } else if (confirmed_cell[i][c]) {
+        g = CleanGrade::kVerifiedClean;
+      }
+      ++out.attr_stats[c].counts[static_cast<size_t>(g)];
+    }
+  }
+  out.total_vio = sum_vio;
+  out.avg_vio_violating =
+      violating == 0 ? 0 : static_cast<double>(sum_vio) / static_cast<double>(violating);
+
+  for (const auto& [gi, members] : d.groups) {
+    const size_t n = members.size();
+    ++out.num_groups;
+    out.max_group_size = std::max(out.max_group_size, n);
+    out.min_group_size = out.min_group_size == 0 ? n : std::min(out.min_group_size, n);
+    out.avg_group_size += static_cast<double>(n);
+  }
+  if (out.num_groups > 0) out.avg_group_size /= static_cast<double>(out.num_groups);
+  return out;
+}
+
+/// Where the auditor's `got` departs from the oracle's `want`: every tuple
+/// grade through GradeOf over [0, `bound`] (an id past the oracle's grades
+/// is probably clean), then every other field.
+inline std::string AuditDiff(const audit::AuditOutcome& want,
+                             const audit::AuditOutcome& got, TupleId bound) {
+  std::ostringstream out;
+  for (TupleId t = 0; t <= bound; ++t) {
+    const auto i = static_cast<size_t>(t);
+    const audit::CleanGrade w = i < want.tuple_grades.size()
+                                    ? want.tuple_grades[i]
+                                    : audit::CleanGrade::kProbablyClean;
+    if (got.GradeOf(t) != w) {
+      out << "grade(" << t << ") = " << audit::CleanGradeToString(got.GradeOf(t))
+          << ", want " << audit::CleanGradeToString(w) << "\n";
+    }
+  }
+  const auto field = [&](const char* name, auto g, auto w) {
+    if (!(g == w)) out << name << " = " << g << ", want " << w << "\n";
+  };
+  field("num_tuples", got.num_tuples, want.num_tuples);
+  for (size_t k = 0; k < 4; ++k) {
+    field("tuple_counts", got.tuple_counts[k], want.tuple_counts[k]);
+  }
+  field("attr_stats.size", got.attr_stats.size(), want.attr_stats.size());
+  for (size_t c = 0; c < std::min(got.attr_stats.size(), want.attr_stats.size()); ++c) {
+    for (size_t k = 0; k < 4; ++k) {
+      if (got.attr_stats[c].counts[k] != want.attr_stats[c].counts[k]) {
+        out << "attr_stats[" << c << "][" << audit::CleanGradeToString(
+                                                  static_cast<audit::CleanGrade>(k))
+            << "] = " << got.attr_stats[c].counts[k] << ", want "
+            << want.attr_stats[c].counts[k] << "\n";
+      }
+    }
+  }
+  field("total_vio", got.total_vio, want.total_vio);
+  field("max_vio", got.max_vio, want.max_vio);
+  field("min_vio_nonzero", got.min_vio_nonzero, want.min_vio_nonzero);
+  field("avg_vio_violating", got.avg_vio_violating, want.avg_vio_violating);
+  field("tuples_clean", got.tuples_clean, want.tuples_clean);
+  field("tuples_single_only", got.tuples_single_only, want.tuples_single_only);
+  field("tuples_multi_only", got.tuples_multi_only, want.tuples_multi_only);
+  field("tuples_both", got.tuples_both, want.tuples_both);
+  field("num_groups", got.num_groups, want.num_groups);
+  field("max_group_size", got.max_group_size, want.max_group_size);
+  field("min_group_size", got.min_group_size, want.min_group_size);
+  field("avg_group_size", got.avg_group_size, want.avg_group_size);
+  return out.str();
 }
 
 /// Π_X from the definition: the live tuples with no NULL in `cols`,

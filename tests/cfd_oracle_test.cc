@@ -2,11 +2,13 @@
 // seeded random sweep of small relations and tableaux, plus a few fixed
 // instances. The sweep covers
 //  * NativeDetector cold, then at every SIMD tier over a warm snapshot
-//    (every eighth relation has 1,100-2,600 rows), and without
-//    materialized group values;
+//    (every eighth relation has 1,100-2,600 rows);
 //  * SqlDetector on the small relations whose Σ holds no NULL constant
 //    (its tableau relations encode wildcards as NULL);
 //  * IncrementalDetector after a random update stream;
+//  * DataAuditor on the tables of those detections, over a warm snapshot,
+//    on its own encoding and on a column-backed copy (its kernels run at
+//    the process's tier, so the scalar run of this test covers that tier);
 //  * FdMiner and CfdMiner at LHS arity 1-3, support 2-4, threads {1, 4},
 //    every tier;
 //  * BatchRepair, whose output must satisfy the repair post-conditions —
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/metrics.h"
 #include "cfd/cfd_parser.h"
 #include "cfd_oracle.h"
 #include "common/random.h"
@@ -229,7 +232,7 @@ std::vector<Cfd> Parse(const std::string& text) {
 
 /// NativeDetector against the oracle: a cold run that encodes the
 /// relation itself, then every tier over one warm snapshot (the server's
-/// pattern), and a run without materialized group values.
+/// pattern).
 void ExpectNativeDetection(const Relation& rel, const std::vector<Cfd>& sigma) {
   const Detection want = Detect(rel, sigma);
   ASSERT_OK_AND_ASSIGN(auto cold_table, detect::NativeDetector(&rel, sigma).Detect());
@@ -244,13 +247,6 @@ void ExpectNativeDetection(const Relation& rel, const std::vector<Cfd>& sigma) {
     ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
     ASSERT_EQ("", DetectionDiff(want, table)) << "tier=" << simd::LevelName(tier);
   }
-
-  detect::DetectorOptions lean;
-  lean.materialize_group_rhs = false;
-  detect::NativeDetector lean_detector(&rel, sigma, lean);
-  lean_detector.set_encoded(&warm);
-  ASSERT_OK_AND_ASSIGN(auto lean_table, lean_detector.Detect());
-  ASSERT_EQ("", DetectionDiff(want, lean_table)) << "materialize_group_rhs=false";
 }
 
 /// SqlDetector against the oracle. Its tableau relations encode wildcards
@@ -296,6 +292,88 @@ TEST(CfdOracleTest, DetectionSweep) {
     }
     ASSERT_EQ(inc.Clean(), total == 0);
   }
+}
+
+// ----------------------------------------------------------------- audit
+
+/// DataAuditor on `table` against the oracle's outcome for `rel`: over the
+/// snapshot `warm` when given, else on the auditor's own encoding.
+void ExpectAudit(const Relation& rel, const std::vector<Cfd>& sigma,
+                 const audit::AuditOutcome& want,
+                 const detect::ViolationTable& table,
+                 const relational::EncodedRelation* warm, const std::string& what) {
+  audit::DataAuditor auditor(&rel, sigma);
+  if (warm != nullptr) auditor.set_encoded(warm);
+  ASSERT_OK_AND_ASSIGN(auto got, auditor.Audit(table));
+  ASSERT_EQ("", AuditDiff(want, got, rel.IdBound())) << what;
+}
+
+TEST(CfdOracleTest, AuditSweep) {
+  // The cells whose grade needs the whole rule "arguably clean only when
+  // every implicating violation is a group it holds the majority of".
+  size_t majority_and_minority = 0;
+  size_t majority_and_single = 0;
+  for (uint64_t seed = 0; seed < kDetectSeeds; ++seed) {
+    Rng rng(seed);
+    Shape shape;
+    const size_t rows = seed % 8 == 7 ? 1100 + rng.NextIndex(1500) : rng.NextIndex(61);
+    const Relation rel = RandomRelation(&rng, rows, &shape);
+    const std::vector<Cfd> sigma = RandomSigma(&rng, shape);
+    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + SigmaText(sigma));
+
+    std::vector<Cfd> resolved = sigma;
+    ASSERT_OK(cfd::ResolveAll(&resolved, rel.schema()));
+    for (const auto& row : Implications(rel, resolved, Detect(rel, resolved))) {
+      for (const Implication& cell : row) {
+        if (cell.majority == 0) continue;
+        if (cell.minority > 0) ++majority_and_minority;
+        if (cell.single) ++majority_and_single;
+      }
+    }
+
+    const audit::AuditOutcome want = Audit(rel, sigma);
+    const relational::EncodedRelation warm(&rel);
+    for (simd::Level tier : kTiers) {
+      detect::DetectorOptions opts;
+      opts.simd_level = tier;
+      detect::NativeDetector detector(&rel, sigma, opts);
+      detector.set_encoded(&warm);
+      ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
+      ExpectAudit(rel, sigma, want, table, &warm,
+                  "tier=" + std::string(simd::LevelName(tier)));
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_OK_AND_ASSIGN(auto cold_table, detect::NativeDetector(&rel, sigma).Detect());
+    ExpectAudit(rel, sigma, want, cold_table, nullptr, "cold");
+    if (HasFatalFailure()) return;
+    // A published epoch's relation: column-backed, so the auditor adopts
+    // its codes and no row is decoded.
+    const Relation epoch = Relation::FromColumns(
+        rel.name(), rel.schema(),
+        std::vector<uint8_t>(rel.live_data(), rel.live_data() + rel.IdBound()),
+        warm.dictionaries(), warm.columns());
+    ExpectAudit(epoch, sigma, want, cold_table, nullptr, "column-backed");
+    if (HasFatalFailure()) return;
+    ASSERT_FALSE(epoch.rows_materialized());
+    if (!HasNullConstant(sigma) && rows <= 60) {
+      relational::Database db;
+      ASSERT_OK(db.AddRelation(rel.Clone()));
+      ASSERT_OK_AND_ASSIGN(auto sql_table, detect::SqlDetector(&db, rel.name(), sigma).Detect());
+      ExpectAudit(rel, sigma, want, sql_table, nullptr, "sql");
+      if (HasFatalFailure()) return;
+    }
+
+    Relation live = rel;
+    detect::IncrementalDetector inc(&live, sigma, kTiers[seed % 3]);
+    ASSERT_OK(inc.Initialize());
+    for (int b = 0; b < 3; ++b) {
+      ASSERT_OK(inc.ApplyAndDetect(RandomBatch(&rng, shape, live)));
+    }
+    ExpectAudit(live, sigma, Audit(live, sigma), inc.Snapshot(), nullptr, "incremental");
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(majority_and_minority, 100u);
+  EXPECT_GE(majority_and_single, 100u);
 }
 
 // ------------------------------------------------------------- discovery

@@ -39,7 +39,8 @@ TEST(ViolationTableTest, GroupVioCountsDisagreeingPartners) {
   g.cfd_index = 0;
   g.lhs_key = {Value::String("UK")};
   g.members = {10, 11, 12};
-  g.member_rhs = {Value::String("a"), Value::String("a"), Value::String("b")};
+  // RHS values a, a, b: each member's count of disagreeing members.
+  g.member_partners = {1, 1, 2};
   t.AddGroup(g);
   // Tuples 10/11 disagree with 12 only; 12 disagrees with both.
   EXPECT_EQ(t.vio(10), 1);

@@ -207,7 +207,7 @@ void ExpectExactlyEqual(const ViolationTable& a, const ViolationTable& b) {
     EXPECT_EQ(a.groups()[i].cfd_index, b.groups()[i].cfd_index) << i;
     EXPECT_EQ(a.groups()[i].lhs_key, b.groups()[i].lhs_key) << i;
     EXPECT_EQ(a.groups()[i].members, b.groups()[i].members) << i;
-    EXPECT_EQ(a.groups()[i].member_rhs, b.groups()[i].member_rhs) << i;
+    EXPECT_EQ(a.groups()[i].member_partners, b.groups()[i].member_partners) << i;
   }
 }
 

@@ -225,6 +225,42 @@ TEST(ServerServiceTest, CleanPinsItsEpochAcrossConcurrentWrites) {
             std::string::npos);
 }
 
+// ------------------------------------------------------ code-only reports
+
+TEST(ServerServiceTest, ReportDecodesNoRowOfAnOpenedRelation) {
+  // `report` grades from the violation table and the dictionary codes, so
+  // neither the facade nor the service decodes a row of a freshly opened
+  // relation for it.
+  const std::string path = TempPath("svc_report.sdq");
+  const std::string dir = TempPath("svc_report_db");
+  SemandaqService source;
+  SemandaqService::SessionState state;
+  Exec(&source, &state, "gen customer 500 10");
+  Exec(&source, &state, "save customer " + path);
+  Exec(&source, &state, "savedb " + dir);
+
+  core::Semandaq facade;
+  ASSERT_OK(facade.OpenRelation("customer", path).status());
+  for (const char* cfd : kCustomerCfds) {
+    ASSERT_OK(facade.constraints().AddCfdsFromText(std::string(cfd).substr(4)));
+  }
+  ASSERT_OK_AND_ASSIGN(auto report, facade.Report("customer"));
+  EXPECT_EQ(report.num_tuples, 500u);
+  EXPECT_FALSE(facade.database().FindRelation("customer")->rows_materialized());
+
+  SemandaqService served;
+  SemandaqService::SessionState sstate;
+  Exec(&served, &sstate, "opendb " + dir);
+  for (const char* cfd : kCustomerCfds) Exec(&served, &sstate, cfd);
+  const std::string text = Exec(&served, &sstate, "report customer");
+  EXPECT_NE(text.find("Attribute cleanliness"), std::string::npos);
+  EXPECT_FALSE(served.Pin("customer")->relation.rows_materialized());
+  EXPECT_FALSE(served.system_unsynchronized()
+                   .database()
+                   .FindRelation("customer")
+                   ->rows_materialized());
+}
+
 // -------------------------------------------------------- whole-DB catalog
 
 TEST(ServerServiceTest, SaveDbOpenDbRoundTrip) {
