@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/simd/simd.h"
+#include "relational/encoded_relation.h"
 
 namespace semandaq::audit {
 
@@ -32,9 +33,6 @@ constexpr uint8_t kConfirmed = 8;  // a constant-RHS row confirms the tuple
 constexpr uint8_t kDirtyCell = 1;     // implicated other than as a majority
 constexpr uint8_t kArguableCell = 2;  // in a group's strict majority
 constexpr uint8_t kVerifiedCell = 4;  // confirmed by a constant-RHS row
-
-// Tuples per kernel block of the confirmation scan.
-constexpr size_t kBlock = 4096;
 
 CleanGrade CellGrade(uint8_t flags) {
   if (flags & kDirtyCell) return CleanGrade::kDirty;
@@ -86,16 +84,8 @@ CleanGrade AuditOutcome::GradeOf(TupleId tid) const {
 
 common::Result<AuditOutcome> DataAuditor::Audit(const ViolationTable& table) {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
-  if (encoded_ != nullptr && &encoded_->relation() == rel_ &&
-      encoded_->InSync()) {
-    return AuditEncoded(*encoded_, table);
-  }
-  const EncodedRelation local(rel_);
-  return AuditEncoded(local, table);
-}
+  const EncodedRelation enc(rel_);
 
-AuditOutcome DataAuditor::AuditEncoded(const EncodedRelation& enc,
-                                       const ViolationTable& table) const {
   AuditOutcome out;
   const size_t ncols = rel_->schema().size();
   const size_t bound = static_cast<size_t>(rel_->IdBound());
@@ -149,21 +139,25 @@ AuditOutcome DataAuditor::AuditEncoded(const EncodedRelation& enc,
   }
 
   // Confirmations: the live tuples whose codes equal a constant-RHS row's
-  // RHS constant and LHS constants, found with the detector's kernels one
-  // block of tuples at a time. A NULL or absent constant matches no cell,
-  // so its row confirms nothing.
+  // RHS constant and LHS constants, found with the detector's kernels in
+  // one pass over the code columns per row. A NULL or absent constant
+  // matches no cell, so its row confirms nothing.
   const simd::Kernels& kn = simd::KernelsFor();
-  std::vector<uint64_t> mask(simd::MaskWords(kBlock));
+  std::vector<uint64_t> live_mask(simd::MaskWords(bound));
+  kn.MaskLive(live, nullptr, 0, kNullCode, bound, live_mask.data());
+  std::vector<uint64_t> mask;
   std::vector<size_t> cols;  // the compared columns: the cells a match confirms
+  std::vector<const Code*> col_codes;
   std::vector<Code> codes;
-  std::vector<const Code*> block_cols;
   for (const Cfd& c : cfds_) {
     for (const PatternTuple& pt : c.tableau()) {
       if (!pt.is_constant_rhs()) continue;
       cols.clear();
+      col_codes.clear();
       codes.clear();
       const auto require = [&](size_t col, const Value& v) {
         cols.push_back(col);
+        col_codes.push_back(enc.column(col).data());
         codes.push_back(v.is_null() ? kAbsentCode : enc.dictionary(col).Lookup(v));
       };
       require(c.rhs_col(), pt.rhs.constant());
@@ -171,19 +165,12 @@ AuditOutcome DataAuditor::AuditEncoded(const EncodedRelation& enc,
         if (pt.lhs[i].is_constant()) require(c.lhs_cols()[i], pt.lhs[i].constant());
       }
       if (std::find(codes.begin(), codes.end(), kAbsentCode) != codes.end()) continue;
-      block_cols.resize(cols.size());
-      for (size_t lo = 0; lo < bound; lo += kBlock) {
-        const size_t n = std::min(kBlock, bound - lo);
-        if (kn.MaskLive(live + lo, nullptr, 0, kNullCode, n, mask.data()) == 0) continue;
-        for (size_t k = 0; k < cols.size(); ++k) {
-          block_cols[k] = enc.column(cols[k]).data() + lo;
-        }
-        kn.FilterEqMulti32(block_cols.data(), codes.data(), cols.size(), n, mask.data());
-        simd::ForEachSetBit(mask.data(), simd::MaskWords(n), [&](size_t i) {
-          tuple_flags[lo + i] |= kConfirmed;
-          for (size_t col : cols) cell_flags[(lo + i) * ncols + col] |= kVerifiedCell;
-        });
-      }
+      mask = live_mask;
+      kn.FilterEqMulti32(col_codes.data(), codes.data(), cols.size(), bound, mask.data());
+      simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t t) {
+        tuple_flags[t] |= kConfirmed;
+        for (size_t col : cols) cell_flags[t * ncols + col] |= kVerifiedCell;
+      });
     }
   }
 

@@ -8,7 +8,6 @@
 #include "cfd/cfd.h"
 #include "common/status.h"
 #include "detect/violation.h"
-#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 
 namespace semandaq::audit {
@@ -87,7 +86,10 @@ struct AuditOutcome {
 /// and statistics above. It reads the table, Σ and the relation's
 /// dictionary codes, never a row: a group member holds the strict majority
 /// iff 2·(n − member_partners) > n, and the confirmations behind "verified
-/// clean" come from one scan of the code columns per constant-RHS row.
+/// clean" come from one scan of the code columns per constant-RHS row. The
+/// codes come from a local EncodedRelation, which adopts a column-backed
+/// relation's codes (a published epoch's or a freshly opened relation's)
+/// and encodes any other relation.
 class DataAuditor {
  public:
   /// `cfds` are resolved internally against rel's schema; the relation and
@@ -95,24 +97,11 @@ class DataAuditor {
   DataAuditor(const relational::Relation* rel, std::vector<cfd::Cfd> cfds)
       : rel_(rel), cfds_(std::move(cfds)) {}
 
-  /// Attaches an externally owned encoded snapshot of the relation, under
-  /// NativeDetector::set_encoded's contract: Audit uses it when it
-  /// describes the relation and is in sync, and otherwise builds a local
-  /// EncodedRelation, which adopts the codes of a column-backed relation
-  /// instead of encoding.
-  void set_encoded(const relational::EncodedRelation* encoded) {
-    encoded_ = encoded;
-  }
-
   common::Result<AuditOutcome> Audit(const detect::ViolationTable& table);
 
  private:
-  AuditOutcome AuditEncoded(const relational::EncodedRelation& enc,
-                            const detect::ViolationTable& table) const;
-
   const relational::Relation* rel_;
   std::vector<cfd::Cfd> cfds_;
-  const relational::EncodedRelation* encoded_ = nullptr;
 };
 
 }  // namespace semandaq::audit

@@ -242,11 +242,8 @@ common::Result<Semandaq::OpenStats> Semandaq::OpenRelation(
 common::Result<audit::AuditOutcome> Semandaq::Audit(const std::string& relation) {
   SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
                             db_.GetRelation(relation));
-  // One warm snapshot serves the detection and the audit.
-  relational::EncodedRelation* warm = WarmOrEncode(relation);
   SEMANDAQ_ASSIGN_OR_RETURN(detect::ViolationTable table, DetectErrors(relation));
   audit::DataAuditor auditor(rel, engine_.CfdsFor(relation));
-  auditor.set_encoded(warm);
   return auditor.Audit(table);
 }
 

@@ -341,20 +341,11 @@ ViolationTable IncrementalDetector::Snapshot() const {
       for (size_t i = 0; i < key.size(); ++i) {
         vg.lhs_key.push_back(enc_->Decode(gs.lhs_cols[i], key[i]));
       }
-      // rhs_counts holds the non-NULL RHS values; the NULL members, which
-      // agree with each other, are the rest.
       const int64_t n = static_cast<int64_t>(bucket.members.size());
-      int64_t nulls = n;
-      for (const auto& [v, count] : bucket.rhs_counts) nulls -= count;
+      const int64_t nulls = bucket.null_rhs();
       vg.member_partners.reserve(bucket.members.size());
       for (TupleId tid : bucket.members) {
-        const Code c = enc_->code(tid, gs.rhs_col);
-        int64_t same = nulls;
-        if (c != kNullCode) {
-          auto it = bucket.rhs_counts.find(enc_->Decode(gs.rhs_col, c));
-          same = it == bucket.rhs_counts.end() ? 0 : it->second;
-        }
-        vg.member_partners.push_back(n - same);
+        vg.member_partners.push_back(n - SameRhs(gs, bucket, tid, nulls));
       }
       vg.members = bucket.members;
       table.AddGroup(std::move(vg));
@@ -384,19 +375,18 @@ int64_t IncrementalDetector::Vio(TupleId tid) const {
     if (std::find(b.members.begin(), b.members.end(), tid) == b.members.end()) {
       continue;
     }
-    const Code mine = enc_->code(tid, gs.rhs_col);
-    int64_t same = 0;
-    if (mine != kNullCode) {
-      auto cit = b.rhs_counts.find(enc_->Decode(gs.rhs_col, mine));
-      if (cit != b.rhs_counts.end()) same = cit->second;
-    } else {
-      for (TupleId other : b.members) {
-        if (enc_->code(other, gs.rhs_col) == kNullCode) ++same;
-      }
-    }
-    vio += static_cast<int64_t>(b.members.size()) - same;
+    vio += static_cast<int64_t>(b.members.size()) -
+           SameRhs(gs, b, tid, b.null_rhs());
   }
   return vio;
+}
+
+int64_t IncrementalDetector::SameRhs(const GroupState& gs, const Bucket& b,
+                                     TupleId tid, int64_t nulls) const {
+  const Code c = enc_->code(tid, gs.rhs_col);
+  if (c == kNullCode) return nulls;
+  auto it = b.rhs_counts.find(enc_->Decode(gs.rhs_col, c));
+  return it == b.rhs_counts.end() ? 0 : it->second;
 }
 
 std::vector<std::pair<size_t, size_t>> IncrementalDetector::SinglesOf(

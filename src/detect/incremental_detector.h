@@ -101,6 +101,12 @@ class IncrementalDetector {
     void AddRhs(const relational::Value& v);
     void RemoveRhs(const relational::Value& v);
     bool violating() const { return distinct_nonnull >= 2; }
+    /// Members with a NULL RHS: rhs_counts holds only the non-NULL values.
+    int64_t null_rhs() const {
+      int64_t n = static_cast<int64_t>(members.size());
+      for (const auto& [v, count] : rhs_counts) n -= count;
+      return n;
+    }
   };
 
   /// A tableau row compiled to codes: (LHS position, required code) pairs
@@ -125,6 +131,11 @@ class IncrementalDetector {
                        relational::CodeVecHash>
         buckets;
   };
+
+  /// Members of bucket `b` whose RHS equals tid's, tid included; NULLs
+  /// agree with each other. `nulls` is b.null_rhs().
+  int64_t SameRhs(const GroupState& gs, const Bucket& b, relational::TupleId tid,
+                  int64_t nulls) const;
 
   /// Fills `key` with the tuple's LHS codes; false when any is NULL.
   bool LhsKeyOf(const GroupState& gs, relational::TupleId tid,

@@ -616,7 +616,6 @@ common::Result<std::string> SemandaqService::CmdReport(
   if (args.size() != 1) return Status::InvalidArgument("usage: report REL");
   SEMANDAQ_ASSIGN_OR_RETURN(PinnedDetection d, DetectPinned(args[0], {}, cancel));
   audit::DataAuditor auditor(&d.snap->relation, std::move(d.cfds));
-  auditor.set_encoded(&*d.snap->encoded);
   SEMANDAQ_ASSIGN_OR_RETURN(auto outcome, auditor.Audit(d.table));
   const audit::QualityReport report =
       audit::BuildQualityReport(outcome, d.snap->relation.schema());

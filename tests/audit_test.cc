@@ -5,7 +5,6 @@
 #include "audit/report.h"
 #include "cfd/cfd_parser.h"
 #include "detect/native_detector.h"
-#include "relational/encoded_relation.h"
 #include "test_util.h"
 
 namespace semandaq::audit {
@@ -13,7 +12,6 @@ namespace {
 
 using relational::Relation;
 using relational::TupleId;
-using relational::Value;
 
 std::vector<cfd::Cfd> Parse(const std::string& text) {
   auto r = cfd::ParseCfdSet(text);
@@ -155,24 +153,6 @@ TEST(AuditTest, GradesOfDeadAndUnknownTuplesReadProbablyClean) {
   EXPECT_EQ(outcome.GradeOf(7), CleanGrade::kProbablyClean);
   EXPECT_EQ(outcome.GradeOf(-1), CleanGrade::kProbablyClean);
   EXPECT_EQ(outcome.tuples_single_only, 0u);
-}
-
-TEST(AuditTest, StaleSnapshotIsNotUsed) {
-  // An attached snapshot that no longer describes the relation is ignored:
-  // the auditor encodes the relation itself, as the detector does.
-  Relation rel = semandaq::testing::PaperCustomerRelation();
-  const relational::EncodedRelation stale(&rel);
-  rel.MustInsert({Value::String("Zoe"), Value::String("UK"), Value::String("Edi"),
-                  Value::String("EH4 1DT"), Value::String("Mayfield"),
-                  Value::String("44"), Value::String("131")});
-  const auto cfds = Parse(semandaq::testing::PaperCfdText());
-  detect::NativeDetector detector(&rel, cfds);
-  ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
-  DataAuditor auditor(&rel, cfds);
-  auditor.set_encoded(&stale);
-  ASSERT_OK_AND_ASSIGN(AuditOutcome outcome, auditor.Audit(table));
-  EXPECT_EQ(outcome.num_tuples, 8u);
-  EXPECT_EQ(outcome.GradeOf(7), CleanGrade::kVerifiedClean);  // CC=44, CNT=UK
 }
 
 TEST(ReportTest, BuildsBarsAndPie) {

@@ -6,9 +6,9 @@
 //  * SqlDetector on the small relations whose Σ holds no NULL constant
 //    (its tableau relations encode wildcards as NULL);
 //  * IncrementalDetector after a random update stream;
-//  * DataAuditor on the tables of those detections, over a warm snapshot,
-//    on its own encoding and on a column-backed copy (its kernels run at
-//    the process's tier, so the scalar run of this test covers that tier);
+//  * DataAuditor on the tables of those detections, on its own encoding
+//    and on a column-backed copy (its kernels run at the process's tier,
+//    so the scalar run of this test covers that tier);
 //  * FdMiner and CfdMiner at LHS arity 1-3, support 2-4, threads {1, 4},
 //    every tier;
 //  * BatchRepair, whose output must satisfy the repair post-conditions —
@@ -296,14 +296,11 @@ TEST(CfdOracleTest, DetectionSweep) {
 
 // ----------------------------------------------------------------- audit
 
-/// DataAuditor on `table` against the oracle's outcome for `rel`: over the
-/// snapshot `warm` when given, else on the auditor's own encoding.
+/// DataAuditor on `table` against the oracle's outcome for `rel`.
 void ExpectAudit(const Relation& rel, const std::vector<Cfd>& sigma,
                  const audit::AuditOutcome& want,
-                 const detect::ViolationTable& table,
-                 const relational::EncodedRelation* warm, const std::string& what) {
+                 const detect::ViolationTable& table, const std::string& what) {
   audit::DataAuditor auditor(&rel, sigma);
-  if (warm != nullptr) auditor.set_encoded(warm);
   ASSERT_OK_AND_ASSIGN(auto got, auditor.Audit(table));
   ASSERT_EQ("", AuditDiff(want, got, rel.IdBound())) << what;
 }
@@ -339,27 +336,24 @@ TEST(CfdOracleTest, AuditSweep) {
       detect::NativeDetector detector(&rel, sigma, opts);
       detector.set_encoded(&warm);
       ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
-      ExpectAudit(rel, sigma, want, table, &warm,
-                  "tier=" + std::string(simd::LevelName(tier)));
+      ExpectAudit(rel, sigma, want, table, "tier=" + std::string(simd::LevelName(tier)));
       if (HasFatalFailure()) return;
     }
     ASSERT_OK_AND_ASSIGN(auto cold_table, detect::NativeDetector(&rel, sigma).Detect());
-    ExpectAudit(rel, sigma, want, cold_table, nullptr, "cold");
-    if (HasFatalFailure()) return;
     // A published epoch's relation: column-backed, so the auditor adopts
     // its codes and no row is decoded.
     const Relation epoch = Relation::FromColumns(
         rel.name(), rel.schema(),
         std::vector<uint8_t>(rel.live_data(), rel.live_data() + rel.IdBound()),
         warm.dictionaries(), warm.columns());
-    ExpectAudit(epoch, sigma, want, cold_table, nullptr, "column-backed");
+    ExpectAudit(epoch, sigma, want, cold_table, "column-backed");
     if (HasFatalFailure()) return;
     ASSERT_FALSE(epoch.rows_materialized());
     if (!HasNullConstant(sigma) && rows <= 60) {
       relational::Database db;
       ASSERT_OK(db.AddRelation(rel.Clone()));
       ASSERT_OK_AND_ASSIGN(auto sql_table, detect::SqlDetector(&db, rel.name(), sigma).Detect());
-      ExpectAudit(rel, sigma, want, sql_table, nullptr, "sql");
+      ExpectAudit(rel, sigma, want, sql_table, "sql");
       if (HasFatalFailure()) return;
     }
 
@@ -369,7 +363,7 @@ TEST(CfdOracleTest, AuditSweep) {
     for (int b = 0; b < 3; ++b) {
       ASSERT_OK(inc.ApplyAndDetect(RandomBatch(&rng, shape, live)));
     }
-    ExpectAudit(live, sigma, Audit(live, sigma), inc.Snapshot(), nullptr, "incremental");
+    ExpectAudit(live, sigma, Audit(live, sigma), inc.Snapshot(), "incremental");
     if (HasFatalFailure()) return;
   }
   EXPECT_GE(majority_and_minority, 100u);
