@@ -35,11 +35,12 @@ int main() {
     return 1;
   }
 
-  auto quality =
-      semandaq::workload::EvaluateRepair(wl.clean, wl.dirty, result->repaired);
-
   semandaq::repair::RepairReview review(&wl.dirty, std::move(*result), cfds);
   if (!review.Start().ok()) return 1;
+  // Scored before any override: the review owns the input with the plan
+  // applied.
+  auto quality =
+      semandaq::workload::EvaluateRepair(wl.clean, wl.dirty, review.repaired());
 
   std::printf("%s\n", review.RenderDiff(40).c_str());
 

@@ -77,8 +77,9 @@ int main() {
               repair->changes.size(), repair->total_cost, repair->iterations,
               repair->null_escapes);
 
-  auto quality = semandaq::workload::EvaluateRepair(
-      wl.clean, wl.dirty, repair->repaired);
+  semandaq::relational::Relation repaired = wl.dirty.Clone();
+  if (!semandaq::repair::ApplyChanges(repair->changes, &repaired).ok()) return 1;
+  auto quality = semandaq::workload::EvaluateRepair(wl.clean, wl.dirty, repaired);
   std::printf("repair quality: %s\n\n", quality.ToString().c_str());
 
   auto review = sys.Review("customer", *repair);

@@ -95,9 +95,11 @@ int main() {
   std::printf("repair: %zu cell(s) changed, cost %.2f\n", repair->changes.size(),
               repair->total_cost);
 
-  auto quality = semandaq::workload::EvaluateRepair(
-      target.clean, *sys.database().GetRelation("hospital").value(),
-      repair->repaired);
+  const semandaq::relational::Relation& dirty =
+      *sys.database().GetRelation("hospital").value();
+  semandaq::relational::Relation repaired = dirty.Clone();
+  if (!semandaq::repair::ApplyChanges(repair->changes, &repaired).ok()) return 1;
+  auto quality = semandaq::workload::EvaluateRepair(target.clean, dirty, repaired);
   std::printf("repair quality vs gold: %s\n", quality.ToString().c_str());
 
   if (!sys.ApplyRepair("hospital", *repair).ok()) return 1;

@@ -287,10 +287,7 @@ common::Status Semandaq::ApplyRepair(const std::string& relation,
                                      const repair::RepairResult& result) {
   relational::Relation* rel = db_.FindMutableRelation(relation);
   if (rel == nullptr) return Status::NotFound("no relation named " + relation);
-  for (const repair::CellChange& ch : result.changes) {
-    SEMANDAQ_RETURN_IF_ERROR(rel->SetCell(ch.tid, ch.col, ch.repaired));
-  }
-  return Status::OK();
+  return repair::ApplyChanges(result.changes, rel);
 }
 
 common::Result<std::unique_ptr<monitor::DataMonitor>> Semandaq::StartMonitor(

@@ -211,7 +211,8 @@ class Semandaq {
   common::Result<std::unique_ptr<repair::RepairReview>> Review(
       const std::string& relation, repair::RepairResult result);
 
-  /// Writes a candidate repair back into the connected database.
+  /// Writes a candidate repair's change list back into the connected
+  /// database (repair::ApplyChanges).
   common::Status ApplyRepair(const std::string& relation,
                              const repair::RepairResult& result);
 

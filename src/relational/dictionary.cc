@@ -5,17 +5,24 @@
 namespace semandaq::relational {
 
 Dictionary::Dictionary(const Dictionary& other)
-    : codes_(other.codes_),
-      hydrated_(other.hydrated_.load(std::memory_order_acquire)),
-      hydrate_mu_(std::make_unique<std::mutex>()),
-      values_(other.values_) {}
+    : hydrate_mu_(std::make_unique<std::mutex>()) {
+  *this = other;
+}
 
 Dictionary& Dictionary::operator=(const Dictionary& other) {
   if (this == &other) return *this;
+  // A shared dictionary may be hydrating under a concurrent Lookup, which
+  // fills codes_ under the source's mutex: copy under it too, so the copy
+  // sees either the unhydrated or the hydrated state, never a half-built
+  // map. (A moved-from source has no mutex and no concurrent readers.)
+  std::unique_lock<std::mutex> lock;
+  if (other.hydrate_mu_ != nullptr) lock = std::unique_lock(*other.hydrate_mu_);
   codes_ = other.codes_;
   hydrated_.store(other.hydrated_.load(std::memory_order_acquire),
                   std::memory_order_release);
   values_ = other.values_;
+  // A moved-from shell being reused as an assignment target lost its mutex.
+  if (hydrate_mu_ == nullptr) hydrate_mu_ = std::make_unique<std::mutex>();
   return *this;
 }
 

@@ -41,9 +41,10 @@ class Dictionary {
     values_.push_back(Value::Null());
   }
 
-  // Copies duplicate the mapping with a fresh hydration mutex; moves steal
-  // everything. (Spelled out because the atomic hydration flag and the
-  // mutex have no implicit copies.)
+  // Copies duplicate the mapping with a fresh hydration mutex, reading the
+  // source under its mutex (a concurrent Lookup may be hydrating it); moves
+  // steal everything. (Spelled out because the atomic hydration flag and
+  // the mutex have no implicit copies.)
   Dictionary(const Dictionary& other);
   Dictionary& operator=(const Dictionary& other);
   Dictionary(Dictionary&& other) noexcept;

@@ -119,13 +119,20 @@ void EncodedRelation::ApplyInsert(TupleId tid) {
 }
 
 void EncodedRelation::ApplyCell(TupleId tid, size_t col) {
-  assert(tid >= 0 && tid < IdBound() && col < columns_.size());
-  // Set() below the frozen watermark detaches the chunk copy-on-write;
-  // MutableDict does the same for the dictionary.
-  columns_[col].Set(static_cast<size_t>(tid),
-                    MutableDict(col).Encode(rel_->cell(tid, col)));
+  SetCell(tid, col, rel_->cell(tid, col));
   synced_version_ = rel_->version();
   synced_overwrite_version_ = rel_->overwrite_version();
+}
+
+void EncodedRelation::SetCell(TupleId tid, size_t col, const Value& v) {
+  assert(tid >= 0 && tid < IdBound() && col < columns_.size());
+  // A value the dictionary already holds (and NULL) writes its code without
+  // detaching the dictionary; only a new value appends to it (MutableDict
+  // detaches a shared one first). Set() below the frozen watermark
+  // detaches the chunk.
+  Code code = dicts_[col]->Lookup(v);
+  if (code == kAbsentCode) code = MutableDict(col).Encode(v);
+  columns_[col].Set(static_cast<size_t>(tid), code);
 }
 
 }  // namespace semandaq::relational

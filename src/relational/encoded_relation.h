@@ -40,6 +40,12 @@ namespace semandaq::relational {
 /// warm through overwrites via the delta hooks ApplyInsert/ApplyCell, which
 /// re-encode exactly the touched cells and fast-forward the sync marks.
 ///
+/// Private working copies. SetCell writes a cell of the snapshot without
+/// touching the relation, so the sync marks still say InSync(). A snapshot
+/// written this way no longer mirrors its relation and must never be
+/// Sync()ed or Rebuild()t, which would discard its writes; the repair
+/// engine's working state (repair::BatchRepair) is its only caller.
+///
 /// Dictionaries only grow: deletes and overwrites may strand codes whose
 /// value no longer occurs live. That is deliberate — code stability is what
 /// keeps precompiled pattern codes valid across deltas — and bounded by
@@ -50,7 +56,7 @@ namespace semandaq::relational {
 /// per column: frozen views share the chunks and dictionaries by refcount,
 /// and so does every snapshot that adopts a column-backed relation.
 /// Afterwards the writer may keep mutating this object freely — appends land
-/// past every frozen view's size, and overwrites (Rebuild, ApplyCell after a
+/// past every frozen view's size, and overwrites (Rebuild, ApplyCell,
 /// SetCell) detach the touched chunk/dictionary copy-on-write first — so a
 /// frozen view's bytes are stable for its whole lifetime and readers never
 /// block on the writer.
@@ -111,6 +117,13 @@ class EncodedRelation {
 
   /// Delta hook: the caller just overwrote cell (tid, col) in the relation.
   void ApplyCell(TupleId tid, size_t col);
+
+  /// Writes `v` into cell (tid, col) of the snapshot only (see "Private
+  /// working copies" above), copy-on-write like every other write. A value
+  /// the column's dictionary holds, and NULL, writes its code without
+  /// touching the dictionary; a new value appends to it, detached first
+  /// when shared.
+  void SetCell(TupleId tid, size_t col, const Value& v);
 
   /// Delta hook: the caller just tombstoned a tuple. Codes are untouched;
   /// this only fast-forwards the sync mark.

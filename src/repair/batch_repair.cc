@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "detect/native_detector.h"
 #include "relational/encoded_relation.h"
-#include "repair/equivalence.h"
 
 namespace semandaq::repair {
 
@@ -25,7 +23,6 @@ using relational::Code;
 using relational::EncodedRelation;
 using relational::kNullCode;
 using relational::Relation;
-using relational::Row;
 using relational::TupleId;
 using relational::Value;
 
@@ -49,8 +46,7 @@ struct SingleEval {
 
 /// One live group member at round start. `label` is the dictionary code of
 /// the member's RHS value (kNullCode for NULL): label equality means value
-/// equality, which is what lets the apply phase and the equivalence classes
-/// run on integers.
+/// equality, which is what lets the apply phase run on integers.
 struct GroupMember {
   TupleId tid = -1;
   Code label = kNullCode;
@@ -68,33 +64,59 @@ struct GroupEval {
   std::vector<std::pair<Value, double>> alts;
 };
 
+/// A violation table's entries in the canonical apply order: singles by
+/// (cfd, pattern, tid), then groups by (fd group, first member).
+struct CanonicalOrder {
+  explicit CanonicalOrder(const ViolationTable& table) {
+    singles.reserve(table.singles().size());
+    for (const SingleViolation& sv : table.singles()) singles.push_back(&sv);
+    std::sort(singles.begin(), singles.end(),
+              [](const SingleViolation* a, const SingleViolation* b) {
+                if (a->cfd_index != b->cfd_index) return a->cfd_index < b->cfd_index;
+                if (a->pattern_index != b->pattern_index)
+                  return a->pattern_index < b->pattern_index;
+                return a->tid < b->tid;
+              });
+    groups.reserve(table.groups().size());
+    for (const ViolationGroup& vg : table.groups()) groups.push_back(&vg);
+    std::sort(groups.begin(), groups.end(),
+              [](const ViolationGroup* a, const ViolationGroup* b) {
+                if (a->fd_group != b->fd_group) return a->fd_group < b->fd_group;
+                const TupleId ta = a->members.empty() ? -1 : a->members.front();
+                const TupleId tb = b->members.empty() ? -1 : b->members.front();
+                return ta < tb;
+              });
+  }
+
+  std::vector<const SingleViolation*> singles;
+  std::vector<const ViolationGroup*> groups;
+};
+
 class RepairEngine {
  public:
   RepairEngine(const Relation* rel, std::vector<Cfd> cfds, CostModel cost_model,
                RepairOptions options)
       : original_(rel),
-        work_(rel->Clone()),
         cfds_(std::move(cfds)),
         cost_model_(std::move(cost_model)),
-        options_(std::move(options)) {}
+        options_(std::move(options)),
+        enc_(rel, options_.cancel) {}
 
   Result<RepairResult> Run() {
-    SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, work_.schema()));
-    enc_ = std::make_unique<EncodedRelation>(&work_, options_.cancel);
+    SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, original_->schema()));
     kernels_ = &common::simd::KernelsFor(options_.simd_level);
     ComputeFrequentValues();
 
-    // One detector for the whole run: the encoded snapshot attached here is
-    // kept warm through every applied edit (ApplyChange re-encodes exactly
-    // the touched cell), so each round's re-detection is a warm kernel scan
-    // instead of a cold per-round re-encode.
+    // One detector for the whole run over the working codes: every edit
+    // writes its cell's code (ApplyChange), so each round's re-detection is
+    // a warm kernel scan instead of a cold per-round re-encode.
     detect::DetectorOptions dopts;
     dopts.simd_level = options_.simd_level;
     // The re-detection scans inherit the token (kernel-block granularity);
     // the round loop below adds the round-boundary checkpoint.
     dopts.cancel = options_.cancel;
-    detect::NativeDetector detector(&work_, cfds_, dopts);
-    detector.set_encoded(enc_.get());
+    detect::NativeDetector detector(original_, cfds_, dopts);
+    detector.set_encoded(&enc_);
 
     RepairResult result;
     int it = 0;
@@ -122,27 +144,24 @@ class RepairEngine {
       result.remaining_violations = static_cast<size_t>(table.TotalVio());
     }
 
-    // Materialize the change log against the original relation.
-    for (const auto& [cell, alts] : change_alternatives_) {
+    // The change log, in (tid, col) order (the key order of `changed_`):
+    // each written cell's code before its first write against its code now,
+    // decoded only for the cells that differ.
+    for (auto& [cell, logged] : changed_) {
       const TupleId tid = static_cast<TupleId>(cell >> 16);
       const size_t col = static_cast<size_t>(cell & 0xFFFF);
+      const Code repaired = enc_.code(tid, col);
+      if (repaired == logged.original) continue;  // net no-op across rounds
       CellChange ch;
       ch.tid = tid;
       ch.col = col;
-      ch.original = original_->cell(tid, col);
-      ch.repaired = work_.cell(tid, col);
-      if (ch.original == ch.repaired) continue;  // net no-op across rounds
+      ch.original = enc_.Decode(col, logged.original);
+      ch.repaired = enc_.Decode(col, repaired);
       ch.cost = cost_model_.CellChangeCost(col, ch.original, ch.repaired);
-      ch.alternatives = alts;
+      ch.alternatives = std::move(logged.alternatives);
       result.total_cost += ch.cost;
       result.changes.push_back(std::move(ch));
     }
-    std::sort(result.changes.begin(), result.changes.end(),
-              [](const CellChange& a, const CellChange& b) {
-                return a.tid != b.tid ? a.tid < b.tid : a.col < b.col;
-              });
-    result.merged_classes = eq_.NumMergedClasses();
-    result.repaired = std::move(work_);
     return result;
   }
 
@@ -154,36 +173,17 @@ class RepairEngine {
   /// One repair round over a fresh violation table, in two phases.
   ///
   /// Phase A evaluates every violation's resolution against the round-start
-  /// state only — each slot is a pure function of (table, work_ at round
-  /// start, frequent_, cost model). Phase B then applies the decisions in
-  /// one canonical order (singles by (cfd, pattern, tid), then groups by
-  /// (fd group, first member)), with the pending-target/touched-cell
-  /// conflict machinery arbitrating cells claimed by more than one
-  /// violation.
+  /// state only — each slot is a pure function of (table, the working codes
+  /// at round start, frequent_, cost model), and nothing is written. Phase
+  /// B then applies the decisions in the CanonicalOrder, with the
+  /// pending-target/touched-cell conflict machinery arbitrating cells
+  /// claimed by more than one violation.
   size_t ResolveRound(const ViolationTable& table, RepairResult* result) {
     touched_this_round_.clear();
     pending_targets_.clear();
-
-    std::vector<const SingleViolation*> singles;
-    singles.reserve(table.singles().size());
-    for (const SingleViolation& sv : table.singles()) singles.push_back(&sv);
-    std::sort(singles.begin(), singles.end(),
-              [](const SingleViolation* a, const SingleViolation* b) {
-                if (a->cfd_index != b->cfd_index) return a->cfd_index < b->cfd_index;
-                if (a->pattern_index != b->pattern_index)
-                  return a->pattern_index < b->pattern_index;
-                return a->tid < b->tid;
-              });
-    std::vector<const ViolationGroup*> groups;
-    groups.reserve(table.groups().size());
-    for (const ViolationGroup& vg : table.groups()) groups.push_back(&vg);
-    std::sort(groups.begin(), groups.end(),
-              [](const ViolationGroup* a, const ViolationGroup* b) {
-                if (a->fd_group != b->fd_group) return a->fd_group < b->fd_group;
-                const TupleId ta = a->members.empty() ? -1 : a->members.front();
-                const TupleId tb = b->members.empty() ? -1 : b->members.front();
-                return ta < tb;
-              });
+    const CanonicalOrder order(table);
+    const auto& singles = order.singles;
+    const auto& groups = order.groups;
 
     // Phase A: evaluate.
     std::vector<SingleEval> single_evals(singles.size());
@@ -209,16 +209,20 @@ class RepairEngine {
   void EvalSingle(const SingleViolation& sv, SingleEval* out) const {
     const Cfd& c = cfds_[static_cast<size_t>(sv.cfd_index)];
     const PatternTuple& pt = c.tableau()[static_cast<size_t>(sv.pattern_index)];
-    if (!work_.IsLive(sv.tid)) return;
-    const Row& row = work_.row(sv.tid);
+    if (!original_->IsLive(sv.tid)) return;
     for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-      if (!pt.lhs[i].Matches(row[c.lhs_cols()[i]])) return;
+      if (!Matches(pt.lhs[i], sv.tid, c.lhs_cols()[i])) return;
     }
-    const Value& cur = row[c.rhs_col()];
-    if (cur.is_null() || cur == pt.rhs.constant()) return;
+    const size_t rhs_col = c.rhs_col();
+    const Code cur = enc_.code(sv.tid, rhs_col);
+    if (cur == kNullCode ||
+        cur == enc_.dictionary(rhs_col).Lookup(pt.rhs.constant())) {
+      return;
+    }
 
     out->actionable = true;
-    out->rhs_cost = cost_model_.CellChangeCost(c.rhs_col(), cur, pt.rhs.constant());
+    out->rhs_cost = cost_model_.CellChangeCost(
+        rhs_col, enc_.Decode(rhs_col, cur), pt.rhs.constant());
     out->alts = RankAlternatives({{pt.rhs.constant(), out->rhs_cost}});
 
     // Option B: break the LHS match at a constant-pattern position.
@@ -228,17 +232,18 @@ class RepairEngine {
     for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
       if (!pt.lhs[i].is_constant()) continue;  // wildcard matches any value
       const size_t col = c.lhs_cols()[i];
+      // Phase A writes nothing, so the decoded reference stays valid.
+      const Value& from = enc_.Decode(col, enc_.code(sv.tid, col));
       for (const Value& v : frequent_[col]) {
         if (v == pt.lhs[i].constant()) continue;
-        const double cost = cost_model_.CellChangeCost(col, row[col], v);
+        const double cost = cost_model_.CellChangeCost(col, from, v);
         if (out->lhs_cost < 0 || cost < out->lhs_cost) {
           out->lhs_cost = cost;
           out->lhs_col = col;
           out->lhs_value = v;
         }
       }
-      const double null_cost =
-          cost_model_.CellChangeCost(col, row[col], Value::Null());
+      const double null_cost = cost_model_.CellChangeCost(col, from, Value::Null());
       if (out->lhs_cost < 0 || null_cost < out->lhs_cost) {
         out->lhs_cost = null_cost;
         out->lhs_col = col;
@@ -285,8 +290,8 @@ class RepairEngine {
 
     out->members.reserve(vg.members.size());
     for (TupleId tid : vg.members) {
-      if (!work_.IsLive(tid)) continue;
-      out->members.push_back({tid, enc_->code(tid, rhs_col)});
+      if (!original_->IsLive(tid)) continue;
+      out->members.push_back({tid, enc_.code(tid, rhs_col)});
     }
 
     // Distinct non-NULL RHS codes in first-occurrence order. Counting runs
@@ -323,7 +328,7 @@ class RepairEngine {
       for (size_t d = 0; d < distinct.size(); ++d) {
         cost += static_cast<double>(counts[d]) *
                 cost_model_.CellChangeCostCoded(rhs_col, distinct[d], target,
-                                                enc_->dictionary(rhs_col));
+                                                enc_.dictionary(rhs_col));
       }
       if (nulls > 0) {
         cost += static_cast<double>(nulls) *
@@ -336,7 +341,7 @@ class RepairEngine {
     std::vector<double> costs(distinct.size());
     for (size_t d = 0; d < distinct.size(); ++d) {
       order[d] = d;
-      costs[d] = total_cost(distinct[d], enc_->Decode(rhs_col, distinct[d]));
+      costs[d] = total_cost(distinct[d], enc_.Decode(rhs_col, distinct[d]));
     }
     // Ties break to the first-occurring value.
     std::stable_sort(order.begin(), order.end(),
@@ -344,7 +349,7 @@ class RepairEngine {
     std::vector<Candidate> candidates;
     candidates.reserve(distinct.size());
     for (size_t d : order) {
-      candidates.push_back({enc_->Decode(rhs_col, distinct[d]), costs[d]});
+      candidates.push_back({enc_.Decode(rhs_col, distinct[d]), costs[d]});
     }
     out->actionable = true;
     out->best = candidates.front().value;
@@ -362,8 +367,9 @@ class RepairEngine {
         const GroupMember& m = out->members[i];
         if (m.label == out->best_label) continue;
         out->escapees.push_back(i);
-        out->escape_cost += cost_model_.CellChangeCost(
-            escape_col, work_.cell(m.tid, escape_col), Value::Null());
+        out->escape_cost += cost_model_.CellChangeCostCoded(
+            escape_col, enc_.code(m.tid, escape_col), kNullCode,
+            enc_.dictionary(escape_col));
       }
     }
   }
@@ -390,18 +396,10 @@ class RepairEngine {
     }
 
     size_t edits = 0;
-    std::vector<TupleId> aligned;  // members whose RHS cell ends at e.best
-    aligned.reserve(e.members.size());
     for (const GroupMember& m : e.members) {
-      if (m.label == e.best_label) {
-        aligned.push_back(m.tid);
-        continue;
-      }
+      if (m.label == e.best_label) continue;
       if (const Value* pending = PendingTarget(m.tid, rhs_col)) {
-        if (*pending == e.best) {
-          aligned.push_back(m.tid);
-          continue;
-        }
+        if (*pending == e.best) continue;
         // Another FD group already claimed this cell with a different
         // value: the tuple's LHS attributes are mutually inconsistent
         // (e.g. a Denver city with a Phoenix zip). Detach it from THIS
@@ -415,17 +413,7 @@ class RepairEngine {
       }
       if (touched_this_round_.count(CellKey(m.tid, rhs_col)) > 0) continue;
       ApplyChange(m.tid, rhs_col, e.best, e.alts);
-      aligned.push_back(m.tid);
       ++edits;
-    }
-    // The resolved members' RHS cells now agree in any extension of this
-    // repair: one equivalence class, bulk-linked on the integer label (the
-    // [SIGMOD'05] bookkeeping, without a single Value hash — groups run
-    // into the thousands of members, so the per-member union walk was the
-    // apply phase's hot path).
-    if (aligned.size() > 1) {
-      eq_.MergeUniform(aligned, rhs_col);
-      eq_.SetTarget({aligned.front(), rhs_col}, e.best);
     }
     return edits;
   }
@@ -433,38 +421,22 @@ class RepairEngine {
   /// The surgical NULL pass over whatever detection still flags, in the
   /// same canonical violation order as the rounds.
   void EscapePass(const ViolationTable& table, RepairResult* result) {
-    std::vector<const SingleViolation*> singles;
-    for (const SingleViolation& sv : table.singles()) singles.push_back(&sv);
-    std::sort(singles.begin(), singles.end(),
-              [](const SingleViolation* a, const SingleViolation* b) {
-                if (a->cfd_index != b->cfd_index) return a->cfd_index < b->cfd_index;
-                if (a->pattern_index != b->pattern_index)
-                  return a->pattern_index < b->pattern_index;
-                return a->tid < b->tid;
-              });
-    std::vector<const ViolationGroup*> groups;
-    for (const ViolationGroup& vg : table.groups()) groups.push_back(&vg);
-    std::sort(groups.begin(), groups.end(),
-              [](const ViolationGroup* a, const ViolationGroup* b) {
-                if (a->fd_group != b->fd_group) return a->fd_group < b->fd_group;
-                const TupleId ta = a->members.empty() ? -1 : a->members.front();
-                const TupleId tb = b->members.empty() ? -1 : b->members.front();
-                return ta < tb;
-              });
+    const CanonicalOrder order(table);
+    const auto& groups = order.groups;
 
-    // Detect-time RHS snapshot per group, taken before ANY escape edit:
+    // Detect-time RHS codes per group, taken before ANY escape edit:
     // groups carry no RHS values, and the majorities below must not see
     // edits this very pass applies.
-    std::vector<std::vector<Value>> group_rhs(groups.size());
+    std::vector<std::vector<Code>> group_rhs(groups.size());
     for (size_t g = 0; g < groups.size(); ++g) {
       const Cfd& c = cfds_[static_cast<size_t>(groups[g]->cfd_index)];
       group_rhs[g].reserve(groups[g]->members.size());
       for (TupleId tid : groups[g]->members) {
-        group_rhs[g].push_back(work_.cell(tid, c.rhs_col()));
+        group_rhs[g].push_back(enc_.code(tid, c.rhs_col()));
       }
     }
 
-    for (const SingleViolation* sv : singles) {
+    for (const SingleViolation* sv : order.singles) {
       const Cfd& c = cfds_[static_cast<size_t>(sv->cfd_index)];
       ApplyChange(sv->tid, c.rhs_col(), Value::Null(), {});
       ++result->null_escapes;
@@ -473,20 +445,21 @@ class RepairEngine {
       const ViolationGroup* vg = groups[g];
       const Cfd& c = cfds_[static_cast<size_t>(vg->cfd_index)];
       // Deterministic majority: max count, ties to the first-occurring
-      // value (the old hash-iteration pick was tie-unstable).
-      std::vector<const Value*> distinct;
+      // value (the old hash-iteration pick was tie-unstable). kNullCode
+      // when every member is NULL.
+      std::vector<Code> distinct;
       std::vector<int64_t> counts;
-      for (const Value& v : group_rhs[g]) {
-        if (v.is_null()) continue;
-        size_t d = 0;
-        while (d < distinct.size() && !(*distinct[d] == v)) ++d;
+      for (Code code : group_rhs[g]) {
+        if (code == kNullCode) continue;
+        const size_t d = static_cast<size_t>(
+            std::find(distinct.begin(), distinct.end(), code) - distinct.begin());
         if (d == distinct.size()) {
-          distinct.push_back(&v);
+          distinct.push_back(code);
           counts.push_back(0);
         }
         ++counts[d];
       }
-      const Value* majority = nullptr;
+      Code majority = kNullCode;
       int64_t best_n = 0;
       for (size_t d = 0; d < distinct.size(); ++d) {
         if (counts[d] > best_n) {
@@ -494,11 +467,10 @@ class RepairEngine {
           majority = distinct[d];
         }
       }
-      for (size_t i = 0; i < vg->members.size(); ++i) {
-        const Value& rhs = work_.cell(vg->members[i], c.rhs_col());
-        if (rhs.is_null()) continue;
-        if (majority != nullptr && rhs == *majority) continue;
-        ApplyChange(vg->members[i], c.rhs_col(), Value::Null(), {});
+      for (TupleId tid : vg->members) {
+        const Code rhs = enc_.code(tid, c.rhs_col());
+        if (rhs == kNullCode || rhs == majority) continue;
+        ApplyChange(tid, c.rhs_col(), Value::Null(), {});
         ++result->null_escapes;
       }
     }
@@ -508,34 +480,49 @@ class RepairEngine {
   /// occurrence) from one histogram pass over each live code column —
   /// integer increments, no Value hashing.
   void ComputeFrequentValues() {
-    const size_t ncols = work_.schema().size();
+    const size_t ncols = enc_.num_columns();
+    const TupleId bound = enc_.IdBound();
     frequent_.resize(ncols);
     for (size_t col = 0; col < ncols; ++col) {
-      const relational::CodeColumn& codes = enc_->column(col);
-      std::vector<int64_t> counts(enc_->dictionary(col).size() + 1, 0);
+      const relational::CodeColumn& codes = enc_.column(col);
+      std::vector<int64_t> counts(enc_.dictionary(col).size() + 1, 0);
       std::vector<Code> order;
-      enc_->ForEachLive([&](TupleId tid) {
+      for (TupleId tid = 0; tid < bound; ++tid) {
+        if (!original_->IsLive(tid)) continue;
         const Code code = codes[static_cast<size_t>(tid)];
-        if (code == kNullCode) return;
+        if (code == kNullCode) continue;
         if (counts[code]++ == 0) order.push_back(code);
-      });
+      }
       std::stable_sort(order.begin(), order.end(),
                        [&](Code a, Code b) { return counts[a] > counts[b]; });
       const size_t keep = std::min<size_t>(order.size(), 4);
       for (size_t i = 0; i < keep; ++i) {
-        frequent_[col].push_back(enc_->Decode(col, order[i]));
+        frequent_[col].push_back(enc_.Decode(col, order[i]));
       }
     }
   }
 
+  /// PatternValue::Matches on the working codes: a wildcard matches any
+  /// cell, a constant only a non-NULL cell holding it.
+  bool Matches(const cfd::PatternValue& p, TupleId tid, size_t col) const {
+    if (p.is_wildcard()) return true;
+    const Code code = enc_.code(tid, col);
+    return code != kNullCode && code == enc_.dictionary(col).Lookup(p.constant());
+  }
+
+  /// Writes `v` into the working codes. A cell's first write logs its code
+  /// before it, the change log's `original`. `v` is taken by value: the
+  /// write may grow the column's dictionary, which invalidates references
+  /// that Decode returned.
   void ApplyChange(TupleId tid, size_t col, Value v,
                    std::vector<std::pair<Value, double>> alternatives) {
-    pending_targets_[CellKey(tid, col)] = v;
-    (void)work_.SetCell(tid, col, std::move(v));
-    enc_->ApplyCell(tid, col);  // keep the snapshot warm
-    touched_this_round_.insert(CellKey(tid, col));
-    auto& slot = change_alternatives_[CellKey(tid, col)];
-    if (!alternatives.empty() || slot.empty()) slot = std::move(alternatives);
+    const uint64_t key = CellKey(tid, col);
+    auto [logged, first_write] = changed_.try_emplace(key);
+    if (first_write) logged->second.original = enc_.code(tid, col);
+    if (!alternatives.empty()) logged->second.alternatives = std::move(alternatives);
+    enc_.SetCell(tid, col, v);
+    pending_targets_[key] = std::move(v);
+    touched_this_round_.insert(key);
   }
 
   /// This round's decision for a cell, if one was already made. Two
@@ -558,21 +545,26 @@ class RepairEngine {
     return out;
   }
 
-  const Relation* original_;
-  Relation work_;
+  /// A cell some edit wrote: its code before the first write, and the
+  /// ranked alternatives of the last edit that had any.
+  struct LoggedCell {
+    Code original = kNullCode;
+    std::vector<std::pair<Value, double>> alternatives;
+  };
+
+  const Relation* original_;  // read for liveness only; never written
   std::vector<Cfd> cfds_;
   CostModel cost_model_;
   RepairOptions options_;
-
-  std::unique_ptr<EncodedRelation> enc_;               // warm across rounds
+  /// The working state: the input's codes (adopted or encoded), which
+  /// every edit writes copy-on-write. Never Sync()ed.
+  EncodedRelation enc_;
   const common::simd::Kernels* kernels_ = nullptr;
-  EquivalenceClasses eq_;
 
   std::vector<std::vector<Value>> frequent_;  // per column, most frequent first
   std::unordered_set<uint64_t> touched_this_round_;
   std::unordered_map<uint64_t, Value> pending_targets_;  // per round
-  /// cell key -> ranked alternatives recorded when the cell was changed.
-  std::map<uint64_t, std::vector<std::pair<Value, double>>> change_alternatives_;
+  std::map<uint64_t, LoggedCell> changed_;               // by cell key
 };
 
 }  // namespace
@@ -587,6 +579,14 @@ BatchRepair::BatchRepair(const Relation* rel, std::vector<Cfd> cfds,
 common::Result<RepairResult> BatchRepair::Run() {
   RepairEngine engine(rel_, cfds_, cost_model_, options_);
   return engine.Run();
+}
+
+common::Status ApplyChanges(const std::vector<CellChange>& changes,
+                            Relation* rel) {
+  for (const CellChange& ch : changes) {
+    SEMANDAQ_RETURN_IF_ERROR(rel->SetCell(ch.tid, ch.col, ch.repaired));
+  }
+  return Status::OK();
 }
 
 }  // namespace semandaq::repair

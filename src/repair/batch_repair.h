@@ -43,13 +43,13 @@ struct RepairOptions {
   /// Ignored, like `num_threads`.
   common::ThreadPool* pool = nullptr;
 
-  /// Cooperative cancellation (common/cancel.h), checked at round
-  /// boundaries and inherited by the per-round re-detection scans (kernel
-  /// blocks). The engine repairs a private clone of the relation and the
-  /// master copy is untouched until the caller publishes the RepairResult,
-  /// so a tripped token turns Run() into Status::Cancelled /
-  /// Status::DeadlineExceeded with no observable state change. nullptr =
-  /// not cancellable.
+  /// Cooperative cancellation (common/cancel.h), checked by the initial
+  /// encode of a row-built input, at round boundaries and by the per-round
+  /// re-detection scans (kernel blocks). The engine writes only its private
+  /// copy-on-write codes, and the relation is untouched until the caller
+  /// applies the change list, so a tripped token turns Run() into
+  /// Status::Cancelled / Status::DeadlineExceeded with no observable state
+  /// change. nullptr = not cancellable.
   common::CancelToken* cancel = nullptr;
 };
 
@@ -65,9 +65,12 @@ struct CellChange {
   std::vector<std::pair<relational::Value, double>> alternatives;
 };
 
-/// Outcome of a repair run.
+/// Outcome of a repair run: the candidate repair as its change list (the
+/// attribute-value modifications the cleansing review shows), plus its
+/// counters. ApplyChanges writes the list into a relation; applied to a
+/// copy of the input, it yields the repaired relation.
 struct RepairResult {
-  relational::Relation repaired;
+  /// One entry per cell Run() changed, in (tid, col) order.
   std::vector<CellChange> changes;
   double total_cost = 0;
   int iterations = 0;
@@ -77,11 +80,14 @@ struct RepairResult {
   size_t remaining_violations = 0;
   /// Number of cells forced to NULL by the termination escape.
   size_t null_escapes = 0;
-  /// Number of multi-cell equivalence classes the resolved groups merged
-  /// (repair::EquivalenceClasses over the RHS code columns) — the
-  /// repair-complexity statistic of the [SIGMOD'05] framework.
-  size_t merged_classes = 0;
 };
+
+/// Writes each change's `repaired` value into `rel`, in order, stopping at
+/// the first write that fails (a dead tuple or an unknown column). This is
+/// how a plan is applied (Semandaq::ApplyRepair) and how callers that want
+/// the repaired relation get it: apply the plan to a clone of the input.
+common::Status ApplyChanges(const std::vector<CellChange>& changes,
+                            relational::Relation* rel);
 
 /// The cost-based heuristic repair algorithm of Cong et al. [VLDB'07]
 /// ("BatchRepair"), the engine behind the paper's data cleanser (§2: "a
@@ -89,16 +95,18 @@ struct RepairResult {
 /// modifications on the violations ... the repair algorithm aims to find a
 /// repair that minimally differs from the original data").
 ///
-/// The working relation is mirrored by one dictionary-encoded snapshot,
-/// kept warm across rounds (every applied cell edit re-encodes exactly that
-/// cell), so re-detection and candidate costs run on integer codes.
+/// The working state is one dictionary-encoded snapshot of the input
+/// (relational::EncodedRelation, which adopts a column-backed relation's
+/// codes in O(columns)). Every edit writes a code into it copy-on-write,
+/// so re-detection, matching and candidate costs run on integer codes, and
+/// the input is neither written nor decoded row by row.
 ///
 /// Each round: detect violations; resolve every single-tuple violation by
 /// the cheaper of (RHS := pattern constant) and (break the LHS match);
-/// resolve every multi-tuple group by merging the members' RHS cells and
-/// assigning the value that minimizes total weighted change cost (or break
-/// a minority member's LHS match when cheaper). Rounds repeat until clean;
-/// a NULL-escape pass bounds the worst case.
+/// resolve every multi-tuple group by assigning its members' RHS cells the
+/// value that minimizes total weighted change cost (or break a minority
+/// member's LHS match when cheaper). Rounds repeat until clean; a
+/// NULL-escape pass bounds the worst case.
 class BatchRepair {
  public:
   /// `cfds` are resolved internally against rel's schema.

@@ -31,24 +31,4 @@ double CostModel::CellChangeCostCoded(size_t col, relational::Code from,
   return CellChangeCost(col, dict.Decode(from), dict.Decode(to));
 }
 
-double CostModel::RowDistance(const relational::Row& a, const relational::Row& b) const {
-  double total = 0.0;
-  const size_t n = std::min(a.size(), b.size());
-  for (size_t c = 0; c < n; ++c) total += CellChangeCost(c, a[c], b[c]);
-  return total;
-}
-
-double CostModel::RowDistance(const relational::EncodedRelation& enc,
-                              relational::TupleId a, relational::TupleId b) const {
-  double total = 0.0;
-  const size_t n = enc.num_columns();
-  for (size_t c = 0; c < n; ++c) {
-    const relational::Code ca = enc.code(a, c);
-    const relational::Code cb = enc.code(b, c);
-    if (ca == cb) continue;  // equal codes: no decode, no edit distance
-    total += CellChangeCost(c, enc.Decode(c, ca), enc.Decode(c, cb));
-  }
-  return total;
-}
-
 }  // namespace semandaq::repair

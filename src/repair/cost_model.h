@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "relational/dictionary.h"
-#include "relational/encoded_relation.h"
 #include "relational/schema.h"
 #include "relational/value.h"
 
@@ -45,15 +44,6 @@ class CostModel {
   double CellChangeCostCoded(size_t col, relational::Code from,
                              relational::Code to,
                              const relational::Dictionary& dict) const;
-
-  /// Sum of per-cell change costs between two rows of this schema.
-  double RowDistance(const relational::Row& a, const relational::Row& b) const;
-
-  /// Code-level fast path of RowDistance over a dictionary-encoded
-  /// snapshot: cells of `a` and `b` with equal codes short-circuit to zero
-  /// cost without hydrating either row; only disagreeing cells decode.
-  double RowDistance(const relational::EncodedRelation& enc,
-                     relational::TupleId a, relational::TupleId b) const;
 
   double weight(size_t col) const {
     return col < options_.attr_weights.size() ? options_.attr_weights[col]

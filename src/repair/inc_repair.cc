@@ -11,7 +11,6 @@ using cfd::PatternTuple;
 using common::Status;
 using detect::IncrementalDetector;
 using relational::Relation;
-using relational::Row;
 using relational::TupleId;
 using relational::Update;
 using relational::UpdateBatch;
@@ -212,22 +211,6 @@ common::Result<size_t> IncRepairEngine::RepairTuple(TupleId tid,
     ++edits;
   }
   return edits;
-}
-
-common::Result<IncRepairResult> IncRepair::Run(const UpdateBatch& batch) {
-  Relation updated = rel_->Clone();
-  IncRepairEngine engine(&updated, cfds_, cost_model_, options_);
-  SEMANDAQ_RETURN_IF_ERROR(engine.Start());
-  SEMANDAQ_ASSIGN_OR_RETURN(IncBatchResult inc, engine.ApplyAndRepair(batch));
-
-  IncRepairResult out;
-  out.delta_tids = std::move(inc.delta_tids);
-  out.repair.changes = std::move(inc.changes);
-  out.repair.total_cost = inc.total_cost;
-  out.repair.null_escapes = inc.null_escapes;
-  out.repair.remaining_violations = inc.remaining_violations;
-  out.repair.repaired = std::move(updated);
-  return out;
 }
 
 }  // namespace semandaq::repair

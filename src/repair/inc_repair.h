@@ -39,9 +39,11 @@ struct IncBatchResult {
 /// detector's buckets, never by re-scanning the relation. This is the
 /// |Δ|-vs-|D| separation the companion paper's IncRepair experiment shows.
 ///
-/// Unlike BatchRepair, this path stays row-based and serial: the per-batch
-/// work is already delta-local, so the encoded/SIMD/parallel stack (see
-/// docs/repair.md) has nothing to amortize here. Of RepairOptions only
+/// Unlike BatchRepair, this path reads and writes rows, and it edits the
+/// relation it is given in place (run it over a clone to keep an input
+/// untouched): the per-batch work is already delta-local, so the encoded
+/// SIMD stack (see docs/repair.md) has nothing to amortize here. Of
+/// RepairOptions only
 /// `max_iterations` and `alternatives_k` apply. Every decision is
 /// deterministic — consensus candidates are Compare-ordered before cost
 /// ties break first-wins, matching the batch engine's guarantee.
@@ -72,33 +74,6 @@ class IncRepairEngine {
   RepairOptions options_;
   std::unique_ptr<detect::IncrementalDetector> detector_;
   std::unordered_set<relational::TupleId> delta_;
-};
-
-/// Outcome of the one-shot wrapper: a full RepairResult over a cloned
-/// relation (the shape the data cleanser and the tests consume).
-struct IncRepairResult {
-  RepairResult repair;
-  std::vector<relational::TupleId> delta_tids;
-};
-
-/// One-shot convenience wrapper: clones the relation, applies + repairs one
-/// batch with a fresh IncRepairEngine, and returns the repaired copy.
-class IncRepair {
- public:
-  IncRepair(const relational::Relation* rel, std::vector<cfd::Cfd> cfds,
-            CostModel cost_model, RepairOptions options = {})
-      : rel_(rel),
-        cfds_(std::move(cfds)),
-        cost_model_(std::move(cost_model)),
-        options_(std::move(options)) {}
-
-  common::Result<IncRepairResult> Run(const relational::UpdateBatch& batch);
-
- private:
-  const relational::Relation* rel_;
-  std::vector<cfd::Cfd> cfds_;
-  CostModel cost_model_;
-  RepairOptions options_;
 };
 
 }  // namespace semandaq::repair

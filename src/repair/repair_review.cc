@@ -17,8 +17,9 @@ RepairReview::RepairReview(const relational::Relation* original, RepairResult re
     : original_(original), result_(std::move(result)), cfds_(std::move(cfds)) {}
 
 common::Status RepairReview::Start() {
-  detector_ =
-      std::make_unique<detect::IncrementalDetector>(&result_.repaired, cfds_);
+  repaired_ = original_->Clone();
+  SEMANDAQ_RETURN_IF_ERROR(ApplyChanges(result_.changes, &repaired_));
+  detector_ = std::make_unique<detect::IncrementalDetector>(&repaired_, cfds_);
   return detector_->Initialize();
 }
 
@@ -49,7 +50,7 @@ common::Result<std::vector<TupleId>> RepairReview::OverrideCell(TupleId tid,
   bool found = false;
   for (CellChange& ch : result_.changes) {
     if (ch.tid == tid && ch.col == col) {
-      ch.repaired = result_.repaired.cell(tid, col);
+      ch.repaired = repaired_.cell(tid, col);
       found = true;
       break;
     }
@@ -59,7 +60,7 @@ common::Result<std::vector<TupleId>> RepairReview::OverrideCell(TupleId tid,
     ch.tid = tid;
     ch.col = col;
     ch.original = original_->cell(tid, col);
-    ch.repaired = result_.repaired.cell(tid, col);
+    ch.repaired = repaired_.cell(tid, col);
     result_.changes.push_back(std::move(ch));
   }
   return fresh;
@@ -70,9 +71,6 @@ std::string RepairReview::RenderDiff(size_t max_rows) const {
   std::ostringstream out;
   out << "Cleansing review (" << result_.changes.size() << " modified cell(s), cost "
       << result_.total_cost;
-  if (result_.merged_classes > 0) {
-    out << ", " << result_.merged_classes << " merged class(es)";
-  }
   if (result_.null_escapes > 0) {
     out << ", " << result_.null_escapes << " null escape(s)";
   }
@@ -98,7 +96,6 @@ std::string RepairReview::RenderDiff(size_t max_rows) const {
   size_t shown = 0;
   original_->ForEach([&](TupleId tid, const Row& row) {
     if (shown >= max_rows) return;
-    if (!result_.repaired.IsLive(tid)) return;
     bool any_change = false;
     for (size_t c = 0; c < schema.size(); ++c) {
       if (change_at(tid, c) != nullptr) {

@@ -20,21 +20,21 @@ namespace semandaq::repair {
 /// surfaces newly conflicting tuples.
 class RepairReview {
  public:
-  /// `original` must outlive the review; the repaired relation is owned.
+  /// `original` is the repair's input and must outlive the review.
   RepairReview(const relational::Relation* original, RepairResult result,
                std::vector<cfd::Cfd> cfds);
 
-  /// Arms the incremental detector over the repaired data. Call once before
-  /// OverrideCell.
+  /// Builds the repaired relation the review owns (a clone of the original
+  /// with the changes applied) and arms the incremental detector over it.
+  /// Call once before repaired() or OverrideCell.
   common::Status Start();
 
-  const relational::Relation& repaired() const { return result_.repaired; }
+  const relational::Relation& repaired() const { return repaired_; }
   const std::vector<CellChange>& changes() const { return result_.changes; }
 
   /// The full repair under review, including the audit counters
-  /// (remaining_violations, null_escapes, merged_classes — see
-  /// RepairResult). Overrides applied through OverrideCell are reflected
-  /// in its change log.
+  /// (remaining_violations, null_escapes — see RepairResult). Overrides
+  /// applied through OverrideCell are reflected in its change log.
   const RepairResult& result() const { return result_; }
 
   /// The change record for a cell, or nullptr when the cleanser left it
@@ -55,6 +55,7 @@ class RepairReview {
  private:
   const relational::Relation* original_;
   RepairResult result_;
+  relational::Relation repaired_;  // built by Start()
   std::vector<cfd::Cfd> cfds_;
   std::unique_ptr<detect::IncrementalDetector> detector_;
 };

@@ -95,8 +95,8 @@ class SemandaqService {
   SemandaqService& operator=(const SemandaqService&) = delete;
 
   /// Per-session command state: the pending candidate repair of the last
-  /// `clean`, and the epoch it was computed against (`apply` refuses it
-  /// once a later epoch rewrote cells in place).
+  /// `clean` (its change list and counters), and the epoch it was computed
+  /// against (`apply` refuses it once a later epoch rewrote cells in place).
   struct SessionState {
     std::optional<repair::RepairResult> pending_repair;
     std::string pending_relation;

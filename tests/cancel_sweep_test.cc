@@ -221,12 +221,13 @@ TEST(CancelSweepTest, CleanLeavesTheMasterUntouched) {
         &master, Parse(testing::PaperCfdText()),
         repair::CostModel(master.schema()), options);
     auto result = cleaner.Run();
-    // The engine repairs a private clone; the master must be untouched
-    // whether the run finished or was cancelled mid-round.
+    // The engine writes only its private codes; the master must be
+    // untouched whether the run finished or was cancelled mid-round.
     EXPECT_EQ(Fingerprint(master), before);
     if (!result.ok()) return result.status();
     std::ostringstream out;
-    out << Fingerprint(result->repaired) << "cost " << result->total_cost
+    out << Fingerprint(testing::Repaired(master, *result)) << "cost "
+        << result->total_cost
         << " iters " << result->iterations << " escapes "
         << result->null_escapes << '\n';
     for (const auto& c : result->changes) {

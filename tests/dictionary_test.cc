@@ -1,5 +1,9 @@
 #include "relational/dictionary.h"
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "relational/encoded_relation.h"
@@ -58,6 +62,30 @@ TEST(DictionaryTest, DistinguishesTypesWithEqualDisplay) {
   EXPECT_NE(ci, cd);
   EXPECT_NE(ci, cs);
   EXPECT_NE(cd, cs);
+}
+
+TEST(DictionaryTest, CopyRacingFirstLookupHydrationIsSafe) {
+  // A dictionary rebuilt from its persisted values builds its value->code
+  // map on the first Lookup, under its mutex. A writer that detaches a
+  // dictionary shared with readers copies it meanwhile, so the copy must
+  // read under the same mutex (ThreadSanitizer flags the race otherwise).
+  constexpr size_t kValues = 200000;
+  std::vector<Value> values;
+  values.reserve(kValues);
+  for (size_t i = 0; i < kValues; ++i) {
+    values.push_back(Value::String("v" + std::to_string(i)));
+  }
+  for (int iter = 0; iter < 3; ++iter) {
+    ASSERT_OK_AND_ASSIGN(const Dictionary shared,
+                         Dictionary::FromDecodedValues(values));
+    std::thread reader(
+        [&shared] { EXPECT_EQ(shared.Lookup(Value::String("v7")), 8u); });
+    const Dictionary copy = shared;
+    reader.join();
+    EXPECT_EQ(copy.size(), kValues);
+    EXPECT_EQ(copy.Lookup(Value::String("v199999")), kValues);
+    EXPECT_EQ(copy.Lookup(Value::String("v7")), 8u);
+  }
 }
 
 // ------------------------------------------------------------ EncodedRelation
@@ -130,6 +158,41 @@ TEST(EncodedRelationTest, ApplyCellStaysWarmThroughOverwrite) {
   EXPECT_EQ(enc.code(1, 0), enc.code(0, 0));
   // Untouched column unaffected.
   EXPECT_EQ(enc.Decode(1, enc.code(1, 1)), Value::String("v"));
+}
+
+TEST(EncodedRelationTest, SetCellWritesOnlyTheSnapshotCopyOnWrite) {
+  // A snapshot of a column-backed relation shares its chunks and
+  // dictionaries. SetCell detaches the chunk before writing, and only a
+  // value new to the column detaches (and grows) the dictionary, so the
+  // relation's codes and values never change.
+  Relation source = semandaq::testing::MakeStringRelation(
+      "t", {"A", "B"}, {{"x", "u"}, {"y", "v"}});
+  const EncodedRelation built(&source);
+  const Relation rel = Relation::FromColumns("t", source.schema(), {1, 1},
+                                             built.dictionaries(), built.columns());
+  ASSERT_TRUE(rel.has_columns());
+  EncodedRelation enc(&rel);
+
+  enc.SetCell(1, 0, Value::String("x"));  // a held value: no dictionary copy
+  EXPECT_EQ(enc.code(1, 0), enc.code(0, 0));
+  EXPECT_EQ(&enc.dictionary(0), rel.dictionaries()[0].get());
+  enc.SetCell(0, 1, Value::Null());  // NULL: the NULL code, no dictionary copy
+  EXPECT_EQ(enc.code(0, 1), kNullCode);
+  EXPECT_EQ(&enc.dictionary(1), rel.dictionaries()[1].get());
+  enc.SetCell(1, 1, Value::String("w"));  // a new value: a detached copy grows
+  EXPECT_NE(&enc.dictionary(1), rel.dictionaries()[1].get());
+  EXPECT_EQ(enc.Decode(1, enc.code(1, 1)), Value::String("w"));
+  EXPECT_EQ(rel.dictionaries()[1]->Lookup(Value::String("w")), kAbsentCode);
+
+  // The relation's codes are untouched, and the snapshot still reports in
+  // sync (it must never be Sync()ed after such writes).
+  for (TupleId tid = 0; tid < 2; ++tid) {
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(rel.columns()[c][static_cast<size_t>(tid)], built.code(tid, c));
+    }
+  }
+  EXPECT_EQ(rel.cell(1, 1), Value::String("v"));
+  EXPECT_TRUE(enc.InSync());
 }
 
 TEST(EncodedRelationTest, DeletesNeedNoCodeWork) {

@@ -1,9 +1,8 @@
 // The code-columnar repair path: BatchRepair evaluates each round's
 // candidate resolutions against the round-start state (any SIMD tier) and
-// applies them in a canonical order — so the ENTIRE RepairResult (changes
-// with ranked alternatives and costs, the repaired relation, and every
-// audit counter including the merged equivalence classes) must be
-// byte-identical across {scalar,sse2,avx2} on every relation shape: the
+// applies them in a canonical order — so the ENTIRE RepairResult (the
+// change list with ranked alternatives and costs, and every counter) must
+// be byte-identical across {scalar,sse2,avx2} on every relation shape: the
 // paper walkthrough, generated customer/hospital workloads, empty input,
 // NULL-heavy rows, and tombstoned tuples. The scalar reference must itself
 // satisfy the repair post-conditions of the definition-level oracle (cfd_oracle.h).
@@ -51,14 +50,14 @@ std::string ValueStr(const Value& v) {
 }
 
 /// The byte-identity surface: every field a caller can observe, costs at
-/// full double precision, plus the repaired relation's live contents.
+/// full double precision. The change list is the plan; the repaired
+/// relation is the input with it applied.
 std::string RepairSignature(const RepairResult& r) {
   std::ostringstream out;
   out.precision(17);
   out << "cost=" << r.total_cost << " iters=" << r.iterations
       << " remaining=" << r.remaining_violations
-      << " null_escapes=" << r.null_escapes << " merged=" << r.merged_classes
-      << "\n";
+      << " null_escapes=" << r.null_escapes << "\n";
   for (const CellChange& ch : r.changes) {
     out << ch.tid << ":" << ch.col << " " << ValueStr(ch.original) << " -> "
         << ValueStr(ch.repaired) << " cost=" << ch.cost << " alts=[";
@@ -67,11 +66,6 @@ std::string RepairSignature(const RepairResult& r) {
     }
     out << "]\n";
   }
-  r.repaired.ForEach([&](TupleId tid, const Row& row) {
-    out << "#" << tid;
-    for (const Value& v : row) out << "|" << ValueStr(v);
-    out << "\n";
-  });
   return out.str();
 }
 

@@ -48,7 +48,8 @@ TEST_P(RepairProperty, RepairedCustomerSatisfiesSigma) {
   ASSERT_OK_AND_ASSIGN(RepairResult result, repair.Run());
 
   // (a) Consistency restored.
-  detect::NativeDetector detector(&result.repaired, cfds);
+  const Relation repaired = semandaq::testing::Repaired(wl.dirty, result);
+  detect::NativeDetector detector(&repaired, cfds);
   ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
   EXPECT_EQ(table.TotalVio(), 0) << "repair left violations";
   EXPECT_EQ(result.remaining_violations, 0u);
@@ -57,18 +58,18 @@ TEST_P(RepairProperty, RepairedCustomerSatisfiesSigma) {
   size_t diff_cells = 0;
   wl.dirty.ForEach([&](TupleId tid, const Row& row) {
     for (size_t c = 0; c < row.size(); ++c) {
-      if (!(row[c] == result.repaired.cell(tid, c))) ++diff_cells;
+      if (!(row[c] == repaired.cell(tid, c))) ++diff_cells;
     }
   });
   EXPECT_EQ(diff_cells, result.changes.size());
   for (const CellChange& ch : result.changes) {
     EXPECT_EQ(ch.original, wl.dirty.cell(ch.tid, ch.col));
-    EXPECT_EQ(ch.repaired, result.repaired.cell(ch.tid, ch.col));
+    EXPECT_EQ(ch.repaired, repaired.cell(ch.tid, ch.col));
     EXPECT_NE(ch.original, ch.repaired);
   }
 
   // (c) Quality metrics are well-formed.
-  auto quality = workload::EvaluateRepair(wl.clean, wl.dirty, result.repaired);
+  auto quality = workload::EvaluateRepair(wl.clean, wl.dirty, repaired);
   EXPECT_GE(quality.precision, 0.0);
   EXPECT_LE(quality.precision, 1.0);
   EXPECT_GE(quality.recall, 0.0);
@@ -89,7 +90,8 @@ TEST_P(RepairProperty, RepairedHospitalSatisfiesSigma) {
   BatchRepair repair(&wl.dirty, cfds, cm);
   ASSERT_OK_AND_ASSIGN(RepairResult result, repair.Run());
 
-  detect::NativeDetector detector(&result.repaired, cfds);
+  const Relation repaired = semandaq::testing::Repaired(wl.dirty, result);
+  detect::NativeDetector detector(&repaired, cfds);
   ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
   EXPECT_EQ(table.TotalVio(), 0);
 }
@@ -139,7 +141,8 @@ TEST(RepairQualityHeadline, ModerateNoiseHighQuality) {
   CostModel cm(wl.dirty.schema());
   BatchRepair repair(&wl.dirty, cfds, cm);
   ASSERT_OK_AND_ASSIGN(RepairResult result, repair.Run());
-  auto q = workload::EvaluateRepair(wl.clean, wl.dirty, result.repaired);
+  auto q = workload::EvaluateRepair(wl.clean, wl.dirty,
+                                    semandaq::testing::Repaired(wl.dirty, result));
   // Not every injected error is even *detectable* (e.g. a NAME typo), so
   // recall is bounded away from 1; the detectable majority should be fixed.
   EXPECT_GT(q.recall, 0.35) << q.ToString();

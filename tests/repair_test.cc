@@ -4,7 +4,6 @@
 #include "detect/native_detector.h"
 #include "repair/batch_repair.h"
 #include "repair/cost_model.h"
-#include "repair/equivalence.h"
 #include "repair/inc_repair.h"
 #include "repair/repair_review.h"
 #include "test_util.h"
@@ -17,6 +16,7 @@ using relational::Schema;
 using relational::TupleId;
 using relational::Update;
 using relational::Value;
+using semandaq::testing::Repaired;
 
 std::vector<cfd::Cfd> Parse(const std::string& text) {
   auto r = cfd::ParseCfdSet(text);
@@ -64,55 +64,6 @@ TEST(CostModelTest, NullEscapeIsSurcharged) {
   EXPECT_GT(to_null, to_other - 1e-9);
 }
 
-TEST(CostModelTest, RowDistanceSumsCells) {
-  CostModel cm(Schema::AllStrings({"A", "B"}));
-  const double d = cm.RowDistance({Value::String("ab"), Value::String("x")},
-                                  {Value::String("ab"), Value::String("y")});
-  EXPECT_GT(d, 0);
-  EXPECT_LE(d, 1.0);
-}
-
-// ----------------------------------------------------- EquivalenceClasses --
-
-TEST(EquivalenceTest, FreshCellsAreSingletons) {
-  EquivalenceClasses eq;
-  CellId a{1, 0};
-  EXPECT_EQ(eq.Find(a), a);
-  EXPECT_EQ(eq.Members(a).size(), 1u);
-  EXPECT_FALSE(eq.Target(a).has_value());
-}
-
-TEST(EquivalenceTest, UnionMergesMembers) {
-  EquivalenceClasses eq;
-  CellId a{1, 0};
-  CellId b{2, 0};
-  CellId c{3, 0};
-  eq.Union(a, b);
-  eq.Union(b, c);
-  EXPECT_EQ(eq.Find(a), eq.Find(c));
-  EXPECT_EQ(eq.Members(b).size(), 3u);
-  EXPECT_EQ(eq.NumMergedClasses(), 1u);
-}
-
-TEST(EquivalenceTest, TargetsFollowMerges) {
-  EquivalenceClasses eq;
-  CellId a{1, 0};
-  CellId b{2, 0};
-  eq.SetTarget(a, Value::String("v"));
-  eq.Union(a, b);
-  ASSERT_TRUE(eq.Target(b).has_value());
-  EXPECT_EQ(*eq.Target(b), Value::String("v"));
-}
-
-TEST(EquivalenceTest, UnionIsIdempotent) {
-  EquivalenceClasses eq;
-  CellId a{1, 0};
-  CellId b{2, 0};
-  eq.Union(a, b);
-  eq.Union(a, b);
-  EXPECT_EQ(eq.Members(a).size(), 2u);
-}
-
 // ------------------------------------------------------------ BatchRepair --
 
 TEST(BatchRepairTest, FixesConstantViolationToRhsConstant) {
@@ -123,7 +74,8 @@ TEST(BatchRepairTest, FixesConstantViolationToRhsConstant) {
   ASSERT_OK_AND_ASSIGN(RepairResult result, repair.Run());
 
   EXPECT_EQ(result.remaining_violations, 0u);
-  EXPECT_EQ(CountViolations(result.repaired, semandaq::testing::PaperCfdText()), 0u);
+  EXPECT_EQ(CountViolations(Repaired(rel, result), semandaq::testing::PaperCfdText()),
+            0u);
   // Original relation untouched.
   EXPECT_EQ(rel.cell(6, 1).AsString(), "US");
   EXPECT_GT(result.changes.size(), 0u);
@@ -136,8 +88,9 @@ TEST(BatchRepairTest, GroupRepairPicksMajorityValue) {
   CostModel cm(rel.schema());
   BatchRepair repair(&rel, Parse(semandaq::testing::PaperCfdText()), cm);
   ASSERT_OK_AND_ASSIGN(RepairResult result, repair.Run());
-  EXPECT_EQ(result.repaired.cell(1, 4).AsString(), "Mayfield Rd");
-  EXPECT_EQ(result.repaired.cell(0, 4).AsString(), "Mayfield Rd");
+  const Relation repaired = Repaired(rel, result);
+  EXPECT_EQ(repaired.cell(1, 4).AsString(), "Mayfield Rd");
+  EXPECT_EQ(repaired.cell(0, 4).AsString(), "Mayfield Rd");
 }
 
 TEST(BatchRepairTest, CleanInstanceIsNoOp) {
@@ -180,10 +133,11 @@ TEST(BatchRepairTest, AttributeWeightsSteerRepairs) {
   CostModel cm(rel.schema(), opts);
   BatchRepair repair(&rel, Parse("t: [A] -> [B]"), cm);
   ASSERT_OK_AND_ASSIGN(RepairResult result, repair.Run());
-  EXPECT_EQ(CountViolations(result.repaired, "t: [A] -> [B]"), 0u);
+  const Relation repaired = Repaired(rel, result);
+  EXPECT_EQ(CountViolations(repaired, "t: [A] -> [B]"), 0u);
   // B cells untouched.
-  EXPECT_EQ(result.repaired.cell(0, 1).AsString(), "x");
-  EXPECT_EQ(result.repaired.cell(1, 1).AsString(), "y");
+  EXPECT_EQ(repaired.cell(0, 1).AsString(), "x");
+  EXPECT_EQ(repaired.cell(1, 1).AsString(), "y");
 }
 
 TEST(BatchRepairTest, UnsatisfiableConstantsEscapeToNull) {
@@ -203,40 +157,44 @@ TEST(BatchRepairTest, UnsatisfiableConstantsEscapeToNull) {
 
 TEST(IncRepairTest, RepairsOnlyTheDelta) {
   // Clean base: two tuples agreeing on street.
-  Relation rel = semandaq::testing::MakeStringRelation(
+  const Relation rel = semandaq::testing::MakeStringRelation(
       "customer", {"NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"},
       {{"A", "UK", "Edi", "EH1", "HighSt", "44", "131"},
        {"B", "UK", "Edi", "EH1", "HighSt", "44", "131"}});
   auto cfds = Parse(semandaq::testing::PaperCfdText());
   CostModel cm(rel.schema());
-  IncRepair inc(&rel, cfds, cm);
+  Relation updated = rel.Clone();
+  IncRepairEngine engine(&updated, cfds, cm);
+  ASSERT_OK(engine.Start());
 
   // Dirty insert: wrong street for the same UK zip.
   relational::UpdateBatch batch = {Update::Insert(
       {Value::String("C"), Value::String("UK"), Value::String("Edi"),
        Value::String("EH1"), Value::String("WrongSt"), Value::String("44"),
        Value::String("131")})};
-  ASSERT_OK_AND_ASSIGN(IncRepairResult result, inc.Run(batch));
+  ASSERT_OK_AND_ASSIGN(IncBatchResult result, engine.ApplyAndRepair(batch));
 
-  EXPECT_EQ(result.repair.remaining_violations, 0u);
+  EXPECT_EQ(result.remaining_violations, 0u);
   // The new tuple adopted the established street; base data untouched.
-  EXPECT_EQ(result.repair.repaired.cell(2, 4).AsString(), "HighSt");
-  EXPECT_EQ(result.repair.repaired.cell(0, 4).AsString(), "HighSt");
+  EXPECT_EQ(updated.cell(2, 4).AsString(), "HighSt");
+  EXPECT_EQ(updated.cell(0, 4).AsString(), "HighSt");
   EXPECT_EQ(result.delta_tids, (std::vector<TupleId>{2}));
 }
 
 TEST(IncRepairTest, ModifiedTuplesAreMutable) {
-  Relation rel = semandaq::testing::MakeStringRelation(
+  const Relation rel = semandaq::testing::MakeStringRelation(
       "customer", {"NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"},
       {{"A", "UK", "Edi", "EH1", "HighSt", "44", "131"},
        {"B", "UK", "Edi", "EH1", "HighSt", "44", "131"}});
   auto cfds = Parse(semandaq::testing::PaperCfdText());
   CostModel cm(rel.schema());
-  IncRepair inc(&rel, cfds, cm);
+  Relation updated = rel.Clone();
+  IncRepairEngine engine(&updated, cfds, cm);
+  ASSERT_OK(engine.Start());
   relational::UpdateBatch batch = {Update::Modify(1, 4, Value::String("Oops"))};
-  ASSERT_OK_AND_ASSIGN(IncRepairResult result, inc.Run(batch));
-  EXPECT_EQ(result.repair.remaining_violations, 0u);
-  EXPECT_EQ(result.repair.repaired.cell(1, 4).AsString(), "HighSt");
+  ASSERT_OK_AND_ASSIGN(IncBatchResult result, engine.ApplyAndRepair(batch));
+  EXPECT_EQ(result.remaining_violations, 0u);
+  EXPECT_EQ(updated.cell(1, 4).AsString(), "HighSt");
 }
 
 // ----------------------------------------------------------- RepairReview --
@@ -248,8 +206,12 @@ TEST(RepairReviewTest, DiffHighlightsChanges) {
   BatchRepair repair(&rel, cfds, cm);
   ASSERT_OK_AND_ASSIGN(RepairResult result, repair.Run());
 
+  const Relation repaired = Repaired(rel, result);
   RepairReview review(&rel, std::move(result), cfds);
   ASSERT_OK(review.Start());
+  // The review owns the original with the plan applied.
+  EXPECT_EQ(review.repaired().cell(1, 4), repaired.cell(1, 4));
+  EXPECT_EQ(review.repaired().cell(6, 1), repaired.cell(6, 1));
   const std::string diff = review.RenderDiff();
   EXPECT_NE(diff.find("->"), std::string::npos);
   EXPECT_NE(diff.find("modified cell(s)"), std::string::npos);
@@ -290,9 +252,7 @@ TEST(RepairReviewTest, SafeOverrideReturnsNoConflicts) {
 
 TEST(RepairReviewTest, RequiresStart) {
   Relation rel = semandaq::testing::PaperCustomerRelation();
-  RepairResult empty_result;
-  empty_result.repaired = rel.Clone();
-  RepairReview review(&rel, std::move(empty_result), {});
+  RepairReview review(&rel, RepairResult{}, {});
   EXPECT_FALSE(review.OverrideCell(0, 0, Value::String("x")).ok());
 }
 

@@ -5,6 +5,8 @@
 // of exactly the epoch it pinned. This is the end-to-end composition of
 // the determinism invariant (same bytes across thread counts and SIMD
 // tiers) with snapshot immutability (pins never observe later writes).
+// The same holds for a `clean` that writes copy-on-write into the codes
+// it adopted from the epoch other sessions are detecting on.
 
 #include <atomic>
 #include <chrono>
@@ -31,6 +33,8 @@ using relational::Relation;
 using relational::Row;
 using relational::TupleId;
 using relational::Value;
+
+using relational::Code;
 
 constexpr size_t kReaders = 6;
 constexpr size_t kReadsPerReader = 6;
@@ -227,6 +231,89 @@ TEST(ServerConcurrencyTest, CloneRacingFirstHydrationIsSafe) {
     ASSERT_EQ(copy.row(kRows - 1)[0].AsString(), std::to_string((kRows - 1) % 5000))
         << "iteration " << iter;
     ASSERT_EQ(lazy.row(kRows - 1)[0].AsString(), copy.row(kRows - 1)[0].AsString());
+  }
+}
+
+// `clean` writes its private copy-on-write codes while other sessions run
+// `detect` on the epoch whose codes it adopted. On a freshly opened
+// relation, whose dictionaries build their lookup maps on first use, every
+// detect reply must equal a serial one, the clean reply and its diff must
+// equal a serial clean's, and the epoch's codes and dictionaries must be
+// unchanged afterwards. A write that skipped a detach shows in all three.
+TEST(ServerConcurrencyTest, CleanRacingDetectReadersOfItsEpochIsSafe) {
+  constexpr size_t kDetectors = 3;
+  constexpr size_t kDetectsPerReader = 6;
+  const std::string dir = ::testing::TempDir() + "/concurrency_clean_db";
+  {
+    SemandaqService source;
+    SemandaqService::SessionState state;
+    ASSERT_TRUE(source.Execute(&state, "gen customer 20000 10").ok());
+    ASSERT_TRUE(source.Execute(&state, "savedb " + dir).ok());
+  }
+  SemandaqService service;
+  SemandaqService::SessionState boot;
+  ASSERT_TRUE(service.Execute(&boot, "opendb " + dir).ok());
+  for (const char* cfd : {"cfd customer: [CNT=UK, ZIP=_] -> [STR=_]",
+                          "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }"}) {
+    ASSERT_TRUE(service.Execute(&boot, cfd).ok());
+  }
+
+  // The bytes the clean adopts: the epoch relation's build columns.
+  const SnapshotPtr epoch = service.Pin("customer");
+  ASSERT_NE(epoch, nullptr);
+  const Relation& rel = epoch->relation;
+  ASSERT_TRUE(rel.has_columns());
+  std::vector<std::vector<Code>> codes_before;
+  std::vector<std::vector<Value>> values_before;
+  for (size_t c = 0; c < rel.schema().size(); ++c) {
+    codes_before.emplace_back(rel.columns()[c].begin(), rel.columns()[c].end());
+    values_before.push_back(rel.dictionaries()[c]->values());
+  }
+
+  auto run = [&service](SemandaqService::SessionState* session,
+                        const std::string& cmd) {
+    auto r = service.Execute(session, cmd);
+    EXPECT_TRUE(r.ok()) << cmd << " -> " << r.status().ToString();
+    return r.ok() ? *r : std::string();
+  };
+  std::string clean_reply;
+  std::string diff_reply;
+  std::vector<std::vector<std::string>> detected(kDetectors);
+  std::thread cleaner([&] {
+    SemandaqService::SessionState session;
+    clean_reply = run(&session, "clean customer");
+    diff_reply = run(&session, "diff");
+  });
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kDetectors; ++r) {
+    readers.emplace_back([&, r] {
+      SemandaqService::SessionState session;
+      for (size_t i = 0; i < kDetectsPerReader; ++i) {
+        detected[r].push_back(run(&session, "detect customer"));
+      }
+    });
+  }
+  cleaner.join();
+  for (auto& t : readers) t.join();
+
+  // Nothing was applied, so the epoch is still current: the serial runs
+  // below see exactly the epoch the racing ones saw.
+  ASSERT_EQ(service.Pin("customer")->epoch, epoch->epoch);
+  SemandaqService::SessionState serial;
+  const std::string detect_ref = run(&serial, "detect customer");
+  EXPECT_NE(detect_ref.find("violating tuple"), std::string::npos);
+  for (const auto& per_reader : detected) {
+    for (const std::string& reply : per_reader) EXPECT_EQ(reply, detect_ref);
+  }
+  EXPECT_NE(clean_reply.find("candidate repair: "), std::string::npos);
+  EXPECT_EQ(clean_reply, run(&serial, "clean customer"));
+  EXPECT_EQ(diff_reply, run(&serial, "diff"));
+
+  for (size_t c = 0; c < rel.schema().size(); ++c) {
+    EXPECT_EQ(codes_before[c],
+              std::vector<Code>(rel.columns()[c].begin(), rel.columns()[c].end()))
+        << "column " << c;
+    EXPECT_EQ(values_before[c], rel.dictionaries()[c]->values()) << "column " << c;
   }
 }
 

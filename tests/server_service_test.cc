@@ -261,6 +261,45 @@ TEST(ServerServiceTest, ReportDecodesNoRowOfAnOpenedRelation) {
                    ->rows_materialized());
 }
 
+TEST(ServerServiceTest, CleanDecodesNoRowOfAnOpenedRelation) {
+  // `clean` repairs on the codes it adopts and `diff` renders the change
+  // list, so neither the facade nor the service decodes a row of a freshly
+  // opened relation for them: not of the master, and not of the epoch.
+  const std::string path = TempPath("svc_clean.sdq");
+  const std::string dir = TempPath("svc_clean_db");
+  SemandaqService source;
+  SemandaqService::SessionState state;
+  Exec(&source, &state, "gen customer 500 10");
+  Exec(&source, &state, "save customer " + path);
+  Exec(&source, &state, "savedb " + dir);
+
+  core::Semandaq facade;
+  ASSERT_OK(facade.OpenRelation("customer", path).status());
+  for (const char* cfd : kCustomerCfds) {
+    ASSERT_OK(facade.constraints().AddCfdsFromText(std::string(cfd).substr(4)));
+  }
+  ASSERT_OK_AND_ASSIGN(auto repair, facade.Clean("customer"));
+  EXPECT_FALSE(repair.changes.empty());
+  EXPECT_FALSE(facade.database().FindRelation("customer")->rows_materialized());
+
+  SemandaqService served;
+  SemandaqService::SessionState sstate;
+  Exec(&served, &sstate, "opendb " + dir);
+  for (const char* cfd : kCustomerCfds) Exec(&served, &sstate, cfd);
+  const std::string cleaned = Exec(&served, &sstate, "clean customer");
+  EXPECT_NE(cleaned.find("candidate repair: " + std::to_string(repair.changes.size()) +
+                         " cell(s)"),
+            std::string::npos)
+      << cleaned;
+  const std::string diff = Exec(&served, &sstate, "diff");
+  EXPECT_NE(diff.find(" -> "), std::string::npos);
+  EXPECT_FALSE(served.Pin("customer")->relation.rows_materialized());
+  EXPECT_FALSE(served.system_unsynchronized()
+                   .database()
+                   .FindRelation("customer")
+                   ->rows_materialized());
+}
+
 // -------------------------------------------------------- whole-DB catalog
 
 TEST(ServerServiceTest, SaveDbOpenDbRoundTrip) {

@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "relational/relation.h"
+#include "repair/batch_repair.h"
 
 /// Gtest glue for the Status/Result error model.
 #define ASSERT_OK(expr)                                        \
@@ -65,6 +66,15 @@ inline relational::Relation PaperCustomerRelation() {
           // CC says UK but CNT says US: violates the constant CFD phi4.
           {"Eve", "US", "NewYork", "10011", "Broadway", "44", "212"},
       });
+}
+
+/// The repaired relation of a plan: a clone of `input` with the plan's
+/// changes applied by repair::ApplyChanges.
+inline relational::Relation Repaired(const relational::Relation& input,
+                                     const repair::RepairResult& result) {
+  relational::Relation out = input.Clone();
+  EXPECT_OK(repair::ApplyChanges(result.changes, &out));
+  return out;
 }
 
 /// Sigma from the paper's Section 3 (phi2 and phi4), in parser notation.
