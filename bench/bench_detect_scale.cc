@@ -1,10 +1,10 @@
 // EXP-D1 — detection scalability in |D| ([3] Fan et al., TODS'08 style):
 // wall time of a full detection pass over the customer relation as the
-// number of tuples grows, for native detection (dictionary codes over a
-// warm or cold columnar snapshot) and generated-SQL detection through the
-// sql:: engine. The paper's claim: detection is a small number of scans,
-// scaling near-linearly; the SQL path pays a constant interpreter factor
-// but keeps the same asymptotics.
+// number of tuples grows, for native detection (the relation's dictionary
+// codes, in memory or loaded from a snapshot) and generated-SQL detection
+// through the sql:: engine. The paper's claim: detection is a small number
+// of scans, scaling near-linearly; the SQL path pays a constant interpreter
+// factor but keeps the same asymptotics.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 #include "detect/sql_detector.h"
 #include "relational/csv_io.h"
 #include "relational/database.h"
-#include "relational/encoded_relation.h"
 #include "storage/snapshot.h"
 
 namespace semandaq {
@@ -21,19 +20,15 @@ namespace {
 
 constexpr double kNoise = 0.05;
 
-// Shared body of the native-detection variants; `warm` attaches an
-// externally kept encoded snapshot (nullptr = the detector builds a local
-// snapshot per Detect).
-void RunNativeDetect(benchmark::State& state, detect::DetectorOptions options,
-                     relational::EncodedRelation* warm) {
+// The production configuration: detection over the relation's own code
+// columns.
+void BM_NativeDetect(benchmark::State& state) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   const auto& wl = bench::CachedCustomer(tuples, kNoise);
   const auto cfds = bench::MustParseCfds(workload::CustomerGenerator::PaperCfds());
   int64_t total_vio = 0;
   for (auto _ : state) {
-    if (warm != nullptr) warm->Sync();
-    detect::NativeDetector detector(&wl.dirty, cfds, options);
-    if (warm != nullptr) detector.set_encoded(warm);
+    detect::NativeDetector detector(&wl.dirty, cfds);
     auto table = detector.Detect();
     benchmark::DoNotOptimize(table);
     total_vio = table.ok() ? table->TotalVio() : -1;
@@ -43,25 +38,7 @@ void RunNativeDetect(benchmark::State& state, detect::DetectorOptions options,
   state.counters["tuples_per_sec"] = benchmark::Counter(
       static_cast<double>(tuples), benchmark::Counter::kIsIterationInvariantRate);
 }
-
-// The production configuration: detection over a dictionary-encoded
-// snapshot that outlives the detector (the relation keeps it warm; Sync is
-// a no-op between runs on static data).
-void BM_NativeDetect(benchmark::State& state) {
-  const auto& wl =
-      bench::CachedCustomer(static_cast<size_t>(state.range(0)), kNoise);
-  relational::EncodedRelation encoded(&wl.dirty);
-  RunNativeDetect(state, detect::DetectorOptions{}, &encoded);
-}
 BENCHMARK(BM_NativeDetect)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)
-    ->Unit(benchmark::kMillisecond);
-
-// Encoded path paying the full snapshot build inside the timed region —
-// the cold-start cost a one-shot caller sees.
-void BM_NativeDetectColdEncode(benchmark::State& state) {
-  RunNativeDetect(state, detect::DetectorOptions{}, nullptr);
-}
-BENCHMARK(BM_NativeDetectColdEncode)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)
     ->Unit(benchmark::kMillisecond);
 
 // The full CSV cold path: time-to-first-detection for a process that starts
@@ -103,17 +80,14 @@ void BM_NativeDetectColdLoad(benchmark::State& state) {
   const std::string path =
       "/tmp/semandaq_bench_" + std::to_string(tuples) + ".sdq";
   {
-    const relational::EncodedRelation enc(&wl.dirty);
-    auto stats = storage::SnapshotWriter::Write(wl.dirty, enc, path);
+    auto stats = storage::SnapshotWriter::Write(wl.dirty, path);
     if (!stats.ok()) std::abort();
   }
   int64_t total_vio = 0;
   for (auto _ : state) {
     auto loaded = storage::SnapshotReader::Read(path);
     if (!loaded.ok()) std::abort();
-    const relational::EncodedRelation enc(&loaded->relation);  // adopts
     detect::NativeDetector detector(&loaded->relation, cfds);
-    detector.set_encoded(&enc);
     auto table = detector.Detect();
     benchmark::DoNotOptimize(table);
     total_vio = table.ok() ? table->TotalVio() : -1;
@@ -126,7 +100,7 @@ void BM_NativeDetectColdLoad(benchmark::State& state) {
 BENCHMARK(BM_NativeDetectColdLoad)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)
     ->Unit(benchmark::kMillisecond);
 
-// SIMD kernel A/B over a warm snapshot: same blocked scan algorithm, the
+// SIMD kernel A/B over the relation's codes: same blocked scan algorithm, the
 // second Arg forces the kernel tier (0 = the scalar dispatch floor, 1 =
 // SSE2, 2 = AVX2; tiers above the host's support clamp down — the
 // "simd_level" counter records what actually ran). The constant-tableau Σ
@@ -136,7 +110,6 @@ BENCHMARK(BM_NativeDetectColdLoad)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)
 void BM_NativeDetectSimd(benchmark::State& state) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   const auto& wl = bench::CachedCustomer(tuples, kNoise);
-  relational::EncodedRelation encoded(&wl.dirty);
   const auto cfds = bench::MustParseCfds(
       "customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }\n"
       "customer: [CNT] -> [CC] { (UK | 44), (NL | 31), (US | 1) }\n"
@@ -149,7 +122,6 @@ void BM_NativeDetectSimd(benchmark::State& state) {
   int64_t total_vio = 0;
   for (auto _ : state) {
     detect::NativeDetector detector(&wl.dirty, cfds, options);
-    detector.set_encoded(&encoded);
     auto table = detector.Detect();
     benchmark::DoNotOptimize(table);
     total_vio = table.ok() ? table->TotalVio() : -1;

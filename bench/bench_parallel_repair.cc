@@ -1,5 +1,5 @@
 // EXP-R3 — the code-columnar repair engine: BatchRepair with the detect ->
-// repair -> audit loop routed through one warm dictionary-encoded snapshot
+// repair -> audit loop running on one working copy's dictionary codes
 // (kernel-blocked re-detection, CountEq32 group tallies, coded cost fast
 // paths). Axes: range(0) = tuples, range(1) = requested kernel tier. The
 // RepairResult is byte-identical across every configuration (gated by

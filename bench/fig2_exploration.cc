@@ -67,7 +67,8 @@ int main() {
     return 1;
   }
 
-  semandaq::core::DataExplorer explorer(&rel, std::move(cfds), std::move(*table));
+  // The explorer gets a copy: the reverse exploration below prints `cfds`.
+  semandaq::core::DataExplorer explorer(&rel, cfds, std::move(*table));
   Row lhs = {Value::String("UK"), Value::String("EH2 4SD")};
   std::printf("%s\n", explorer.RenderDrilldown(0, 0, lhs).c_str());
 

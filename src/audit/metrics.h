@@ -86,10 +86,7 @@ struct AuditOutcome {
 /// and statistics above. It reads the table, Σ and the relation's
 /// dictionary codes, never a row: a group member holds the strict majority
 /// iff 2·(n − member_partners) > n, and the confirmations behind "verified
-/// clean" come from one scan of the code columns per constant-RHS row. The
-/// codes come from a local EncodedRelation, which adopts a column-backed
-/// relation's codes (a published epoch's or a freshly opened relation's)
-/// and encodes any other relation.
+/// clean" come from one scan of the code columns per constant-RHS row.
 class DataAuditor {
  public:
   /// `cfds` are resolved internally against rel's schema; the relation and

@@ -31,7 +31,7 @@ struct SatisfiabilityReport {
   std::string explanation;
 
   /// Number of candidate-assignment nodes the search explored (a work
-  /// measure reported by bench_satisfiability).
+  /// measure).
   size_t nodes_explored = 0;
 };
 

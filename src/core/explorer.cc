@@ -3,17 +3,25 @@
 #include <algorithm>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
+
+#include "common/simd/simd.h"
+#include "relational/encoded_relation.h"
 
 namespace semandaq::core {
 
 using cfd::Cfd;
 using cfd::PatternTuple;
 using common::Status;
+using relational::Code;
+using relational::kAbsentCode;
+using relational::kNullCode;
 using relational::Row;
 using relational::RowEq;
-using relational::RowHash;
 using relational::TupleId;
 using relational::Value;
+
+namespace simd = common::simd;
 
 common::Status DataExplorer::CheckCfdIndex(int cfd_index) const {
   if (cfd_index < 0 || static_cast<size_t>(cfd_index) >= cfds_.size()) {
@@ -35,6 +43,52 @@ common::Status DataExplorer::CheckPattern(int cfd_index, int pattern_index) cons
   return Status::OK();
 }
 
+std::vector<uint64_t> DataExplorer::MatchMask(
+    const std::vector<size_t>& cols, const std::vector<Code>& codes) const {
+  const size_t bound = static_cast<size_t>(rel_->IdBound());
+  std::vector<uint64_t> mask(simd::MaskWords(bound));
+  const simd::Kernels& k = simd::KernelsFor();
+  k.MaskLive(rel_->live_data(), nullptr, 0, kNullCode, bound, mask.data());
+  if (cols.empty()) return mask;
+  std::vector<const Code*> ptrs;
+  ptrs.reserve(cols.size());
+  for (size_t c : cols) ptrs.push_back(rel_->columns()[c].data());
+  k.FilterEqMulti32(ptrs.data(), codes.data(), cols.size(), bound, mask.data());
+  return mask;
+}
+
+std::vector<uint64_t> DataExplorer::PatternMask(const Cfd& c,
+                                                const PatternTuple& pt) const {
+  // PatternValue::Matches on codes: a wildcard matches every cell, NULL
+  // included; a constant only a non-NULL cell holding it, so a NULL
+  // constant matches nothing and a constant absent from the dictionary
+  // (kAbsentCode) matches no code.
+  std::vector<size_t> cols;
+  std::vector<Code> codes;
+  for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
+    if (pt.lhs[i].is_wildcard()) continue;
+    const Value& constant = pt.lhs[i].constant();
+    const size_t col = c.lhs_cols()[i];
+    cols.push_back(col);
+    codes.push_back(constant.is_null()
+                        ? kAbsentCode
+                        : rel_->dictionaries()[col]->Lookup(constant));
+  }
+  return MatchMask(cols, codes);
+}
+
+std::vector<uint64_t> DataExplorer::EqualMask(const std::vector<size_t>& cols,
+                                              const Row& values) const {
+  // Value equality on codes: NULL equals NULL (kNullCode), and a value
+  // absent from the dictionary (kAbsentCode) equals no cell.
+  std::vector<Code> codes;
+  codes.reserve(cols.size());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    codes.push_back(rel_->dictionaries()[cols[i]]->Lookup(values[i]));
+  }
+  return MatchMask(cols, codes);
+}
+
 common::Result<std::vector<DataExplorer::CfdEntry>> DataExplorer::ListCfds() const {
   std::vector<CfdEntry> out;
   for (size_t ci = 0; ci < cfds_.size(); ++ci) {
@@ -53,20 +107,13 @@ common::Result<std::vector<DataExplorer::CfdEntry>> DataExplorer::ListCfds() con
     entry.num_patterns = c.tableau().size();
     // Violation mass attributable to this CFD: vio of every tuple whose
     // LHS matches some pattern of it.
-    rel_->ForEach([&](TupleId tid, const Row& row) {
-      for (const PatternTuple& pt : c.tableau()) {
-        bool match = true;
-        for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-          if (!pt.lhs[i].Matches(row[c.lhs_cols()[i]])) {
-            match = false;
-            break;
-          }
-        }
-        if (match) {
-          entry.violation_count += table_.vio(tid);
-          return;
-        }
-      }
+    std::vector<uint64_t> any(simd::MaskWords(static_cast<size_t>(rel_->IdBound())));
+    for (const PatternTuple& pt : c.tableau()) {
+      const std::vector<uint64_t> mask = PatternMask(c, pt);
+      for (size_t w = 0; w < any.size(); ++w) any[w] |= mask[w];
+    }
+    simd::ForEachSetBit(any.data(), any.size(), [&](size_t i) {
+      entry.violation_count += table_.vio(static_cast<TupleId>(i));
     });
     out.push_back(std::move(entry));
   }
@@ -83,12 +130,10 @@ common::Result<std::vector<DataExplorer::PatternEntry>> DataExplorer::PatternsOf
     PatternEntry entry;
     entry.pattern_index = static_cast<int>(pi);
     entry.display = pt.ToString();
-    rel_->ForEach([&](TupleId tid, const Row& row) {
-      for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-        if (!pt.lhs[i].Matches(row[c.lhs_cols()[i]])) return;
-      }
+    const std::vector<uint64_t> mask = PatternMask(c, pt);
+    simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t i) {
       ++entry.matching_tuples;
-      entry.violation_count += table_.vio(tid);
+      entry.violation_count += table_.vio(static_cast<TupleId>(i));
     });
     out.push_back(std::move(entry));
   }
@@ -101,30 +146,35 @@ common::Result<std::vector<DataExplorer::LhsEntry>> DataExplorer::LhsMatches(
   const Cfd& c = cfds_[static_cast<size_t>(cfd_index)];
   const PatternTuple& pt = c.tableau()[static_cast<size_t>(pattern_index)];
 
+  // Tuples group by their LHS codes and count distinct RHS codes; only the
+  // distinct keys are decoded.
   struct Acc {
     size_t tuples = 0;
     int64_t vio = 0;
-    std::unordered_map<Value, size_t, relational::ValueHash> rhs;
+    std::unordered_set<Code> rhs;
   };
-  std::unordered_map<Row, Acc, RowHash, RowEq> acc;
-  rel_->ForEach([&](TupleId tid, const Row& row) {
-    for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-      if (!pt.lhs[i].Matches(row[c.lhs_cols()[i]])) return;
-    }
-    Row key;
-    key.reserve(c.lhs_cols().size());
-    for (size_t col : c.lhs_cols()) key.push_back(row[col]);
-    Acc& a = acc[std::move(key)];
+  std::unordered_map<std::vector<Code>, Acc, relational::CodeVecHash> acc;
+  const std::vector<uint64_t> mask = PatternMask(c, pt);
+  const relational::EncodedRelation enc(rel_);
+  std::vector<Code> key;
+  simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t i) {
+    const TupleId tid = static_cast<TupleId>(i);
+    key.clear();
+    for (size_t col : c.lhs_cols()) key.push_back(enc.code(tid, col));
+    Acc& a = acc[key];
     ++a.tuples;
     a.vio += table_.vio(tid);
-    ++a.rhs[row[c.rhs_col()]];
+    a.rhs.insert(enc.code(tid, c.rhs_col()));
   });
 
   std::vector<LhsEntry> out;
   out.reserve(acc.size());
-  for (auto& [key, a] : acc) {
+  for (auto& [codes, a] : acc) {
     LhsEntry e;
-    e.lhs = key;
+    e.lhs.reserve(codes.size());
+    for (size_t i = 0; i < codes.size(); ++i) {
+      e.lhs.push_back(enc.Decode(c.lhs_cols()[i], codes[i]));
+    }
     e.tuple_count = a.tuples;
     e.distinct_rhs = a.rhs.size();
     e.violation_count = a.vio;
@@ -154,20 +204,20 @@ common::Result<std::vector<DataExplorer::RhsEntry>> DataExplorer::RhsValues(
     size_t tuples = 0;
     int64_t vio = 0;
   };
-  std::unordered_map<Value, Acc, relational::ValueHash> acc;
-  rel_->ForEach([&](TupleId tid, const Row& row) {
-    for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-      if (!(row[c.lhs_cols()[i]] == lhs[i])) return;
-    }
-    Acc& a = acc[row[c.rhs_col()]];
+  std::unordered_map<Code, Acc> acc;
+  const std::vector<uint64_t> mask = EqualMask(c.lhs_cols(), lhs);
+  const relational::EncodedRelation enc(rel_);
+  simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t i) {
+    const TupleId tid = static_cast<TupleId>(i);
+    Acc& a = acc[enc.code(tid, c.rhs_col())];
     ++a.tuples;
     a.vio += table_.vio(tid);
   });
 
   std::vector<RhsEntry> out;
   out.reserve(acc.size());
-  for (auto& [v, a] : acc) {
-    out.push_back(RhsEntry{v, a.tuples, a.vio});
+  for (auto& [code, a] : acc) {
+    out.push_back(RhsEntry{enc.Decode(c.rhs_col(), code), a.tuples, a.vio});
   }
   std::sort(out.begin(), out.end(), [](const RhsEntry& a, const RhsEntry& b) {
     if (a.tuple_count != b.tuple_count) return a.tuple_count > b.tuple_count;
@@ -180,14 +230,14 @@ common::Result<std::vector<TupleId>> DataExplorer::TuplesFor(
     int cfd_index, int pattern_index, const Row& lhs, const Value& rhs) const {
   SEMANDAQ_RETURN_IF_ERROR(CheckPattern(cfd_index, pattern_index));
   const Cfd& c = cfds_[static_cast<size_t>(cfd_index)];
+  std::vector<size_t> cols = c.lhs_cols();
+  cols.push_back(c.rhs_col());
+  Row values(lhs.begin(), lhs.begin() + static_cast<std::ptrdiff_t>(c.lhs_cols().size()));
+  values.push_back(rhs);
+  const std::vector<uint64_t> mask = EqualMask(cols, values);
   std::vector<TupleId> out;
-  rel_->ForEach([&](TupleId tid, const Row& row) {
-    for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-      if (!(row[c.lhs_cols()[i]] == lhs[i])) return;
-    }
-    if (!(row[c.rhs_col()] == rhs)) return;
-    out.push_back(tid);
-  });
+  simd::ForEachSetBit(mask.data(), mask.size(),
+                      [&](size_t i) { out.push_back(static_cast<TupleId>(i)); });
   return out;
 }
 
@@ -196,7 +246,7 @@ common::Result<std::vector<std::pair<int, int>>> DataExplorer::CfdsForTuple(
   if (!rel_->IsLive(tid)) {
     return Status::OutOfRange("no live tuple with id " + std::to_string(tid));
   }
-  const Row& row = rel_->row(tid);
+  const Row row = rel_->row(tid);
   std::vector<std::pair<int, int>> out;
   for (size_t ci = 0; ci < cfds_.size(); ++ci) {
     const Cfd& c = cfds_[ci];

@@ -1,6 +1,7 @@
 #ifndef SEMANDAQ_CORE_EXPLORER_H_
 #define SEMANDAQ_CORE_EXPLORER_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,7 +20,10 @@ namespace semandaq::core {
 ///
 /// The explorer is a pure read API over one relation, a CFD set, and a
 /// detection result (the GUI of the paper renders exactly these tables). It
-/// owns the CFDs and the detection result and borrows the relation.
+/// owns the CFDs and the detection result and borrows the relation. Every
+/// step scans the relation's code columns (pattern constants become
+/// dictionary codes, tuples group on codes) and decodes only the keys and
+/// values it returns.
 class DataExplorer {
  public:
   struct CfdEntry {
@@ -89,6 +93,18 @@ class DataExplorer {
  private:
   common::Status CheckCfdIndex(int cfd_index) const;
   common::Status CheckPattern(int cfd_index, int pattern_index) const;
+
+  /// Live tuples whose codes in `cols` equal `codes`, as a bit mask over
+  /// [0, IdBound()) (common/simd layout).
+  std::vector<uint64_t> MatchMask(const std::vector<size_t>& cols,
+                                  const std::vector<relational::Code>& codes) const;
+  /// Live tuples whose LHS matches pattern `pt` of `c`
+  /// (cfd::PatternValue::Matches, on codes).
+  std::vector<uint64_t> PatternMask(const cfd::Cfd& c,
+                                    const cfd::PatternTuple& pt) const;
+  /// Live tuples whose values in `cols` equal `values` (Value equality).
+  std::vector<uint64_t> EqualMask(const std::vector<size_t>& cols,
+                                  const relational::Row& values) const;
 
   const relational::Relation* rel_;
   std::vector<cfd::Cfd> cfds_;

@@ -11,38 +11,15 @@ namespace semandaq::core {
 
 using common::Status;
 
-relational::EncodedRelation* Semandaq::FindWarm(
-    const std::string& relation, const relational::Relation* rel) {
-  auto it = warm_.find(common::ToLower(relation));
-  if (it == warm_.end()) return nullptr;
-  if (&it->second->relation() != rel) {
-    // The relation was replaced out from under the snapshot (PutRelation /
-    // Drop + Add); the entry is garbage, not merely stale.
-    warm_.erase(it);
-    return nullptr;
-  }
-  return it->second.get();
-}
-
-relational::EncodedRelation* Semandaq::WarmSnapshot(
-    const std::string& relation) {
+relational::EncodedRelation* Semandaq::WarmOrEncode(const std::string& relation) {
   const relational::Relation* rel = db_.FindRelation(relation);
   if (rel == nullptr) return nullptr;
-  return FindWarm(relation, rel);
-}
-
-relational::EncodedRelation* Semandaq::WarmOrEncode(const std::string& relation) {
-  relational::Relation* rel = db_.FindMutableRelation(relation);
-  if (rel == nullptr) return nullptr;
-  relational::EncodedRelation* warm = FindWarm(relation, rel);
-  if (warm == nullptr) {
-    auto enc = std::make_unique<relational::EncodedRelation>(rel);
-    warm = enc.get();
-    warm_[common::ToLower(relation)] = std::move(enc);
-  } else {
-    warm->Sync();
-  }
-  return warm;
+  // A view is one pointer to its relation, so rebinding it to whatever
+  // relation holds the name now is all a replaced relation needs.
+  auto [it, fresh] = views_.insert_or_assign(common::ToLower(relation),
+                                             relational::EncodedRelation(rel));
+  (void)fresh;
+  return &it->second;
 }
 
 storage::WalAttachment* Semandaq::AttachedWal(const std::string& relation) {
@@ -87,10 +64,6 @@ common::Result<detect::ViolationTable> Semandaq::DetectErrors(
   std::vector<cfd::Cfd> cfds = engine_.CfdsFor(relation);
   if (kind == DetectorKind::kNative) {
     detect::NativeDetector detector(rel, std::move(cfds), options);
-    if (relational::EncodedRelation* warm = FindWarm(relation, rel)) {
-      warm->Sync();
-      detector.set_encoded(warm);
-    }
     return detector.Detect();
   }
   detect::SqlDetector detector(&db_, relation, std::move(cfds));
@@ -103,9 +76,8 @@ common::Result<storage::SnapshotStats> Semandaq::SaveRelation(
   relational::Relation* rel = db_.FindMutableRelation(relation);
   if (rel == nullptr) return Status::NotFound("no relation named " + relation);
   const storage::SyncPolicy policy = sync.value_or(wal_sync_policy_);
-  relational::EncodedRelation* warm = WarmOrEncode(relation);
   SEMANDAQ_ASSIGN_OR_RETURN(storage::SnapshotStats stats,
-                            storage::SnapshotWriter::Write(*rel, *warm, path));
+                            storage::SnapshotWriter::Write(*rel, path));
   // Arm the live journal: the write left a fresh, empty sidecar stamped
   // with this snapshot; from here on every committed mutation appends to
   // it, keeping the on-disk state one replay away from the live one.
@@ -200,26 +172,20 @@ common::Result<Semandaq::OpenStats> Semandaq::OpenRelation(
   }
   SEMANDAQ_ASSIGN_OR_RETURN(storage::LoadedSnapshot snap,
                             storage::SnapshotReader::Read(path));
+  // The load is the long step; a token tripped during it stops the open
+  // before anything is registered.
+  SEMANDAQ_RETURN_IF_CANCELLED(cancel);
   snap.relation.set_name(name);
   SEMANDAQ_RETURN_IF_ERROR(db_.AddRelation(std::move(snap.relation)));
   relational::Relation* rel = db_.FindMutableRelation(name);
-  // Adopts the loaded code columns before the replay mutates the relation.
-  auto enc = std::make_unique<relational::EncodedRelation>(rel);
-  // The WAL tail replays through the relation's ordinary mutators; Sync()
-  // then absorbs it along the encoded append path (or a rebuild after an
-  // in-place overwrite record). A bad WAL unwinds the registration.
+  // The WAL tail replays through the relation's ordinary mutators, which
+  // write codes into the loaded columns. A bad WAL (or a tripped token)
+  // unwinds the registration.
   auto wal = storage::ReplayWal(storage::WalPathFor(path),
                                 snap.manifest_checksum, rel, cancel);
   if (!wal.ok()) {
     (void)db_.DropRelation(name);
     return wal.status();
-  }
-  enc->set_cancel(cancel);
-  enc->Sync();
-  enc->set_cancel(nullptr);  // the token's life ends with this request
-  if (cancel != nullptr && !cancel->Check().ok()) {
-    (void)db_.DropRelation(name);
-    return cancel->Check();
   }
 
   // Arm the live journal AFTER the replay above — the replayed records are
@@ -235,7 +201,6 @@ common::Result<Semandaq::OpenStats> Semandaq::OpenRelation(
   stats.live_rows = rel->size();
   stats.num_columns = static_cast<uint32_t>(rel->schema().size());
   stats.wal_records = *wal;
-  warm_[common::ToLower(name)] = std::move(enc);
   return stats;
 }
 

@@ -72,9 +72,8 @@ class Semandaq {
   }
 
   /// Persists `relation` as a binary columnar snapshot at `path` (plus a
-  /// fresh WAL sidecar at `path + ".wal"`), using — and warming — the
-  /// facade's encoded snapshot of the relation, so a save also primes
-  /// subsequent detections. See docs/storage.md for the format.
+  /// fresh WAL sidecar at `path + ".wal"`): its dictionaries and code
+  /// columns as they are. See docs/storage.md for the format.
   ///
   /// `compact_after` arms the relation's compaction policy: once more than
   /// that many mutation records have accumulated in the WAL sidecar,
@@ -123,8 +122,8 @@ class Semandaq {
   };
 
   /// Restores a database saved by SaveDatabase: reads the catalog manifest
-  /// in `dir` and opens every listed relation (snapshot + WAL replay, warm
-  /// encoded snapshots adopted — the server restart path). Fails without
+  /// in `dir` and opens every listed relation (snapshot + WAL replay — the
+  /// server restart path). Fails without
   /// side effects when any listed name is already connected or any file is
   /// corrupt: relations opened earlier in the same call are dropped again.
   /// A tripped `cancel` token (common/cancel.h, checked per replayed WAL
@@ -139,10 +138,9 @@ class Semandaq {
     size_t wal_records = 0;  ///< mutations replayed from the WAL sidecar
   };
 
-  /// Loads a snapshot (replaying any WAL tail through the relation and the
-  /// encoded append path) and registers it as `name`. The loaded code
-  /// columns are adopted as the relation's warm encoded snapshot — the
-  /// first DetectErrors after an open pays no re-encode. Fails without
+  /// Loads a snapshot (replaying any WAL tail through the relation's
+  /// mutators) and registers it as `name`. The loaded code columns are the
+  /// relation's data, so nothing decodes or re-encodes them. Fails without
   /// side effects if `name` is taken or the files are corrupt — and
   /// likewise when `cancel` (common/cancel.h) trips mid-replay: the
   /// half-replayed relation is dropped before the status escapes.
@@ -150,14 +148,10 @@ class Semandaq {
                                          const std::string& path,
                                          common::CancelToken* cancel = nullptr);
 
-  /// The warm encoded snapshot DetectErrors uses for `relation`; nullptr
-  /// when none exists yet (exposed for tests and benches).
-  relational::EncodedRelation* WarmSnapshot(const std::string& relation);
-
-  /// The warm encoded snapshot for `relation`, built (and cached) on the
-  /// spot when none exists yet, and Sync'd either way — the server's
-  /// publication path uses this so every pinned epoch freezes off one
-  /// warm, in-sync encoded form. nullptr when the relation is unknown.
+  /// The code view (relational::EncodedRelation) of `relation` as it is
+  /// now; nullptr when the relation is unknown. The pointer stays valid
+  /// until the next call for the same name, and the view never needs
+  /// syncing: it reads the relation's own columns.
   relational::EncodedRelation* WarmOrEncode(const std::string& relation);
 
   /// The live WAL attachment journaling `relation`'s mutations into its
@@ -229,11 +223,6 @@ class Semandaq {
   common::Result<std::unique_ptr<DataExplorer>> Explore(const std::string& relation);
 
  private:
-  /// The warm snapshot for `relation` if it still describes `rel` (a
-  /// replaced relation drops its stale entry); nullptr otherwise.
-  relational::EncodedRelation* FindWarm(const std::string& relation,
-                                        const relational::Relation* rel);
-
   /// Opens the sidecar at WalPathFor(path) and installs it as `rel`'s
   /// mutation observer, replacing any previous attachment for the name.
   common::Status AttachWal(const std::string& relation,
@@ -244,10 +233,8 @@ class Semandaq {
   relational::Database db_;
   ConstraintEngine engine_;
 
-  /// Warm encoded snapshots by lowercase relation name, fed by
-  /// SaveRelation/OpenRelation and consumed (and Sync'd) by DetectErrors.
-  std::unordered_map<std::string, std::unique_ptr<relational::EncodedRelation>>
-      warm_;
+  /// The views WarmOrEncode hands out, by lowercase relation name.
+  std::unordered_map<std::string, relational::EncodedRelation> views_;
 
   /// Snapshot path + compaction threshold + WAL durability armed by the
   /// last SaveRelation of each (lowercase) relation name; consulted by

@@ -35,7 +35,6 @@ common::Status IncrementalDetector::Initialize() {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
   groups_.clear();
   singles_.clear();
-  enc_.emplace(rel_);
 
   const auto fd_groups = cfd::GroupByEmbeddedFd(cfds_);
   groups_.reserve(fd_groups.size());
@@ -47,9 +46,10 @@ common::Status IncrementalDetector::Initialize() {
     for (const auto& member : g.members) {
       const auto& [ci, pi] = member;
       const PatternTuple& pt = cfds_[ci].tableau()[pi];
-      // Compile the row to codes. Constants are *encoded* (not looked up):
-      // that allocates a stable code even for values the data does not
-      // contain yet, so later inserts of the value match correctly.
+      // Compile the row to codes. Constants are *interned* into the
+      // relation's dictionaries (not looked up): that reserves a stable
+      // code even for values the data does not contain yet, which a later
+      // insert of the value reuses, so it matches.
       CompiledRow cr;
       cr.ci = ci;
       cr.pi = pi;
@@ -64,12 +64,11 @@ common::Status IncrementalDetector::Initialize() {
         }
         cr.lhs_consts.emplace_back(
             static_cast<uint32_t>(i),
-            enc_->mutable_dictionary(gs.lhs_cols[i]).Encode(pt.lhs[i].constant()));
+            rel_->Intern(gs.lhs_cols[i], pt.lhs[i].constant()));
       }
       if (!feasible) continue;
       if (pt.is_constant_rhs()) {
-        cr.rhs_code =
-            enc_->mutable_dictionary(gs.rhs_col).Encode(pt.rhs.constant());
+        cr.rhs_code = rel_->Intern(gs.rhs_col, pt.rhs.constant());
         gs.compiled_const.push_back(std::move(cr));
       } else {
         gs.var_rows.push_back(member);
@@ -108,9 +107,9 @@ void IncrementalDetector::BulkEnter() {
     const size_t nlhs = gs.lhs_cols.size();
     std::vector<const Code*> lhs_ptrs(nlhs);
     for (size_t k = 0; k < nlhs; ++k) {
-      lhs_ptrs[k] = enc_->column(gs.lhs_cols[k]).data();
+      lhs_ptrs[k] = enc_.column(gs.lhs_cols[k]).data();
     }
-    const Code* rhs_ptr = enc_->column(gs.rhs_col).data();
+    const Code* rhs_ptr = enc_.column(gs.rhs_col).data();
     auto compile = [&](const std::vector<CompiledRow>& rows) {
       std::vector<RowFilter> out(rows.size());
       for (size_t i = 0; i < rows.size(); ++i) {
@@ -185,7 +184,7 @@ void IncrementalDetector::BulkEnter() {
 
       auto place = [&](TupleId tid, Bucket& b, size_t i) {
         b.members.push_back(tid);
-        b.AddRhs(enc_->Decode(gs.rhs_col, rhs_ptr[lo + i]));
+        b.AddRhs(enc_.Decode(gs.rhs_col, rhs_ptr[lo + i]));
         ++buckets_touched_;
       };
       if (nlhs >= 1 && nlhs <= 2) {
@@ -216,7 +215,7 @@ bool IncrementalDetector::LhsKeyOf(const GroupState& gs, TupleId tid,
   key->clear();
   key->reserve(gs.lhs_cols.size());
   for (size_t c : gs.lhs_cols) {
-    const Code code = enc_->code(tid, c);
+    const Code code = enc_.code(tid, c);
     if (code == kNullCode) return false;
     key->push_back(code);
   }
@@ -227,11 +226,11 @@ void IncrementalDetector::EnterTuple(TupleId tid) {
   std::vector<Code> key;
   for (GroupState& gs : groups_) {
     // Single-tuple violations against constant-RHS rows.
-    const Code rhs_code = enc_->code(tid, gs.rhs_col);
+    const Code rhs_code = enc_.code(tid, gs.rhs_col);
     for (const CompiledRow& cr : gs.compiled_const) {
       bool lhs_match = true;
       for (const auto& [pos, code] : cr.lhs_consts) {
-        if (enc_->code(tid, gs.lhs_cols[pos]) != code) {
+        if (enc_.code(tid, gs.lhs_cols[pos]) != code) {
           lhs_match = false;
           break;
         }
@@ -246,7 +245,7 @@ void IncrementalDetector::EnterTuple(TupleId tid) {
     for (const CompiledRow& cr : gs.compiled_var) {
       bool lhs_match = true;
       for (const auto& [pos, code] : cr.lhs_consts) {
-        if (enc_->code(tid, gs.lhs_cols[pos]) != code) {
+        if (enc_.code(tid, gs.lhs_cols[pos]) != code) {
           lhs_match = false;
           break;
         }
@@ -260,7 +259,7 @@ void IncrementalDetector::EnterTuple(TupleId tid) {
     if (!LhsKeyOf(gs, tid, &key)) continue;  // NULL LHS never groups
     Bucket& b = gs.buckets[key];
     b.members.push_back(tid);
-    b.AddRhs(enc_->Decode(gs.rhs_col, rhs_code));
+    b.AddRhs(enc_.Decode(gs.rhs_col, rhs_code));
     ++buckets_touched_;
   }
 }
@@ -277,7 +276,7 @@ void IncrementalDetector::LeaveTuple(TupleId tid) {
     auto pos = std::find(members.begin(), members.end(), tid);
     if (pos == members.end()) continue;  // was not in scope for this group
     members.erase(pos);
-    it->second.RemoveRhs(enc_->Decode(gs.rhs_col, enc_->code(tid, gs.rhs_col)));
+    it->second.RemoveRhs(enc_.Decode(gs.rhs_col, enc_.code(tid, gs.rhs_col)));
     ++buckets_touched_;
     if (members.empty()) gs.buckets.erase(it);
   }
@@ -297,19 +296,16 @@ common::Status IncrementalDetector::ApplyAndDetect(const UpdateBatch& batch,
         auto r = rel_->Insert(u.row);
         if (!r.ok()) return r.status();
         if (inserted != nullptr) inserted->push_back(*r);
-        enc_->ApplyInsert(*r);
         EnterTuple(*r);
         break;
       }
       case Update::Kind::kDelete:
         LeaveTuple(u.tid);
         SEMANDAQ_RETURN_IF_ERROR(rel_->Delete(u.tid));
-        enc_->NoteDelete();
         break;
       case Update::Kind::kModify:
         LeaveTuple(u.tid);
         SEMANDAQ_RETURN_IF_ERROR(rel_->SetCell(u.tid, u.col, u.new_value));
-        enc_->ApplyCell(u.tid, u.col);
         EnterTuple(u.tid);
         break;
     }
@@ -339,7 +335,7 @@ ViolationTable IncrementalDetector::Snapshot() const {
           gs.var_rows.empty() ? -1 : static_cast<int>(gs.var_rows.front().first);
       vg.lhs_key.reserve(key.size());
       for (size_t i = 0; i < key.size(); ++i) {
-        vg.lhs_key.push_back(enc_->Decode(gs.lhs_cols[i], key[i]));
+        vg.lhs_key.push_back(enc_.Decode(gs.lhs_cols[i], key[i]));
       }
       const int64_t n = static_cast<int64_t>(bucket.members.size());
       const int64_t nulls = bucket.null_rhs();
@@ -383,9 +379,9 @@ int64_t IncrementalDetector::Vio(TupleId tid) const {
 
 int64_t IncrementalDetector::SameRhs(const GroupState& gs, const Bucket& b,
                                      TupleId tid, int64_t nulls) const {
-  const Code c = enc_->code(tid, gs.rhs_col);
+  const Code c = enc_.code(tid, gs.rhs_col);
   if (c == kNullCode) return nulls;
-  auto it = b.rhs_counts.find(enc_->Decode(gs.rhs_col, c));
+  auto it = b.rhs_counts.find(enc_.Decode(gs.rhs_col, c));
   return it == b.rhs_counts.end() ? 0 : it->second;
 }
 

@@ -1,7 +1,6 @@
 #ifndef SEMANDAQ_DETECT_INCREMENTAL_DETECTOR_H_
 #define SEMANDAQ_DETECT_INCREMENTAL_DETECTOR_H_
 
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -28,12 +27,12 @@ namespace semandaq::detect {
 /// ViolationTable that is value-identical to a from-scratch NativeDetector
 /// run (a test invariant).
 ///
-/// Internally the detector runs on a dictionary-encoded columnar snapshot
-/// (relational::EncodedRelation) that it keeps warm through the delta hooks:
-/// bucket keys are LHS code vectors and pattern tableaux are precompiled to
-/// codes at Initialize (pattern constants are *encoded into* the
-/// dictionaries, so a constant that first appears in a later insert still
-/// compiles to the same stable code).
+/// Internally the detector reads the relation's own code columns
+/// (relational::EncodedRelation): bucket keys are LHS code vectors and
+/// pattern tableaux are precompiled to codes at Initialize. Pattern
+/// constants are interned into the relation's dictionaries
+/// (Relation::Intern), so a constant that first appears in a later insert
+/// still carries the code it was compiled to.
 ///
 /// The detector applies updates to the relation itself so its state can
 /// never drift from the data: route all mutations through ApplyAndDetect.
@@ -69,8 +68,8 @@ class IncrementalDetector {
   /// True when no tuple currently violates any CFD.
   bool Clean() const;
 
-  /// Buckets examined by all ApplyAndDetect calls so far — the work measure
-  /// bench_incremental_detect reports against full re-detection.
+  /// Buckets examined by Initialize and all ApplyAndDetect calls so far — a
+  /// work measure to set against full re-detection.
   size_t buckets_touched() const { return buckets_touched_; }
 
   const std::vector<cfd::Cfd>& cfds() const { return cfds_; }
@@ -150,11 +149,11 @@ class IncrementalDetector {
   void BulkEnter();
 
   relational::Relation* rel_;
+  /// The code view of *rel_.
+  const relational::EncodedRelation enc_{rel_};
   std::vector<cfd::Cfd> cfds_;
   common::simd::Level simd_level_ = common::simd::Level::kAuto;
   std::vector<GroupState> groups_;
-  /// Columnar code mirror of *rel_, kept warm by the delta hooks.
-  std::optional<relational::EncodedRelation> enc_;
   bool initialized_ = false;
 
   /// tid -> (cfd, pattern) single violations.

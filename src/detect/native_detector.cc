@@ -22,12 +22,7 @@ namespace simd = common::simd;
 
 common::Result<ViolationTable> NativeDetector::Detect() {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
-  if (encoded_ != nullptr && &encoded_->relation() == rel_ &&
-      encoded_->InSync()) {
-    return DetectEncoded(*encoded_);
-  }
-  const EncodedRelation local(rel_, options_.cancel);
-  return DetectEncoded(local);
+  return DetectEncoded(EncodedRelation(rel_));
 }
 
 namespace {

@@ -67,15 +67,10 @@ class NativeDetector {
                  DetectorOptions options = {})
       : rel_(rel), cfds_(std::move(cfds)), options_(options) {}
 
-  /// Attaches an externally owned, already-synced encoded snapshot of the
-  /// relation so repeated Detect calls skip the encode pass (the warm-scan
-  /// production pattern). Without one, or with a stale one, Detect builds
-  /// a local EncodedRelation, which adopts the codes of a column-backed
-  /// relation instead of encoding. The snapshot is never written during
-  /// Detect.
-  void set_encoded(const relational::EncodedRelation* encoded) {
-    encoded_ = encoded;
-  }
+  /// Ignored: Detect scans the relation's own code columns (every
+  /// EncodedRelation of it is the same view). Kept so existing callers
+  /// still compile.
+  void set_encoded(const relational::EncodedRelation* /*encoded*/) {}
 
   /// Ignored, like DetectorOptions::num_threads. Kept so existing callers
   /// still compile.
@@ -94,7 +89,6 @@ class NativeDetector {
   const relational::Relation* rel_;
   std::vector<cfd::Cfd> cfds_;
   DetectorOptions options_;
-  const relational::EncodedRelation* encoded_ = nullptr;
 };
 
 }  // namespace semandaq::detect

@@ -3,6 +3,8 @@
 #include <unordered_map>
 
 #include "cfd/tableau_store.h"
+#include "common/string_util.h"
+#include "sql/binder.h"
 #include "sql/engine.h"
 
 namespace semandaq::detect {
@@ -21,6 +23,26 @@ common::Result<ViolationTable> SqlDetector::Detect() {
     return Status::NotFound("no relation named " + relation_);
   }
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, target->schema()));
+  // The generated queries read tuple ids through the __tid pseudo-column,
+  // which an attribute of that name would hide, and the tableau relations
+  // put __cfd_id and __pattern_id beside the CFDs' attributes.
+  auto reserved = [](const std::string& attr) {
+    return Status::InvalidArgument("attribute '" + attr +
+                                   "' is reserved by the SQL detector");
+  };
+  if (target->schema().IndexOf(sql::kTidPseudoColumn) >= 0) {
+    return reserved(sql::kTidPseudoColumn);
+  }
+  for (const cfd::Cfd& c : cfds_) {
+    std::vector<std::string> attrs = c.lhs_attrs();
+    attrs.push_back(c.rhs_attr());
+    for (const std::string& a : attrs) {
+      if (common::EqualsIgnoreCase(a, "__cfd_id") ||
+          common::EqualsIgnoreCase(a, "__pattern_id")) {
+        return reserved(a);
+      }
+    }
+  }
 
   // The tableau relations live in db_ only while this call runs, whichever
   // path it returns by.

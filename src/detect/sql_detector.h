@@ -25,7 +25,9 @@ class SqlDetector {
  public:
   /// `db` must contain `relation`; tableau and key relations are
   /// materialized into it during Detect and removed before Detect returns,
-  /// on success and failure alike.
+  /// on success and failure alike. Detect fails with InvalidArgument when
+  /// the relation has an attribute named `__tid`, or a CFD names one called
+  /// `__cfd_id` or `__pattern_id`: the generated SQL reserves those names.
   SqlDetector(relational::Database* db, std::string relation,
               std::vector<cfd::Cfd> cfds)
       : db_(db), relation_(std::move(relation)), cfds_(std::move(cfds)) {}

@@ -167,10 +167,9 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   const size_t ncols = schema.size();
   std::vector<Cfd> out;
 
-  // One set of code columns (adopted from a column-backed relation, else
-  // encoded once) feeds every partition and evidence scan and every
-  // pattern constant below; the miner never reads a row.
-  const relational::EncodedRelation encoded(rel_, options_.cancel);
+  // The relation's code columns feed every partition and evidence scan and
+  // every pattern constant below; the miner never reads a row.
+  const relational::EncodedRelation encoded(rel_);
 
   // Lane resolution is shared with the embedded FdMiner run below.
   std::unique_ptr<common::ThreadPool> local_pool;

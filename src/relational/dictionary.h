@@ -53,7 +53,7 @@ class Dictionary {
   /// Code of `v`, inserting it on first sight. NULL always maps to
   /// kNullCode without touching the hash table. Single-writer: must not
   /// run concurrently with any other call on the same dictionary (the
-  /// encoded-relation COW discipline detaches shared dictionaries before
+  /// relation's COW discipline detaches shared dictionaries before
   /// the writer encodes into them).
   Code Encode(const Value& v);
 
@@ -83,7 +83,7 @@ class Dictionary {
   /// rebuilds with FromDecodedValues.
   const std::vector<Value>& values() const { return values_; }
 
-  /// Rebuilds a dictionary from its persisted value list: `nonnull_values`
+  /// Restores a dictionary from its persisted value list: `nonnull_values`
   /// holds the decoded values of codes 1..n in code order (the NULL slot is
   /// implicit). Fails on a NULL entry — the blob was not produced by
   /// Dictionary::values() then.

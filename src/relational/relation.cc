@@ -3,78 +3,56 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <utility>
 
 namespace semandaq::relational {
 
-Relation::Relation(const Relation& other) { *this = other; }
+Relation::Relation(std::string name, Schema schema)
+    : name_(std::move(name)), schema_(std::move(schema)) {
+  dicts_.reserve(schema_.size());
+  for (size_t c = 0; c < schema_.size(); ++c) {
+    dicts_.push_back(std::make_shared<Dictionary>());
+  }
+  columns_.resize(schema_.size());
+}
+
+Relation::Relation(const Relation& other)
+    : name_(other.name_),
+      schema_(other.schema_),
+      dicts_(other.dicts_),
+      columns_(other.columns_),
+      live_(other.live_),
+      live_count_(other.live_count_),
+      version_(other.version_),
+      overwrite_version_(other.overwrite_version_) {}
 
 Relation& Relation::operator=(const Relation& other) {
-  if (this == &other) return *this;
-  // The source's rows, build columns and hydration flag change together
-  // under its hydrate mutex (HydrateRows fills the rows and may drop the
-  // columns), so they are read under it too. An unhydrated source stays
-  // unhydrated: the copy keeps the same frozen columns and decodes from
-  // them independently, which keeps a clone of a lazily loaded epoch from
-  // pinning a second decoded copy of its rows.
-  {
-    std::unique_lock<std::mutex> lock;
-    if (other.hydrate_mu_ != nullptr) lock = std::unique_lock(*other.hydrate_mu_);
-    rows_ = other.rows_;
-    dicts_ = other.dicts_;
-    columns_ = other.columns_;
-    needs_hydration_.store(other.needs_hydration_.load(std::memory_order_acquire),
-                           std::memory_order_release);
-  }
-  name_ = other.name_;
-  schema_ = other.schema_;
-  // A moved-from shell being reused as an assignment target lost its mutex.
-  if (hydrate_mu_ == nullptr) hydrate_mu_ = std::make_unique<std::mutex>();
-  live_ = other.live_;
-  live_count_ = other.live_count_;
-  version_ = other.version_;
-  overwrite_version_ = other.overwrite_version_;
-  // observer_ stays nullptr: a copy is a new, unwatched relation — a WAL
-  // attachment must journal exactly the relation it was attached to.
-  observer_ = nullptr;
+  if (this != &other) *this = Relation(other);
   return *this;
 }
 
 Relation::Relation(Relation&& other) noexcept
     : name_(std::move(other.name_)),
       schema_(std::move(other.schema_)),
-      rows_(std::move(other.rows_)),
-      needs_hydration_(other.needs_hydration_.load(std::memory_order_acquire)),
-      hydrate_mu_(std::move(other.hydrate_mu_)),
-      live_(std::move(other.live_)),
       dicts_(std::move(other.dicts_)),
       columns_(std::move(other.columns_)),
+      live_(std::move(other.live_)),
       live_count_(other.live_count_),
       version_(other.version_),
       overwrite_version_(other.overwrite_version_),
-      observer_(other.observer_) {
-  other.observer_ = nullptr;
-  // The moved-from shell has neither columns nor mutex left; make sure it
-  // can never try to hydrate.
-  other.needs_hydration_.store(false, std::memory_order_release);
-}
+      observer_(std::exchange(other.observer_, nullptr)) {}
 
 Relation& Relation::operator=(Relation&& other) noexcept {
   if (this == &other) return *this;
   name_ = std::move(other.name_);
   schema_ = std::move(other.schema_);
-  rows_ = std::move(other.rows_);
-  needs_hydration_.store(other.needs_hydration_.load(std::memory_order_acquire),
-                         std::memory_order_release);
-  hydrate_mu_ = std::move(other.hydrate_mu_);
-  live_ = std::move(other.live_);
   dicts_ = std::move(other.dicts_);
   columns_ = std::move(other.columns_);
+  live_ = std::move(other.live_);
   live_count_ = other.live_count_;
   version_ = other.version_;
   overwrite_version_ = other.overwrite_version_;
-  observer_ = other.observer_;
-  other.observer_ = nullptr;
-  other.needs_hydration_.store(false, std::memory_order_release);
+  observer_ = std::exchange(other.observer_, nullptr);
   return *this;
 }
 
@@ -83,46 +61,37 @@ Relation Relation::FromColumns(std::string name, Schema schema,
                                std::vector<std::shared_ptr<Dictionary>> dicts,
                                std::vector<CodeColumn> columns) {
   assert(dicts.size() == schema.size() && columns.size() == schema.size());
-  Relation rel(std::move(name), std::move(schema));
-  rel.rows_.resize(live.size());  // empty placeholders until hydration
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (live[i] != 0) ++rel.live_count_;
+  Relation rel;
+  rel.name_ = std::move(name);
+  rel.schema_ = std::move(schema);
+  for (uint8_t b : live) {
+    if (b != 0) ++rel.live_count_;
+  }
+  for (const CodeColumn& col : columns) {
+    assert(col.size() == live.size());
+    (void)col;
   }
   rel.live_ = std::move(live);
   rel.dicts_ = std::move(dicts);
-  rel.columns_.reserve(columns.size());
-  for (const CodeColumn& col : columns) {
-    assert(col.size() == rel.live_.size());
-    rel.columns_.push_back(col.ShareFrozen());  // never written from here on
-  }
-  rel.needs_hydration_.store(true, std::memory_order_release);
+  rel.columns_ = std::move(columns);
   return rel;
 }
 
-void Relation::HydrateRows() const {
-  // Appends may have grown the tail past the ids the columns cover; those
-  // rows are materialized already. Dead ids keep empty placeholders.
-  const size_t ncols = columns_.size();
-  const size_t bound = ncols == 0 ? 0 : columns_[0].size();
-  for (size_t tid = 0; tid < bound; ++tid) {
-    if (live_[tid]) rows_[tid].resize(ncols);
+Code Relation::EncodeCell(size_t col, const Value& v) {
+  std::shared_ptr<Dictionary>& dict = dicts_[col];
+  if (dict.use_count() > 1) {
+    // Shared with a copy or an epoch: a held value (and NULL) needs no
+    // write; a new one goes into a private copy.
+    const Code code = dict->Lookup(v);
+    if (code != kAbsentCode) return code;
+    dict = std::make_shared<Dictionary>(*dict);
   }
-  for (size_t c = 0; c < ncols; ++c) {
-    const Code* codes = columns_[c].data();
-    const Dictionary& dict = *dicts_[c];
-    for (size_t tid = 0; tid < bound; ++tid) {
-      if (!live_[tid]) continue;
-      const Code code = codes[tid];
-      if (code != kNullCode) rows_[tid][c] = dict.Decode(code);
-    }
-  }
+  return dict->Encode(v);
 }
 
-void Relation::ReleaseStaleColumns() const {
-  if (version_ != 0 && !needs_hydration_.load(std::memory_order_acquire)) {
-    dicts_.clear();
-    columns_.clear();
-  }
+Code Relation::Intern(size_t col, const Value& v) {
+  assert(col < columns_.size());
+  return EncodeCell(col, v);
 }
 
 common::Result<TupleId> Relation::Insert(Row row) {
@@ -131,13 +100,14 @@ common::Result<TupleId> Relation::Insert(Row row) {
         "row arity " + std::to_string(row.size()) + " does not match schema arity " +
         std::to_string(schema_.size()) + " of relation " + name_);
   }
-  rows_.push_back(std::move(row));
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].PushBack(EncodeCell(c, row[c]));
+  }
   live_.push_back(1);
   ++live_count_;
   ++version_;
-  ReleaseStaleColumns();
-  const TupleId tid = static_cast<TupleId>(rows_.size() - 1);
-  if (observer_ != nullptr) observer_->OnInsert(tid, rows_.back());
+  const TupleId tid = IdBound() - 1;
+  if (observer_ != nullptr) observer_->OnInsert(tid, row);
   return tid;
 }
 
@@ -169,7 +139,6 @@ common::Status Relation::Delete(TupleId tid) {
   live_[static_cast<size_t>(tid)] = 0;
   --live_count_;
   ++version_;
-  ReleaseStaleColumns();
   if (observer_ != nullptr) observer_->OnDelete(tid);
   return common::Status::OK();
 }
@@ -177,42 +146,39 @@ common::Status Relation::Delete(TupleId tid) {
 common::Status Relation::SetCell(TupleId tid, size_t col, Value v) {
   SEMANDAQ_RETURN_IF_ERROR(CheckLive(tid, "update"));
   SEMANDAQ_RETURN_IF_ERROR(CheckColumn(col));
-  EnsureHydrated();
-  rows_[static_cast<size_t>(tid)][col] = std::move(v);
+  columns_[col].Set(static_cast<size_t>(tid), EncodeCell(col, v));
   ++version_;
   ++overwrite_version_;
-  ReleaseStaleColumns();
-  if (observer_ != nullptr) {
-    observer_->OnSetCell(tid, col, rows_[static_cast<size_t>(tid)][col]);
-  }
+  if (observer_ != nullptr) observer_->OnSetCell(tid, col, v);
   return common::Status::OK();
 }
 
-const Row& Relation::row(TupleId tid) const {
+Row Relation::row(TupleId tid) const {
   assert(IsLive(tid));
-  EnsureHydrated();
-  return rows_[static_cast<size_t>(tid)];
+  Row out;
+  out.reserve(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) out.push_back(cell(tid, c));
+  return out;
 }
 
 std::vector<TupleId> Relation::LiveIds() const {
   std::vector<TupleId> out;
   out.reserve(live_count_);
-  for (size_t i = 0; i < rows_.size(); ++i) {
+  for (size_t i = 0; i < live_.size(); ++i) {
     if (live_[i]) out.push_back(static_cast<TupleId>(i));
   }
   return out;
 }
 
 Row Relation::Project(TupleId tid, const std::vector<size_t>& cols) const {
-  const Row& r = row(tid);
+  assert(IsLive(tid));
   Row out;
   out.reserve(cols.size());
-  for (size_t c : cols) out.push_back(r[c]);
+  for (size_t c : cols) out.push_back(cell(tid, c));
   return out;
 }
 
 std::string Relation::ToAsciiTable(size_t max_rows) const {
-  EnsureHydrated();
   std::vector<std::string> headers = schema_.Names();
   std::vector<size_t> widths;
   widths.reserve(headers.size());
@@ -220,12 +186,12 @@ std::string Relation::ToAsciiTable(size_t max_rows) const {
 
   std::vector<std::vector<std::string>> cells;
   size_t shown = 0;
-  for (size_t i = 0; i < rows_.size() && shown < max_rows; ++i) {
+  for (size_t i = 0; i < live_.size() && shown < max_rows; ++i) {
     if (!live_[i]) continue;
     std::vector<std::string> line;
     line.reserve(headers.size());
     for (size_t c = 0; c < headers.size(); ++c) {
-      line.push_back(rows_[i][c].ToDisplayString());
+      line.push_back(cell(static_cast<TupleId>(i), c).ToDisplayString());
       widths[c] = std::max(widths[c], line.back().size());
     }
     cells.push_back(std::move(line));

@@ -1,10 +1,8 @@
 #ifndef SEMANDAQ_RELATIONAL_RELATION_H_
 #define SEMANDAQ_RELATIONAL_RELATION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,32 +35,45 @@ class MutationObserver {
   virtual void OnSetCell(TupleId tid, size_t col, const Value& value) = 0;
 };
 
-/// An in-memory relation: a schema plus a bag of rows with stable ids.
+/// An in-memory relation: a schema plus a bag of tuples with stable ids.
 ///
 /// This is the storage substrate standing in for the RDBMS layer of the
-/// paper's architecture (Fig. 1, "Database Servers"). Mutation goes through
-/// Insert/Delete/SetCell so that indexes and monitors can observe changes.
+/// paper's architecture (Fig. 1, "Database Servers"). It holds one
+/// representation of its data: per attribute, a refcounted Dictionary and a
+/// copy-on-write CodeColumn indexed by TupleId, plus one liveness byte per
+/// id. Writes encode (Insert, SetCell), reads decode by value (cell, row,
+/// ForEach), and the engines scan the codes directly
+/// (relational::EncodedRelation is the read-only view they take).
+///
+/// Sharing. Copies, published server epochs and loaded snapshots share the
+/// dictionaries and code chunks by refcount. Every write detaches what it
+/// touches first: a shared dictionary is copied before a new value enters
+/// it, and a code below a column's shared watermark is written into a
+/// cloned chunk (appends land past every frozen view). So a copy costs
+/// O(columns) plus the liveness bytes, and no write is ever seen through
+/// another relation that shares the storage.
+///
+/// Mutation goes through Insert/Delete/SetCell so that the WAL and monitors
+/// can observe changes.
 class Relation {
  public:
   Relation() = default;
-  Relation(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+  /// An empty relation: one empty dictionary and code column per attribute.
+  Relation(std::string name, Schema schema);
 
-  /// Copies duplicate the data but NOT the observer: a clone is a new,
-  /// unwatched relation (a WAL attachment journals exactly one relation).
+  /// Copies share the dictionaries and code chunks (copy-on-write) but NOT
+  /// the observer: a clone is a new, unwatched relation (a WAL attachment
+  /// journals exactly one relation).
   Relation(const Relation& other);
   Relation& operator=(const Relation& other);
   Relation(Relation&& other) noexcept;
   Relation& operator=(Relation&& other) noexcept;
 
-  /// The one factory for column-backed relations (storage loads and
+  /// The factory for relations over existing columns (storage loads and
   /// published server epochs): a liveness mask (one byte per TupleId;
   /// nonzero = live, so ids and tombstones come back exactly) plus one
   /// shared dictionary and code column per attribute, each column sized
-  /// live.size(). The relation keeps frozen views of them: it decodes its
-  /// rows from them on first row access (EnsureHydrated), and while it is
-  /// unmutated EncodedRelation(&rel) adopts them instead of re-encoding;
-  /// copies keep them too. Once both mutated and hydrated, it drops them.
+  /// live.size(). The relation keeps them as they are; its writes detach.
   static Relation FromColumns(std::string name, Schema schema,
                               std::vector<uint8_t> live,
                               std::vector<std::shared_ptr<Dictionary>> dicts,
@@ -78,7 +89,7 @@ class Relation {
 
   /// One past the largest TupleId ever assigned; iterate ids in [0, bound)
   /// and skip dead ones.
-  TupleId IdBound() const { return static_cast<TupleId>(rows_.size()); }
+  TupleId IdBound() const { return static_cast<TupleId>(live_.size()); }
 
   bool IsLive(TupleId tid) const {
     return tid >= 0 && tid < IdBound() && live_[static_cast<size_t>(tid)] != 0;
@@ -103,52 +114,20 @@ class Relation {
   common::Status CheckColumn(size_t col) const;
 
   /// Monotone counter bumped by every successful mutation (Insert, Delete,
-  /// SetCell). Snapshot consumers (EncodedRelation) compare it to decide
-  /// whether they are stale.
+  /// SetCell).
   uint64_t version() const { return version_; }
 
-  /// Monotone counter bumped only by successful SetCell calls. A snapshot
-  /// whose overwrite_version matches but whose version lags has only missed
-  /// appends/deletes and can catch up without a full rebuild.
+  /// Monotone counter bumped only by successful SetCell calls: the server
+  /// compares it to tell an in-place rewrite from appends.
   uint64_t overwrite_version() const { return overwrite_version_; }
 
-  /// True while the relation carries the columns it was built from
-  /// (FromColumns) and is unmutated, i.e. while they describe exactly its
-  /// contents; only then may dictionaries() and columns() be adopted.
-  bool has_columns() const { return version_ == 0 && !columns_.empty(); }
-
-  /// One shared dictionary and frozen code column (indexed by TupleId) per
-  /// attribute; see has_columns. Never written: adopters detach
-  /// copy-on-write.
+  /// One shared dictionary and code column (indexed by TupleId; dead ids
+  /// keep their last codes) per attribute: the relation's data. Read-only
+  /// here; the mutators detach before writing.
   const std::vector<std::shared_ptr<Dictionary>>& dictionaries() const {
     return dicts_;
   }
   const std::vector<CodeColumn>& columns() const { return columns_; }
-
-  /// Materializes lazily loaded rows (no-op for every relation not built
-  /// by FromColumns, and after the first call). Every row accessor invokes
-  /// this automatically. Hydration itself is thread-safe (double-checked
-  /// under an internal mutex), so concurrent *readers* of an immutable
-  /// relation — e.g. server sessions sharing one pinned snapshot — may
-  /// race to the first row access safely, and so may copies (they read
-  /// under the same mutex); concurrent *mutation* remains the caller's
-  /// problem, as for every other mutator.
-  void EnsureHydrated() const {
-    if (needs_hydration_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(*hydrate_mu_);
-      if (needs_hydration_.load(std::memory_order_relaxed)) {
-        HydrateRows();
-        needs_hydration_.store(false, std::memory_order_release);
-        ReleaseStaleColumns();
-      }
-    }
-  }
-
-  /// False while a column-backed relation has not decoded its rows yet;
-  /// engines that read only codes leave it false.
-  bool rows_materialized() const {
-    return !needs_hydration_.load(std::memory_order_acquire);
-  }
 
   /// Appends a row; the row arity must match the schema.
   common::Result<TupleId> Insert(Row row);
@@ -162,26 +141,42 @@ class Relation {
   /// Overwrites one cell of a live tuple.
   common::Status SetCell(TupleId tid, size_t col, Value v);
 
-  /// Read access; the tuple must be live (asserted in debug builds).
-  const Row& row(TupleId tid) const;
+  /// The code of `v` in column `col`'s dictionary, adding the value when it
+  /// is new (detaching a shared dictionary first). No cell changes and the
+  /// version counters stay put: this only reserves a code, so that a later
+  /// Insert or SetCell of `v` reuses it (the incremental detector compiles
+  /// pattern constants this way).
+  Code Intern(size_t col, const Value& v);
 
-  /// Cell access shorthand.
-  const Value& cell(TupleId tid, size_t col) const { return row(tid)[col]; }
+  /// A decoded copy of a live tuple (asserted in debug builds).
+  Row row(TupleId tid) const;
+
+  /// The decoded value of one cell.
+  Value cell(TupleId tid, size_t col) const {
+    return dicts_[col]->Decode(columns_[col][static_cast<size_t>(tid)]);
+  }
 
   /// All live tuple ids, ascending. O(IdBound()).
   std::vector<TupleId> LiveIds() const;
 
-  /// Invokes fn(tid, row) for every live tuple in id order.
+  /// Invokes fn(tid, row) for every live tuple in id order, decoding each
+  /// tuple into one scratch row. That decodes every cell: whole-relation
+  /// scans in the engines read the codes instead, and this is for small
+  /// relations and exports.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    EnsureHydrated();
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (live_[i]) fn(static_cast<TupleId>(i), rows_[i]);
+    Row scratch(columns_.size());
+    for (size_t i = 0; i < live_.size(); ++i) {
+      if (!live_[i]) continue;
+      for (size_t c = 0; c < columns_.size(); ++c) {
+        scratch[c] = dicts_[c]->Decode(columns_[c][i]);
+      }
+      fn(static_cast<TupleId>(i), static_cast<const Row&>(scratch));
     }
   }
 
-  /// Deep copy with the same ids (tombstones preserved). The observer is
-  /// not copied (see the copy constructor).
+  /// A copy with the same ids (tombstones preserved), sharing storage
+  /// copy-on-write. The observer is not copied (see the copy constructor).
   Relation Clone() const { return *this; }
 
   /// Attaches (or with nullptr detaches) the mutation observer. Borrowed,
@@ -193,35 +188,23 @@ class Relation {
   /// Projects the given columns of a live tuple into a fresh row.
   Row Project(TupleId tid, const std::vector<size_t>& cols) const;
 
-  /// Pretty-prints up to `max_rows` tuples as an ASCII table (for examples
-  /// and the fig_* binaries).
+  /// Pretty-prints up to `max_rows` tuples as an ASCII table, decoding only
+  /// the tuples it prints.
   std::string ToAsciiTable(size_t max_rows = 20) const;
 
  private:
-  /// Decodes the live rows the build columns cover (see FromColumns).
-  void HydrateRows() const;
-
-  /// Drops the build columns once mutated and hydrated: no one can use them.
-  void ReleaseStaleColumns() const;
+  /// Code of `v` in column `col`: looked up first, so only a value new to
+  /// the column is encoded, into a dictionary detached if shared.
+  Code EncodeCell(size_t col, const Value& v);
 
   std::string name_;
   Schema schema_;
-  // Logically const row access may materialize lazily loaded rows, hence
-  // mutable; hydration replaces empty placeholders with equal-by-contract
-  // decoded rows, so observable state never changes.
-  mutable std::vector<Row> rows_;
-  mutable std::atomic<bool> needs_hydration_{false};
-  mutable std::unique_ptr<std::mutex> hydrate_mu_ =
-      std::make_unique<std::mutex>();
+  std::vector<std::shared_ptr<Dictionary>> dicts_;  // one per column, COW
+  std::vector<CodeColumn> columns_;                 // [col][tid], COW chunks
   // One byte per id (nonzero = live), not vector<bool>: the SIMD liveness
   // kernels need a raw byte pointer, and byte loads beat bit extraction in
   // the scalar paths too.
   std::vector<uint8_t> live_;
-  // The FromColumns inputs (empty for row-built relations). Hydrating a
-  // mutated relation drops them, but readers only look while version_ == 0,
-  // so concurrent readers of an epoch never race with that.
-  mutable std::vector<std::shared_ptr<Dictionary>> dicts_;
-  mutable std::vector<CodeColumn> columns_;
   size_t live_count_ = 0;
   uint64_t version_ = 0;
   uint64_t overwrite_version_ = 0;

@@ -1,6 +1,7 @@
 #include "repair/batch_repair.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -96,27 +97,25 @@ class RepairEngine {
  public:
   RepairEngine(const Relation* rel, std::vector<Cfd> cfds, CostModel cost_model,
                RepairOptions options)
-      : original_(rel),
+      : work_(*rel),
         cfds_(std::move(cfds)),
         cost_model_(std::move(cost_model)),
-        options_(std::move(options)),
-        enc_(rel, options_.cancel) {}
+        options_(std::move(options)) {}
 
   Result<RepairResult> Run() {
-    SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, original_->schema()));
+    SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, work_.schema()));
     kernels_ = &common::simd::KernelsFor(options_.simd_level);
     ComputeFrequentValues();
 
-    // One detector for the whole run over the working codes: every edit
+    // One detector for the whole run over the working copy: every edit
     // writes its cell's code (ApplyChange), so each round's re-detection is
-    // a warm kernel scan instead of a cold per-round re-encode.
+    // a kernel scan of the current codes.
     detect::DetectorOptions dopts;
     dopts.simd_level = options_.simd_level;
     // The re-detection scans inherit the token (kernel-block granularity);
     // the round loop below adds the round-boundary checkpoint.
     dopts.cancel = options_.cancel;
-    detect::NativeDetector detector(original_, cfds_, dopts);
-    detector.set_encoded(&enc_);
+    detect::NativeDetector detector(&work_, cfds_, dopts);
 
     RepairResult result;
     int it = 0;
@@ -209,7 +208,7 @@ class RepairEngine {
   void EvalSingle(const SingleViolation& sv, SingleEval* out) const {
     const Cfd& c = cfds_[static_cast<size_t>(sv.cfd_index)];
     const PatternTuple& pt = c.tableau()[static_cast<size_t>(sv.pattern_index)];
-    if (!original_->IsLive(sv.tid)) return;
+    if (!work_.IsLive(sv.tid)) return;
     for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
       if (!Matches(pt.lhs[i], sv.tid, c.lhs_cols()[i])) return;
     }
@@ -290,7 +289,7 @@ class RepairEngine {
 
     out->members.reserve(vg.members.size());
     for (TupleId tid : vg.members) {
-      if (!original_->IsLive(tid)) continue;
+      if (!work_.IsLive(tid)) continue;
       out->members.push_back({tid, enc_.code(tid, rhs_col)});
     }
 
@@ -488,7 +487,7 @@ class RepairEngine {
       std::vector<int64_t> counts(enc_.dictionary(col).size() + 1, 0);
       std::vector<Code> order;
       for (TupleId tid = 0; tid < bound; ++tid) {
-        if (!original_->IsLive(tid)) continue;
+        if (!work_.IsLive(tid)) continue;
         const Code code = codes[static_cast<size_t>(tid)];
         if (code == kNullCode) continue;
         if (counts[code]++ == 0) order.push_back(code);
@@ -510,7 +509,7 @@ class RepairEngine {
     return code != kNullCode && code == enc_.dictionary(col).Lookup(p.constant());
   }
 
-  /// Writes `v` into the working codes. A cell's first write logs its code
+  /// Writes `v` into the working copy. A cell's first write logs its code
   /// before it, the change log's `original`. `v` is taken by value: the
   /// write may grow the column's dictionary, which invalidates references
   /// that Decode returned.
@@ -520,7 +519,9 @@ class RepairEngine {
     auto [logged, first_write] = changed_.try_emplace(key);
     if (first_write) logged->second.original = enc_.code(tid, col);
     if (!alternatives.empty()) logged->second.alternatives = std::move(alternatives);
-    enc_.SetCell(tid, col, v);
+    const Status written = work_.SetCell(tid, col, v);
+    assert(written.ok());  // edits target live tuples the detector reported
+    (void)written;
     pending_targets_[key] = std::move(v);
     touched_this_round_.insert(key);
   }
@@ -552,13 +553,14 @@ class RepairEngine {
     std::vector<std::pair<Value, double>> alternatives;
   };
 
-  const Relation* original_;  // read for liveness only; never written
+  /// The working state: a copy of the input, sharing its dictionaries and
+  /// code chunks until an edit detaches them (copy-on-write), so the input
+  /// is never written. Declared before enc_, its view.
+  Relation work_;
   std::vector<Cfd> cfds_;
   CostModel cost_model_;
   RepairOptions options_;
-  /// The working state: the input's codes (adopted or encoded), which
-  /// every edit writes copy-on-write. Never Sync()ed.
-  EncodedRelation enc_;
+  const EncodedRelation enc_{&work_};
   const common::simd::Kernels* kernels_ = nullptr;
 
   std::vector<std::vector<Value>> frequent_;  // per column, most frequent first

@@ -95,11 +95,12 @@ common::Status ApplyChanges(const std::vector<CellChange>& changes,
 /// modifications on the violations ... the repair algorithm aims to find a
 /// repair that minimally differs from the original data").
 ///
-/// The working state is one dictionary-encoded snapshot of the input
-/// (relational::EncodedRelation, which adopts a column-backed relation's
-/// codes in O(columns)). Every edit writes a code into it copy-on-write,
-/// so re-detection, matching and candidate costs run on integer codes, and
-/// the input is neither written nor decoded row by row.
+/// The working state is a copy of the input, which shares its dictionaries
+/// and code chunks and so costs O(columns) plus the liveness bytes. Every
+/// edit writes a code into it through Relation::SetCell, which detaches
+/// what it touches first, so re-detection, matching and candidate costs
+/// run on integer codes, and the input is neither written nor decoded row
+/// by row.
 ///
 /// Each round: detect violations; resolve every single-tuple violation by
 /// the cheaper of (RHS := pattern constant) and (break the LHS match);

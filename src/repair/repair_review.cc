@@ -93,18 +93,19 @@ std::string RepairReview::RenderDiff(size_t max_rows) const {
   for (size_t c = 0; c < schema.size(); ++c) out << " | " << schema.attr(c).name;
   out << "\n";
 
+  // The changed tuples in id order, each decoded once; the rest of the
+  // relation is never read.
+  std::vector<TupleId> tids;
+  tids.reserve(result_.changes.size());
+  for (const CellChange& ch : result_.changes) tids.push_back(ch.tid);
+  std::sort(tids.begin(), tids.end());
+  tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
   size_t shown = 0;
-  original_->ForEach([&](TupleId tid, const Row& row) {
-    if (shown >= max_rows) return;
-    bool any_change = false;
-    for (size_t c = 0; c < schema.size(); ++c) {
-      if (change_at(tid, c) != nullptr) {
-        any_change = true;
-        break;
-      }
-    }
-    if (!any_change) return;
+  for (TupleId tid : tids) {
+    if (shown >= max_rows) break;
+    if (!original_->IsLive(tid)) continue;
     ++shown;
+    const Row row = original_->row(tid);
     out << "#" << tid;
     for (size_t c = 0; c < schema.size(); ++c) {
       out << " | ";
@@ -117,7 +118,7 @@ std::string RepairReview::RenderDiff(size_t max_rows) const {
       }
     }
     out << "\n";
-  });
+  }
   if (shown == 0) out << "(no modified tuples)\n";
   return out.str();
 }

@@ -26,9 +26,9 @@ using common::Status;
 namespace {
 
 /// The scratch catalog the SQL verbs run on: one clone per pinned epoch.
-/// They never touch the live master and hold no lock while they run. The
-/// clones are unmutated and carry their epoch's code columns, so the SQL
-/// executor adopts those instead of re-encoding.
+/// They never touch the live master and hold no lock while they run. A
+/// clone shares its epoch's dictionaries and code chunks, so it costs
+/// O(columns) plus the liveness bytes.
 Result<relational::Database> ScratchCatalog(
     const std::vector<SnapshotPtr>& pinned) {
   relational::Database scratch;
@@ -133,13 +133,13 @@ common::Status SemandaqService::RepublishLocked(const std::string& relation) {
     std::atomic_store(&slot->snap, SnapshotPtr());
     return Status::OK();
   }
-  relational::EncodedRelation* warm = sys_.WarmOrEncode(relation);
   const uint64_t epoch = slot->next_epoch++;
   if (rel->overwrite_version() != slot->overwrite_version) {
     slot->overwrite_version = rel->overwrite_version();
     slot->rewrite_epoch = epoch;
   }
-  SnapshotPtr snap = BuildRelationSnapshot(*rel, *warm, epoch);
+  SnapshotPtr snap =
+      BuildRelationSnapshot(*rel, relational::EncodedRelation(rel), epoch);
   std::atomic_store(&slot->snap, std::move(snap));
   return Status::OK();
 }
@@ -178,7 +178,6 @@ common::Result<SemandaqService::PinnedDetection> SemandaqService::DetectPinned(
   out.cfds = CfdsFor(relation);
   options.cancel = cancel;
   detect::NativeDetector detector(&out.snap->relation, out.cfds, options);
-  detector.set_encoded(&*out.snap->encoded);
   SEMANDAQ_ASSIGN_OR_RETURN(out.table, detector.Detect());
   return out;
 }

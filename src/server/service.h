@@ -174,7 +174,7 @@ class SemandaqService {
   /// The slot for `relation` (lowercase key), created on demand.
   std::shared_ptr<Slot> SlotFor(const std::string& relation, bool create);
 
-  /// Rebuilds and publishes `relation`'s snapshot from the master (or
+  /// Builds and publishes a fresh snapshot of `relation` from the master (or
   /// clears the slot if the relation vanished). Caller holds sys_mu_.
   common::Status RepublishLocked(const std::string& relation);
 

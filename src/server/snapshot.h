@@ -17,15 +17,11 @@ namespace semandaq::server {
 /// The replica is cheap because nothing in it is a second copy of the data:
 ///
 ///   * `relation` is built by Relation::FromColumns over frozen views of
-///     the master's warm encoded chunks and its shared dictionaries — a
-///     liveness bitmap plus the columns, decoded into rows only on first
-///     row access (hydration is thread-safe, so racing readers may hydrate
-///     it). The master's later appends land past these views' sizes and
-///     its overwrites detach (copy-on-write), so the bytes a pinned epoch
-///     sees never change;
-///   * `encoded` adopts the same columns (EncodedRelation(&relation)), as
-///     does every engine that builds its own EncodedRelation over the
-///     epoch or over a clone of it.
+///     the master's code chunks and its shared dictionaries, plus a copy of
+///     the liveness bytes. The master's later appends land past these
+///     views' sizes, and its overwrites and new values detach
+///     (copy-on-write) first, so the bytes a pinned epoch sees never change;
+///   * `encoded` is the code view of `relation` (EncodedRelation).
 ///
 /// Lifetime: snapshots are handed out as shared_ptr<const RelationSnapshot>
 /// and published via atomic shared_ptr swaps (SemandaqService); a session
@@ -40,9 +36,9 @@ struct RelationSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const RelationSnapshot>;
 
-/// Captures `master` (and its warm, in-sync encoded form) as epoch `epoch`.
-/// The caller must hold the writer lock: the master must not mutate during
-/// the capture, and `warm` must be Sync'd to it (same IdBound).
+/// Captures `master` as epoch `epoch`. The caller must hold the writer
+/// lock: the master must not mutate during the capture. `warm` is unused
+/// (the master's own columns are captured); it stays for existing callers.
 SnapshotPtr BuildRelationSnapshot(const relational::Relation& master,
                                   const relational::EncodedRelation& warm,
                                   uint64_t epoch);

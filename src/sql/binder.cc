@@ -182,12 +182,11 @@ class Binder {
           !common::EqualsIgnoreCase(e->qualifier, q_.stmt.from[t].effective_name())) {
         continue;
       }
-      int col;
-      if (common::EqualsIgnoreCase(e->column, kTidPseudoColumn)) {
+      // A table's own attribute wins over the __tid pseudo-column.
+      int col = q_.tables[t]->schema().IndexOf(e->column);
+      if (col < 0) {
+        if (!common::EqualsIgnoreCase(e->column, kTidPseudoColumn)) continue;
         col = Expr::kTidColumn;
-      } else {
-        col = q_.tables[t]->schema().IndexOf(e->column);
-        if (col < 0) continue;
       }
       if (found_table >= 0) {
         return Status::InvalidArgument("ambiguous column reference: " + e->ToString());

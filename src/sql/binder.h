@@ -13,6 +13,7 @@ namespace semandaq::sql {
 
 /// Name of the pseudo-column exposing a tuple's stable id to SQL. The CFD
 /// detection queries select it so violations can be mapped back to tuples.
+/// A FROM table's own attribute of the same name hides it.
 inline constexpr const char* kTidPseudoColumn = "__tid";
 
 /// One output column of a bound query: an expression plus its result name.

@@ -25,9 +25,8 @@ class Engine {
   /// The database must outlive the engine. Not owned.
   explicit Engine(const relational::Database* db) : db_(db) {}
 
-  /// Ignored: the executor adopts the codes of every column-backed,
-  /// unmutated table itself (see sql::Execute). Kept so existing callers
-  /// still compile.
+  /// Ignored: the executor reads every table's own code columns (see
+  /// sql::Execute). Kept so existing callers still compile.
   void set_encoded_provider(EncodedProvider /*provider*/) {}
 
   /// Attaches a cooperative cancellation token (common/cancel.h) checked

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,7 +18,6 @@ using common::Result;
 using common::Status;
 using relational::Code;
 using relational::DataType;
-using relational::EncodedRelation;
 using relational::kNullCode;
 using relational::Relation;
 using relational::Row;
@@ -29,11 +26,17 @@ using relational::RowHash;
 using relational::TupleId;
 using relational::Value;
 
-/// A partial or complete cross-product row: one base-table row pointer and
-/// tuple id per FROM entry (null until that table is joined).
-struct JoinedRow {
-  std::vector<const Row*> rows;
+/// Partial or complete cross-product rows, flat: row i is the `width`
+/// tuple ids at tids[i * width], one slot per FROM entry (kUnjoined until
+/// that table is joined). A column reference decodes its one cell.
+constexpr TupleId kUnjoined = -1;
+
+struct JoinedRows {
+  size_t width = 0;
   std::vector<TupleId> tids;
+
+  size_t size() const { return width == 0 ? 0 : tids.size() / width; }
+  const TupleId* row(size_t i) const { return tids.data() + i * width; }
 };
 
 /// Tri-state boolean for SQL three-valued logic.
@@ -73,7 +76,7 @@ struct AggState {
 
 /// Per-row / per-group expression evaluation context.
 struct EvalContext {
-  const JoinedRow* row = nullptr;                ///< null only for empty global group
+  const TupleId* row = nullptr;                  ///< null only for empty global group
   const std::vector<Value>* agg_values = nullptr;  ///< set in group context
 };
 
@@ -85,10 +88,10 @@ constexpr size_t kCancelBatch = 4096;
 class ExecutorImpl {
  public:
   ExecutorImpl(const BoundQuery& q, common::CancelToken* cancel)
-      : q_(q), cancel_(cancel), enc_(q.tables.size()) {}
+      : q_(q), cancel_(cancel) {}
 
   Result<Relation> Run(std::string_view result_name) {
-    SEMANDAQ_ASSIGN_OR_RETURN(std::vector<JoinedRow> rows, BuildJoin());
+    SEMANDAQ_ASSIGN_OR_RETURN(JoinedRows rows, BuildJoin());
     std::vector<Row> produced;      // projected output rows
     std::vector<Row> sort_keys;     // parallel, only when ORDER BY present
     if (q_.is_aggregate) {
@@ -122,13 +125,12 @@ class ExecutorImpl {
       case ExprKind::kLiteral:
         return e.literal;
       case ExprKind::kColumnRef: {
-        if (ctx.row == nullptr || ctx.row->rows[e.bound_table] == nullptr) {
-          return Value::Null();  // empty global aggregate group
-        }
-        if (e.bound_col == Expr::kTidColumn) {
-          return Value::Int(ctx.row->tids[e.bound_table]);
-        }
-        return (*ctx.row->rows[e.bound_table])[static_cast<size_t>(e.bound_col)];
+        const TupleId tid =
+            ctx.row == nullptr ? kUnjoined : ctx.row[e.bound_table];
+        if (tid == kUnjoined) return Value::Null();  // empty global group
+        if (e.bound_col == Expr::kTidColumn) return Value::Int(tid);
+        return q_.tables[static_cast<size_t>(e.bound_table)]->cell(
+            tid, static_cast<size_t>(e.bound_col));
       }
       case ExprKind::kUnary: {
         SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*e.left, ctx));
@@ -321,15 +323,9 @@ class ExecutorImpl {
     return mask;
   }
 
-  /// The codes of FROM table t when the table carries the code columns it
-  /// was built from and is unmutated (Relation::has_columns): adopted once
-  /// per table index, in O(columns). nullptr keeps the value paths.
-  const EncodedRelation* EncodedFor(size_t t) {
-    const Relation* rel = q_.tables[t];
-    if (enc_[t] == nullptr && rel->has_columns()) {
-      enc_[t] = std::make_unique<EncodedRelation>(rel);
-    }
-    return enc_[t].get();
+  /// The code of column `col` of FROM table t's tuple `tid`.
+  Code CodeOf(size_t t, TupleId tid, size_t col) const {
+    return q_.tables[t]->columns()[col][static_cast<size_t>(tid)];
   }
 
   /// True when conjunct `e` is `col = 'string literal'` (either side order)
@@ -360,50 +356,49 @@ class ExecutorImpl {
     return !v.is_null() && v.type() == DataType::kString;
   }
 
-  /// Scans table t into (tid, row) pairs, applying the single-table
-  /// conjuncts. With an encoded snapshot, `col = 'lit'` conjuncts become
-  /// one MaskLive + FilterEqMulti32 kernel pass over the code columns (a
-  /// literal absent from the dictionary yields the empty scan for free);
-  /// residual conjuncts evaluate row-at-a-time over the surviving bits.
-  /// Emission is ascending-tid either way, so both paths produce the same
-  /// scan in the same order.
+  /// Scans table t into its surviving tuple ids (ascending), applying the
+  /// single-table conjuncts: one MaskLive + FilterEqMulti32 kernel pass
+  /// over the code columns for the `col = 'lit'` conjuncts (a literal
+  /// absent from the dictionary yields the empty scan for free), then the
+  /// residual conjuncts per surviving tuple, decoding only the cells they
+  /// reference.
   Status ScanTable(size_t t, const std::vector<Expr*>& local,
-                   std::vector<std::pair<TupleId, const Row*>>* scan) {
-    const size_t n = q_.tables.size();
+                   std::vector<TupleId>* scan) {
     const Relation* rel = q_.tables[t];
     std::vector<const uint32_t*> cols;
     std::vector<uint32_t> consts;
     std::vector<Expr*> residual;
-    const EncodedRelation* enc = EncodedFor(t);
-    if (enc != nullptr) {
-      for (Expr* c : local) {
-        const Expr* col = nullptr;
-        const Expr* lit = nullptr;
-        if (IsCodeEq(*c, t, &col, &lit)) {
-          // kAbsentCode (literal never encoded) matches no cell: the
-          // kernel then clears the whole mask, which is the right answer.
-          cols.push_back(enc->column(static_cast<size_t>(col->bound_col)).data());
-          consts.push_back(
-              enc->dictionary(static_cast<size_t>(col->bound_col)).Lookup(lit->literal));
-        } else {
-          residual.push_back(c);
-        }
+    for (Expr* c : local) {
+      const Expr* col = nullptr;
+      const Expr* lit = nullptr;
+      if (IsCodeEq(*c, t, &col, &lit)) {
+        // kAbsentCode (literal never encoded) matches no cell: the
+        // kernel then clears the whole mask, which is the right answer.
+        const size_t ci = static_cast<size_t>(col->bound_col);
+        cols.push_back(rel->columns()[ci].data());
+        consts.push_back(rel->dictionaries()[ci]->Lookup(lit->literal));
+      } else {
+        residual.push_back(c);
       }
-    } else {
-      residual = local;
     }
 
+    const size_t bound = static_cast<size_t>(rel->IdBound());
+    std::vector<uint64_t> mask(common::simd::MaskWords(bound));
+    const common::simd::Kernels& k = common::simd::KernelsFor();
+    k.MaskLive(rel->live_data(), nullptr, 0, kNullCode, bound, mask.data());
+    if (!cols.empty()) {
+      k.FilterEqMulti32(cols.data(), consts.data(), cols.size(), bound,
+                        mask.data());
+    }
     Status scan_status;
-    auto probe_row = [&](TupleId tid, const Row& row) {
+    std::vector<TupleId> probe(q_.tables.size(), kUnjoined);
+    common::simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t i) {
       if (!scan_status.ok()) return;
       scan_status = MaybeCheckCancel();
       if (!scan_status.ok()) return;
-      JoinedRow probe;
-      probe.rows.assign(n, nullptr);
-      probe.tids.assign(n, -1);
-      probe.rows[t] = &row;
-      probe.tids[t] = tid;
-      EvalContext ctx{.row = &probe, .agg_values = nullptr};
+      const TupleId tid = static_cast<TupleId>(i);
+      probe[t] = tid;
+      EvalContext ctx{.row = probe.data(), .agg_values = nullptr};
       for (Expr* c : residual) {
         auto v = Eval(*c, ctx);
         if (!v.ok()) {
@@ -416,32 +411,54 @@ class ExecutorImpl {
           return;
         }
       }
-      scan->emplace_back(tid, &row);
-    };
-    if (!cols.empty()) {
-      const size_t bound = static_cast<size_t>(rel->IdBound());
-      std::vector<uint64_t> mask(common::simd::MaskWords(bound));
-      const common::simd::Kernels& k = common::simd::KernelsFor();
-      k.MaskLive(rel->live_data(), nullptr, 0, kNullCode, bound, mask.data());
-      k.FilterEqMulti32(cols.data(), consts.data(), cols.size(), bound,
-                        mask.data());
-      common::simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t i) {
-        const TupleId tid = static_cast<TupleId>(i);
-        probe_row(tid, rel->row(tid));
-      });
-    } else {
-      rel->ForEach(probe_row);
-    }
+      scan->push_back(tid);
+    });
     return scan_status;
   }
 
-  Result<std::vector<JoinedRow>> BuildJoin() {
+  /// Appends `row` with slot t set to `tid` to `out`.
+  static void Extend(const TupleId* row, size_t t, TupleId tid,
+                     JoinedRows* out) {
+    out->tids.insert(out->tids.end(), row, row + out->width);
+    out->tids[out->tids.size() - out->width + t] = tid;
+  }
+
+  /// Hash-joins `acc` with table t's `scan` on the key pairs (prefix side,
+  /// t side): a row extends with every scanned tuple whose key equals its
+  /// own. `key_of(row, t_side, &key)` fills one side's key and returns
+  /// false for a key that never joins (NULL).
+  template <typename Key, typename Hash, typename KeyFn>
+  Status HashJoin(const JoinedRows& acc, size_t t,
+                  const std::vector<TupleId>& scan, const KeyFn& key_of,
+                  JoinedRows* next) {
+    std::unordered_map<Key, std::vector<TupleId>, Hash> ht;
+    std::vector<TupleId> probe(acc.width, kUnjoined);
+    for (TupleId tid : scan) {
+      probe[t] = tid;
+      Key key;
+      SEMANDAQ_ASSIGN_OR_RETURN(bool joins, key_of(probe.data(), true, &key));
+      if (joins) ht[std::move(key)].push_back(tid);
+    }
+    for (size_t i = 0; i < acc.size(); ++i) {
+      SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
+      Key key;
+      SEMANDAQ_ASSIGN_OR_RETURN(bool joins, key_of(acc.row(i), false, &key));
+      if (!joins) continue;
+      auto it = ht.find(key);
+      if (it == ht.end()) continue;
+      for (TupleId tid : it->second) Extend(acc.row(i), t, tid, next);
+    }
+    return Status::OK();
+  }
+
+  Result<JoinedRows> BuildJoin() {
     const size_t n = q_.tables.size();
     std::vector<Expr*> conjuncts;
     CollectConjuncts(q_.stmt.where.get(), &conjuncts);
     std::vector<bool> applied(conjuncts.size(), false);
 
-    std::vector<JoinedRow> acc;
+    JoinedRows acc;
+    acc.width = n;
     uint64_t joined_mask = 0;
 
     for (size_t t = 0; t < n; ++t) {
@@ -456,19 +473,13 @@ class ExecutorImpl {
           applied[ci] = true;
         }
       }
-      std::vector<std::pair<TupleId, const Row*>> scan;
+      std::vector<TupleId> scan;
       SEMANDAQ_RETURN_IF_ERROR(ScanTable(t, local, &scan));
 
       if (t == 0) {
-        acc.reserve(scan.size());
-        for (auto& [tid, row] : scan) {
-          JoinedRow jr;
-          jr.rows.assign(n, nullptr);
-          jr.tids.assign(n, -1);
-          jr.rows[0] = row;
-          jr.tids[0] = tid;
-          acc.push_back(std::move(jr));
-        }
+        const std::vector<TupleId> unjoined(n, kUnjoined);
+        acc.tids.reserve(scan.size() * n);
+        for (TupleId tid : scan) Extend(unjoined.data(), 0, tid, &acc);
         joined_mask = t_bit;
       } else {
         // Find usable equi conjuncts: left side in joined prefix, right side
@@ -490,7 +501,8 @@ class ExecutorImpl {
           }
         }
 
-        std::vector<JoinedRow> next;
+        JoinedRows next;
+        next.width = n;
         // A key pair comparing one relation's column to itself (the
         // self-join shape of detection queries) shares a dictionary on both
         // sides, so exact-equality hash keys can be uint32 codes instead of
@@ -503,108 +515,47 @@ class ExecutorImpl {
               pl->bound_col < 0 || pt->bound_col < 0 ||
               pl->bound_col != pt->bound_col ||
               q_.tables[static_cast<size_t>(pl->bound_table)] !=
-                  q_.tables[static_cast<size_t>(pt->bound_table)] ||
-              EncodedFor(static_cast<size_t>(pt->bound_table)) == nullptr) {
+                  q_.tables[static_cast<size_t>(pt->bound_table)]) {
             code_join = false;
             break;
           }
         }
         if (code_join) {
-          auto code_key = [&](const std::vector<TupleId>& tids,
-                              bool probe_side) -> std::optional<std::vector<Code>> {
-            std::vector<Code> key;
-            key.reserve(keys.size());
+          auto code_key = [&](const TupleId* row, bool t_side,
+                              std::vector<Code>* key) -> Result<bool> {
+            key->reserve(keys.size());
             for (auto& [pl, pt] : keys) {
-              const Expr* side = probe_side ? pt : pl;
+              const Expr* side = t_side ? pt : pl;
               const size_t st = static_cast<size_t>(side->bound_table);
-              const Code c = EncodedFor(st)->code(
-                  tids[st], static_cast<size_t>(side->bound_col));
-              if (c == kNullCode) return std::nullopt;  // NULL never joins
-              key.push_back(c);
+              const Code c =
+                  CodeOf(st, row[st], static_cast<size_t>(side->bound_col));
+              if (c == kNullCode) return false;  // NULL never joins
+              key->push_back(c);
             }
-            return key;
+            return true;
           };
-          std::unordered_map<std::vector<Code>, std::vector<size_t>,
-                             relational::CodeVecHash>
-              ht;
-          std::vector<TupleId> probe_tids(n, -1);
-          for (size_t si = 0; si < scan.size(); ++si) {
-            probe_tids[t] = scan[si].first;
-            if (auto key = code_key(probe_tids, /*probe_side=*/true)) {
-              ht[std::move(*key)].push_back(si);
-            }
-          }
-          for (JoinedRow& jr : acc) {
-            SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-            auto key = code_key(jr.tids, /*probe_side=*/false);
-            if (!key) continue;
-            auto it = ht.find(*key);
-            if (it == ht.end()) continue;
-            for (size_t si : it->second) {
-              JoinedRow ext = jr;
-              ext.rows[t] = scan[si].second;
-              ext.tids[t] = scan[si].first;
-              next.push_back(std::move(ext));
-            }
-          }
+          SEMANDAQ_RETURN_IF_ERROR(
+              (HashJoin<std::vector<Code>, relational::CodeVecHash>(
+                  acc, t, scan, code_key, &next)));
         } else if (!keys.empty()) {
-          // Hash the new table side.
-          std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> ht;
-          for (size_t si = 0; si < scan.size(); ++si) {
-            JoinedRow probe;
-            probe.rows.assign(n, nullptr);
-            probe.tids.assign(n, -1);
-            probe.rows[t] = scan[si].second;
-            probe.tids[t] = scan[si].first;
-            EvalContext ctx{.row = &probe, .agg_values = nullptr};
-            Row key;
-            key.reserve(keys.size());
-            bool null_key = false;
+          auto value_key = [&](const TupleId* row, bool t_side,
+                               Row* key) -> Result<bool> {
+            EvalContext ctx{.row = row, .agg_values = nullptr};
+            key->reserve(keys.size());
             for (auto& [pl, pt] : keys) {
-              SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*pt, ctx));
-              if (v.is_null()) {
-                null_key = true;
-                break;
-              }
-              key.push_back(std::move(v));
+              SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(t_side ? *pt : *pl, ctx));
+              if (v.is_null()) return false;  // NULL never joins
+              key->push_back(std::move(v));
             }
-            if (null_key) continue;  // NULL never joins
-            ht[std::move(key)].push_back(si);
-          }
-          for (JoinedRow& jr : acc) {
-            SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-            EvalContext ctx{.row = &jr, .agg_values = nullptr};
-            Row key;
-            key.reserve(keys.size());
-            bool null_key = false;
-            for (auto& [pl, pt] : keys) {
-              SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*pl, ctx));
-              if (v.is_null()) {
-                null_key = true;
-                break;
-              }
-              key.push_back(std::move(v));
-            }
-            if (null_key) continue;
-            auto it = ht.find(key);
-            if (it == ht.end()) continue;
-            for (size_t si : it->second) {
-              JoinedRow ext = jr;
-              ext.rows[t] = scan[si].second;
-              ext.tids[t] = scan[si].first;
-              next.push_back(std::move(ext));
-            }
-          }
+            return true;
+          };
+          SEMANDAQ_RETURN_IF_ERROR(
+              (HashJoin<Row, RowHash>(acc, t, scan, value_key, &next)));
         } else {
-          next.reserve(acc.size() * std::max<size_t>(1, scan.size()));
-          for (const JoinedRow& jr : acc) {
+          next.tids.reserve(acc.tids.size() * std::max<size_t>(1, scan.size()));
+          for (size_t i = 0; i < acc.size(); ++i) {
             SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-            for (auto& [tid, row] : scan) {
-              JoinedRow ext = jr;
-              ext.rows[t] = row;
-              ext.tids[t] = tid;
-              next.push_back(std::move(ext));
-            }
+            for (TupleId tid : scan) Extend(acc.row(i), t, tid, &next);
           }
         }
         acc = std::move(next);
@@ -617,13 +568,15 @@ class ExecutorImpl {
         const uint64_t m = TableMask(*conjuncts[ci]);
         if ((m & ~joined_mask) != 0) continue;
         applied[ci] = true;
-        std::vector<JoinedRow> kept;
-        kept.reserve(acc.size());
-        for (JoinedRow& jr : acc) {
-          EvalContext ctx{.row = &jr, .agg_values = nullptr};
+        JoinedRows kept;
+        kept.width = n;
+        for (size_t i = 0; i < acc.size(); ++i) {
+          EvalContext ctx{.row = acc.row(i), .agg_values = nullptr};
           SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*conjuncts[ci], ctx));
           Status st;
-          if (ValueToTri(v, &st) == TriBool::kTrue) kept.push_back(std::move(jr));
+          if (ValueToTri(v, &st) == TriBool::kTrue) {
+            kept.tids.insert(kept.tids.end(), acc.row(i), acc.row(i) + n);
+          }
           SEMANDAQ_RETURN_IF_ERROR(st);
         }
         acc = std::move(kept);
@@ -678,28 +631,26 @@ class ExecutorImpl {
     return st.max;  // MAX
   }
 
-  Status RunAggregate(const std::vector<JoinedRow>& rows, std::vector<Row>* produced,
+  Status RunAggregate(const JoinedRows& rows, std::vector<Row>* produced,
                       std::vector<Row>* sort_keys) {
-    // GROUP BY over plain column refs of encoded tables keys the group
-    // hash on uint32 codes. Code equality is exact Value equality — the
-    // same grouping the Row-keyed path computes (NULLs all carry
-    // kNullCode, matching Row keys' exact NULL equality) — without
-    // hashing a Value per row per key column.
+    // GROUP BY over plain column refs keys the group hash on uint32 codes.
+    // Code equality is exact Value equality — the same grouping the
+    // Row-keyed path computes (NULLs all carry kNullCode, matching Row
+    // keys' exact NULL equality) — without decoding or hashing a Value per
+    // row per key column.
     bool code_keys = !q_.stmt.group_by.empty();
     for (const auto& g : q_.stmt.group_by) {
-      if (g->kind != ExprKind::kColumnRef || g->bound_col < 0 ||
-          EncodedFor(static_cast<size_t>(g->bound_table)) == nullptr) {
+      if (g->kind != ExprKind::kColumnRef || g->bound_col < 0) {
         code_keys = false;
         break;
       }
     }
     if (code_keys) {
-      auto make_key = [&](const JoinedRow& jr, std::vector<Code>* key) -> Status {
+      auto make_key = [&](const TupleId* row, std::vector<Code>* key) -> Status {
         key->reserve(q_.stmt.group_by.size());
         for (const auto& g : q_.stmt.group_by) {
           const size_t gt = static_cast<size_t>(g->bound_table);
-          key->push_back(EncodedFor(gt)->code(jr.tids[gt],
-                                              static_cast<size_t>(g->bound_col)));
+          key->push_back(CodeOf(gt, row[gt], static_cast<size_t>(g->bound_col)));
         }
         return Status::OK();
       };
@@ -707,8 +658,8 @@ class ExecutorImpl {
                                std::equal_to<std::vector<Code>>>(
           rows, make_key, produced, sort_keys);
     }
-    auto make_key = [&](const JoinedRow& jr, Row* key) -> Status {
-      EvalContext ctx{.row = &jr, .agg_values = nullptr};
+    auto make_key = [&](const TupleId* row, Row* key) -> Status {
+      EvalContext ctx{.row = row, .agg_values = nullptr};
       key->reserve(q_.stmt.group_by.size());
       for (const auto& g : q_.stmt.group_by) {
         SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
@@ -721,23 +672,24 @@ class ExecutorImpl {
   }
 
   template <typename Key, typename Hash, typename Eq, typename KeyFn>
-  Status RunAggregateKeyed(const std::vector<JoinedRow>& rows, const KeyFn& make_key,
+  Status RunAggregateKeyed(const JoinedRows& rows, const KeyFn& make_key,
                            std::vector<Row>* produced, std::vector<Row>* sort_keys) {
     struct Group {
       std::vector<AggState> states;
-      const JoinedRow* representative = nullptr;
+      const TupleId* representative = nullptr;
     };
     std::unordered_map<Key, Group, Hash, Eq> groups;
 
-    for (const JoinedRow& jr : rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
       SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-      EvalContext ctx{.row = &jr, .agg_values = nullptr};
+      const TupleId* row = rows.row(i);
+      EvalContext ctx{.row = row, .agg_values = nullptr};
       Key key;
-      SEMANDAQ_RETURN_IF_ERROR(make_key(jr, &key));
+      SEMANDAQ_RETURN_IF_ERROR(make_key(row, &key));
       Group& grp = groups[key];
       if (grp.states.empty()) {
         grp.states.resize(q_.aggregates.size());
-        grp.representative = &jr;
+        grp.representative = row;
       }
       for (size_t a = 0; a < q_.aggregates.size(); ++a) {
         SEMANDAQ_RETURN_IF_ERROR(AccumulateAgg(*q_.aggregates[a], ctx, &grp.states[a]));
@@ -767,11 +719,11 @@ class ExecutorImpl {
     return Status::OK();
   }
 
-  Status RunProjection(const std::vector<JoinedRow>& rows, std::vector<Row>* produced,
+  Status RunProjection(const JoinedRows& rows, std::vector<Row>* produced,
                        std::vector<Row>* sort_keys) {
-    for (const JoinedRow& jr : rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
       SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-      EvalContext ctx{.row = &jr, .agg_values = nullptr};
+      EvalContext ctx{.row = rows.row(i), .agg_values = nullptr};
       SEMANDAQ_RETURN_IF_ERROR(EmitRow(ctx, produced, sort_keys));
     }
     return Status::OK();
@@ -854,9 +806,6 @@ class ExecutorImpl {
   const BoundQuery& q_;
   common::CancelToken* cancel_ = nullptr;
   size_t rows_since_check_ = 0;
-  /// Per-FROM-table adopted codes (see EncodedFor), filled on first use;
-  /// nullptr = the value paths for that table.
-  std::vector<std::unique_ptr<EncodedRelation>> enc_;
 };
 
 }  // namespace

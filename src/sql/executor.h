@@ -21,21 +21,22 @@ namespace semandaq::sql {
 /// DISTINCT / SUM / AVG / MIN / MAX. NULL comparison follows three-valued
 /// logic throughout.
 ///
-/// A FROM table that carries the code columns it was built from and is
-/// unmutated (Relation::has_columns: a loaded snapshot, a published epoch,
-/// or a clone of either) gets the code-compiled fast paths; the executor
-/// adopts its columns itself, in O(columns). Results are row-for-row
-/// identical to the value paths (the group emission order of an
-/// un-ORDER-BY'd aggregate may differ, as it always could between hash-map
-/// states):
+/// Every FROM table is scanned on its code columns, and a joined row is one
+/// tuple id per FROM table; a column reference decodes its one cell when
+/// an expression or the output needs it. Code-compiled paths:
 ///  * `col = 'string literal'` conjuncts on a base scan compile to one
-///    dictionary lookup + a FilterEqMulti32/MaskLive kernel pass over the
-///    code column (only non-NULL string literals: a numeric literal can
-///    cross-type equal a differently-coded cell, which codes cannot see);
+///    dictionary lookup + a FilterEqMulti32 kernel pass over the code
+///    column, after a MaskLive pass over the liveness bytes (only non-NULL
+///    string literals: a numeric literal can cross-type equal a
+///    differently-coded cell, which codes cannot see); the residual
+///    conjuncts run per surviving tuple;
 ///  * hash joins whose every key pair references the same column of the
 ///    same relation (the self-join shape of detection queries) key on
 ///    uint32 codes instead of hashed Values;
-///  * GROUP BY over plain column refs of encoded tables keys on codes too.
+///  * GROUP BY over plain column refs keys on codes too, so the group
+///    emission order of an un-ORDER-BY'd aggregate follows code numbers.
+/// Other join and group keys (expressions, columns of different relations)
+/// hash decoded Values.
 ///
 /// `cancel` (common/cancel.h) is checked every few thousand rows in the
 /// scan, join, aggregation, and projection loops; a tripped token turns

@@ -19,7 +19,6 @@ using relational::Code;
 using relational::DataType;
 using relational::kNullCode;
 using relational::Dictionary;
-using relational::EncodedRelation;
 using relational::Relation;
 using relational::Row;
 using relational::Schema;
@@ -70,16 +69,7 @@ Result<const uint8_t*> CheckSection(const std::string& file, uint64_t offset,
 }  // namespace
 
 Result<SnapshotStats> SnapshotWriter::Write(const Relation& rel,
-                                            const EncodedRelation& enc,
                                             const std::string& path) {
-  if (&enc.relation() != &rel) {
-    return Status::FailedPrecondition(
-        "encoded snapshot does not belong to the relation being saved");
-  }
-  if (!enc.InSync()) {
-    return Status::FailedPrecondition(
-        "encoded snapshot is stale; Sync() before saving");
-  }
   const size_t ncols = rel.schema().size();
   const uint64_t id_bound = static_cast<uint64_t>(rel.IdBound());
 
@@ -106,7 +96,7 @@ Result<SnapshotStats> SnapshotWriter::Write(const Relation& rel,
   std::vector<ColumnExtent> extents(ncols);
   for (size_t c = 0; c < ncols; ++c) {
     ColumnExtent& ext = extents[c];
-    const Dictionary& dict = enc.dictionary(c);
+    const Dictionary& dict = *rel.dictionaries()[c];
     ext.dict_offset = file.size();
     ext.dict_count = static_cast<uint32_t>(dict.size());
     {
@@ -119,7 +109,7 @@ Result<SnapshotStats> SnapshotWriter::Write(const Relation& rel,
     ext.dict_checksum = Checksum64(file.data() + ext.dict_offset,
                                    static_cast<size_t>(ext.dict_size));
 
-    const relational::CodeColumn& codes = enc.column(c);
+    const relational::CodeColumn& codes = rel.columns()[c];
     ext.codes_offset = file.size();
     ext.codes_size = codes.size() * sizeof(Code);
     file.append(reinterpret_cast<const char*>(codes.data()), ext.codes_size);
@@ -284,7 +274,7 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
   SEMANDAQ_ASSIGN_OR_RETURN(uint64_t id_bound, m.GetU64());
   SEMANDAQ_ASSIGN_OR_RETURN(uint64_t live_count, m.GetU64());
   SEMANDAQ_ASSIGN_OR_RETURN(uint64_t saved_version, m.GetU64());
-  (void)saved_version;  // informational; sync marks use the rebuilt counters
+  (void)saved_version;  // informational; the relation restarts its counters
   SEMANDAQ_ASSIGN_OR_RETURN(uint64_t saved_overwrite, m.GetU64());
   (void)saved_overwrite;
   SEMANDAQ_ASSIGN_OR_RETURN(uint64_t live_offset, m.GetU64());
@@ -374,11 +364,10 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
     return Status::IoError("corrupted snapshot manifest: trailing bytes");
   }
 
-  // Rebuild the relation: same TupleIds, tombstones preserved. Every live
-  // code is bounds-checked against its dictionary now — a code past the
-  // dictionary means the file lies — but the per-cell *decode* into rows
-  // is deferred to the first row access (Relation::FromColumns), so
-  // load-then-detect never pays it.
+  // Build the relation: same TupleIds, tombstones preserved. Every code
+  // is bounds-checked against its dictionary now — a code past the
+  // dictionary means the file lies — and nothing is decoded: the columns
+  // are the relation's data (Relation::FromColumns).
   Schema schema(std::move(attrs));
   std::vector<uint8_t> live(static_cast<size_t>(id_bound), 0);
   uint64_t live_seen = 0;
@@ -396,8 +385,7 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
     const Dictionary& dict = *dicts[c];
     const relational::CodeColumn& codes = columns[c];
     for (uint64_t tid = 0; tid < id_bound; ++tid) {
-      if (live[static_cast<size_t>(tid)] &&
-          !dict.Contains(codes[static_cast<size_t>(tid)])) {
+      if (!dict.Contains(codes[static_cast<size_t>(tid)])) {
         return Status::IoError("corrupted snapshot: code out of range in "
                                "column " + schema.attr(c).name);
       }

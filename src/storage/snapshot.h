@@ -5,13 +5,12 @@
 #include <string>
 
 #include "common/status.h"
-#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 
 namespace semandaq::storage {
 
-/// Binary columnar snapshot of a relation plus its dictionary-encoded form —
-/// the persistent half of EncodedRelation. One snapshot file holds a fixed
+/// Binary columnar snapshot of a relation's dictionaries and code columns.
+/// One snapshot file holds a fixed
 /// header, a liveness bitmap, per-column dictionary blobs and flat uint32
 /// code arrays written sequentially, and a checksummed manifest footer
 /// (schema, row counts, versions, per-section offsets). Byte-level layout:
@@ -34,23 +33,21 @@ struct SnapshotStats {
 
 class SnapshotWriter {
  public:
-  /// Persists `rel` and its encoded snapshot at `path` (write-temp-rename,
-  /// so a crash never leaves a half-written snapshot behind) and creates a
-  /// fresh, empty WAL sidecar at WalPathFor(path) stamped with the new
-  /// snapshot's identity — after a save, the snapshot covers everything.
-  /// `enc` must be a snapshot *of* `rel` and in sync with it.
-  static common::Result<SnapshotStats> Write(
-      const relational::Relation& rel, const relational::EncodedRelation& enc,
-      const std::string& path);
+  /// Persists `rel`'s dictionaries and code columns at `path`
+  /// (write-temp-rename, so a crash never leaves a half-written snapshot
+  /// behind) and creates a fresh, empty WAL sidecar at WalPathFor(path)
+  /// stamped with the new snapshot's identity — after a save, the snapshot
+  /// covers everything. Every dictionary entry is written, including
+  /// values that overwrites left unused.
+  static common::Result<SnapshotStats> Write(const relational::Relation& rel,
+                                             const std::string& path);
 };
 
 /// A snapshot pulled back into memory: the reconstructed relation (same
 /// TupleIds, tombstones preserved), built by Relation::FromColumns over the
-/// encoded columns exactly as saved — refcounted chunks and dictionaries,
-/// no per-value re-encode. EncodedRelation(&relation) adopts them in
-/// O(columns), and the relation decodes its rows from them on first row
-/// access, so nothing holds a second copy of the data (the file buffer is
-/// released before Read returns).
+/// columns exactly as saved — refcounted chunks and dictionaries, no
+/// per-value decode or re-encode, and no second copy of the data (the file
+/// buffer is released before Read returns).
 struct LoadedSnapshot {
   relational::Relation relation;
   std::string saved_name;           ///< relation name at save time
@@ -66,8 +63,7 @@ class SnapshotReader {
   /// dies with this call). Every section is
   /// checksum-verified before use; corruption and truncation come back
   /// as IoError, never as garbage data. Does NOT replay the WAL sidecar
-  /// (storage::ReplayWal; the relation must be registered at its final
-  /// address first so the encoded snapshot can sync against it).
+  /// (storage::ReplayWal).
   static common::Result<LoadedSnapshot> Read(const std::string& path);
 };
 

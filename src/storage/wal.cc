@@ -20,9 +20,9 @@ namespace {
 constexpr size_t kWalHeaderSize = 32;
 constexpr size_t kWalHeaderChecksumOffset = kWalHeaderSize - 8;
 
-/// Record ops. The insert path is the hot one (ISSUE's "rows inserted after
-/// the last snapshot"); delete/setcell ride along so any mutation sequence
-/// survives a restart — Sync() already knows how to absorb all three.
+/// Record ops. The insert path is the hot one (rows inserted after the last
+/// snapshot); delete/setcell ride along so any mutation sequence survives a
+/// restart.
 constexpr uint8_t kOpInsert = 1;
 constexpr uint8_t kOpDelete = 2;
 constexpr uint8_t kOpSetCell = 3;

@@ -34,11 +34,11 @@ struct SyncPolicy {
 
 /// Append-only write-ahead segment extending a snapshot: every mutation
 /// applied to a relation after its last snapshot appends one checksummed
-/// record here, and on load the records replay through Relation mutators so
-/// EncodedRelation::Sync() catches the encoded form up along its ordinary
-/// append path. The segment is stamped with the manifest checksum of the
-/// snapshot it extends — replaying a WAL against any other snapshot is
-/// refused, not silently merged. Record layout: docs/storage.md.
+/// record here, and on load the records replay through the Relation
+/// mutators, which write their codes into the loaded columns. The segment
+/// is stamped with the manifest checksum of the snapshot it extends —
+/// replaying a WAL against any other snapshot is refused, not silently
+/// merged. Record layout: docs/storage.md.
 ///
 /// Crash discipline: records are length-prefixed and checksummed, so a torn
 /// final record (the only corruption an interrupted append can produce) is
@@ -148,9 +148,7 @@ class WalAttachment : public relational::MutationObserver {
 /// a crash between SnapshotWriter's two publish renames can leave (the
 /// predecessor's empty sidecar beside the fresh snapshot). A torn final
 /// record is dropped silently (crash tail); any earlier corruption is an
-/// IoError. Returns the number of records applied — after it,
-/// EncodedRelation::Sync() brings the codes adopted from the loaded
-/// snapshot up to date.
+/// IoError. Returns the number of records applied.
 ///
 /// `cancel` (common/cancel.h) is checked once per record: a tripped token
 /// stops the replay with Status::Cancelled / Status::DeadlineExceeded,

@@ -228,16 +228,52 @@ TEST(SqlDetectorTest, QuotedAttributeNameMatchesNative) {
 // A detection that fails after storing some tableau relations still removes
 // them: the database holds only the data afterwards.
 TEST(SqlDetectorTest, FailedDetectLeavesOnlyTheData) {
-  // The second embedded FD's tableau needs a `__cfd_id` column for its RHS
-  // next to its own `__cfd_id` bookkeeping column, which the store rejects
-  // after it stored the first group's tableau.
-  Relation rel{"t", relational::Schema::AllStrings({"A", "B", "__cfd_id"})};
-  rel.MustInsert({Value::String("x"), Value::String("1"), Value::String("1")});
+  // The second embedded FD's tableau needs two `A` columns, which the store
+  // rejects after it stored the first group's tableau.
+  Relation rel{"t", relational::Schema::AllStrings({"A", "B"})};
+  rel.MustInsert({Value::String("x"), Value::String("1")});
   Database db;
   ASSERT_OK(db.AddRelation(std::move(rel)));
-  SqlDetector sql(&db, "t", Parse("t: [A] -> [B]\nt: [A] -> [__cfd_id]"));
-  EXPECT_FALSE(sql.Detect().ok());
+  SqlDetector sql(&db, "t", Parse("t: [A] -> [B]\nt: [A, A] -> [B]"));
+  const common::Status status = sql.Detect().status();
+  EXPECT_EQ(status.code(), common::StatusCode::kAlreadyExists) << status.ToString();
   EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"t"});
+}
+
+// The generated queries read tuple ids through the __tid pseudo-column,
+// which a relation attribute of that name hides, and the tableau relations
+// put __cfd_id and __pattern_id beside the CFD's attributes. The SQL
+// detector refuses such names instead of answering differently from the
+// native detector.
+TEST(SqlDetectorTest, ReservedAttributeNamesAreRefused) {
+  Relation rel{"t", relational::Schema::AllStrings({"A", "__tid"})};
+  rel.MustInsert({Value::String("x"), Value::String("1")});
+  rel.MustInsert({Value::String("x"), Value::String("2")});
+  rel.MustInsert({Value::String("y"), Value::String("3")});
+  const auto cfds = Parse("t: [A] -> [__tid]");
+  NativeDetector native(&rel, cfds);
+  ASSERT_OK_AND_ASSIGN(ViolationTable native_table, native.Detect());
+  EXPECT_EQ(native_table.groups().size(), 1u);
+  EXPECT_EQ(native_table.NumViolatingTuples(), 2u);
+  {
+    Database db;
+    ASSERT_OK(db.AddRelation(rel.Clone()));
+    const common::Status status = SqlDetector(&db, "t", cfds).Detect().status();
+    EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument) << status.ToString();
+    EXPECT_NE(status.message().find("__tid"), std::string::npos) << status.ToString();
+    EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"t"});
+  }
+  for (const std::string name : {"__cfd_id", "__pattern_id"}) {
+    Relation named{"u", relational::Schema::AllStrings({"A", name})};
+    named.MustInsert({Value::String("x"), Value::String("1")});
+    named.MustInsert({Value::String("x"), Value::String("2")});
+    Database db;
+    ASSERT_OK(db.AddRelation(std::move(named)));
+    const common::Status status =
+        SqlDetector(&db, "u", Parse("u: [A] -> [" + name + "]")).Detect().status();
+    EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument) << status.ToString();
+    EXPECT_NE(status.message().find(name), std::string::npos) << status.ToString();
+  }
 }
 
 TEST(SqlDetectorTest, MissingRelationFails) {

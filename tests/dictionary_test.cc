@@ -101,7 +101,6 @@ TEST(EncodedRelationTest, SnapshotMatchesRelation) {
           << "cell (" << tid << ", " << c << ")";
     }
   });
-  EXPECT_TRUE(enc.InSync());
 }
 
 TEST(EncodedRelationTest, NullCellsEncodeToNullCode) {
@@ -124,87 +123,67 @@ TEST(EncodedRelationTest, EqualValuesShareOneCodePerColumn) {
   EXPECT_EQ(enc.dictionary(1).size(), 2u);
 }
 
-TEST(EncodedRelationTest, SyncAppendsInserts) {
+TEST(EncodedRelationTest, ViewFollowsEveryWrite) {
+  // A view reads the relation's own columns: inserts, overwrites and
+  // deletes show through it at once, with nothing to sync.
   Relation rel = semandaq::testing::MakeStringRelation("t", {"A"}, {{"x"}});
-  EncodedRelation enc(&rel);
+  const EncodedRelation enc(&rel);
   rel.MustInsert({Value::String("y")});
   rel.MustInsert({Value::String("x")});
-  EXPECT_FALSE(enc.InSync());
-  enc.Sync();
-  EXPECT_TRUE(enc.InSync());
   ASSERT_EQ(enc.IdBound(), 3);
   EXPECT_EQ(enc.code(2, 0), enc.code(0, 0));  // appended "x" reuses the code
   EXPECT_NE(enc.code(1, 0), enc.code(0, 0));
-}
-
-TEST(EncodedRelationTest, SyncRebuildsAfterOverwrite) {
-  Relation rel = semandaq::testing::MakeStringRelation(
-      "t", {"A"}, {{"x"}, {"y"}});
-  EncodedRelation enc(&rel);
   ASSERT_OK(rel.SetCell(0, 0, Value::String("z")));
-  EXPECT_FALSE(enc.InSync());
-  enc.Sync();
-  EXPECT_TRUE(enc.InSync());
   EXPECT_EQ(enc.Decode(0, enc.code(0, 0)), Value::String("z"));
-}
-
-TEST(EncodedRelationTest, ApplyCellStaysWarmThroughOverwrite) {
-  Relation rel = semandaq::testing::MakeStringRelation(
-      "t", {"A", "B"}, {{"x", "u"}, {"y", "v"}});
-  EncodedRelation enc(&rel);
-  ASSERT_OK(rel.SetCell(1, 0, Value::String("x")));
-  enc.ApplyCell(1, 0);
-  EXPECT_TRUE(enc.InSync());
-  EXPECT_EQ(enc.code(1, 0), enc.code(0, 0));
-  // Untouched column unaffected.
-  EXPECT_EQ(enc.Decode(1, enc.code(1, 1)), Value::String("v"));
-}
-
-TEST(EncodedRelationTest, SetCellWritesOnlyTheSnapshotCopyOnWrite) {
-  // A snapshot of a column-backed relation shares its chunks and
-  // dictionaries. SetCell detaches the chunk before writing, and only a
-  // value new to the column detaches (and grows) the dictionary, so the
-  // relation's codes and values never change.
-  Relation source = semandaq::testing::MakeStringRelation(
-      "t", {"A", "B"}, {{"x", "u"}, {"y", "v"}});
-  const EncodedRelation built(&source);
-  const Relation rel = Relation::FromColumns("t", source.schema(), {1, 1},
-                                             built.dictionaries(), built.columns());
-  ASSERT_TRUE(rel.has_columns());
-  EncodedRelation enc(&rel);
-
-  enc.SetCell(1, 0, Value::String("x"));  // a held value: no dictionary copy
-  EXPECT_EQ(enc.code(1, 0), enc.code(0, 0));
-  EXPECT_EQ(&enc.dictionary(0), rel.dictionaries()[0].get());
-  enc.SetCell(0, 1, Value::Null());  // NULL: the NULL code, no dictionary copy
-  EXPECT_EQ(enc.code(0, 1), kNullCode);
-  EXPECT_EQ(&enc.dictionary(1), rel.dictionaries()[1].get());
-  enc.SetCell(1, 1, Value::String("w"));  // a new value: a detached copy grows
-  EXPECT_NE(&enc.dictionary(1), rel.dictionaries()[1].get());
-  EXPECT_EQ(enc.Decode(1, enc.code(1, 1)), Value::String("w"));
-  EXPECT_EQ(rel.dictionaries()[1]->Lookup(Value::String("w")), kAbsentCode);
-
-  // The relation's codes are untouched, and the snapshot still reports in
-  // sync (it must never be Sync()ed after such writes).
-  for (TupleId tid = 0; tid < 2; ++tid) {
-    for (size_t c = 0; c < 2; ++c) {
-      EXPECT_EQ(rel.columns()[c][static_cast<size_t>(tid)], built.code(tid, c));
-    }
-  }
-  EXPECT_EQ(rel.cell(1, 1), Value::String("v"));
-  EXPECT_TRUE(enc.InSync());
-}
-
-TEST(EncodedRelationTest, DeletesNeedNoCodeWork) {
-  Relation rel = semandaq::testing::MakeStringRelation(
-      "t", {"A"}, {{"x"}, {"y"}});
-  EncodedRelation enc(&rel);
-  ASSERT_OK(rel.Delete(0));
-  enc.Sync();
-  EXPECT_TRUE(enc.InSync());
+  ASSERT_OK(rel.Delete(1));
   std::vector<TupleId> live;
   enc.ForEachLive([&](TupleId tid) { live.push_back(tid); });
-  EXPECT_EQ(live, (std::vector<TupleId>{1}));
+  EXPECT_EQ(live, (std::vector<TupleId>{0, 2}));
+}
+
+// ------------------------------------------------------------ Relation
+
+TEST(RelationCodesTest, SetCellOnACopyDetachesCopyOnWrite) {
+  // A copy shares the original's chunks and dictionaries. SetCell detaches
+  // the chunk before writing, and only a value new to the column detaches
+  // (and grows) the dictionary, so the original's codes and values never
+  // change.
+  const Relation rel = semandaq::testing::MakeStringRelation(
+      "t", {"A", "B"}, {{"x", "u"}, {"y", "v"}});
+  const std::vector<CodeColumn> before = rel.columns();
+  Relation copy = rel;
+  EXPECT_EQ(copy.dictionaries()[0].get(), rel.dictionaries()[0].get());
+  EXPECT_EQ(copy.columns()[0].data(), rel.columns()[0].data());
+
+  ASSERT_OK(copy.SetCell(1, 0, Value::String("x")));  // held: no dict copy
+  EXPECT_EQ(copy.columns()[0][1], copy.columns()[0][0]);
+  EXPECT_NE(copy.columns()[0].data(), rel.columns()[0].data());
+  EXPECT_EQ(copy.dictionaries()[0].get(), rel.dictionaries()[0].get());
+  ASSERT_OK(copy.SetCell(0, 1, Value::Null()));  // NULL: no dict copy
+  EXPECT_EQ(copy.columns()[1][0], kNullCode);
+  EXPECT_EQ(copy.dictionaries()[1].get(), rel.dictionaries()[1].get());
+  ASSERT_OK(copy.SetCell(1, 1, Value::String("w")));  // new: detached copy grows
+  EXPECT_NE(copy.dictionaries()[1].get(), rel.dictionaries()[1].get());
+  EXPECT_EQ(copy.cell(1, 1), Value::String("w"));
+  EXPECT_EQ(rel.dictionaries()[1]->Lookup(Value::String("w")), kAbsentCode);
+
+  // The original's codes and values are untouched.
+  for (size_t c = 0; c < 2; ++c) EXPECT_EQ(rel.columns()[c], before[c]);
+  EXPECT_EQ(rel.cell(0, 1), Value::String("u"));
+  EXPECT_EQ(rel.cell(1, 0), Value::String("y"));
+  EXPECT_EQ(rel.cell(1, 1), Value::String("v"));
+}
+
+TEST(RelationCodesTest, InternReservesACodeALaterInsertReuses) {
+  Relation rel = semandaq::testing::MakeStringRelation("t", {"A"}, {{"x"}});
+  const uint64_t version = rel.version();
+  const Code code = rel.Intern(0, Value::String("later"));
+  EXPECT_NE(code, kAbsentCode);
+  EXPECT_EQ(rel.version(), version);  // no cell changed
+  EXPECT_EQ(rel.size(), 1u);
+  const TupleId tid = rel.MustInsert({Value::String("later")});
+  EXPECT_EQ(rel.columns()[0][static_cast<size_t>(tid)], code);
+  EXPECT_EQ(rel.Intern(0, Value::Null()), kNullCode);
 }
 
 }  // namespace

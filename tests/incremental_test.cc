@@ -181,6 +181,38 @@ TEST_F(IncrementalDetectorTest, ErrorsOnUnknownColumnWithoutDrifting) {
   ExpectMatchesFullDetection();
 }
 
+// Pattern constants that no tuple holds at Initialize compile to codes the
+// relation reserves for them, so tuples inserted (or rewritten) later with
+// those values match the pattern: as LHS constant and as RHS constant.
+TEST(IncrementalDetectorLateConstantTest, ConstantAbsentAtInitializeMatchesLater) {
+  Relation rel = semandaq::testing::MakeStringRelation(
+      "t", {"CC", "CNT"}, {{"44", "UK"}, {"1", "US"}});
+  const auto cfds = Parse("t: [CC] -> [CNT] { (33 | FR), (49 | DE) }");
+  IncrementalDetector det(&rel, cfds);
+  ASSERT_OK(det.Initialize());
+  EXPECT_TRUE(det.Clean());
+  std::vector<TupleId> inserted;
+  // "33" is absent from CC and "FR" from CNT: a tuple (33, BE) violates.
+  auto row = [](const char* cc, const char* cnt) {
+    return Row{Value::String(cc), Value::String(cnt)};
+  };
+  ASSERT_OK(det.ApplyAndDetect({Update::Insert(row("33", "BE")),
+                                Update::Insert(row("33", "FR")),
+                                Update::Insert(row("49", "DE"))},
+                               &inserted));
+  ASSERT_EQ(inserted.size(), 3u);
+  EXPECT_EQ(det.SinglesOf(inserted[0]).size(), 1u);
+  EXPECT_TRUE(det.SinglesOf(inserted[1]).empty());
+  EXPECT_TRUE(det.SinglesOf(inserted[2]).empty());
+  // A rewrite into the late constant matches too.
+  ASSERT_OK(det.ApplyAndDetect({Update::Modify(1, 0, Value::String("49"))}));
+  EXPECT_EQ(det.SinglesOf(1).size(), 1u);
+  NativeDetector full(&rel, cfds);
+  ASSERT_OK_AND_ASSIGN(ViolationTable table, full.Detect());
+  EXPECT_EQ(table.NumViolatingTuples(), 2u);
+  ExpectEquivalent(det.Snapshot(), table, rel);
+}
+
 TEST_F(IncrementalDetectorTest, TracksWorkMeasure) {
   const size_t before = detector_->buckets_touched();
   ASSERT_OK(detector_->ApplyAndDetect({Update::Modify(6, 1, Value::String("UK"))}));

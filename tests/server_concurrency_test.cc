@@ -6,7 +6,9 @@
 // the determinism invariant (same bytes across thread counts and SIMD
 // tiers) with snapshot immutability (pins never observe later writes).
 // The same holds for a `clean` that writes copy-on-write into the codes
-// it adopted from the epoch other sessions are detecting on.
+// it shares with the epoch other sessions are detecting on, and for master
+// writes (appends, applied repairs) racing readers that decode the epochs
+// sharing the master's chunks and dictionaries.
 
 #include <atomic>
 #include <chrono>
@@ -23,6 +25,7 @@
 #include "relational/relation.h"
 #include "relational/value.h"
 #include "server/service.h"
+#include "storage/wal.h"
 #include "test_util.h"
 
 namespace semandaq::server {
@@ -206,11 +209,9 @@ TEST(ServerConcurrencyTest, ReadersAreByteIdenticalToSerialRunsOnTheirEpoch) {
   EXPECT_EQ(service.scheduler().available(), service.scheduler().total_lanes());
 }
 
-// Every epoch's relation hydrates its rows lazily on first row access. A
-// `sql` or `clean` clone of a fresh epoch racing that epoch's first `show`
-// must copy either the unhydrated or the hydrated state — never a half-
-// decoded one. The relation is large enough that decoding it spans the
-// clone.
+// A `sql` or `clean` clone of an epoch racing a reader that decodes its
+// rows must read the same bytes: neither the decode nor the copy writes
+// into the epoch (copying a frozen column leaves its watermark alone).
 TEST(ServerConcurrencyTest, CloneRacingFirstHydrationIsSafe) {
   constexpr size_t kRows = 100000;
   auto dict = std::make_shared<relational::Dictionary>();
@@ -235,7 +236,7 @@ TEST(ServerConcurrencyTest, CloneRacingFirstHydrationIsSafe) {
 }
 
 // `clean` writes its private copy-on-write codes while other sessions run
-// `detect` on the epoch whose codes it adopted. On a freshly opened
+// `detect` on the epoch whose codes it shares. On a freshly opened
 // relation, whose dictionaries build their lookup maps on first use, every
 // detect reply must equal a serial one, the clean reply and its diff must
 // equal a serial clean's, and the epoch's codes and dictionaries must be
@@ -258,11 +259,10 @@ TEST(ServerConcurrencyTest, CleanRacingDetectReadersOfItsEpochIsSafe) {
     ASSERT_TRUE(service.Execute(&boot, cfd).ok());
   }
 
-  // The bytes the clean adopts: the epoch relation's build columns.
+  // The bytes the clean reads: the epoch relation's columns.
   const SnapshotPtr epoch = service.Pin("customer");
   ASSERT_NE(epoch, nullptr);
   const Relation& rel = epoch->relation;
-  ASSERT_TRUE(rel.has_columns());
   std::vector<std::vector<Code>> codes_before;
   std::vector<std::vector<Value>> values_before;
   for (size_t c = 0; c < rel.schema().size(); ++c) {
@@ -314,6 +314,146 @@ TEST(ServerConcurrencyTest, CleanRacingDetectReadersOfItsEpochIsSafe) {
               std::vector<Code>(rel.columns()[c].begin(), rel.columns()[c].end()))
         << "column " << c;
     EXPECT_EQ(values_before[c], rel.dictionaries()[c]->values()) << "column " << c;
+  }
+}
+
+/// A deep copy of one epoch's data: liveness bytes, and every code and
+/// dictionary value per column.
+struct EpochImage {
+  std::vector<uint8_t> live;
+  std::vector<std::vector<Code>> codes;
+  std::vector<std::vector<Value>> values;
+
+  explicit EpochImage(const Relation& rel)
+      : live(rel.live_data(), rel.live_data() + rel.IdBound()) {
+    for (size_t c = 0; c < rel.schema().size(); ++c) {
+      codes.emplace_back(rel.columns()[c].begin(), rel.columns()[c].end());
+      values.push_back(rel.dictionaries()[c]->values());
+    }
+  }
+  bool operator==(const EpochImage& o) const {
+    return live == o.live && codes == o.codes && values == o.values;
+  }
+};
+
+// One session writes the master (append batches, clean, apply) while three
+// read and decode the epochs it publishes, whose chunks and dictionaries
+// the master shares until its writes detach them. On a freshly opened
+// relation, every reader reply equals a serial run on the same epoch, and
+// every published epoch still holds its bytes afterwards. A master write
+// that skipped a detach shows in both.
+TEST(ServerConcurrencyTest, MasterWritesRacingDecodingReadersAreSafe) {
+  constexpr size_t kReaderSessions = 3;
+  constexpr size_t kPasses = 2;
+  constexpr size_t kWriterRounds = 3;
+  const std::string dir = ::testing::TempDir() + "/concurrency_master_db";
+  const std::vector<std::string> cfds = {
+      "cfd customer: [CNT=UK, ZIP=_] -> [STR=_]",
+      "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }"};
+  const std::vector<std::string> reads = {
+      "show customer 10",
+      "map customer 20",
+      "explore customer 0 0",
+      "detect customer",
+      "sql SELECT NAME, CITY, ZIP FROM customer WHERE CC='44' AND CNT<>'UK'",
+      "sql SELECT CNT, COUNT(*) FROM customer GROUP BY CNT"};
+  {
+    SemandaqService source;
+    SemandaqService::SessionState state;
+    ASSERT_TRUE(source.Execute(&state, "gen customer 20000 3").ok());
+    ASSERT_TRUE(source.Execute(&state, "savedb " + dir).ok());
+  }
+  ServiceOptions options;
+  options.wal_sync.mode = storage::SyncPolicy::Mode::kNone;
+  SemandaqService service(options);
+  SemandaqService::SessionState boot;
+  ASSERT_TRUE(service.Execute(&boot, "opendb " + dir).ok());
+  for (const std::string& cfd : cfds) ASSERT_TRUE(service.Execute(&boot, cfd).ok());
+
+  auto run = [](SemandaqService* svc, SemandaqService::SessionState* session,
+                const std::string& cmd) {
+    auto r = svc->Execute(session, cmd);
+    EXPECT_TRUE(r.ok()) << cmd << " -> " << r.status().ToString();
+    return r.ok() ? *r : std::string();
+  };
+  // Batches of customer_gold rows, some with values new to their column.
+  const Relation gold = service.Pin("customer_gold")->relation;
+  auto batch = [&gold](size_t round) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < 64; ++i) {
+      Row row = gold.row(static_cast<TupleId>((round * 64 + i) * 13 % gold.size()));
+      if (i % 4 == 0) row[3] = Value::String("Street " + std::to_string(round * 64 + i));
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  };
+
+  // The writer images every epoch it publishes before its next write.
+  std::vector<std::pair<SnapshotPtr, EpochImage>> published;
+  const SnapshotPtr opened = service.Pin("customer");
+  published.emplace_back(opened, EpochImage(opened->relation));
+  struct Read {
+    SnapshotPtr snap;
+    size_t cmd = 0;
+    std::string reply;
+  };
+  std::vector<std::vector<Read>> replies(kReaderSessions);
+  std::thread writer([&] {
+    SemandaqService::SessionState session;
+    auto image = [&] {
+      SnapshotPtr snap = service.Pin("customer");
+      published.emplace_back(snap, EpochImage(snap->relation));
+    };
+    for (size_t round = 0; round < kWriterRounds; ++round) {
+      EXPECT_TRUE(service.AppendBatch("customer", batch(round)).ok());
+      image();
+      EXPECT_NE(run(&service, &session, "clean customer").find("candidate repair"),
+                std::string::npos);
+      EXPECT_NE(run(&service, &session, "apply").find("applied"), std::string::npos);
+      image();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaderSessions; ++r) {
+    readers.emplace_back([&, r] {
+      SemandaqService::SessionState session;
+      for (size_t pass = 0; pass < kPasses; ++pass) {
+        for (size_t k = 0; k < reads.size(); ++k) {
+          const size_t cmd = (k + r) % reads.size();
+          SnapshotPtr before = service.Pin("customer");
+          std::string reply = run(&service, &session, reads[cmd]);
+          // The reply is attributable when no epoch was published around it.
+          if (service.Pin("customer")->epoch == before->epoch) {
+            replies[r].push_back({std::move(before), cmd, std::move(reply)});
+          }
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+
+  // Serial runs on the same epochs: a fresh service over a copy of each.
+  const SnapshotPtr gold_snap = service.Pin("customer_gold");
+  size_t compared = 0;
+  for (const auto& per_reader : replies) {
+    for (const Read& read : per_reader) {
+      SemandaqService serial;
+      SemandaqService::SessionState session;
+      ASSERT_OK(serial.system_unsynchronized().Connect(read.snap->relation.Clone()));
+      ASSERT_OK(serial.system_unsynchronized().Connect(gold_snap->relation.Clone()));
+      ASSERT_NE(serial.Pin("customer"), nullptr);  // publishes both for `sql`
+      ASSERT_NE(serial.Pin("customer_gold"), nullptr);
+      for (const std::string& cfd : cfds) run(&serial, &session, cfd);
+      EXPECT_EQ(read.reply, run(&serial, &session, reads[read.cmd]))
+          << reads[read.cmd] << " on epoch " << read.snap->epoch;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 0u);
+  ASSERT_EQ(published.size(), 1 + 2 * kWriterRounds);
+  for (const auto& [snap, image] : published) {
+    EXPECT_TRUE(EpochImage(snap->relation) == image) << "epoch " << snap->epoch;
   }
 }
 

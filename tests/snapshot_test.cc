@@ -1,14 +1,17 @@
 // The persistent columnar store (src/storage): snapshot round-trips must be
 // lossless — same schema, same TupleIds (tombstones included), byte-identical
 // code columns — and detection over a loaded snapshot must be *exactly* the
-// detection over the original in-memory relation. Engines adopt the codes a
+// detection over the original in-memory relation. Engines read the codes a
 // loaded relation (or a published epoch, or a clone of one) carries, and
 // never write them. The corruption paths
 // (manifest, sections, truncation, WAL) must come back as IoError, never as
 // quietly wrong data.
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,10 +85,8 @@ void ExpectTablesEqual(const ViolationTable& a, const ViolationTable& b) {
   }
 }
 
-ViolationTable Detect(const Relation& rel, const std::vector<cfd::Cfd>& cfds,
-                      const EncodedRelation* warm = nullptr) {
+ViolationTable Detect(const Relation& rel, const std::vector<cfd::Cfd>& cfds) {
   NativeDetector detector(&rel, cfds);
-  if (warm != nullptr) detector.set_encoded(warm);
   auto table = detector.Detect();
   EXPECT_TRUE(table.ok()) << table.status().ToString();
   return table.ok() ? std::move(*table) : ViolationTable{};
@@ -99,7 +100,7 @@ void ExpectLosslessRoundTrip(const Relation& rel, const std::string& cfd_text,
   const std::string path = TempPath("roundtrip_" + tag + ".sdq");
   const EncodedRelation enc(&rel);
   ASSERT_OK_AND_ASSIGN(SnapshotStats stats,
-                       SnapshotWriter::Write(rel, enc, path));
+                       SnapshotWriter::Write(rel, path));
   EXPECT_EQ(stats.live_rows, rel.size());
   EXPECT_EQ(stats.id_bound, static_cast<uint64_t>(rel.IdBound()));
 
@@ -120,12 +121,10 @@ void ExpectLosslessRoundTrip(const Relation& rel, const std::string& cfd_text,
     }
   }
 
-  // The loaded relation carries its code columns; adopting them yields
-  // byte-identical code columns and value-identical dictionaries.
-  ASSERT_TRUE(loaded.relation.has_columns());
+  // The loaded relation's code columns are byte-identical and its
+  // dictionaries value-identical.
   const EncodedRelation adopted(&loaded.relation);
   ASSERT_EQ(adopted.num_columns(), rel.schema().size());
-  EXPECT_TRUE(adopted.InSync());
   for (size_t c = 0; c < rel.schema().size(); ++c) {
     EXPECT_EQ(adopted.column(c), enc.column(c)) << "column " << c;
     EXPECT_EQ(adopted.dictionary(c).values(), enc.dictionary(c).values())
@@ -133,13 +132,10 @@ void ExpectLosslessRoundTrip(const Relation& rel, const std::string& cfd_text,
   }
 
   // Detection over the loaded snapshot is exactly detection over the
-  // original (encoded from rows) — through the attached adopted form and
-  // through the detector's own adoption.
+  // original.
   if (!cfd_text.empty()) {
     const auto cfds = Parse(cfd_text);
-    const ViolationTable original = Detect(rel, cfds);
-    ExpectTablesEqual(original, Detect(loaded.relation, cfds, &adopted));
-    ExpectTablesEqual(original, Detect(loaded.relation, cfds));
+    ExpectTablesEqual(Detect(rel, cfds), Detect(loaded.relation, cfds));
   }
 }
 
@@ -217,6 +213,110 @@ TEST(SnapshotTest, TypedValuesRoundTrip) {
   ExpectLosslessRoundTrip(rel, "typed: [NAME, N] -> [X]", "typed");
 }
 
+/// Same type and payload, and for doubles the same sign bit (operator==
+/// takes 0.0 and -0.0 for one value).
+bool SameCell(const Value& a, const Value& b) {
+  if (a.type() != b.type() || !(a == b)) return false;
+  return a.type() != relational::DataType::kDouble ||
+         std::signbit(a.AsDouble()) == std::signbit(b.AsDouble());
+}
+
+/// Every live cell of `rel` reads back exactly as `want` (nullopt = dead).
+void ExpectCells(const Relation& rel, const std::vector<std::optional<Row>>& want,
+                 const std::string& where) {
+  ASSERT_EQ(rel.IdBound(), static_cast<TupleId>(want.size())) << where;
+  for (size_t tid = 0; tid < want.size(); ++tid) {
+    const TupleId t = static_cast<TupleId>(tid);
+    ASSERT_EQ(rel.IsLive(t), want[tid].has_value()) << where << " tid " << tid;
+    if (!want[tid]) continue;
+    for (size_t c = 0; c < want[tid]->size(); ++c) {
+      EXPECT_TRUE(SameCell(rel.cell(t, c), (*want[tid])[c]))
+          << where << " cell (" << tid << ", " << c << "): "
+          << rel.cell(t, c).ToDisplayString() << " vs "
+          << (*want[tid])[c].ToDisplayString();
+    }
+  }
+}
+
+// Codes are the only copy of every value: int, double and string cells
+// (empty and unicode strings included) and NULLs read back with their type
+// and payload after inserts, overwrites and deletes, through a copy, a
+// save and open, and a WAL replay.
+TEST(TypedValuesTest, CellsReadBackExactlyThroughEveryPath) {
+  const Schema schema({{"S", relational::DataType::kString, {}},
+                       {"I", relational::DataType::kInt, {}},
+                       {"D", relational::DataType::kDouble, {}}});
+  std::vector<std::optional<Row>> want = {
+      Row{Value::String("a"), Value::Int(0), Value::Double(1.5)},
+      Row{Value::String(""), Value::Int(-7), Value::Double(-0.25)},
+      Row{Value::String("Z\xC3\xBCrich \xF0\x9F\x9A\x80"),
+          Value::Int(INT64_MAX), Value::Double(1e300)},
+      Row{Value::Null(), Value::Null(), Value::Null()},
+      Row{Value::String("1"), Value::Int(INT64_MIN), Value::Double(-1e-300)},
+  };
+  Relation rel("typed", schema);
+  for (const auto& row : want) rel.MustInsert(*row);
+  auto set = [&](Relation* r, TupleId tid, size_t col, Value v) {
+    ASSERT_OK(r->SetCell(tid, col, v));
+    (*want[static_cast<size_t>(tid)])[col] = std::move(v);
+  };
+  set(&rel, 0, 1, Value::Int(42));
+  set(&rel, 0, 2, Value::Null());
+  set(&rel, 3, 0, Value::String(""));
+  set(&rel, 3, 2, Value::Double(2.5));
+  set(&rel, 4, 1, Value::Int(0));
+  ASSERT_OK(rel.Delete(2));
+  want[2].reset();
+  ExpectCells(rel, want, "in memory");
+
+  // A copy reads the same, and its writes never show in the original.
+  Relation copy = rel;
+  ExpectCells(copy, want, "copy");
+  ASSERT_OK(copy.SetCell(1, 0, Value::String("copy only")));
+  ASSERT_OK(copy.SetCell(1, 1, Value::Int(-7000)));
+  ExpectCells(rel, want, "original after copy writes");
+
+  // Save, then journal more writes through the WAL; open replays them.
+  const std::string path = TempPath("typed_values.sdq");
+  core::Semandaq sys;
+  ASSERT_OK(sys.Connect(rel.Clone()));
+  ASSERT_OK(sys.SaveRelation("typed", path).status());
+  ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, SnapshotReader::Read(path));
+  ExpectCells(loaded.relation, want, "save/open");
+  Relation* master = sys.database().FindMutableRelation("typed");
+  const Row fresh{Value::String("\xE6\x9D\xB1"), Value::Int(-1), Value::Double(0.125)};
+  ASSERT_OK(master->Insert(fresh).status());
+  want.emplace_back(fresh);
+  set(master, 1, 2, Value::Double(-3.5));
+  set(master, 5, 0, Value::String(""));
+  set(master, 4, 2, Value::Null());
+  ASSERT_OK(master->Delete(0));
+  want[0].reset();
+  ExpectCells(*master, want, "master");
+  ASSERT_OK_AND_ASSIGN(auto opened, sys.OpenRelation("typed2", path));
+  EXPECT_EQ(opened.wal_records, 5u);
+  ExpectCells(*sys.database().FindRelation("typed2"), want, "WAL replay");
+}
+
+// Value::operator== and std::hash<double> take 0.0 and -0.0 for one value,
+// so a column's dictionary holds one entry for both: a column holding both
+// reads back the one it saw first, wherever the other was written.
+TEST(TypedValuesTest, SignedZerosShareTheFirstSeenEntry) {
+  Relation rel("z", Schema({{"D", relational::DataType::kDouble, {}}}));
+  rel.MustInsert({Value::Double(0.0)});
+  rel.MustInsert({Value::Double(-0.0)});
+  ASSERT_OK(rel.SetCell(0, 0, Value::Double(-0.0)));
+  for (TupleId tid = 0; tid < 2; ++tid) {
+    EXPECT_TRUE(SameCell(rel.cell(tid, 0), Value::Double(0.0))) << "tid " << tid;
+  }
+  Relation neg("n", Schema({{"D", relational::DataType::kDouble, {}}}));
+  neg.MustInsert({Value::Double(-0.0)});
+  neg.MustInsert({Value::Double(0.0)});
+  for (TupleId tid = 0; tid < 2; ++tid) {
+    EXPECT_TRUE(SameCell(neg.cell(tid, 0), Value::Double(-0.0))) << "tid " << tid;
+  }
+}
+
 TEST(SnapshotTest, MinerOutputIdenticalOnLoadedSnapshot) {
   workload::CustomerWorkloadOptions opts;
   opts.num_tuples = 200;
@@ -224,8 +324,7 @@ TEST(SnapshotTest, MinerOutputIdenticalOnLoadedSnapshot) {
   auto wl = workload::CustomerGenerator::Generate(opts);
 
   const std::string path = TempPath("miner.sdq");
-  const EncodedRelation enc(&wl.dirty);
-  ASSERT_OK_AND_ASSIGN(auto stats, SnapshotWriter::Write(wl.dirty, enc, path));
+  ASSERT_OK_AND_ASSIGN(auto stats, SnapshotWriter::Write(wl.dirty, path));
   (void)stats;
   ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, SnapshotReader::Read(path));
 
@@ -241,24 +340,12 @@ TEST(SnapshotTest, MinerOutputIdenticalOnLoadedSnapshot) {
   }
 }
 
-TEST(SnapshotTest, WriterRejectsStaleOrForeignEncoded) {
-  Relation rel = semandaq::testing::PaperCustomerRelation();
-  EncodedRelation enc(&rel);
-  rel.MustInsert(rel.row(0));  // the snapshot is now stale
-  EXPECT_FALSE(SnapshotWriter::Write(rel, enc, TempPath("stale.sdq")).ok());
-
-  Relation other = semandaq::testing::PaperCustomerRelation();
-  const EncodedRelation other_enc(&other);
-  EXPECT_FALSE(SnapshotWriter::Write(rel, other_enc, TempPath("foreign.sdq")).ok());
-}
-
 // ---------------------------------------------------------------- corruption
 
 /// Saves the paper customer relation and hands back the raw snapshot bytes.
 std::string WriteCustomerSnapshot(const std::string& path) {
   Relation rel = semandaq::testing::PaperCustomerRelation();
-  const EncodedRelation enc(&rel);
-  auto stats = SnapshotWriter::Write(rel, enc, path);
+  auto stats = SnapshotWriter::Write(rel, path);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   auto bytes = common::ReadFileToString(path);
   EXPECT_TRUE(bytes.ok());
@@ -335,7 +422,7 @@ TEST(SnapshotCorruptionTest, TruncatedColumnRejected) {
 
 // ----------------------------------------------------------------------- WAL
 
-TEST(WalTest, InsertTailReplaysThroughSyncAppendPath) {
+TEST(WalTest, InsertTailReplaysThroughTheInsertPath) {
   workload::CustomerWorkloadOptions opts;
   opts.num_tuples = 120;
   opts.noise_rate = 0.1;
@@ -344,8 +431,8 @@ TEST(WalTest, InsertTailReplaysThroughSyncAppendPath) {
   const auto cfds = Parse(workload::CustomerGenerator::PaperCfds());
 
   const std::string path = TempPath("wal_insert.sdq");
-  EncodedRelation enc(&rel);
-  ASSERT_OK_AND_ASSIGN(SnapshotStats stats, SnapshotWriter::Write(rel, enc, path));
+  const EncodedRelation enc(&rel);
+  ASSERT_OK_AND_ASSIGN(SnapshotStats stats, SnapshotWriter::Write(rel, path));
 
   // Post-snapshot inserts go to the relation AND the WAL sidecar.
   ASSERT_OK_AND_ASSIGN(
@@ -357,31 +444,27 @@ TEST(WalTest, InsertTailReplaysThroughSyncAppendPath) {
     rel.MustInsert(row);
     ASSERT_OK(wal.AppendInsert(row));
   }
-  enc.Sync();  // the in-memory reference follows the ordinary append path
 
-  // Load = snapshot + WAL replay + Sync.
+  // Load = snapshot + WAL replay.
   ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, SnapshotReader::Read(path));
-  EncodedRelation adopted(&loaded.relation);
+  const EncodedRelation adopted(&loaded.relation);
   ASSERT_OK_AND_ASSIGN(
       size_t replayed,
       ReplayWal(WalPathFor(path), stats.manifest_checksum, &loaded.relation));
   EXPECT_EQ(replayed, tail.size());
-  adopted.Sync();
 
   ASSERT_EQ(loaded.relation.IdBound(), rel.IdBound());
   for (size_t c = 0; c < rel.schema().size(); ++c) {
     EXPECT_EQ(adopted.column(c), enc.column(c)) << "column " << c;
   }
-  ExpectTablesEqual(Detect(rel, cfds, &enc),
-                    Detect(loaded.relation, cfds, &adopted));
+  ExpectTablesEqual(Detect(rel, cfds), Detect(loaded.relation, cfds));
 }
 
 TEST(WalTest, DeleteAndSetCellRecordsReplay) {
   Relation rel = semandaq::testing::PaperCustomerRelation();
   const auto cfds = Parse(semandaq::testing::PaperCfdText());
   const std::string path = TempPath("wal_mutate.sdq");
-  EncodedRelation enc(&rel);
-  ASSERT_OK_AND_ASSIGN(SnapshotStats stats, SnapshotWriter::Write(rel, enc, path));
+  ASSERT_OK_AND_ASSIGN(SnapshotStats stats, SnapshotWriter::Write(rel, path));
 
   ASSERT_OK_AND_ASSIGN(
       WalWriter wal,
@@ -390,27 +473,22 @@ TEST(WalTest, DeleteAndSetCellRecordsReplay) {
   ASSERT_OK(wal.AppendDelete(4));
   ASSERT_OK(rel.SetCell(6, 1, Value::String("UK")));
   ASSERT_OK(wal.AppendSetCell(6, 1, Value::String("UK")));
-  enc.Sync();
 
   ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, SnapshotReader::Read(path));
-  EncodedRelation adopted(&loaded.relation);
   ASSERT_OK_AND_ASSIGN(
       size_t replayed,
       ReplayWal(WalPathFor(path), stats.manifest_checksum, &loaded.relation));
   EXPECT_EQ(replayed, 2u);
-  adopted.Sync();
 
   EXPECT_FALSE(loaded.relation.IsLive(4));
   EXPECT_EQ(loaded.relation.cell(6, 1), Value::String("UK"));
-  ExpectTablesEqual(Detect(rel, cfds, &enc),
-                    Detect(loaded.relation, cfds, &adopted));
+  ExpectTablesEqual(Detect(rel, cfds), Detect(loaded.relation, cfds));
 }
 
 TEST(WalTest, TornTailIsDroppedCorruptMiddleIsNot) {
   Relation rel = semandaq::testing::PaperCustomerRelation();
   const std::string path = TempPath("wal_torn.sdq");
-  EncodedRelation enc(&rel);
-  ASSERT_OK_AND_ASSIGN(SnapshotStats stats, SnapshotWriter::Write(rel, enc, path));
+  ASSERT_OK_AND_ASSIGN(SnapshotStats stats, SnapshotWriter::Write(rel, path));
   const std::string wal_path = WalPathFor(path);
   {
     ASSERT_OK_AND_ASSIGN(
@@ -456,8 +534,7 @@ TEST(WalTest, TornTailIsDroppedCorruptMiddleIsNot) {
 TEST(WalTest, StampMismatchRejected) {
   Relation rel = semandaq::testing::PaperCustomerRelation();
   const std::string path = TempPath("wal_stamp.sdq");
-  const EncodedRelation enc(&rel);
-  ASSERT_OK_AND_ASSIGN(SnapshotStats stats, SnapshotWriter::Write(rel, enc, path));
+  ASSERT_OK_AND_ASSIGN(SnapshotStats stats, SnapshotWriter::Write(rel, path));
 
   // Appending under a foreign stamp is never allowed, even while empty.
   EXPECT_FALSE(
@@ -500,13 +577,10 @@ TEST(SemandaqStorageTest, SaveOpenDetectMatchesInMemory) {
   ASSERT_OK(sys.constraints().AddCfdsFromText(semandaq::testing::PaperCfdText()));
   ASSERT_OK_AND_ASSIGN(auto saved, sys.SaveRelation("customer", path));
   EXPECT_EQ(saved.live_rows, 7u);
-  // Saving warms the facade's snapshot for subsequent detections.
-  ASSERT_NE(sys.WarmSnapshot("customer"), nullptr);
 
   ASSERT_OK_AND_ASSIGN(auto opened, sys.OpenRelation("customer2", path));
   EXPECT_EQ(opened.live_rows, 7u);
   EXPECT_EQ(opened.wal_records, 0u);
-  ASSERT_NE(sys.WarmSnapshot("customer2"), nullptr);
 
   ASSERT_OK(sys.constraints().AddCfdsFromText(
       "customer2: [CNT=UK, ZIP=_] -> [STR=_]\n"
@@ -518,7 +592,7 @@ TEST(SemandaqStorageTest, SaveOpenDetectMatchesInMemory) {
   // A taken name or a missing file must fail without side effects.
   EXPECT_FALSE(sys.OpenRelation("customer", path).ok());
   EXPECT_FALSE(sys.OpenRelation("nope", TempPath("missing.sdq")).ok());
-  EXPECT_EQ(sys.WarmSnapshot("nope"), nullptr);
+  EXPECT_FALSE(sys.database().HasRelation("nope"));
 }
 
 TEST(SemandaqStorageTest, WarmSnapshotSurvivesRepairCycle) {
@@ -529,23 +603,24 @@ TEST(SemandaqStorageTest, WarmSnapshotSurvivesRepairCycle) {
   ASSERT_OK_AND_ASSIGN(auto saved, sys.SaveRelation("customer", path));
   (void)saved;
 
-  // Repairs overwrite cells in place; the warm snapshot must resync (full
-  // rebuild) rather than serve stale codes: the warm detection must match a
-  // cold re-encode of the repaired relation exactly.
+  // Repairs overwrite cells in place; the facade's detection after the
+  // apply must match a detection of a row-for-row copy of the repaired
+  // relation exactly.
   ASSERT_OK_AND_ASSIGN(auto repair, sys.Clean("customer"));
   ASSERT_OK(sys.ApplyRepair("customer", repair));
   ASSERT_OK_AND_ASSIGN(auto warm_detect, sys.DetectErrors("customer"));
   const Relation* rel = sys.database().FindRelation("customer");
   ASSERT_NE(rel, nullptr);
-  ExpectTablesEqual(Detect(*rel, Parse(semandaq::testing::PaperCfdText())),
+  Relation rows{rel->name(), rel->schema()};
+  rel->ForEach([&](TupleId, const Row& row) { rows.MustInsert(row); });
+  ExpectTablesEqual(Detect(rows, Parse(semandaq::testing::PaperCfdText())),
                     warm_detect);
 }
 
 // ----------------------------------------------------------------- adoption
 
 /// A saved-and-reopened customer workload with tombstones, so the file
-/// holds dictionary codes only dead tuples used (a fresh encode of the live
-/// rows would not issue them).
+/// holds dictionary codes only dead tuples use.
 LoadedSnapshot OpenedCustomer(const std::string& tag) {
   workload::CustomerWorkloadOptions opts;
   opts.num_tuples = 400;
@@ -555,8 +630,7 @@ LoadedSnapshot OpenedCustomer(const std::string& tag) {
     EXPECT_OK(wl.dirty.Delete(tid));
   }
   const std::string path = TempPath("adopt_" + tag + ".sdq");
-  const EncodedRelation enc(&wl.dirty);
-  EXPECT_OK(SnapshotWriter::Write(wl.dirty, enc, path).status());
+  EXPECT_OK(SnapshotWriter::Write(wl.dirty, path).status());
   auto loaded = SnapshotReader::Read(path);
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
   return std::move(*loaded);
@@ -576,14 +650,11 @@ CodeImage(const EncodedRelation& enc) {
 TEST(AdoptionTest, OpenedRelationEpochAndCloneShareTheirChunks) {
   LoadedSnapshot loaded = OpenedCustomer("share");
   const Relation& rel = loaded.relation;
-  ASSERT_TRUE(rel.has_columns());
   const EncodedRelation opened(&rel);
-  ASSERT_TRUE(opened.InSync());
 
   const server::SnapshotPtr epoch = server::BuildRelationSnapshot(rel, opened, 1);
   const EncodedRelation on_epoch(&epoch->relation);
   const Relation clone = epoch->relation.Clone();
-  ASSERT_TRUE(clone.has_columns());
   const EncodedRelation on_clone(&clone);
   for (size_t c = 0; c < rel.schema().size(); ++c) {
     const Code* chunk = rel.columns()[c].data();
@@ -593,31 +664,29 @@ TEST(AdoptionTest, OpenedRelationEpochAndCloneShareTheirChunks) {
     EXPECT_EQ(on_clone.column(c).data(), chunk) << "column " << c;
     EXPECT_EQ(&on_clone.dictionary(c), &opened.dictionary(c)) << "column " << c;
   }
-  // Adoption never hydrates: the rows decode from the same chunks later.
+  // The rows decode from the same chunks.
   EXPECT_EQ(clone.row(1), rel.row(1));
 }
 
-TEST(AdoptionTest, MutatedRelationReencodes) {
+TEST(AdoptionTest, MutatedRelationReadsBackARowForRowReference) {
   LoadedSnapshot loaded = OpenedCustomer("mutate");
   const Relation& rel = loaded.relation;
   const auto cfds = Parse(workload::CustomerGenerator::PaperCfds());
 
   Relation rewritten = rel.Clone();
   ASSERT_OK(rewritten.SetCell(1, 0, Value::String("rewritten")));
-  EXPECT_FALSE(rewritten.has_columns());
-  EXPECT_TRUE(rewritten.columns().empty());  // mutated and hydrated: dropped
+  ASSERT_OK(rewritten.SetCell(2, 1, rel.cell(4, 1)));
+  EXPECT_NE(rewritten.columns()[0].data(), rel.columns()[0].data());
   Relation appended = rel.Clone();
   appended.MustInsert(rel.row(1));
-  EXPECT_FALSE(appended.has_columns());
+  Row fresh = rel.row(2);
+  fresh[0] = Value::String("fresh");  // a value new to the column
+  fresh[1] = Value::Null();
+  ASSERT_OK(appended.Insert(std::move(fresh)).status());
 
   for (const Relation* mutated : {&rewritten, &appended}) {
-    const EncodedRelation enc(mutated);
-    EXPECT_TRUE(enc.InSync());
-    for (size_t c = 0; c < rel.schema().size(); ++c) {
-      EXPECT_NE(enc.column(c).data(), rel.columns()[c].data()) << "column " << c;
-    }
-    EXPECT_EQ(enc.Decode(0, enc.code(1, 0)), mutated->cell(1, 0));
-    // The re-encode detects exactly what a row-built copy does.
+    // A row-for-row reference: the mutated relation's rows inserted into a
+    // fresh relation, tombstones included.
     Relation rows{mutated->name(), mutated->schema()};
     for (TupleId tid = 0; tid < mutated->IdBound(); ++tid) {
       rows.MustInsert(mutated->IsLive(tid) ? mutated->row(tid) : rel.row(1));
@@ -625,8 +694,15 @@ TEST(AdoptionTest, MutatedRelationReencodes) {
     for (TupleId tid = 0; tid < mutated->IdBound(); ++tid) {
       if (!mutated->IsLive(tid)) ASSERT_OK(rows.Delete(tid));
     }
+    for (TupleId tid = 0; tid < mutated->IdBound(); ++tid) {
+      if (!mutated->IsLive(tid)) continue;
+      EXPECT_EQ(mutated->row(tid), rows.row(tid)) << "tid " << tid;
+    }
     ExpectTablesEqual(Detect(rows, cfds), Detect(*mutated, cfds));
   }
+  EXPECT_EQ(rewritten.cell(1, 0), Value::String("rewritten"));
+  // The source relation is untouched.
+  EXPECT_NE(rel.cell(1, 0), Value::String("rewritten"));
 }
 
 TEST(AdoptionTest, RepairAndMiningLeaveTheEpochUntouched) {
@@ -647,7 +723,6 @@ TEST(AdoptionTest, RepairAndMiningLeaveTheEpochUntouched) {
   ASSERT_OK_AND_ASSIGN(std::vector<cfd::Cfd> mined, miner.Mine());
   EXPECT_FALSE(mined.empty());
 
-  EXPECT_TRUE(epoch->relation.has_columns());
   EXPECT_EQ(CodeImage(*epoch->encoded), before);
   EXPECT_EQ(CodeImage(EncodedRelation(&epoch->relation)), before);
 }

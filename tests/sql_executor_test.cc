@@ -246,6 +246,24 @@ TEST_F(SqlExecutorTest, StringsAreNotBooleans) {
   EXPECT_FALSE(engine.Query("SELECT * FROM customer WHERE NAME").ok());
 }
 
+// A FROM table's own attribute named __tid wins over the pseudo-column;
+// a table without one still exposes its tuple ids under that name.
+TEST_F(SqlExecutorTest, AttributeNamedTidHidesThePseudoColumn) {
+  ASSERT_OK(db_.AddRelation(semandaq::testing::MakeStringRelation(
+      "t", {"A", "__tid"}, {{"x", "1"}, {"x", "2"}, {"y", "3"}})));
+  for (const char* sql : {"SELECT __tid FROM t", "SELECT t.__tid FROM t"}) {
+    Relation r = Run(sql);
+    ASSERT_EQ(r.size(), 3u) << sql;
+    EXPECT_EQ(r.cell(0, 0), Value::String("1")) << sql;
+    EXPECT_EQ(r.cell(1, 0), Value::String("2")) << sql;
+    EXPECT_EQ(r.cell(2, 0), Value::String("3")) << sql;
+  }
+  Relation ids = Run("SELECT __tid FROM customer WHERE CNT = 'UK'");
+  ASSERT_EQ(ids.size(), 3u);
+  EXPECT_EQ(ids.cell(0, 0), Value::Int(0));
+  EXPECT_EQ(ids.cell(2, 0), Value::Int(2));
+}
+
 TEST_F(SqlExecutorTest, DeadTuplesInvisible) {
   relational::Relation* rel = db_.FindMutableRelation("customer");
   ASSERT_OK(rel->Delete(0));

@@ -56,8 +56,8 @@ class SqlProperty
  protected:
   uint64_t Seed() const { return std::get<0>(GetParam()); }
 
-  /// Registers `rel` in `db` as generated, or as its column-backed twin:
-  /// saved as a snapshot and reopened, so the executor adopts its codes.
+  /// Registers `rel` in `db` as generated, or as its reopened twin: saved
+  /// as a snapshot and reopened, so the executor reads the loaded codes.
   /// Returns the generated relation, the reference's input.
   const Relation* Serve(Database* db, Relation rel) {
     generated_.push_back(std::make_unique<Relation>(std::move(rel)));
@@ -68,11 +68,9 @@ class SqlProperty
     }
     const std::string path = ::testing::TempDir() + "/sql_property_" +
                              ref.name() + "_" + std::to_string(Seed()) + ".sdq";
-    const relational::EncodedRelation enc(&ref);
-    EXPECT_OK(storage::SnapshotWriter::Write(ref, enc, path).status());
+    EXPECT_OK(storage::SnapshotWriter::Write(ref, path).status());
     auto loaded = storage::SnapshotReader::Read(path);
     EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_TRUE(loaded->relation.has_columns());
     EXPECT_OK(db->AddRelation(std::move(loaded->relation)));
     return &ref;
   }
