@@ -1,8 +1,10 @@
 #include "audit/metrics.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/simd/simd.h"
+#include "detect/pattern_scan.h"
 #include "relational/encoded_relation.h"
 
 namespace semandaq::audit {
@@ -17,7 +19,6 @@ using relational::EncodedRelation;
 using relational::kAbsentCode;
 using relational::kNullCode;
 using relational::TupleId;
-using relational::Value;
 
 namespace simd = common::simd;
 
@@ -140,8 +141,9 @@ common::Result<AuditOutcome> DataAuditor::Audit(const ViolationTable& table) {
 
   // Confirmations: the live tuples whose codes equal a constant-RHS row's
   // RHS constant and LHS constants, found with the detector's kernels in
-  // one pass over the code columns per row. A NULL or absent constant
-  // matches no cell, so its row confirms nothing.
+  // one pass over the code columns per row. A row that selects no tuple
+  // confirms nothing, and neither does a NULL or absent RHS constant, which
+  // no cell holds.
   const simd::Kernels& kn = simd::KernelsFor();
   std::vector<uint64_t> live_mask(simd::MaskWords(bound));
   kn.MaskLive(live, nullptr, 0, kNullCode, bound, live_mask.data());
@@ -152,19 +154,17 @@ common::Result<AuditOutcome> DataAuditor::Audit(const ViolationTable& table) {
   for (const Cfd& c : cfds_) {
     for (const PatternTuple& pt : c.tableau()) {
       if (!pt.is_constant_rhs()) continue;
-      cols.clear();
-      col_codes.clear();
-      codes.clear();
-      const auto require = [&](size_t col, const Value& v) {
-        cols.push_back(col);
-        col_codes.push_back(enc.column(col).data());
-        codes.push_back(v.is_null() ? kAbsentCode : enc.dictionary(col).Lookup(v));
-      };
-      require(c.rhs_col(), pt.rhs.constant());
-      for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-        if (pt.lhs[i].is_constant()) require(c.lhs_cols()[i], pt.lhs[i].constant());
+      const std::optional<detect::CompiledPattern> cp =
+          detect::CompilePattern(enc, c, pt);
+      if (!cp || cp->rhs_code == kNullCode || cp->rhs_code == kAbsentCode) continue;
+      cols.assign(1, c.rhs_col());
+      codes.assign(1, cp->rhs_code);
+      for (const auto& [pos, code] : cp->lhs_consts) {
+        cols.push_back(c.lhs_cols()[pos]);
+        codes.push_back(code);
       }
-      if (std::find(codes.begin(), codes.end(), kAbsentCode) != codes.end()) continue;
+      col_codes.clear();
+      for (size_t col : cols) col_codes.push_back(enc.column(col).data());
       mask = live_mask;
       kn.FilterEqMulti32(col_codes.data(), codes.data(), cols.size(), bound, mask.data());
       simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t t) {

@@ -25,6 +25,8 @@ class PatternValue {
 
   bool is_wildcard() const { return wildcard_; }
   bool is_constant() const { return !wildcard_; }
+  /// The constant NULL, which matches no tuple value.
+  bool is_null_constant() const { return !wildcard_ && constant_.is_null(); }
 
   /// The constant; only valid when is_constant().
   const relational::Value& constant() const { return constant_; }

@@ -44,18 +44,23 @@ common::Status TableauStore::Store(const std::vector<Cfd>& cfds,
         relational::AttributeDef{"__cfd_id", DataType::kInt, {}}));
     SEMANDAQ_RETURN_IF_ERROR(schema.AddAttribute(
         relational::AttributeDef{"__pattern_id", DataType::kInt, {}}));
+    SEMANDAQ_RETURN_IF_ERROR(schema.AddAttribute(
+        relational::AttributeDef{kNullConstColumn, DataType::kInt, {}}));
 
     Relation tableau{name, schema};
     for (const auto& [ci, pi] : g.members) {
       const PatternTuple& pt = cfds[ci].tableau()[pi];
+      int64_t marker = pt.rhs.is_null_constant() ? 2 : 0;
       Row row;
-      row.reserve(g.lhs_attrs.size() + 3);
+      row.reserve(g.lhs_attrs.size() + 4);
       for (const PatternValue& pv : pt.lhs) {
+        if (pv.is_null_constant()) marker = 1;
         row.push_back(pv.is_wildcard() ? Value::Null() : pv.constant());
       }
       row.push_back(pt.rhs.is_wildcard() ? Value::Null() : pt.rhs.constant());
       row.push_back(Value::Int(static_cast<int64_t>(ci)));
       row.push_back(Value::Int(static_cast<int64_t>(pi)));
+      row.push_back(Value::Int(marker));
       auto ins = tableau.Insert(std::move(row));
       if (!ins.ok()) return ins.status();
     }
@@ -88,15 +93,21 @@ common::Result<std::vector<Cfd>> TableauStore::Load(const relational::Database& 
       return;
     }
     std::vector<PatternTuple> tableau;
+    // Tableaux stored before the marker existed hold wildcards only.
+    const int marker_col = tab->schema().IndexOf(kNullConstColumn);
+    // A stored NULL is a constant where the marker says so.
+    const auto entry = [](const Value& v, bool null_is_constant) {
+      return v.is_null() && !null_is_constant ? PatternValue::Wildcard()
+                                              : PatternValue::Constant(v);
+    };
     tab->ForEach([&](relational::TupleId, const Row& trow) {
+      const int64_t marker =
+          marker_col < 0 ? 0 : trow[static_cast<size_t>(marker_col)].AsInt();
       PatternTuple pt;
       for (size_t i = 0; i < lhs_attrs.size(); ++i) {
-        pt.lhs.push_back(trow[i].is_null()
-                             ? PatternValue::Wildcard()
-                             : PatternValue::Constant(trow[i]));
+        pt.lhs.push_back(entry(trow[i], marker == 1));
       }
-      const Value& rv = trow[lhs_attrs.size()];
-      pt.rhs = rv.is_null() ? PatternValue::Wildcard() : PatternValue::Constant(rv);
+      pt.rhs = entry(trow[lhs_attrs.size()], marker == 2);
       tableau.push_back(std::move(pt));
     });
     out.emplace_back(target, std::move(lhs_attrs), rhs_attr, std::move(tableau));

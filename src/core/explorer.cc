@@ -1,11 +1,13 @@
 #include "core/explorer.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/simd/simd.h"
+#include "detect/pattern_scan.h"
 #include "relational/encoded_relation.h"
 
 namespace semandaq::core {
@@ -14,7 +16,6 @@ using cfd::Cfd;
 using cfd::PatternTuple;
 using common::Status;
 using relational::Code;
-using relational::kAbsentCode;
 using relational::kNullCode;
 using relational::Row;
 using relational::RowEq;
@@ -59,20 +60,17 @@ std::vector<uint64_t> DataExplorer::MatchMask(
 
 std::vector<uint64_t> DataExplorer::PatternMask(const Cfd& c,
                                                 const PatternTuple& pt) const {
-  // PatternValue::Matches on codes: a wildcard matches every cell, NULL
-  // included; a constant only a non-NULL cell holding it, so a NULL
-  // constant matches nothing and a constant absent from the dictionary
-  // (kAbsentCode) matches no code.
+  const std::optional<detect::CompiledPattern> cp =
+      detect::CompilePattern(relational::EncodedRelation(rel_), c, pt);
+  if (!cp) {
+    return std::vector<uint64_t>(
+        simd::MaskWords(static_cast<size_t>(rel_->IdBound())));
+  }
   std::vector<size_t> cols;
   std::vector<Code> codes;
-  for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-    if (pt.lhs[i].is_wildcard()) continue;
-    const Value& constant = pt.lhs[i].constant();
-    const size_t col = c.lhs_cols()[i];
-    cols.push_back(col);
-    codes.push_back(constant.is_null()
-                        ? kAbsentCode
-                        : rel_->dictionaries()[col]->Lookup(constant));
+  for (const auto& [pos, code] : cp->lhs_consts) {
+    cols.push_back(c.lhs_cols()[pos]);
+    codes.push_back(code);
   }
   return MatchMask(cols, codes);
 }

@@ -10,25 +10,32 @@ using cfd::PatternTuple;
 using common::Status;
 using relational::Code;
 using relational::kNullCode;
-using relational::Row;
 using relational::TupleId;
 using relational::Update;
 using relational::UpdateBatch;
-using relational::Value;
 
-void IncrementalDetector::Bucket::AddRhs(const Value& v) {
-  if (v.is_null()) return;
-  if (++rhs_counts[v] == 1) ++distinct_nonnull;
+void IncrementalDetector::Bucket::AddRhs(Code c) {
+  if (c == kNullCode) {
+    ++null_rhs;
+  } else {
+    ++rhs_counts[c];
+  }
 }
 
-void IncrementalDetector::Bucket::RemoveRhs(const Value& v) {
-  if (v.is_null()) return;
-  auto it = rhs_counts.find(v);
-  if (it == rhs_counts.end()) return;
-  if (--it->second == 0) {
-    rhs_counts.erase(it);
-    --distinct_nonnull;
+void IncrementalDetector::Bucket::RemoveRhs(Code c) {
+  if (c == kNullCode) {
+    --null_rhs;
+    return;
   }
+  auto it = rhs_counts.find(c);
+  assert(it != rhs_counts.end());
+  if (--it->second == 0) rhs_counts.erase(it);
+}
+
+int64_t IncrementalDetector::Bucket::SameRhs(Code c) const {
+  if (c == kNullCode) return null_rhs;
+  auto it = rhs_counts.find(c);
+  return it == rhs_counts.end() ? 0 : it->second;
 }
 
 common::Status IncrementalDetector::Initialize() {
@@ -36,185 +43,74 @@ common::Status IncrementalDetector::Initialize() {
   groups_.clear();
   singles_.clear();
 
+  // Constants are *interned* into the relation's dictionaries first, in
+  // group and member order: that reserves a stable code even for values
+  // the data does not contain yet, which a later insert of the value
+  // reuses, so the compiled rows match it. A NULL LHS constant ends its
+  // row, which selects no tuple.
   const auto fd_groups = cfd::GroupByEmbeddedFd(cfds_);
-  groups_.reserve(fd_groups.size());
   for (const auto& g : fd_groups) {
-    GroupState gs;
-    const Cfd& first = cfds_[g.members.front().first];
-    gs.lhs_cols = first.lhs_cols();
-    gs.rhs_col = first.rhs_col();
-    for (const auto& member : g.members) {
-      const auto& [ci, pi] = member;
-      const PatternTuple& pt = cfds_[ci].tableau()[pi];
-      // Compile the row to codes. Constants are *interned* into the
-      // relation's dictionaries (not looked up): that reserves a stable
-      // code even for values the data does not contain yet, which a later
-      // insert of the value reuses, so it matches.
-      CompiledRow cr;
-      cr.ci = ci;
-      cr.pi = pi;
-      bool feasible = true;
-      for (size_t i = 0; i < gs.lhs_cols.size(); ++i) {
-        if (pt.lhs[i].is_wildcard()) continue;
-        // A NULL constant matches nothing (PatternValue::Matches rejects
-        // NULL cells), so the whole row can never apply to any tuple.
-        if (pt.lhs[i].constant().is_null()) {
-          feasible = false;
-          break;
-        }
-        cr.lhs_consts.emplace_back(
-            static_cast<uint32_t>(i),
-            rel_->Intern(gs.lhs_cols[i], pt.lhs[i].constant()));
+    for (const auto& [ci, pi] : g.members) {
+      const Cfd& c = cfds_[ci];
+      const PatternTuple& pt = c.tableau()[pi];
+      size_t i = 0;
+      for (; i < pt.lhs.size() && !pt.lhs[i].is_null_constant(); ++i) {
+        if (pt.lhs[i].is_constant()) rel_->Intern(c.lhs_cols()[i], pt.lhs[i].constant());
       }
-      if (!feasible) continue;
-      if (pt.is_constant_rhs()) {
-        cr.rhs_code = rel_->Intern(gs.rhs_col, pt.rhs.constant());
-        gs.compiled_const.push_back(std::move(cr));
-      } else {
-        gs.var_rows.push_back(member);
-        gs.compiled_var.push_back(std::move(cr));
+      if (i == pt.lhs.size() && pt.rhs.is_constant()) {
+        rel_->Intern(c.rhs_col(), pt.rhs.constant());
       }
     }
-    groups_.push_back(std::move(gs));
   }
 
-  BulkEnter();
-  initialized_ = true;
-  return Status::OK();
-}
+  // One GroupState per embedded-FD group, even one whose rows all select
+  // nothing: fd_group numbers follow GroupByEmbeddedFd.
+  const common::simd::Kernels& kn = common::simd::KernelsFor(simd_level_);
+  groups_.resize(fd_groups.size());
+  for (size_t gi = 0; gi < fd_groups.size(); ++gi) {
+    GroupState& gs = groups_[gi];
+    CompileGroup(enc_, cfds_, fd_groups[gi], gi, kn, &gs.scan);
+    gs.scratch.Prepare(gs.scan);
 
-void IncrementalDetector::BulkEnter() {
-  namespace simd = common::simd;
-  const simd::Kernels& kn = simd::KernelsFor(simd_level_);
-  const size_t bound = static_cast<size_t>(rel_->IdBound());
-  if (bound == 0) return;
-  const uint8_t* live = rel_->live_data();
-  constexpr size_t kBlock = 4096;
-  const size_t max_words = simd::MaskWords(kBlock);
-  std::vector<uint64_t> livemask(max_words);  // liveness only
-  std::vector<uint64_t> rowmask(max_words);   // one compiled row's matches
-  std::vector<uint64_t> scope(max_words);     // union of var-row matches
-  std::vector<uint64_t> elig(max_words);      // live ∧ LHS non-NULL
-  std::vector<uint64_t> packed(kBlock);
-
-  // One compiled row's constant filter as flat kernel inputs.
-  struct RowFilter {
-    std::vector<const Code*> cols;
-    std::vector<Code> consts;
-  };
-
-  for (GroupState& gs : groups_) {
-    const size_t nlhs = gs.lhs_cols.size();
-    std::vector<const Code*> lhs_ptrs(nlhs);
-    for (size_t k = 0; k < nlhs; ++k) {
-      lhs_ptrs[k] = enc_.column(gs.lhs_cols[k]).data();
-    }
-    const Code* rhs_ptr = enc_.column(gs.rhs_col).data();
-    auto compile = [&](const std::vector<CompiledRow>& rows) {
-      std::vector<RowFilter> out(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        for (const auto& [pos, code] : rows[i].lhs_consts) {
-          out[i].cols.push_back(lhs_ptrs[pos]);
-          out[i].consts.push_back(code);
-        }
-      }
-      return out;
-    };
-    const std::vector<RowFilter> const_filters = compile(gs.compiled_const);
-    const std::vector<RowFilter> var_filters = compile(gs.compiled_var);
-
-    // Packed-key handle cache for narrow LHS: one uint64 hash probe per
-    // placement instead of hashing a code vector (Bucket addresses are
-    // node-stable under unordered_map growth). The vector-keyed gs.buckets
-    // stays the canonical state either way.
+    // The bulk build: the group's scan over every kernel block. Narrow
+    // keys probe a packed-key handle cache (Bucket addresses are stable
+    // under unordered_map growth) instead of hashing a code vector.
     std::unordered_map<uint64_t, Bucket*> packed_buckets;
     std::vector<Code> key;
-    std::vector<const Code*> shifted;
-    std::vector<const Code*> lhs_shifted(nlhs);
-
-    for (size_t lo = 0; lo < bound; lo += kBlock) {
-      const size_t n = std::min(kBlock, bound - lo);
-      const size_t nwords = simd::MaskWords(n);
-      if (kn.MaskLive(live + lo, nullptr, 0, kNullCode, n, livemask.data()) ==
-          0) {
-        continue;
-      }
-
-      // Single-tuple violations against constant-RHS rows: live ∧ LHS
-      // constants match ∧ RHS non-NULL ∧ RHS differs from the pattern.
-      for (size_t ri = 0; ri < const_filters.size(); ++ri) {
-        const RowFilter& f = const_filters[ri];
-        std::copy_n(livemask.data(), nwords, rowmask.data());
-        shifted.assign(f.cols.size(), nullptr);
-        for (size_t k = 0; k < f.cols.size(); ++k) shifted[k] = f.cols[k] + lo;
-        kn.FilterEqMulti32(shifted.data(), f.consts.data(), f.cols.size(), n,
-                           rowmask.data());
-        kn.MaskNeAnd32(rhs_ptr + lo, n, kNullCode, rowmask.data());
-        kn.MaskNeAnd32(rhs_ptr + lo, n, gs.compiled_const[ri].rhs_code,
-                       rowmask.data());
-        simd::ForEachSetBit(rowmask.data(), nwords, [&](size_t i) {
-          singles_[static_cast<TupleId>(lo + i)].emplace_back(
-              gs.compiled_const[ri].ci, gs.compiled_const[ri].pi);
-        });
-      }
-
-      // Variable-RHS scope membership: union of the var rows' filters,
-      // then the groupability mask (live ∧ every LHS attribute non-NULL).
-      if (var_filters.empty()) continue;
-      std::fill_n(scope.data(), nwords, uint64_t{0});
-      for (const RowFilter& f : var_filters) {
-        std::copy_n(livemask.data(), nwords, rowmask.data());
-        shifted.assign(f.cols.size(), nullptr);
-        for (size_t k = 0; k < f.cols.size(); ++k) shifted[k] = f.cols[k] + lo;
-        kn.FilterEqMulti32(shifted.data(), f.consts.data(), f.cols.size(), n,
-                           rowmask.data());
-        for (size_t w = 0; w < nwords; ++w) scope[w] |= rowmask[w];
-      }
-      for (size_t k = 0; k < nlhs; ++k) lhs_shifted[k] = lhs_ptrs[k] + lo;
-      if (kn.MaskLive(live + lo, lhs_shifted.data(), nlhs, kNullCode, n,
-                      elig.data()) == 0) {
-        continue;
-      }
-      bool any = false;
-      for (size_t w = 0; w < nwords; ++w) {
-        scope[w] &= elig[w];
-        any |= scope[w] != 0;
-      }
-      if (!any) continue;
-
-      auto place = [&](TupleId tid, Bucket& b, size_t i) {
-        b.members.push_back(tid);
-        b.AddRhs(enc_.Decode(gs.rhs_col, rhs_ptr[lo + i]));
-        ++buckets_touched_;
-      };
-      if (nlhs >= 1 && nlhs <= 2) {
-        kn.PackKeys2x32(lhs_shifted[0], nlhs == 2 ? lhs_shifted[1] : nullptr,
-                        n, packed.data());
-        simd::ForEachSetBit(scope.data(), nwords, [&](size_t i) {
-          auto [it, fresh] = packed_buckets.emplace(packed[i], nullptr);
-          if (fresh) {
-            key.clear();
-            for (size_t k = 0; k < nlhs; ++k) key.push_back(lhs_shifted[k][i]);
-            it->second = &gs.buckets[key];
-          }
-          place(static_cast<TupleId>(lo + i), *it->second, i);
-        });
+    const auto on_single = [&](TupleId tid, int ci, int pi) {
+      singles_[tid].emplace_back(ci, pi);
+    };
+    const auto on_group = [&](TupleId tid, int, uint64_t packed) {
+      Bucket* b;
+      if (gs.scan.arity <= 2) {
+        auto [it, fresh] = packed_buckets.emplace(packed, nullptr);
+        if (fresh) {
+          LhsKeyOf(gs, tid, &key);
+          it->second = &gs.buckets[key];
+        }
+        b = it->second;
       } else {
-        simd::ForEachSetBit(scope.data(), nwords, [&](size_t i) {
-          key.clear();
-          for (size_t k = 0; k < nlhs; ++k) key.push_back(lhs_shifted[k][i]);
-          place(static_cast<TupleId>(lo + i), gs.buckets[key], i);
-        });
+        LhsKeyOf(gs, tid, &key);
+        b = &gs.buckets[key];
       }
+      b->members.push_back(tid);
+      b->AddRhs(gs.scan.rhs_ptr[tid]);
+      ++buckets_touched_;
+    };
+    const TupleId bound = rel_->IdBound();
+    for (TupleId lo = 0; lo < bound; lo += static_cast<TupleId>(kScanBlock)) {
+      ScanBlock(gs.scan, lo, std::min<TupleId>(bound, lo + kScanBlock),
+                &gs.scratch, on_single, on_group);
     }
   }
+  initialized_ = true;
+  return Status::OK();
 }
 
 bool IncrementalDetector::LhsKeyOf(const GroupState& gs, TupleId tid,
                                    std::vector<Code>* key) const {
   key->clear();
-  key->reserve(gs.lhs_cols.size());
-  for (size_t c : gs.lhs_cols) {
+  for (size_t c : gs.scan.lhs_cols) {
     const Code code = enc_.code(tid, c);
     if (code == kNullCode) return false;
     key->push_back(code);
@@ -225,42 +121,17 @@ bool IncrementalDetector::LhsKeyOf(const GroupState& gs, TupleId tid,
 void IncrementalDetector::EnterTuple(TupleId tid) {
   std::vector<Code> key;
   for (GroupState& gs : groups_) {
-    // Single-tuple violations against constant-RHS rows.
-    const Code rhs_code = enc_.code(tid, gs.rhs_col);
-    for (const CompiledRow& cr : gs.compiled_const) {
-      bool lhs_match = true;
-      for (const auto& [pos, code] : cr.lhs_consts) {
-        if (enc_.code(tid, gs.lhs_cols[pos]) != code) {
-          lhs_match = false;
-          break;
-        }
-      }
-      if (!lhs_match) continue;
-      if (rhs_code != kNullCode && rhs_code != cr.rhs_code) {
-        singles_[tid].emplace_back(cr.ci, cr.pi);
-      }
-    }
-    // Variable-RHS scope membership.
-    bool in_scope = false;
-    for (const CompiledRow& cr : gs.compiled_var) {
-      bool lhs_match = true;
-      for (const auto& [pos, code] : cr.lhs_consts) {
-        if (enc_.code(tid, gs.lhs_cols[pos]) != code) {
-          lhs_match = false;
-          break;
-        }
-      }
-      if (lhs_match) {
-        in_scope = true;
-        break;
-      }
-    }
-    if (!in_scope) continue;
-    if (!LhsKeyOf(gs, tid, &key)) continue;  // NULL LHS never groups
-    Bucket& b = gs.buckets[key];
-    b.members.push_back(tid);
-    b.AddRhs(enc_.Decode(gs.rhs_col, rhs_code));
-    ++buckets_touched_;
+    gs.scan.Bind(*rel_);
+    ScanBlock(
+        gs.scan, tid, tid + 1, &gs.scratch,
+        [&](TupleId, int ci, int pi) { singles_[tid].emplace_back(ci, pi); },
+        [&](TupleId, int, uint64_t) {
+          LhsKeyOf(gs, tid, &key);
+          Bucket& b = gs.buckets[key];
+          b.members.push_back(tid);
+          b.AddRhs(gs.scan.rhs_ptr[tid]);
+          ++buckets_touched_;
+        });
   }
 }
 
@@ -276,7 +147,7 @@ void IncrementalDetector::LeaveTuple(TupleId tid) {
     auto pos = std::find(members.begin(), members.end(), tid);
     if (pos == members.end()) continue;  // was not in scope for this group
     members.erase(pos);
-    it->second.RemoveRhs(enc_.Decode(gs.rhs_col, enc_.code(tid, gs.rhs_col)));
+    it->second.RemoveRhs(enc_.code(tid, gs.scan.rhs_col));
     ++buckets_touched_;
     if (members.empty()) gs.buckets.erase(it);
   }
@@ -326,22 +197,21 @@ ViolationTable IncrementalDetector::Snapshot() const {
     }
   }
   for (size_t gi = 0; gi < groups_.size(); ++gi) {
-    const GroupState& gs = groups_[gi];
-    for (const auto& [key, bucket] : gs.buckets) {
+    const GroupScan& scan = groups_[gi].scan;
+    for (const auto& [key, bucket] : groups_[gi].buckets) {
       if (!bucket.violating()) continue;
       ViolationGroup vg;
       vg.fd_group = static_cast<int>(gi);
-      vg.cfd_index =
-          gs.var_rows.empty() ? -1 : static_cast<int>(gs.var_rows.front().first);
+      // A group's CFD is its first variable row's.
+      vg.cfd_index = scan.var_rows.empty() ? -1 : scan.var_rows.front().ci;
       vg.lhs_key.reserve(key.size());
       for (size_t i = 0; i < key.size(); ++i) {
-        vg.lhs_key.push_back(enc_.Decode(gs.lhs_cols[i], key[i]));
+        vg.lhs_key.push_back(enc_.Decode(scan.lhs_cols[i], key[i]));
       }
       const int64_t n = static_cast<int64_t>(bucket.members.size());
-      const int64_t nulls = bucket.null_rhs();
       vg.member_partners.reserve(bucket.members.size());
       for (TupleId tid : bucket.members) {
-        vg.member_partners.push_back(n - SameRhs(gs, bucket, tid, nulls));
+        vg.member_partners.push_back(n - bucket.SameRhs(enc_.code(tid, scan.rhs_col)));
       }
       vg.members = bucket.members;
       table.AddGroup(std::move(vg));
@@ -364,25 +234,22 @@ int64_t IncrementalDetector::Vio(TupleId tid) const {
   if (!rel_->IsLive(tid)) return vio;
   std::vector<Code> key;
   for (const GroupState& gs : groups_) {
-    if (!LhsKeyOf(gs, tid, &key)) continue;
-    auto bit = gs.buckets.find(key);
-    if (bit == gs.buckets.end() || !bit->second.violating()) continue;
-    const Bucket& b = bit->second;
-    if (std::find(b.members.begin(), b.members.end(), tid) == b.members.end()) {
-      continue;
+    if (const Bucket* b = ViolatingBucketOf(gs, tid, &key)) {
+      vio += static_cast<int64_t>(b->members.size()) -
+             b->SameRhs(enc_.code(tid, gs.scan.rhs_col));
     }
-    vio += static_cast<int64_t>(b.members.size()) -
-           SameRhs(gs, b, tid, b.null_rhs());
   }
   return vio;
 }
 
-int64_t IncrementalDetector::SameRhs(const GroupState& gs, const Bucket& b,
-                                     TupleId tid, int64_t nulls) const {
-  const Code c = enc_.code(tid, gs.rhs_col);
-  if (c == kNullCode) return nulls;
-  auto it = b.rhs_counts.find(enc_.Decode(gs.rhs_col, c));
-  return it == b.rhs_counts.end() ? 0 : it->second;
+const IncrementalDetector::Bucket* IncrementalDetector::ViolatingBucketOf(
+    const GroupState& gs, TupleId tid, std::vector<Code>* key) const {
+  if (!LhsKeyOf(gs, tid, key)) return nullptr;
+  auto it = gs.buckets.find(*key);
+  if (it == gs.buckets.end() || !it->second.violating()) return nullptr;
+  const std::vector<TupleId>& members = it->second.members;
+  const bool member = std::find(members.begin(), members.end(), tid) != members.end();
+  return member ? &it->second : nullptr;
 }
 
 std::vector<std::pair<size_t, size_t>> IncrementalDetector::SinglesOf(
@@ -399,19 +266,14 @@ std::vector<IncrementalDetector::GroupView> IncrementalDetector::ViolatingGroups
   std::vector<Code> key;
   for (size_t gi = 0; gi < groups_.size(); ++gi) {
     const GroupState& gs = groups_[gi];
-    if (!LhsKeyOf(gs, tid, &key)) continue;
-    auto bit = gs.buckets.find(key);
-    if (bit == gs.buckets.end() || !bit->second.violating()) continue;
-    const Bucket& b = bit->second;
-    if (std::find(b.members.begin(), b.members.end(), tid) == b.members.end()) {
-      continue;
-    }
+    const Bucket* b = ViolatingBucketOf(gs, tid, &key);
+    if (b == nullptr) continue;
     GroupView view;
     view.fd_group = gi;
-    view.rhs_col = gs.rhs_col;
-    view.escape_lhs_col = gs.lhs_cols.back();
-    view.members = &b.members;
-    view.rhs_counts = &b.rhs_counts;
+    view.rhs_col = gs.scan.rhs_col;
+    view.escape_lhs_col = gs.scan.lhs_cols.back();
+    view.members = &b->members;
+    view.rhs_counts = &b->rhs_counts;
     out.push_back(view);
   }
   return out;

@@ -2,13 +2,13 @@
 #define SEMANDAQ_DETECT_INCREMENTAL_DETECTOR_H_
 
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "cfd/cfd.h"
 #include "common/simd/simd.h"
 #include "common/status.h"
+#include "detect/pattern_scan.h"
 #include "detect/violation.h"
 #include "relational/encoded_relation.h"
 #include "relational/relation.h"
@@ -21,36 +21,34 @@ namespace semandaq::detect {
 /// detection techniques developed in [3]").
 ///
 /// The detector owns per-embedded-FD-group hash state: for every LHS key,
-/// the member tuples matching a variable-RHS pattern together with RHS value
-/// counts, so that applying an update touches only the affected buckets —
-/// O(|Δ|) work instead of a full re-scan. Snapshot() reconstitutes a
-/// ViolationTable that is value-identical to a from-scratch NativeDetector
+/// the member tuples matching a variable-RHS pattern together with counts
+/// of their RHS codes, so that applying an update touches only the affected
+/// buckets — O(|Δ|) work instead of a full re-scan. Snapshot() reconstitutes
+/// a ViolationTable that is value-identical to a from-scratch NativeDetector
 /// run (a test invariant).
 ///
-/// Internally the detector reads the relation's own code columns
-/// (relational::EncodedRelation): bucket keys are LHS code vectors and
-/// pattern tableaux are precompiled to codes at Initialize. Pattern
-/// constants are interned into the relation's dictionaries
-/// (Relation::Intern), so a constant that first appears in a later insert
-/// still carries the code it was compiled to.
+/// It runs NativeDetector's scan (detect/pattern_scan.h): tableau rows
+/// compile to codes through the same rule, Initialize() builds the buckets
+/// by scanning the relation's code columns in kernel blocks, and every
+/// inserted or rewritten tuple is entered by scanning its one-tuple block,
+/// after rebinding the scan's column and liveness pointers to the relation
+/// as the write left it. Pattern constants are first interned into the
+/// relation's dictionaries (Relation::Intern), so a constant that first
+/// appears in a later insert still carries the code it was compiled to.
 ///
 /// The detector applies updates to the relation itself so its state can
 /// never drift from the data: route all mutations through ApplyAndDetect.
 class IncrementalDetector {
  public:
   /// `cfds` are resolved internally against rel's schema. `simd_level`
-  /// selects the kernel tier of Initialize()'s bulk bucket build (kAuto =
-  /// the host's best); every tier builds byte-identical bucket state.
+  /// selects the kernel tier of the scan (kAuto = the host's best); every
+  /// tier builds byte-identical bucket state.
   IncrementalDetector(relational::Relation* rel, std::vector<cfd::Cfd> cfds,
                       common::simd::Level simd_level =
                           common::simd::Level::kAuto)
       : rel_(rel), cfds_(std::move(cfds)), simd_level_(simd_level) {}
 
-  /// Builds the initial state with one full pass. The pass runs in SIMD
-  /// kernel blocks (MaskLive liveness/non-NULL masks, FilterEqMulti32
-  /// pattern-constant narrowing, PackKeys2x32 packed bucket keys) instead
-  /// of tuple-at-a-time EnterTuple calls; the resulting buckets, singles,
-  /// and counters are identical to the per-tuple build on every tier.
+  /// Builds the initial state with one full pass of the kernel-block scan.
   /// Must be called once before ApplyAndDetect.
   common::Status Initialize();
 
@@ -84,8 +82,8 @@ class IncrementalDetector {
     size_t rhs_col = 0;
     size_t escape_lhs_col = 0;  ///< last LHS column (the NULL-escape target)
     const std::vector<relational::TupleId>* members = nullptr;
-    const std::unordered_map<relational::Value, int, relational::ValueHash>*
-        rhs_counts = nullptr;
+    /// Members per non-NULL RHS code (codes of column rhs_col).
+    const std::unordered_map<relational::Code, int>* rhs_counts = nullptr;
   };
 
   /// The violating buckets `tid` belongs to right now (empty when none).
@@ -94,59 +92,41 @@ class IncrementalDetector {
  private:
   struct Bucket {
     std::vector<relational::TupleId> members;
-    std::unordered_map<relational::Value, int, relational::ValueHash> rhs_counts;
-    size_t distinct_nonnull = 0;
+    /// Members per non-NULL RHS code, and members with a NULL RHS.
+    std::unordered_map<relational::Code, int> rhs_counts;
+    int null_rhs = 0;
 
-    void AddRhs(const relational::Value& v);
-    void RemoveRhs(const relational::Value& v);
-    bool violating() const { return distinct_nonnull >= 2; }
-    /// Members with a NULL RHS: rhs_counts holds only the non-NULL values.
-    int64_t null_rhs() const {
-      int64_t n = static_cast<int64_t>(members.size());
-      for (const auto& [v, count] : rhs_counts) n -= count;
-      return n;
-    }
-  };
-
-  /// A tableau row compiled to codes: (LHS position, required code) pairs
-  /// for the constants, plus the RHS code for constant-RHS rows.
-  struct CompiledRow {
-    size_t ci = 0;
-    size_t pi = 0;
-    std::vector<std::pair<uint32_t, relational::Code>> lhs_consts;
-    relational::Code rhs_code = relational::kNullCode;
+    void AddRhs(relational::Code c);
+    void RemoveRhs(relational::Code c);
+    bool violating() const { return rhs_counts.size() >= 2; }
+    /// Members whose RHS code is `c`; NULLs agree with each other.
+    int64_t SameRhs(relational::Code c) const;
   };
 
   struct GroupState {
-    std::vector<size_t> lhs_cols;
-    size_t rhs_col = 0;
-    /// (cfd, pattern) of the feasible variable-RHS rows (Snapshot needs a
-    /// representative CFD index for each group).
-    std::vector<std::pair<size_t, size_t>> var_rows;
-    /// Tableau rows compiled to codes (compiled_var parallel to var_rows).
-    std::vector<CompiledRow> compiled_const;
-    std::vector<CompiledRow> compiled_var;
+    /// The group compiled for the scan; its pointers are rebound before
+    /// every scan, since a write may move the columns it reads.
+    GroupScan scan;
+    ScanScratch scratch;
     std::unordered_map<std::vector<relational::Code>, Bucket,
                        relational::CodeVecHash>
         buckets;
   };
 
-  /// Members of bucket `b` whose RHS equals tid's, tid included; NULLs
-  /// agree with each other. `nulls` is b.null_rhs().
-  int64_t SameRhs(const GroupState& gs, const Bucket& b, relational::TupleId tid,
-                  int64_t nulls) const;
-
   /// Fills `key` with the tuple's LHS codes; false when any is NULL.
   bool LhsKeyOf(const GroupState& gs, relational::TupleId tid,
                 std::vector<relational::Code>* key) const;
 
-  /// Registers a live tuple in singles and group buckets.
+  /// The violating bucket of `gs` that holds `tid`, or nullptr. `key` is
+  /// scratch.
+  const Bucket* ViolatingBucketOf(const GroupState& gs, relational::TupleId tid,
+                                  std::vector<relational::Code>* key) const;
+
+  /// Registers a live tuple in singles and group buckets: the scan of its
+  /// one-tuple block.
   void EnterTuple(relational::TupleId tid);
   /// Unregisters a live tuple (must run before the row changes/dies).
   void LeaveTuple(relational::TupleId tid);
-  /// Kernel-block twin of calling EnterTuple for every live tuple — the
-  /// Initialize() bulk path.
-  void BulkEnter();
 
   relational::Relation* rel_;
   /// The code view of *rel_.

@@ -25,7 +25,7 @@ common::Result<ViolationTable> SqlDetector::Detect() {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, target->schema()));
   // The generated queries read tuple ids through the __tid pseudo-column,
   // which an attribute of that name would hide, and the tableau relations
-  // put __cfd_id and __pattern_id beside the CFDs' attributes.
+  // put __cfd_id, __pattern_id and __null_const beside the CFDs' attributes.
   auto reserved = [](const std::string& attr) {
     return Status::InvalidArgument("attribute '" + attr +
                                    "' is reserved by the SQL detector");
@@ -38,7 +38,8 @@ common::Result<ViolationTable> SqlDetector::Detect() {
     attrs.push_back(c.rhs_attr());
     for (const std::string& a : attrs) {
       if (common::EqualsIgnoreCase(a, "__cfd_id") ||
-          common::EqualsIgnoreCase(a, "__pattern_id")) {
+          common::EqualsIgnoreCase(a, "__pattern_id") ||
+          common::EqualsIgnoreCase(a, cfd::TableauStore::kNullConstColumn)) {
         return reserved(a);
       }
     }

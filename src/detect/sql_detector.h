@@ -17,17 +17,19 @@ namespace semandaq::detect {
 /// in [3]").
 ///
 /// Pipeline per embedded-FD group: encode the pattern tableau as a relation
-/// (wildcard = NULL), run the generated Q_C for single-tuple violations, run
-/// Q_V (GROUP BY / HAVING COUNT(DISTINCT) > 1) for the violating keys,
-/// materialize them, and join back for the member tuples. All SQL runs
-/// through sql::Engine — the code path a DBMS would execute.
+/// (wildcard = NULL, NULL constants marked), run the generated Q_C for
+/// single-tuple violations, run Q_V (GROUP BY / HAVING COUNT(DISTINCT) > 1)
+/// for the violating keys, materialize them, and join back for the member
+/// tuples. All SQL runs through sql::Engine — the code path a DBMS would
+/// execute.
 class SqlDetector {
  public:
   /// `db` must contain `relation`; tableau and key relations are
   /// materialized into it during Detect and removed before Detect returns,
   /// on success and failure alike. Detect fails with InvalidArgument when
   /// the relation has an attribute named `__tid`, or a CFD names one called
-  /// `__cfd_id` or `__pattern_id`: the generated SQL reserves those names.
+  /// `__cfd_id`, `__pattern_id` or `__null_const`: the generated SQL
+  /// reserves those names.
   SqlDetector(relational::Database* db, std::string relation,
               std::vector<cfd::Cfd> cfds)
       : db_(db), relation_(std::move(relation)), cfds_(std::move(cfds)) {}

@@ -1,5 +1,8 @@
 #include "detect/sql_generator.h"
 
+#include <algorithm>
+
+#include "cfd/tableau_store.h"
 #include "common/string_util.h"
 
 namespace semandaq::detect {
@@ -42,23 +45,42 @@ std::vector<DetectionQueries> GenerateDetectionSql(
                              : std::string("__cfd_tableau_") + std::to_string(gi);
     q.keys_relation = "__vio_keys_" + std::to_string(gi);
 
+    // The tableau stores a NULL constant as NULL, like a wildcard; only a
+    // group that has one tests the marker column (cfd::TableauStore), so
+    // every other group's queries keep their plain form.
+    bool marked = false;
     for (const auto& [ci, pi] : g.members) {
-      if (cfds[ci].tableau()[pi].is_constant_rhs()) {
+      const cfd::PatternTuple& pt = cfds[ci].tableau()[pi];
+      if (pt.is_constant_rhs()) {
         q.has_constant_rows = true;
       } else {
         q.has_variable_rows = true;
       }
+      marked = marked || pt.rhs.is_null_constant() ||
+               std::any_of(pt.lhs.begin(), pt.lhs.end(),
+                           [](const cfd::PatternValue& v) { return v.is_null_constant(); });
     }
 
-    const std::string match = LhsMatchPredicate(g.lhs_attrs);
     const std::string rhs = Ident(g.rhs_attr);
+    const std::string marker = "tp." + Ident(cfd::TableauStore::kNullConstColumn);
+    // A row with a NULL LHS constant selects no tuple.
+    const std::string match =
+        LhsMatchPredicate(g.lhs_attrs) + (marked ? " AND " + marker + " <> 1" : "");
+    // A constant row's RHS test. A NULL RHS cell is unknown, not wrong; a
+    // NULL RHS constant differs from every other value.
+    const std::string differs =
+        marked ? " AND t." + rhs + " IS NOT NULL AND (t." + rhs + " <> tp." + rhs +
+                     " OR " + marker + " = 2)"
+               : " AND tp." + rhs + " IS NOT NULL AND t." + rhs + " <> tp." + rhs;
+    const std::string variable =
+        " AND tp." + rhs + " IS NULL" + (marked ? " AND " + marker + " = 0" : "");
 
     // Q_C: one row per violating (tuple, CFD) pair; DISTINCT collapses
     // multiple tableau rows of the same CFD flagging the same tuple.
     q.qc = "SELECT DISTINCT t.__tid AS tid, tp.__cfd_id AS cfd_id, "
            "tp.__pattern_id AS pattern_id FROM " +
            Ident(relation) + " t, " + Ident(q.tableau_relation) + " tp WHERE " +
-           match + " AND tp." + rhs + " IS NOT NULL AND t." + rhs + " <> tp." + rhs;
+           match + differs;
 
     // Q_V step 1: violating LHS keys among tuples matching a variable-RHS
     // row. Tuples with NULL LHS values cannot witness equality, hence the
@@ -77,8 +99,8 @@ std::vector<DetectionQueries> GenerateDetectionSql(
       notnull += " AND " + col + " IS NOT NULL";
     }
     q.qv_keys = "SELECT " + key_cols + " FROM " + Ident(relation) + " t, " +
-                Ident(q.tableau_relation) + " tp WHERE " + match + " AND tp." + rhs +
-                " IS NULL" + notnull + " GROUP BY " + group_cols +
+                Ident(q.tableau_relation) + " tp WHERE " + match + variable +
+                notnull + " GROUP BY " + group_cols +
                 " HAVING COUNT(DISTINCT t." + rhs + ") > 1";
 
     // Q_V step 2: join the materialized keys back to enumerate members.
@@ -96,7 +118,7 @@ std::vector<DetectionQueries> GenerateDetectionSql(
     q.qv_members = "SELECT DISTINCT t.__tid AS tid" + select_keys + ", t." + rhs +
                    " AS rhs FROM " + Ident(relation) + " t, " +
                    Ident(q.tableau_relation) + " tp, " + Ident(q.keys_relation) +
-                   " m WHERE " + match + " AND tp." + rhs + " IS NULL" + back_join;
+                   " m WHERE " + match + variable + back_join;
 
     out.push_back(std::move(q));
   }

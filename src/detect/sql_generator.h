@@ -10,7 +10,8 @@ namespace semandaq::detect {
 
 /// The SQL text pair that detects all violations of one embedded-FD tableau
 /// group, following the query-generation technique of Fan et al. [TODS'08]
-/// (wildcards encoded as NULL in the tableau relation):
+/// (wildcards encoded as NULL in the tableau relation, NULL constants told
+/// apart by its `__null_const` marker — see cfd::TableauStore):
 ///
 ///  * `qc` flags single-tuple violations — tuples matching a constant-RHS
 ///    pattern's LHS whose RHS differs from the constant;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "detect/native_detector.h"
+#include "detect/pattern_scan.h"
 #include "relational/encoded_relation.h"
 
 namespace semandaq::repair {
@@ -209,15 +211,15 @@ class RepairEngine {
     const Cfd& c = cfds_[static_cast<size_t>(sv.cfd_index)];
     const PatternTuple& pt = c.tableau()[static_cast<size_t>(sv.pattern_index)];
     if (!work_.IsLive(sv.tid)) return;
-    for (size_t i = 0; i < c.lhs_cols().size(); ++i) {
-      if (!Matches(pt.lhs[i], sv.tid, c.lhs_cols()[i])) return;
+    const std::optional<detect::CompiledPattern> cp =
+        detect::CompilePattern(enc_, c, pt);
+    if (!cp) return;
+    for (const auto& [pos, code] : cp->lhs_consts) {
+      if (enc_.code(sv.tid, c.lhs_cols()[pos]) != code) return;
     }
     const size_t rhs_col = c.rhs_col();
     const Code cur = enc_.code(sv.tid, rhs_col);
-    if (cur == kNullCode ||
-        cur == enc_.dictionary(rhs_col).Lookup(pt.rhs.constant())) {
-      return;
-    }
+    if (cur == kNullCode || cur == cp->rhs_code) return;
 
     out->actionable = true;
     out->rhs_cost = cost_model_.CellChangeCost(
@@ -499,14 +501,6 @@ class RepairEngine {
         frequent_[col].push_back(enc_.Decode(col, order[i]));
       }
     }
-  }
-
-  /// PatternValue::Matches on the working codes: a wildcard matches any
-  /// cell, a constant only a non-NULL cell holding it.
-  bool Matches(const cfd::PatternValue& p, TupleId tid, size_t col) const {
-    if (p.is_wildcard()) return true;
-    const Code code = enc_.code(tid, col);
-    return code != kNullCode && code == enc_.dictionary(col).Lookup(p.constant());
   }
 
   /// Writes `v` into the working copy. A cell's first write logs its code

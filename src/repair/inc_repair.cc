@@ -133,21 +133,17 @@ common::Result<size_t> IncRepairEngine::RepairTuple(TupleId tid,
     if (views.empty()) break;
     const auto& view = views.front();
 
-    // Frozen = members outside the delta. Tallied by exact value equality
-    // in member order (a display-keyed map would conflate distinct values
-    // that render alike, e.g. the int 1 and the string "1", and misread a
-    // disagreeing frozen group as unanimous).
-    std::vector<std::pair<Value, int64_t>> frozen;  // first-occurrence order
+    // Frozen = members outside the delta, tallied by RHS code (code
+    // equality is value equality) in member order.
+    const relational::CodeColumn& rhs_codes = rel_->columns()[view.rhs_col];
+    const relational::Dictionary& rhs_dict = *rel_->dictionaries()[view.rhs_col];
+    std::vector<relational::Code> frozen;  // distinct, first-occurrence order
     for (TupleId member : *view.members) {
       if (delta_.count(member) > 0) continue;
-      const Value& v = rel_->cell(member, view.rhs_col);
-      if (v.is_null()) continue;
-      auto it = std::find_if(frozen.begin(), frozen.end(),
-                             [&](const auto& f) { return f.first == v; });
-      if (it == frozen.end()) {
-        frozen.emplace_back(v, 1);
-      } else {
-        ++it->second;
+      const relational::Code c = rhs_codes[static_cast<size_t>(member)];
+      if (c != relational::kNullCode &&
+          std::find(frozen.begin(), frozen.end(), c) == frozen.end()) {
+        frozen.push_back(c);
       }
     }
 
@@ -167,15 +163,17 @@ common::Result<size_t> IncRepairEngine::RepairTuple(TupleId tid,
     Value target;
     std::vector<std::pair<Value, double>> alternatives;
     if (frozen.size() == 1) {
-      target = frozen.front().first;
+      target = rhs_dict.Decode(frozen.front());
     } else {
       // Group is all-delta: pick the cheapest consensus value by weighted
       // change cost, exactly as BatchRepair does. The candidates come out
-      // of the detector's unordered tally, so order them first — cost ties
-      // must break the same way on every platform and run.
+      // of the detector's unordered code tally, so decode and order them
+      // first — cost ties must break the same way on every platform and run.
       std::vector<Value> candidates;
       candidates.reserve(view.rhs_counts->size());
-      for (const auto& [v, n] : *view.rhs_counts) candidates.push_back(v);
+      for (const auto& [code, n] : *view.rhs_counts) {
+        candidates.push_back(rhs_dict.Decode(code));
+      }
       std::sort(candidates.begin(), candidates.end(),
                 [](const Value& a, const Value& b) {
                   const int c = a.Compare(b);

@@ -39,14 +39,15 @@ struct IncBatchResult {
 /// detector's buckets, never by re-scanning the relation. This is the
 /// |Δ|-vs-|D| separation the companion paper's IncRepair experiment shows.
 ///
-/// Unlike BatchRepair, this path reads and writes rows, and it edits the
-/// relation it is given in place (run it over a clone to keep an input
-/// untouched): the per-batch work is already delta-local, so the encoded
-/// SIMD stack (see docs/repair.md) has nothing to amortize here. Of
-/// RepairOptions only
-/// `max_iterations` and `alternatives_k` apply. Every decision is
-/// deterministic — consensus candidates are Compare-ordered before cost
-/// ties break first-wins, matching the batch engine's guarantee.
+/// Unlike BatchRepair, it edits the relation it is given in place (run it
+/// over a clone to keep an input untouched), one cell per update through
+/// the detector. It tallies RHS values as dictionary codes and decodes only
+/// the cells it costs, compares or writes: the per-batch work is already
+/// delta-local, so BatchRepair's round machinery (see docs/repair.md) has
+/// nothing to amortize here. Of RepairOptions only `max_iterations` and
+/// `alternatives_k` apply. Every decision is deterministic — consensus
+/// candidates are Compare-ordered before cost ties break first-wins,
+/// matching the batch engine's guarantee.
 class IncRepairEngine {
  public:
   /// The relation must outlive the engine; all mutations must go through

@@ -209,18 +209,6 @@ std::vector<Cfd> RandomSigma(Rng* rng, const Shape& s) {
   return sigma;
 }
 
-bool HasNullConstant(const std::vector<Cfd>& sigma) {
-  for (const Cfd& c : sigma) {
-    for (const PatternTuple& pt : c.tableau()) {
-      if (pt.rhs.is_constant() && pt.rhs.constant().is_null()) return true;
-      for (const PatternValue& v : pt.lhs) {
-        if (v.is_constant() && v.constant().is_null()) return true;
-      }
-    }
-  }
-  return false;
-}
-
 std::string SigmaText(const std::vector<Cfd>& sigma) {
   std::string s;
   for (const Cfd& c : sigma) s += c.ToString() + "\n";
@@ -302,7 +290,7 @@ TEST(CfdOracleTest, DetectionSweep) {
 
     ExpectNativeDetection(rel, sigma);
     if (HasFatalFailure()) return;
-    if (!HasNullConstant(sigma) && rows <= 60) {
+    if (rows <= 60) {
       ExpectSqlDetection(rel, sigma);
       if (HasFatalFailure()) return;
     }
@@ -378,7 +366,7 @@ TEST(CfdOracleTest, AuditSweep) {
         warm.dictionaries(), warm.columns());
     ExpectAudit(epoch, sigma, want, cold_table, "column-backed");
     if (HasFatalFailure()) return;
-    if (!HasNullConstant(sigma) && rows <= 60) {
+    if (rows <= 60) {
       relational::Database db;
       ASSERT_OK(db.AddRelation(rel.Clone()));
       ASSERT_OK_AND_ASSIGN(auto sql_table, detect::SqlDetector(&db, rel.name(), sigma).Detect());

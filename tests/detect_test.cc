@@ -276,6 +276,54 @@ TEST(SqlDetectorTest, ReservedAttributeNamesAreRefused) {
   }
 }
 
+// The tableau relations also carry the __null_const marker column, so a
+// CFD attribute of that name is refused the same way.
+TEST(SqlDetectorTest, NullConstMarkerNameIsRefused) {
+  Relation named{"u", relational::Schema::AllStrings({"A", "__null_const"})};
+  named.MustInsert({Value::String("x"), Value::String("1")});
+  named.MustInsert({Value::String("x"), Value::String("2")});
+  Database db;
+  ASSERT_OK(db.AddRelation(std::move(named)));
+  const common::Status status =
+      SqlDetector(&db, "u", Parse("u: [A] -> [__null_const]")).Detect().status();
+  EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("__null_const"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"u"});
+}
+
+// A NULL pattern constant is a constant, not a wildcard: on the LHS it
+// matches no cell, so its row selects no tuple; on the RHS every non-NULL
+// value disagrees with it. The tableau stores it as SQL NULL, like a
+// wildcard, and its marker column keeps the two apart.
+TEST(SqlDetectorTest, NullPatternConstantsAnswerLikeTheNativeDetector) {
+  const Relation rel = semandaq::testing::MakeStringRelation(
+      "t", {"A", "B"},
+      {{"", "1"}, {"", "2"}, {"x", "1"}, {"x", "2"}, {"x", ""}, {"y", "1"}});
+  cfd::PatternTuple null_lhs;  // [A=NULL] -> [B=_]
+  null_lhs.lhs = {cfd::PatternValue::Constant(Value::Null())};
+  null_lhs.rhs = cfd::PatternValue::Wildcard();
+  cfd::PatternTuple null_rhs;  // [A=x] -> [B=NULL]
+  null_rhs.lhs = {cfd::PatternValue::Constant(Value::String("x"))};
+  null_rhs.rhs = cfd::PatternValue::Constant(Value::Null());
+  const std::pair<cfd::PatternTuple, size_t> cases[] = {{null_lhs, 0},
+                                                        {null_rhs, 2}};
+  for (const auto& [row, violating] : cases) {
+    SCOPED_TRACE(row.ToString());
+    const std::vector<cfd::Cfd> cfds = {cfd::Cfd("t", {"A"}, "B", {row})};
+    ASSERT_OK_AND_ASSIGN(ViolationTable native, NativeDetector(&rel, cfds).Detect());
+    Database db;
+    ASSERT_OK(db.AddRelation(rel.Clone()));
+    ASSERT_OK_AND_ASSIGN(ViolationTable sql, SqlDetector(&db, "t", cfds).Detect());
+    EXPECT_EQ(native.NumViolatingTuples(), violating);
+    EXPECT_EQ(sql.NumViolatingTuples(), violating);
+    EXPECT_EQ(sql.TotalVio(), native.TotalVio());
+    for (TupleId tid = 0; tid < rel.IdBound(); ++tid) {
+      EXPECT_EQ(sql.vio(tid), native.vio(tid)) << "tuple " << tid;
+    }
+  }
+}
+
 TEST(SqlDetectorTest, MissingRelationFails) {
   Database db;
   SqlDetector sql(&db, "nope", Parse("nope: [A] -> [B]"));

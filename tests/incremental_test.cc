@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "cfd/cfd_parser.h"
+#include "common/random.h"
 #include "detect/incremental_detector.h"
 #include "detect/native_detector.h"
+#include "monitor/data_monitor.h"
 #include "test_util.h"
 #include "workload/customer_gen.h"
 
@@ -315,6 +320,155 @@ TEST(IncrementalDetectorSimdTest, BulkBuildMatchesAcrossTiersOnGenerated) {
     ASSERT_OK(det.Initialize());
     EXPECT_EQ(touched, det.buckets_touched());
     ExpectExactlyEqual(reference, det.Snapshot());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A relation copy shares every code chunk and dictionary with its source
+// until a write detaches them. The detector's scan reads raw column and
+// liveness pointers, so one left stale by a detach would still read the
+// source's live chunk — memory that is valid, so ASan cannot see it. This
+// test can: it writes into shared chunks and compares with a fresh scan.
+
+/// Everything a relation's readers see: codes, dictionaries, liveness.
+struct StorageCapture {
+  std::vector<std::vector<relational::Code>> codes;
+  std::vector<std::vector<Value>> dictionaries;
+  std::vector<uint8_t> live;
+
+  explicit StorageCapture(const Relation& rel)
+      : live(rel.live_data(), rel.live_data() + rel.IdBound()) {
+    for (const auto& col : rel.columns()) codes.emplace_back(col.begin(), col.end());
+    for (const auto& dict : rel.dictionaries()) dictionaries.push_back(dict->values());
+  }
+  bool operator==(const StorageCapture& o) const {
+    return codes == o.codes && dictionaries == o.dictionaries && live == o.live;
+  }
+};
+
+/// Singles and groups as sets, and vio per live tuple.
+void ExpectSameViolations(const ViolationTable& got, const ViolationTable& want,
+                          const Relation& rel) {
+  ExpectEquivalent(got, want, rel);
+  using Single = std::tuple<TupleId, int, int>;
+  const auto singles = [](const ViolationTable& t) {
+    std::vector<Single> out;
+    for (const SingleViolation& s : t.singles()) {
+      out.emplace_back(s.tid, s.cfd_index, s.pattern_index);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto groups = [](const ViolationTable& t) {
+    std::vector<std::pair<int, std::vector<TupleId>>> out;
+    for (const ViolationGroup& g : t.groups()) {
+      std::vector<TupleId> members = g.members;
+      std::sort(members.begin(), members.end());
+      out.emplace_back(g.fd_group, std::move(members));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(singles(got), singles(want));
+  EXPECT_EQ(groups(got), groups(want));
+}
+
+/// A batch of inserts, cell rewrites and deletes over `rel`'s live tuples.
+/// Written values come from other tuples, from `constants` (values the
+/// source lacks) or are NULL.
+relational::UpdateBatch RandomBatch(common::Rng* rng, const Relation& rel,
+                                    const std::vector<std::pair<size_t, Value>>& constants) {
+  const std::vector<TupleId> live = rel.LiveIds();
+  const auto any_tid = [&] { return live[rng->NextIndex(live.size())]; };
+  const auto value_for = [&](size_t col) {
+    const uint64_t pick = rng->NextBelow(8);
+    if (pick == 0) return Value::Null();
+    if (pick == 1) {
+      const auto& [c, v] = constants[rng->NextIndex(constants.size())];
+      if (c == col) return v;
+    }
+    return rel.cell(any_tid(), col);
+  };
+  relational::UpdateBatch batch;
+  std::vector<TupleId> deleted;
+  for (int i = 0; i < 12; ++i) {
+    const TupleId tid = any_tid();
+    if (std::find(deleted.begin(), deleted.end(), tid) != deleted.end()) continue;
+    const size_t col = 1 + rng->NextIndex(rel.schema().size() - 1);
+    switch (rng->NextBelow(4)) {
+      case 0: {
+        Row row = rel.row(tid);
+        row[col] = value_for(col);
+        batch.push_back(Update::Insert(std::move(row)));
+        break;
+      }
+      case 1:
+        batch.push_back(Update::DeleteTuple(tid));
+        deleted.push_back(tid);
+        break;
+      default:
+        batch.push_back(Update::Modify(tid, col, value_for(col)));
+        break;
+    }
+  }
+  return batch;
+}
+
+TEST(IncrementalDetectorCopyTest, ReadsOnlyItsOwnColumns) {
+  using workload::CustomerGenerator;
+  workload::CustomerWorkloadOptions opts;
+  opts.num_tuples = 3000;  // spans kernel blocks
+  opts.noise_rate = 0.05;
+  opts.seed = 5;
+  auto wl = CustomerGenerator::Generate(opts);
+  // Constants the source lacks: interning them detaches the copy's
+  // dictionaries, and rewrites into them must match.
+  const std::string sigma = CustomerGenerator::PaperCfds() +
+                            "customer: [CC] -> [CNT] { (33 | FR) }\n"
+                            "customer: [CNT=FR, ZIP=_] -> [CITY=_]\n";
+  const std::vector<std::pair<size_t, Value>> constants = {
+      {CustomerGenerator::kCc, Value::String("33")},
+      {CustomerGenerator::kCnt, Value::String("FR")}};
+
+  // The detector alone, over a dirty copy.
+  {
+    const Relation source = std::move(wl.dirty);
+    const StorageCapture before(source);
+    Relation copy = source;
+    IncrementalDetector det(&copy, Parse(sigma));
+    ASSERT_OK(det.Initialize());
+    common::Rng rng(17);
+    for (int b = 0; b < 8; ++b) {
+      SCOPED_TRACE("batch " + std::to_string(b));
+      ASSERT_OK(det.ApplyAndDetect(RandomBatch(&rng, copy, constants)));
+      ASSERT_OK_AND_ASSIGN(ViolationTable want,
+                           NativeDetector(&copy, Parse(sigma)).Detect());
+      ExpectSameViolations(det.Snapshot(), want, copy);
+      for (TupleId tid = 0; tid < copy.IdBound(); ++tid) {
+        EXPECT_EQ(det.Vio(tid), want.vio(tid)) << "tuple " << tid;
+      }
+      EXPECT_TRUE(StorageCapture(source) == before) << "the source changed";
+    }
+  }
+
+  // A cleansed monitor, whose repair engine runs its own detector, over a
+  // copy of the clean relation.
+  {
+    const Relation source = std::move(wl.clean);
+    const StorageCapture before(source);
+    Relation copy = source;
+    monitor::DataMonitor mon(&copy, Parse(sigma), repair::CostModel(copy.schema()));
+    ASSERT_OK(mon.Start());
+    mon.MarkCleansed();
+    common::Rng rng(23);
+    for (int b = 0; b < 8; ++b) {
+      SCOPED_TRACE("cleansed batch " + std::to_string(b));
+      ASSERT_OK(mon.OnUpdate(RandomBatch(&rng, copy, constants)).status());
+      ASSERT_OK_AND_ASSIGN(ViolationTable want,
+                           NativeDetector(&copy, Parse(sigma)).Detect());
+      ExpectSameViolations(mon.Violations(), want, copy);
+      EXPECT_TRUE(StorageCapture(source) == before) << "the source changed";
+    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include "common/status.h"
 #include "server/client.h"
 #include "server/protocol.h"
+#include "server/scheduler.h"
 #include "server/service.h"
 #include "server/tcp_server.h"
 #include "test_util.h"
@@ -166,14 +167,10 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
                        Client::Connect("127.0.0.1", server.port()));
   LoadSlowWorkload(&loader);
 
-  // Occupy the one expensive slot...
-  std::thread miner([&server] {
-    auto client = Client::Connect("127.0.0.1", server.port());
-    ASSERT_TRUE(client.ok());
-    auto resp = client->Call("mine customer");
-    EXPECT_TRUE(resp.ok()) << resp.status().ToString();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Occupy the one expensive slot from the test itself, so that how long a
+  // mine runs decides nothing below...
+  ASSERT_TRUE(
+      service.admission().Admit(RequestClass::kExpensive, nullptr).admitted);
 
   // ...so the competing mine is shed with a machine-readable hint.
   ASSERT_OK_AND_ASSIGN(Client rival,
@@ -188,16 +185,25 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
   // of classed admission.
   EXPECT_NE(Call(&rival, "ls").find("customer"), std::string::npos);
 
-  // The retrying client honors the hint and lands once the slot frees.
+  // The retrying client honors the hint: refused while the slot is held,
+  // it lands once the slot frees.
+  const uint64_t sheds_before =
+      service.stats().sheds.load(std::memory_order_relaxed);
   ClientOptions retrying;
   retrying.max_retries = 50;
   ASSERT_OK_AND_ASSIGN(
       Client patient,
       Client::Connect("127.0.0.1", server.port(), retrying));
-  ASSERT_OK_AND_ASSIGN(WireResponse mined,
-                       patient.CallIdempotent("mine customer"));
-  EXPECT_TRUE(mined.ok) << mined.text;
-  miner.join();
+  common::Result<WireResponse> mined =
+      common::Status::Internal("the patient client never answered");
+  std::thread patient_call(
+      [&] { mined = patient.CallIdempotent("mine customer"); });
+  EXPECT_TRUE(AwaitCounter(service.stats().sheds, sheds_before + 1))
+      << "the patient client was never refused";
+  service.admission().Release(RequestClass::kExpensive);
+  patient_call.join();
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  EXPECT_TRUE(mined->ok) << mined->text;
 
   // The stats surface reports the episode.
   const std::string stats = Call(&rival, "stats");

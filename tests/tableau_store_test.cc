@@ -81,6 +81,45 @@ TEST(TableauStoreTest, RoundTripPreservesSemantics) {
   EXPECT_TRUE(found_44);
 }
 
+// Wildcards and NULL constants are both stored as SQL NULL; the marker
+// column tells them apart, so a round trip keeps a NULL constant a constant.
+TEST(TableauStoreTest, NullConstantsSurviveTheRoundTrip) {
+  PatternTuple null_rhs;  // [A=1, B=_] -> [C=NULL]
+  null_rhs.lhs = {PatternValue::Constant(Value::String("1")), PatternValue::Wildcard()};
+  null_rhs.rhs = PatternValue::Constant(Value::Null());
+  PatternTuple null_lhs;  // [A=NULL, B=_] -> [C=_]
+  null_lhs.lhs = {PatternValue::Constant(Value::Null()), PatternValue::Wildcard()};
+  null_lhs.rhs = PatternValue::Wildcard();
+  PatternTuple plain;  // [A=_, B=_] -> [C=_]
+  plain.lhs = {PatternValue::Wildcard(), PatternValue::Wildcard()};
+  plain.rhs = PatternValue::Wildcard();
+  Database db;
+  std::vector<std::string> names;
+  ASSERT_OK(TableauStore::Store({Cfd("t", {"A", "B"}, "C", {null_rhs, null_lhs, plain})},
+                                &db, &names));
+  const Relation* tab = db.FindRelation(names[0]);
+  const int marker = tab->schema().IndexOf(TableauStore::kNullConstColumn);
+  ASSERT_GE(marker, 0);
+  EXPECT_EQ(tab->cell(0, static_cast<size_t>(marker)).AsInt(), 2);
+  EXPECT_EQ(tab->cell(1, static_cast<size_t>(marker)).AsInt(), 1);
+  EXPECT_EQ(tab->cell(2, static_cast<size_t>(marker)).AsInt(), 0);
+
+  ASSERT_OK_AND_ASSIGN(auto loaded, TableauStore::Load(db));
+  ASSERT_EQ(loaded.size(), 1u);
+  const std::vector<PatternTuple>& rows = loaded[0].tableau();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_TRUE(rows[0].rhs.is_constant());
+  EXPECT_TRUE(rows[0].rhs.constant().is_null());
+  EXPECT_TRUE(rows[0].lhs[1].is_wildcard());
+  // Every NULL LHS entry of a row that selects nothing comes back a
+  // constant: the row still selects nothing.
+  EXPECT_TRUE(rows[1].lhs[0].is_constant());
+  EXPECT_TRUE(rows[1].lhs[1].is_constant());
+  EXPECT_TRUE(rows[1].rhs.is_wildcard());
+  EXPECT_TRUE(rows[2].lhs[0].is_wildcard());
+  EXPECT_TRUE(rows[2].rhs.is_wildcard());
+}
+
 TEST(TableauStoreTest, StoreReplacesPreviousEncoding) {
   Database db;
   ASSERT_OK(TableauStore::Store(Parse("t: [A] -> [B]\nt: [B] -> [C]\n"), &db));
