@@ -154,14 +154,14 @@ BENCHMARK(BM_FdMine)
 
 // Full CfdMiner::Mine (constant + variable CFDs, embedded FD run) over the
 // same axes: range(0) = tuples, range(1) = num_threads, range(2) = kernel
-// tier. The evidence scans are what the tier moves; the candidate fan-out
-// is what the thread count moves.
+// tier. The options are CfdMinerOptions' defaults (max_lhs 3, min_support
+// 3), which is what a served `mine` runs. The partition builds and the
+// left reduction's constant scan are what the tier moves; the candidate
+// fan-out is what the thread count moves.
 void BM_CfdMine(benchmark::State& state) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   const auto& wl = bench::CachedCustomer(tuples, 0.0, /*seed=*/24);
   discovery::CfdMinerOptions opts;
-  opts.max_lhs = 2;
-  opts.min_support = 3;
   opts.num_threads = static_cast<size_t>(state.range(1));
   opts.simd_level = static_cast<semandaq::common::simd::Level>(state.range(2));
   size_t found = 0;

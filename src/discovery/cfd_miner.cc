@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -24,9 +23,9 @@ using relational::kNullCode;
 using relational::TupleId;
 using relational::Value;
 
-/// Gather block size for the evidence scans: big enough to amortize the
-/// kernel dispatch, small enough that a candidate failing on its first
-/// tuples stops after one block.
+/// Gather block size for the constant scan: big enough to amortize the
+/// kernel dispatch, small enough that a class failing on its first tuples
+/// stops after one block.
 constexpr size_t kGatherBlock = 1024;
 
 /// Is attribute `rhs` constant (and non-NULL) over the given tuples? When
@@ -57,106 +56,34 @@ bool ConstantOnEncoded(const relational::EncodedRelation& enc,
   return true;
 }
 
-/// Reused gather/mask buffers for one candidate task's evidence scans.
-struct EvidenceScratch {
-  std::vector<std::vector<Code>> lhs_cols;  // gathered LHS code columns
-  std::vector<Code> rhs;                    // gathered RHS codes
-  std::vector<Code> constant;               // ConstantOnEncoded's buffer
-  std::vector<uint64_t> mask;
-  std::vector<uint64_t> packed;
+/// What one class of Π_X says about an attribute A: how many of its
+/// members hold a non-NULL A, and whether those all hold the same code.
+struct ClassRhs {
+  uint32_t non_null = 0;
+  bool agree = true;
 };
 
-/// Does X -> A hold within the conditioning class `cls`, and over how much
-/// evidence (tuples in X-groups of size >= 2)? Class members' X and A codes
-/// gather into dense scratch columns, MaskNeAnd32 builds the non-NULL
-/// eligibility mask, and for |X| == 2 PackKeys2x32 pre-packs the group keys
-/// so the hash grouping runs on one uint64 per tuple. A block after a
-/// conflict exits early; (holds, evidence) — the only outputs — do not
-/// depend on where the conflict was seen, and evidence is only consumed
-/// when no conflict exists at all.
-void VariableEvidenceEncoded(const relational::EncodedRelation& enc,
-                             const simd::Kernels& kn,
-                             const std::vector<TupleId>& cls,
-                             const std::vector<size_t>& lhs, size_t rhs,
-                             EvidenceScratch* s, bool* holds,
-                             size_t* evidence) {
-  const size_t n = cls.size();
-  const size_t nlhs = lhs.size();
-  *holds = true;
-  *evidence = 0;
-  if (n == 0) return;
-
-  const size_t block = std::min(n, kGatherBlock);
-  if (s->lhs_cols.size() < nlhs) s->lhs_cols.resize(nlhs);
-  for (size_t k = 0; k < nlhs; ++k) s->lhs_cols[k].resize(block);
-  s->rhs.resize(block);
-  s->mask.resize(simd::MaskWords(block));
-  if (nlhs == 2) s->packed.resize(block);
-  const relational::CodeColumn& rhs_col = enc.column(rhs);
-
-  std::unordered_map<uint64_t, std::pair<Code, int>> groups2;
-  std::unordered_map<std::vector<Code>, std::pair<Code, int>,
-                     relational::CodeVecHash>
-      groups_wide;
-  std::vector<Code> key(nlhs);
-
-  // Blockwise: gather this block's X and A codes into dense scratch
-  // columns, fold the scalar walk's NULL skips into one bitmap with
-  // MaskNeAnd32, and group; the block after a conflict exits, so a
-  // failing candidate does O(block) work like the scalar walk's
-  // first-conflict break did.
-  for (size_t lo = 0; lo < n && *holds; lo += kGatherBlock) {
-    const size_t m = std::min(kGatherBlock, n - lo);
-    for (size_t k = 0; k < nlhs; ++k) {
-      const relational::CodeColumn& col = enc.column(lhs[k]);
-      for (size_t i = 0; i < m; ++i) {
-        s->lhs_cols[k][i] = col[static_cast<size_t>(cls[lo + i])];
+/// One pass over Π_X's materialized classes: the ClassRhs of each, in
+/// class order. A class that disagrees stops at the first conflict, since
+/// neither pattern kind reads its count then.
+void SummarizeRhs(const Code* rhs_codes,
+                  const std::vector<std::vector<TupleId>>& classes,
+                  std::vector<ClassRhs>* out) {
+  out->resize(classes.size());
+  for (size_t k = 0; k < classes.size(); ++k) {
+    ClassRhs s;
+    Code shared = kNullCode;
+    for (TupleId t : classes[k]) {
+      const Code c = rhs_codes[static_cast<size_t>(t)];
+      if (c == kNullCode) continue;
+      if (s.non_null++ == 0) {
+        shared = c;
+      } else if (c != shared) {
+        s.agree = false;
+        break;
       }
     }
-    for (size_t i = 0; i < m; ++i) {
-      s->rhs[i] = rhs_col[static_cast<size_t>(cls[lo + i])];
-    }
-    const size_t mwords = simd::MaskWords(m);
-    std::fill_n(s->mask.data(), mwords, ~uint64_t{0});
-    if (m % 64 != 0) s->mask[mwords - 1] = ~uint64_t{0} >> (64 - m % 64);
-    for (size_t k = 0; k < nlhs; ++k) {
-      kn.MaskNeAnd32(s->lhs_cols[k].data(), m, kNullCode, s->mask.data());
-    }
-    kn.MaskNeAnd32(s->rhs.data(), m, kNullCode, s->mask.data());
-
-    if (nlhs == 2) {
-      kn.PackKeys2x32(s->lhs_cols[0].data(), s->lhs_cols[1].data(), m,
-                      s->packed.data());
-      simd::ForEachSetBit(s->mask.data(), mwords, [&](size_t i) {
-        if (!*holds) return;
-        auto [it, fresh] =
-            groups2.emplace(s->packed[i], std::make_pair(s->rhs[i], 0));
-        if (!fresh && it->second.first != s->rhs[i]) {
-          *holds = false;
-          return;
-        }
-        ++it->second.second;
-      });
-    } else {
-      simd::ForEachSetBit(s->mask.data(), mwords, [&](size_t i) {
-        if (!*holds) return;
-        for (size_t k = 0; k < nlhs; ++k) key[k] = s->lhs_cols[k][i];
-        auto [it, fresh] = groups_wide.emplace(key, std::make_pair(s->rhs[i], 0));
-        if (!fresh && it->second.first != s->rhs[i]) {
-          *holds = false;
-          return;
-        }
-        ++it->second.second;
-      });
-    }
-  }
-  if (!*holds) return;
-  // Evidence = tuples in groups of size >= 2.
-  for (const auto& [k2, g] : groups2) {
-    if (g.second >= 2) *evidence += static_cast<size_t>(g.second);
-  }
-  for (const auto& [k2, g] : groups_wide) {
-    if (g.second >= 2) *evidence += static_cast<size_t>(g.second);
+    (*out)[k] = s;
   }
 }
 
@@ -218,24 +145,39 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   auto mine_candidate = [&](const std::vector<size_t>& lhs,
                             std::vector<Cfd>* local) {
     if (options_.cancel != nullptr && !options_.cancel->Check().ok()) return;
+    const bool variable = options_.mine_variable && lhs.size() >= 2;
+    if (!options_.mine_constant && !variable) return;
     const Partition& px = cache.Get(lhs);
-    EvidenceScratch scratch;
+    const auto& xclasses = px.classes();
+    std::vector<ClassRhs> summary;
+    std::vector<Code> constant_scratch;
+    // Variable-CFD evidence per class id of one conditioning partition
+    // Π_C: tuples of evidence, or -1 once a class of Π_X inside it
+    // disagrees on A. Sized for the largest Π_C; entries go back to 0
+    // after each use.
+    std::vector<int64_t> evidence;
+    if (variable) {
+      size_t most = 0;
+      for (size_t c : lhs) most = std::max(most, cache.Get({c}).num_classes());
+      evidence.assign(most, 0);
+    }
     for (size_t rhs = 0; rhs < ncols; ++rhs) {
       if (std::find(lhs.begin(), lhs.end(), rhs) != lhs.end()) continue;
-      const bool global = fd_holds_globally(lhs, rhs);
+      if (fd_holds_globally(lhs, rhs)) continue;
+      SummarizeRhs(encoded.column(rhs).data(), xclasses, &summary);
 
       // ---- Constant CFDs: per class of Π_X with support, A constant.
-      if (options_.mine_constant && !global) {
+      if (options_.mine_constant) {
         std::vector<PatternTuple> rows;
-        for (const auto& cls : px.classes()) {
+        for (size_t k = 0; k < xclasses.size(); ++k) {
+          const auto& cls = xclasses[k];
           if (cls.size() < options_.min_support) continue;
-          Value shared;
-          if (!ConstantOnEncoded(encoded, kn, cls, rhs, &shared,
-                                 &scratch.constant)) {
-            continue;
-          }
+          if (summary[k].non_null != cls.size() || !summary[k].agree) continue;
+          const Value shared =
+              encoded.Decode(rhs, encoded.code(cls.front(), rhs));
           // Left-reduction: skip when dropping any one LHS attribute
-          // still yields a constant class with the same value.
+          // still yields a constant class with the same value. The
+          // superclass has two or more members, as it contains `cls`.
           bool reducible = false;
           if (lhs.size() > 1) {
             for (size_t drop = 0; drop < lhs.size() && !reducible; ++drop) {
@@ -244,20 +186,14 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
                 if (i != drop) sub.push_back(lhs[i]);
               }
               const Partition& psub = cache.Get(sub);
-              const int32_t cid = psub.ClassOf(cls.front());
-              if (cid < 0) continue;
-              // Find the materialized class (non-singleton) with this id.
-              for (const auto& sup : psub.classes()) {
-                if (psub.ClassOf(sup.front()) != cid) continue;
-                Value sub_shared;
-                if (sup.size() >= options_.min_support &&
-                    ConstantOnEncoded(encoded, kn, sup, rhs, &sub_shared,
-                                      &scratch.constant) &&
-                    sub_shared == shared) {
-                  reducible = true;
-                }
-                break;
-              }
+              const std::vector<TupleId>* sup =
+                  psub.Members(psub.ClassOf(cls.front()));
+              Value sub_shared;
+              reducible = sup != nullptr &&
+                          sup->size() >= options_.min_support &&
+                          ConstantOnEncoded(encoded, kn, *sup, rhs,
+                                            &sub_shared, &constant_scratch) &&
+                          sub_shared == shared;
             }
           }
           if (reducible) continue;
@@ -277,26 +213,36 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
       }
 
       // ---- Variable CFDs: condition one LHS attribute on a constant.
-      if (options_.mine_variable && !global && lhs.size() >= 2) {
+      // X -> A holds within σ_{C=c} iff every X-group inside that class
+      // agrees on A, and its evidence is the tuples sitting in X-groups of
+      // two or more, i.e. the tuples the conditioned FD actually
+      // constrains. Requiring min_support *evidence* (not just a populous
+      // conditioning class) is what separates domain rules from sampling
+      // coincidences. An X-group (members with non-NULL X) is one class of
+      // Π_X, and lies inside one class of Π_C as C ∈ X; restricted to its
+      // non-NULL A members it has ClassRhs::non_null tuples, so a class
+      // with fewer than two is neither evidence nor a conflict.
+      if (variable) {
         std::vector<PatternTuple> rows;
         for (size_t cond = 0; cond < lhs.size() && rows.size() <
                                                       options_.max_patterns_per_fd;
              ++cond) {
           const Partition& pc = cache.Get({lhs[cond]});
+          for (size_t k = 0; k < xclasses.size(); ++k) {
+            if (summary[k].non_null < 2) continue;
+            int64_t& e = evidence[static_cast<size_t>(
+                pc.ClassOf(xclasses[k].front()))];
+            if (!summary[k].agree) {
+              e = -1;
+            } else if (e >= 0) {
+              e += summary[k].non_null;
+            }
+          }
           for (const auto& cls : pc.classes()) {
             if (cls.size() < options_.min_support) continue;
-            // Does X -> A hold within σ_{C=c}? Group the class members by
-            // their full X projection and require constant A per group.
-            // Evidence = tuples sitting in X-groups of size >= 2, i.e. the
-            // tuples the conditioned FD actually constrains. Requiring
-            // min_support *evidence* (not just a populous conditioning
-            // class) is what separates domain rules from sampling
-            // coincidences.
-            bool holds = true;
-            size_t evidence = 0;
-            VariableEvidenceEncoded(encoded, kn, cls, lhs, rhs, &scratch,
-                                    &holds, &evidence);
-            if (!holds || evidence < options_.min_support) continue;
+            const int64_t e =
+                evidence[static_cast<size_t>(pc.ClassOf(cls.front()))];
+            if (e < 0 || static_cast<size_t>(e) < options_.min_support) continue;
             PatternTuple pt;
             const Value& c_value =
                 encoded.Decode(lhs[cond], encoded.code(cls.front(), lhs[cond]));
@@ -307,6 +253,9 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
             pt.rhs = PatternValue::Wildcard();
             rows.push_back(std::move(pt));
             if (rows.size() >= options_.max_patterns_per_fd) break;
+          }
+          for (const auto& cls : xclasses) {
+            evidence[static_cast<size_t>(pc.ClassOf(cls.front()))] = 0;
           }
         }
         if (!rows.empty()) {

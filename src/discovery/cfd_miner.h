@@ -40,9 +40,11 @@ struct CfdMinerOptions {
   /// powers the base-partition builds and the candidate fan-out,
   /// overriding `num_threads`. Mined output is identical to serial.
   common::ThreadPool* pool = nullptr;
-  /// Kernel tier for partition builds, intersects, and the constant/
-  /// variable evidence scans (kAuto = the host's best). Every tier mines
-  /// the identical output.
+  /// Kernel tier for the scans that still run kernels: the base partition
+  /// builds (MaskLive) and the left reduction's constant check on a
+  /// superclass (CountEq32). Products of partitions and the Π_X pass that
+  /// decides constant and variable patterns are scalar. kAuto = the host's
+  /// best; every tier mines the identical output.
   common::simd::Level simd_level = common::simd::Level::kAuto;
   /// Cooperative cancellation (common/cancel.h), checked at level and
   /// candidate boundaries (shared with the embedded FdMiner run). A
@@ -74,11 +76,16 @@ struct CfdMinerOptions {
 /// tests/cfd_oracle_test.cc checks the mined tableau against a brute-force
 /// enumeration of these rules.
 ///
+/// Per candidate X and attribute A, one pass over Π_X's materialized
+/// classes decides both pattern kinds: a class is constant on A when all
+/// its members hold one non-NULL A, and its members with a non-NULL A are
+/// one X-group of every variable pattern conditioned on an attribute of X
+/// (a class of Π_X lies inside one class of each Π_C, C ∈ X).
+///
 /// Like the FD miner, the sweep fans each level's candidate LHS sets out
 /// over a thread pool (one task per candidate, per-candidate result slots,
-/// serial lexicographic emission) and the evidence scans run on the
-/// common::simd kernel tier — output is byte-identical across thread
-/// counts and tiers (tests/parallel_discovery_test).
+/// serial lexicographic emission) — output is byte-identical across thread
+/// counts and kernel tiers (tests/parallel_discovery_test).
 class CfdMiner {
  public:
   explicit CfdMiner(const relational::Relation* rel, CfdMinerOptions options = {})

@@ -35,9 +35,9 @@ struct FdMinerOptions {
   /// per-level candidate fan-out, overriding `num_threads`. nullptr =
   /// honor `num_threads`.
   common::ThreadPool* pool = nullptr;
-  /// Kernel tier for the partition builds, intersect probe loops, and
-  /// evidence scans (kAuto = the host's best; see docs/simd.md). Every
-  /// tier mines the identical output.
+  /// Kernel tier for the base partition builds (kAuto = the host's best;
+  /// see docs/simd.md); products of partitions run no kernel. Every tier
+  /// mines the identical output.
   common::simd::Level simd_level = common::simd::Level::kAuto;
   /// Cooperative cancellation (common/cancel.h), checked at level and
   /// candidate boundaries. Mine() returns a vector, so a tripped token

@@ -19,21 +19,20 @@ Partition Partition::Build(const relational::EncodedRelation& enc,
   Partition p;
   const size_t bound = static_cast<size_t>(enc.IdBound());
   p.class_of_.assign(bound, -1);
-  std::vector<std::vector<TupleId>> members;
-
-  // Class ids are issued densely in first-touch order, so a fresh id is
-  // always exactly members.size().
-  auto place = [&](TupleId tid, int32_t cid) {
-    if (static_cast<size_t>(cid) == members.size()) members.emplace_back();
-    members[static_cast<size_t>(cid)].push_back(tid);
-    p.class_of_[static_cast<size_t>(tid)] = cid;
-    ++p.covered_;
+  // Group sizes by label; each covered tuple's class_of_ entry holds its
+  // label until Finish renumbers the labels into first-touch class ids.
+  // Hashed labels are issued densely, so a fresh one is sizes.size().
+  std::vector<uint32_t> sizes;
+  auto place = [&](size_t tid, size_t label) {
+    if (label == sizes.size()) sizes.push_back(0);
+    ++sizes[label];
+    p.class_of_[tid] = static_cast<int32_t>(label);
   };
 
   // The refinement pass runs in kernel blocks: MaskLive fuses the liveness
   // filter with the per-column non-NULL test into one bitmap per block, and
   // PackKeys2x32 pre-packs the two-column group keys — the scalar loop that
-  // remains is pure first-touch class placement over the surviving bits.
+  // remains is pure group labelling over the surviving bits.
   const simd::Kernels& kn = simd::KernelsFor(level);
   const uint8_t* live = enc.relation().live_data();
   constexpr size_t kBlock = 4096;
@@ -59,97 +58,123 @@ Partition Partition::Build(const relational::EncodedRelation& enc,
   };
 
   if (cols.size() == 1) {
-    // Codes are dense 1..|dict|: the class of a tuple is a direct array
-    // lookup, with ids renumbered in first-touch order.
+    // Codes are dense 1..|dict|: the code is the label, counted in a dense
+    // array.
     const Code* codes = colptrs[0];
-    std::vector<int32_t> class_of_code(enc.dictionary(cols[0]).size() + 1, -1);
-    int32_t next = 0;
+    sizes.assign(enc.dictionary(cols[0]).size() + 1, 0);
     for_each_eligible([&](size_t lo, size_t n) {
       simd::ForEachSetBit(elig.data(), simd::MaskWords(n), [&](size_t i) {
-        int32_t& cid = class_of_code[codes[lo + i]];
-        if (cid < 0) cid = next++;
-        place(static_cast<TupleId>(lo + i), cid);
+        place(lo + i, codes[lo + i]);
       });
     });
-    p.num_classes_ = static_cast<size_t>(next);
   } else if (cols.size() == 2) {
     std::vector<uint64_t> packed(kBlock);
     std::unordered_map<uint64_t, int32_t> ids;
     for_each_eligible([&](size_t lo, size_t n) {
       kn.PackKeys2x32(colptrs[0] + lo, colptrs[1] + lo, n, packed.data());
       simd::ForEachSetBit(elig.data(), simd::MaskWords(n), [&](size_t i) {
-        auto [it, fresh] =
-            ids.emplace(packed[i], static_cast<int32_t>(ids.size()));
-        place(static_cast<TupleId>(lo + i), it->second);
+        place(lo + i, static_cast<size_t>(
+                          ids.emplace(packed[i], static_cast<int32_t>(ids.size()))
+                              .first->second));
       });
     });
-    p.num_classes_ = ids.size();
   } else {
     std::unordered_map<std::vector<Code>, int32_t, relational::CodeVecHash> ids;
     std::vector<Code> key(cols.size());
     for_each_eligible([&](size_t lo, size_t n) {
       simd::ForEachSetBit(elig.data(), simd::MaskWords(n), [&](size_t i) {
         for (size_t k = 0; k < cols.size(); ++k) key[k] = colptrs[k][lo + i];
-        auto [it, fresh] = ids.emplace(key, static_cast<int32_t>(ids.size()));
-        place(static_cast<TupleId>(lo + i), it->second);
+        place(lo + i, static_cast<size_t>(
+                          ids.emplace(key, static_cast<int32_t>(ids.size()))
+                              .first->second));
       });
     });
-    p.num_classes_ = ids.size();
   }
-
-  for (auto& m : members) {
-    if (m.size() >= 2) p.classes_.push_back(std::move(m));
-  }
+  p.Finish(sizes);
   return p;
 }
 
 Partition Partition::Intersect(const Partition& a, const Partition& b,
-                               common::simd::Level level) {
-  namespace simd = common::simd;
+                               common::simd::Level /*level*/) {
   Partition p;
   const size_t bound = std::max(a.class_of_.size(), b.class_of_.size());
-  p.class_of_.assign(bound, -1);
-  std::unordered_map<uint64_t, int32_t> ids;
-  std::vector<std::vector<TupleId>> members;
-
   // Beyond the shorter class_of_ array one side is uncovered, so only the
-  // common prefix can contribute. The probe loop runs in kernel blocks:
-  // the int32 class ids reinterpret as uint32 columns (-1 = 0xFFFFFFFF),
-  // MaskNeAnd32 drops the not-covered tuples of either side, and
-  // PackKeys2x32 packs the surviving (class_a, class_b) pairs into the
-  // same 64-bit keys the scalar loop built — first-touch class ids over
-  // the ascending bit order make every tier's result identical.
+  // common prefix can be covered. A tuple both operands cover starts as a
+  // singleton of the product; the walk below labels the ones that share a
+  // class with another tuple.
   const size_t common_bound = std::min(a.class_of_.size(), b.class_of_.size());
-  const auto* ca = reinterpret_cast<const uint32_t*>(a.class_of_.data());
-  const auto* cb = reinterpret_cast<const uint32_t*>(b.class_of_.data());
-  constexpr uint32_t kNotCovered = 0xFFFFFFFFu;  // bit pattern of int32 -1
-  constexpr size_t kBlock = 4096;
-  const simd::Kernels& kn = simd::KernelsFor(level);
-  std::vector<uint64_t> mask(simd::MaskWords(kBlock));
-  std::vector<uint64_t> packed(kBlock);
-  for (size_t lo = 0; lo < common_bound; lo += kBlock) {
-    const size_t n = std::min(kBlock, common_bound - lo);
-    const size_t nwords = simd::MaskWords(n);
-    std::fill(mask.begin(), mask.begin() + nwords, ~uint64_t{0});
-    if (n % 64 != 0) mask[nwords - 1] = ~uint64_t{0} >> (64 - n % 64);
-    kn.MaskNeAnd32(ca + lo, n, kNotCovered, mask.data());
-    kn.MaskNeAnd32(cb + lo, n, kNotCovered, mask.data());
-    kn.PackKeys2x32(ca + lo, cb + lo, n, packed.data());
-    simd::ForEachSetBit(mask.data(), nwords, [&](size_t i) {
-      auto [it, fresh] =
-          ids.emplace(packed[i], static_cast<int32_t>(ids.size()));
-      if (fresh) members.emplace_back();
-      members[static_cast<size_t>(it->second)].push_back(
-          static_cast<TupleId>(lo + i));
-      p.class_of_[lo + i] = it->second;
-      ++p.covered_;
-    });
+  p.class_of_.resize(bound);
+  for (size_t t = 0; t < common_bound; ++t) {
+    p.class_of_[t] = (a.class_of_[t] | b.class_of_[t]) < 0 ? -1 : kSingleton;
   }
-  p.num_classes_ = ids.size();
-  for (auto& m : members) {
-    if (m.size() >= 2) p.classes_.push_back(std::move(m));
+  std::fill(p.class_of_.begin() + common_bound, p.class_of_.end(), -1);
+
+  // A class of the product lies inside one class of each operand, so only
+  // the walked operand's materialized classes can hold one of size >= 2:
+  // each is split by the other operand's class id. `label_of` is indexed by
+  // that id and holds the label it was last given. Labels only grow, so an
+  // entry below the first label of the class being split is left over from
+  // an earlier class, and one array serves the whole walk without a reset.
+  // A label that ends with one member is a singleton of the product.
+  const Partition& walk =
+      a.stripped_tuples() <= b.stripped_tuples() ? a : b;
+  const Partition& probe = &walk == &a ? b : a;
+  std::vector<int32_t> label_of(probe.num_classes_, -1);
+  std::vector<uint32_t> sizes;
+  for (const std::vector<TupleId>& cls : walk.classes_) {
+    const auto first = static_cast<int32_t>(sizes.size());
+    for (TupleId t : cls) {
+      const int32_t c = probe.ClassOf(t);
+      if (c < 0) continue;
+      int32_t& label = label_of[static_cast<size_t>(c)];
+      if (label < first) {
+        label = static_cast<int32_t>(sizes.size());
+        sizes.push_back(0);
+      }
+      ++sizes[static_cast<size_t>(label)];
+      p.class_of_[static_cast<size_t>(t)] = label;
+    }
   }
+  p.Finish(sizes);
   return p;
+}
+
+void Partition::Finish(const std::vector<uint32_t>& sizes) {
+  // Per label: its class id once touched (-1 before) and, for a class of
+  // two or more, where its next member goes in the member list sized to it.
+  struct Issued {
+    int32_t id = -1;
+    TupleId* next = nullptr;
+  };
+  std::vector<Issued> issued(sizes.size());
+  int32_t next = 0;
+  for (size_t t = 0; t < class_of_.size(); ++t) {
+    const int32_t label = class_of_[t];
+    if (label == -1) continue;
+    ++covered_;
+    if (label == kSingleton || sizes[static_cast<size_t>(label)] == 1) {
+      class_of_[t] = next++;
+      continue;
+    }
+    Issued& is = issued[static_cast<size_t>(label)];
+    if (is.id < 0) {
+      is.id = next++;
+      is.next = classes_.emplace_back(sizes[static_cast<size_t>(label)]).data();
+    }
+    class_of_[t] = is.id;
+    *is.next++ = static_cast<TupleId>(t);
+  }
+  num_classes_ = static_cast<size_t>(next);
+}
+
+const std::vector<TupleId>* Partition::Members(int32_t cid) const {
+  auto it = std::lower_bound(
+      classes_.begin(), classes_.end(), cid,
+      [this](const std::vector<TupleId>& cls, int32_t id) {
+        return ClassOf(cls.front()) < id;
+      });
+  if (it == classes_.end() || ClassOf(it->front()) != cid) return nullptr;
+  return &*it;
 }
 
 namespace {

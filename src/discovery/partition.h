@@ -22,10 +22,14 @@ namespace semandaq::discovery {
 /// equality on an attribute set X — the workhorse of TANE-family dependency
 /// discovery. Tuples with NULL in any X attribute are excluded (NULLs
 /// cannot witness equality, matching the detector's semantics).
+///
+/// The partition is stripped (TANE): every covered tuple has a class id,
+/// but only the classes of two or more tuples are materialized as member
+/// lists. A singleton class costs one class_of_ entry and nothing else.
 class Partition {
  public:
   /// Builds Π_X from a dictionary-encoded snapshot: a counting/group pass
-  /// over code columns. Single attributes index a dense code->class array
+  /// over code columns. Single attributes index a dense code->count array
   /// sized by the dictionary cardinality (no hash table at all); wider sets
   /// group on packed code keys. Class ids are assigned in first-touch
   /// (tuple id) order.
@@ -38,12 +42,13 @@ class Partition {
                          const std::vector<size_t>& cols,
                          common::simd::Level level = common::simd::Level::kAuto);
 
-  /// Product partition Π_{X ∪ Y} = Π_X · Π_Y from the class ids of both.
-  /// The probe loop runs in kernel blocks on tier `level`: MaskNeAnd32
-  /// filters the not-covered sentinel out of both class-id columns and
-  /// PackKeys2x32 pre-packs the (class_a, class_b) group keys; every tier
-  /// produces the identical partition (first-touch class ids over the same
-  /// bit order).
+  /// Product partition Π_{X ∪ Y} = Π_X · Π_Y, the stripped product: it
+  /// walks only the materialized classes of whichever operand holds fewer
+  /// tuples in them and splits each by the other operand's class id, with
+  /// no hash table; only the member lists of classes of two or more are
+  /// allocated, one each. Class ids are issued in first-touch order, so
+  /// the result equals Build over X ∪ Y. `level` is accepted for source
+  /// compatibility and unused: no kernel runs here.
   static Partition Intersect(const Partition& a, const Partition& b,
                              common::simd::Level level =
                                  common::simd::Level::kAuto);
@@ -51,7 +56,7 @@ class Partition {
   /// Number of classes (singletons included).
   size_t num_classes() const { return num_classes_; }
 
-  /// Tuples covered (live tuples without NULL in X).
+  /// Tuples covered (live tuples without NULL in X), singletons included.
   size_t num_tuples() const { return covered_; }
 
   /// The stripped-partition error measure e(X) = |covered| - |Π_X|: how
@@ -61,7 +66,8 @@ class Partition {
   /// e(X) == e(X∪A) — see RefinesForFd below.
   size_t Error() const { return covered_ - num_classes_; }
 
-  /// Class id for a tuple, or -1 when the tuple is not covered.
+  /// Class id for a tuple, or -1 when the tuple is not covered. Every
+  /// covered tuple has one, a singleton's included.
   int32_t ClassOf(relational::TupleId tid) const {
     const auto i = static_cast<size_t>(tid);
     return i < class_of_.size() ? class_of_[i] : -1;
@@ -73,12 +79,32 @@ class Partition {
     return classes_;
   }
 
+  /// The members of class `cid` when it has two or more, else nullptr (a
+  /// singleton, or no such class). A binary search over classes(), which
+  /// are in id order.
+  const std::vector<relational::TupleId>* Members(int32_t cid) const;
+
   /// True when this partition refines `other`: every class of this is
   /// contained in one class of `other` (restricted to commonly covered
   /// tuples). Π_X refines Π_{X∪A}  <=>  FD X -> A holds.
   bool Refines(const Partition& other) const;
 
  private:
+  /// Tuples in materialized classes: the covered tuples minus singletons.
+  size_t stripped_tuples() const {
+    return covered_ - (num_classes_ - classes_.size());
+  }
+
+  /// Turns group labels into the final partition. On entry class_of_ holds,
+  /// per tuple, -1 (not covered), kSingleton (covered, alone in its class)
+  /// or a label whose class has sizes[label] members (a label of size 1 is
+  /// a singleton too). One pass over the tuple ids issues class ids in
+  /// first-touch order and fills the member lists of the classes of size
+  /// >= 2, each allocated once at its size.
+  void Finish(const std::vector<uint32_t>& sizes);
+
+  static constexpr int32_t kSingleton = -2;
+
   std::vector<int32_t> class_of_;  // indexed by tuple id; -1 = not covered
   std::vector<std::vector<relational::TupleId>> classes_;  // size >= 2 only
   size_t num_classes_ = 0;
@@ -128,7 +154,7 @@ inline bool RefinesForFd(const Partition& px, const Partition& pxa) {
 class PartitionCache {
  public:
   /// `enc` is borrowed: the snapshot every base partition is built from.
-  /// `level` is the kernel tier every build and intersect runs on.
+  /// `level` is the kernel tier every base build runs on.
   explicit PartitionCache(const relational::EncodedRelation* enc,
                           common::simd::Level level = common::simd::Level::kAuto)
       : enc_(enc), level_(level) {}

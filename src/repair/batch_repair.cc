@@ -119,14 +119,20 @@ class RepairEngine {
     dopts.cancel = options_.cancel;
     detect::NativeDetector detector(&work_, cfds_, dopts);
 
+    // `table` is the last detection of the working copy and `stale` says
+    // whether an edit was written after it, so a table that is still
+    // current is never detected twice.
     RepairResult result;
+    ViolationTable table;
+    bool stale = true;
     int it = 0;
     for (; it < options_.max_iterations; ++it) {
       SEMANDAQ_RETURN_IF_CANCELLED(options_.cancel);
-      SEMANDAQ_ASSIGN_OR_RETURN(ViolationTable table, detector.Detect());
+      SEMANDAQ_ASSIGN_OR_RETURN(table, detector.Detect());
+      stale = false;
       if (table.TotalVio() == 0) break;
-      const size_t edits = ResolveRound(table, &result);
-      if (edits == 0) break;  // stuck: defer to the escape pass
+      if (ResolveRound(table, &result) == 0) break;  // stuck: defer to the escape pass
+      stale = true;
     }
     result.iterations = it;
 
@@ -134,16 +140,17 @@ class RepairEngine {
     // cell in incompatible ways; whatever is left now gets the NULL
     // treatment of [VLDB'07] — but surgically: only the cells that actually
     // disagree with their group's majority, never whole groups.
-    {
-      SEMANDAQ_ASSIGN_OR_RETURN(ViolationTable table, detector.Detect());
-      if (table.TotalVio() > 0) EscapePass(table, &result);
+    if (stale) {
+      SEMANDAQ_ASSIGN_OR_RETURN(table, detector.Detect());
     }
-
-    // Final audit: after the escape pass nothing is left to flag.
-    {
-      SEMANDAQ_ASSIGN_OR_RETURN(ViolationTable table, detector.Detect());
-      result.remaining_violations = static_cast<size_t>(table.TotalVio());
+    const size_t escapes_before = result.null_escapes;
+    if (table.TotalVio() > 0) EscapePass(table, &result);
+    if (result.null_escapes > escapes_before) {
+      // Final audit: after the escape pass nothing is left to flag. Each
+      // escape-pass edit counts one NULL escape.
+      SEMANDAQ_ASSIGN_OR_RETURN(table, detector.Detect());
     }
+    result.remaining_violations = static_cast<size_t>(table.TotalVio());
 
     // The change log, in (tid, col) order (the key order of `changed_`):
     // each written cell's code before its first write against its code now,

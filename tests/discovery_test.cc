@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cfd/cfd_parser.h"
@@ -19,19 +23,30 @@ using relational::Value;
 // -------------------------------------------------------------- Partition --
 
 /// Π_X over the encoded snapshot must be Π_X from the definition: the same
-/// classes (stripped of singletons) in first-touch order, the same coverage.
+/// classes (stripped of singletons) in first-touch order, the same coverage,
+/// and ClassOf giving every covered tuple, singletons included, the index
+/// of its class in that order (-1 for the rest).
 void ExpectOraclePartition(const Partition& p, const Relation& rel,
                            const std::vector<size_t>& cols) {
   const auto want = oracle::PartitionClasses(rel, cols);
   std::vector<std::vector<relational::TupleId>> stripped;
+  std::vector<int32_t> class_of(static_cast<size_t>(rel.IdBound()) + 1, -1);
   size_t covered = 0;
-  for (const auto& cls : want) {
-    covered += cls.size();
-    if (cls.size() >= 2) stripped.push_back(cls);
+  for (size_t i = 0; i < want.size(); ++i) {
+    covered += want[i].size();
+    if (want[i].size() >= 2) stripped.push_back(want[i]);
+    for (relational::TupleId t : want[i]) {
+      class_of[static_cast<size_t>(t)] = static_cast<int32_t>(i);
+    }
   }
   EXPECT_EQ(p.num_classes(), want.size());
   EXPECT_EQ(p.num_tuples(), covered);
+  EXPECT_EQ(p.Error(), covered - want.size());
   EXPECT_EQ(p.classes(), stripped);
+  for (size_t t = 0; t < class_of.size(); ++t) {
+    EXPECT_EQ(p.ClassOf(static_cast<relational::TupleId>(t)), class_of[t])
+        << "tid " << t;
+  }
 }
 
 TEST(PartitionTest, BuildGroupsEqualValues) {
@@ -66,6 +81,48 @@ TEST(PartitionTest, IntersectIsProductPartition) {
   Partition pb = Partition::Build(enc, {1});
   ExpectOraclePartition(Partition::Intersect(pa, pb), rel, {0, 1});
   ExpectOraclePartition(Partition::Build(enc, {0, 1}), rel, {0, 1});
+}
+
+/// K and J are keys with NULLs in different rows, N is a key but for one
+/// pair, and L has two values and NULLs; two tuples are deleted. So the
+/// products below have operands whose classes are all, or all but one,
+/// singletons, and each side leaves tuples the other covers uncovered.
+Relation KeyLikeRelation() {
+  Relation rel = semandaq::testing::MakeStringRelation(
+      "t", {"K", "J", "N", "L"},
+      {{"k0", "j0", "n0", "a"}, {"k1", "", "n1", "b"}, {"", "j2", "n2", "a"},
+       {"k3", "j3", "n1", ""}, {"k4", "j4", "n4", "a"}, {"k5", "j5", "", "b"},
+       {"", "", "n6", "a"}, {"k7", "j7", "n7", "b"}, {"k8", "j8", "n8", "a"},
+       {"k9", "", "n9", ""}, {"k10", "j10", "n10", "a"}, {"k11", "j11", "n11", "b"}});
+  EXPECT_OK(rel.Delete(4));
+  EXPECT_OK(rel.Delete(7));
+  return rel;
+}
+
+TEST(PartitionTest, IntersectWithKeyOperands) {
+  const Relation rel = KeyLikeRelation();
+  const relational::EncodedRelation enc(&rel);
+  std::vector<Partition> base;
+  for (size_t c = 0; c < 4; ++c) {
+    base.push_back(Partition::Build(enc, {c}));
+    ExpectOraclePartition(base.back(), rel, {c});
+  }
+  EXPECT_TRUE(base[0].classes().empty());
+  for (size_t a = 0; a < 4; ++a) {
+    for (size_t b = 0; b < 4; ++b) {
+      if (a == b) continue;
+      SCOPED_TRACE("Intersect(" + std::to_string(a) + ", " + std::to_string(b) + ")");
+      const Partition product = Partition::Intersect(base[a], base[b]);
+      ExpectOraclePartition(product, rel, {std::min(a, b), std::max(a, b)});
+      // A product that is all singletons is a key operand in its turn.
+      size_t c = 0;
+      while (c == a || c == b) ++c;
+      std::vector<size_t> cols = {a, b, c};
+      std::sort(cols.begin(), cols.end());
+      ExpectOraclePartition(Partition::Intersect(product, base[c]), rel, cols);
+      ExpectOraclePartition(Partition::Intersect(base[c], product), rel, cols);
+    }
+  }
 }
 
 TEST(PartitionTest, RefinesDetectsFd) {
@@ -195,6 +252,43 @@ TEST(CfdMinerTest, FindsThePapersConditionalDependency) {
     }
   }
   EXPECT_TRUE(found_phi2_shape);
+}
+
+TEST(CfdMinerTest, NullRhsMembersAreNeitherEvidenceNorConflict) {
+  // [C, B] -> A fails globally (c3, b1), and so do C -> A and B -> A. Under
+  // C = c1 the classes of Π_{C,B} are {3 tuples, one with a NULL A} and
+  // {2, one NULL}: 2 tuples of evidence, below support 3. Under C = c2 they
+  // are {3 x} and {y, NULL}: 3 tuples of evidence and no conflict, as the
+  // NULL is no value. Under B = b2 every class has one non-NULL A.
+  Relation rel = semandaq::testing::MakeStringRelation(
+      "t", {"C", "B", "A"},
+      {{"c1", "b1", "a1"}, {"c1", "b1", "a1"}, {"c1", "b1", ""},
+       {"c1", "b2", "a2"}, {"c1", "b2", ""}, {"c2", "b1", "x"},
+       {"c2", "b1", "x"}, {"c2", "b1", "x"}, {"c2", "b2", ""},
+       {"c2", "b2", "y"}, {"c3", "b1", "p"}, {"c3", "b1", "q"},
+       {"c3", "b2", "p"}});
+  CfdMinerOptions mopts;
+  mopts.max_lhs = 2;
+  mopts.min_support = 3;
+  ASSERT_OK_AND_ASSIGN(auto mined, CfdMiner(&rel, mopts).Mine());
+  const std::vector<std::string> rows = oracle::RowsOf(mined);
+  EXPECT_EQ(rows, oracle::MinedCfdRows(rel, mopts));
+
+  auto conditioned = [](const char* c, const char* b) {
+    cfd::PatternTuple pt;
+    pt.lhs = {c[0] != 0 ? cfd::PatternValue::Constant(Value::String(c))
+                        : cfd::PatternValue::Wildcard(),
+              b[0] != 0 ? cfd::PatternValue::Constant(Value::String(b))
+                        : cfd::PatternValue::Wildcard()};
+    pt.rhs = cfd::PatternValue::Wildcard();
+    return oracle::RowKey({"C", "B"}, "A", pt);
+  };
+  auto has = [&](const std::string& row) {
+    return std::find(rows.begin(), rows.end(), row) != rows.end();
+  };
+  EXPECT_TRUE(has(conditioned("c2", "")));
+  EXPECT_FALSE(has(conditioned("c1", "")));
+  EXPECT_FALSE(has(conditioned("", "b2")));
 }
 
 TEST(CfdMinerTest, GlobalFdBecomesWildcardCfd) {

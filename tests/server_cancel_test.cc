@@ -48,9 +48,10 @@ std::string Call(Client* client, const std::string& command) {
 }
 
 /// A mine big enough (~hundreds of ms) that a cancel injected a few tens
-/// of ms in lands mid-sweep, not after the fact.
+/// of ms in lands mid-sweep, not after the fact. Hospital's wider schema
+/// gives the lattice more candidates per row than customer's.
 void LoadSlowWorkload(Client* client) {
-  EXPECT_NE(Call(client, "gen customer 30000 10").find("generated customer"),
+  EXPECT_NE(Call(client, "gen hospital 100000 10").find("generated hospital"),
             std::string::npos);
 }
 
@@ -77,7 +78,7 @@ TEST(ServerCancelTest, DeadlineRequestExpiresIntoWireStatus3) {
 
   const auto start = Clock::now();
   ASSERT_OK_AND_ASSIGN(WireResponse resp,
-                       client.CallWithDeadline("mine customer", 50));
+                       client.CallWithDeadline("mine hospital", 50));
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.status, WireStatus::kDeadlineExceeded);
   // The engine checkpoints densely enough that an expired deadline comes
@@ -86,7 +87,7 @@ TEST(ServerCancelTest, DeadlineRequestExpiresIntoWireStatus3) {
 
   // The cancelled mine published nothing: Sigma is still empty, and the
   // same command under no deadline succeeds from scratch.
-  EXPECT_NE(Call(&client, "mine customer").find("mined"), std::string::npos);
+  EXPECT_NE(Call(&client, "mine hospital").find("mined"), std::string::npos);
 
   server.Shutdown();
   server.Wait();
@@ -108,7 +109,7 @@ TEST(ServerCancelTest, CancelFrameStopsAnInFlightMine) {
     EXPECT_OK(client.SendCancel());
   });
   const auto start = Clock::now();
-  ASSERT_OK_AND_ASSIGN(WireResponse resp, client.Call("mine customer"));
+  ASSERT_OK_AND_ASSIGN(WireResponse resp, client.Call("mine hospital"));
   canceller.join();
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.status, WireStatus::kCancelled);
@@ -116,7 +117,7 @@ TEST(ServerCancelTest, CancelFrameStopsAnInFlightMine) {
   EXPECT_TRUE(AwaitCounter(service.stats().cancels, 1));
 
   // The connection stays healthy after a cancelled request.
-  EXPECT_NE(Call(&client, "ls").find("customer"), std::string::npos);
+  EXPECT_NE(Call(&client, "ls").find("hospital"), std::string::npos);
 
   server.Shutdown();
   server.Wait();
@@ -142,7 +143,7 @@ TEST(ServerCancelTest, DeadSocketMidMineCancelsTheEngineWork) {
   addr.sin_port = htons(server.port());
   ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  ASSERT_OK(WriteFrame(fd, "mine customer"));
+  ASSERT_OK(WriteFrame(fd, "mine hospital"));
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   // Vanish mid-request. The watchdog notices the dead fd and cancels the
   // mine instead of letting it run to completion for nobody.
@@ -175,7 +176,7 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
   // ...so the competing mine is shed with a machine-readable hint.
   ASSERT_OK_AND_ASSIGN(Client rival,
                        Client::Connect("127.0.0.1", server.port()));
-  ASSERT_OK_AND_ASSIGN(WireResponse busy, rival.Call("mine customer"));
+  ASSERT_OK_AND_ASSIGN(WireResponse busy, rival.Call("mine hospital"));
   EXPECT_FALSE(busy.ok);
   EXPECT_EQ(busy.status, WireStatus::kBusy);
   EXPECT_GE(busy.retry_after_ms, 25u);
@@ -183,7 +184,7 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
 
   // Cheap verbs sail past the congested expensive class — the whole point
   // of classed admission.
-  EXPECT_NE(Call(&rival, "ls").find("customer"), std::string::npos);
+  EXPECT_NE(Call(&rival, "ls").find("hospital"), std::string::npos);
 
   // The retrying client honors the hint: refused while the slot is held,
   // it lands once the slot frees.
@@ -197,7 +198,7 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
   common::Result<WireResponse> mined =
       common::Status::Internal("the patient client never answered");
   std::thread patient_call(
-      [&] { mined = patient.CallIdempotent("mine customer"); });
+      [&] { mined = patient.CallIdempotent("mine hospital"); });
   EXPECT_TRUE(AwaitCounter(service.stats().sheds, sheds_before + 1))
       << "the patient client was never refused";
   service.admission().Release(RequestClass::kExpensive);
