@@ -9,7 +9,6 @@
 #include "discovery/cfd_miner.h"
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
-#include "relational/encoded_relation.h"
 #include "workload/hospital_gen.h"
 
 namespace semandaq {
@@ -76,10 +75,9 @@ std::vector<size_t> PartitionCols(int selector) {
 void BM_PartitionBuild(benchmark::State& state) {
   const auto& wl = bench::CachedCustomer(64000, 0.05);
   const std::vector<size_t> cols = PartitionCols(static_cast<int>(state.range(0)));
-  relational::EncodedRelation encoded(&wl.dirty);
   size_t classes = 0;
   for (auto _ : state) {
-    auto p = discovery::Partition::Build(encoded, cols);
+    auto p = discovery::Partition::Build(wl.dirty, cols);
     benchmark::DoNotOptimize(p);
     classes = p.num_classes();
   }
@@ -99,10 +97,9 @@ void BM_PartitionBuildSimd(benchmark::State& state) {
   const std::vector<size_t> cols = PartitionCols(static_cast<int>(state.range(0)));
   const auto level =
       static_cast<semandaq::common::simd::Level>(state.range(1));
-  relational::EncodedRelation encoded(&wl.dirty);
   size_t classes = 0;
   for (auto _ : state) {
-    auto p = discovery::Partition::Build(encoded, cols, level);
+    auto p = discovery::Partition::Build(wl.dirty, cols, level);
     benchmark::DoNotOptimize(p);
     classes = p.num_classes();
   }

@@ -5,7 +5,6 @@
 
 #include "common/simd/simd.h"
 #include "detect/pattern_scan.h"
-#include "relational/encoded_relation.h"
 
 namespace semandaq::audit {
 
@@ -15,7 +14,6 @@ using detect::SingleViolation;
 using detect::ViolationGroup;
 using detect::ViolationTable;
 using relational::Code;
-using relational::EncodedRelation;
 using relational::kAbsentCode;
 using relational::kNullCode;
 using relational::TupleId;
@@ -85,7 +83,6 @@ CleanGrade AuditOutcome::GradeOf(TupleId tid) const {
 
 common::Result<AuditOutcome> DataAuditor::Audit(const ViolationTable& table) {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
-  const EncodedRelation enc(rel_);
 
   AuditOutcome out;
   const size_t ncols = rel_->schema().size();
@@ -155,7 +152,7 @@ common::Result<AuditOutcome> DataAuditor::Audit(const ViolationTable& table) {
     for (const PatternTuple& pt : c.tableau()) {
       if (!pt.is_constant_rhs()) continue;
       const std::optional<detect::CompiledPattern> cp =
-          detect::CompilePattern(enc, c, pt);
+          detect::CompilePattern(*rel_, c, pt);
       if (!cp || cp->rhs_code == kNullCode || cp->rhs_code == kAbsentCode) continue;
       cols.assign(1, c.rhs_col());
       codes.assign(1, cp->rhs_code);
@@ -164,7 +161,7 @@ common::Result<AuditOutcome> DataAuditor::Audit(const ViolationTable& table) {
         codes.push_back(code);
       }
       col_codes.clear();
-      for (size_t col : cols) col_codes.push_back(enc.column(col).data());
+      for (size_t col : cols) col_codes.push_back(rel_->columns()[col].data());
       mask = live_mask;
       kn.FilterEqMulti32(col_codes.data(), codes.data(), cols.size(), bound, mask.data());
       simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t t) {

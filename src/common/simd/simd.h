@@ -65,8 +65,8 @@ struct Kernels {
                      uint64_t* out);
 
   /// out[i] = (uint64_t(hi[i]) << 32) | lo[i] — the packed 64-bit group-by
-  /// key of two code columns. lo == nullptr packs zeros in the low half
-  /// (the single-column key, matching relational::PackCodes(c, kNullCode)).
+  /// key of two code columns. lo == nullptr packs zeros (kNullCode) in the
+  /// low half: the single-column key.
   void (*PackKeys2x32)(const uint32_t* hi, const uint32_t* lo, size_t n,
                        uint64_t* out);
 

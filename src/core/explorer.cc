@@ -8,7 +8,6 @@
 
 #include "common/simd/simd.h"
 #include "detect/pattern_scan.h"
-#include "relational/encoded_relation.h"
 
 namespace semandaq::core {
 
@@ -61,7 +60,7 @@ std::vector<uint64_t> DataExplorer::MatchMask(
 std::vector<uint64_t> DataExplorer::PatternMask(const Cfd& c,
                                                 const PatternTuple& pt) const {
   const std::optional<detect::CompiledPattern> cp =
-      detect::CompilePattern(relational::EncodedRelation(rel_), c, pt);
+      detect::CompilePattern(*rel_, c, pt);
   if (!cp) {
     return std::vector<uint64_t>(
         simd::MaskWords(static_cast<size_t>(rel_->IdBound())));
@@ -153,16 +152,15 @@ common::Result<std::vector<DataExplorer::LhsEntry>> DataExplorer::LhsMatches(
   };
   std::unordered_map<std::vector<Code>, Acc, relational::CodeVecHash> acc;
   const std::vector<uint64_t> mask = PatternMask(c, pt);
-  const relational::EncodedRelation enc(rel_);
   std::vector<Code> key;
   simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t i) {
     const TupleId tid = static_cast<TupleId>(i);
     key.clear();
-    for (size_t col : c.lhs_cols()) key.push_back(enc.code(tid, col));
+    for (size_t col : c.lhs_cols()) key.push_back(rel_->code(tid, col));
     Acc& a = acc[key];
     ++a.tuples;
     a.vio += table_.vio(tid);
-    a.rhs.insert(enc.code(tid, c.rhs_col()));
+    a.rhs.insert(rel_->code(tid, c.rhs_col()));
   });
 
   std::vector<LhsEntry> out;
@@ -171,7 +169,7 @@ common::Result<std::vector<DataExplorer::LhsEntry>> DataExplorer::LhsMatches(
     LhsEntry e;
     e.lhs.reserve(codes.size());
     for (size_t i = 0; i < codes.size(); ++i) {
-      e.lhs.push_back(enc.Decode(c.lhs_cols()[i], codes[i]));
+      e.lhs.push_back(rel_->dictionary(c.lhs_cols()[i]).Decode(codes[i]));
     }
     e.tuple_count = a.tuples;
     e.distinct_rhs = a.rhs.size();
@@ -204,10 +202,9 @@ common::Result<std::vector<DataExplorer::RhsEntry>> DataExplorer::RhsValues(
   };
   std::unordered_map<Code, Acc> acc;
   const std::vector<uint64_t> mask = EqualMask(c.lhs_cols(), lhs);
-  const relational::EncodedRelation enc(rel_);
   simd::ForEachSetBit(mask.data(), mask.size(), [&](size_t i) {
     const TupleId tid = static_cast<TupleId>(i);
-    Acc& a = acc[enc.code(tid, c.rhs_col())];
+    Acc& a = acc[rel_->code(tid, c.rhs_col())];
     ++a.tuples;
     a.vio += table_.vio(tid);
   });
@@ -215,7 +212,7 @@ common::Result<std::vector<DataExplorer::RhsEntry>> DataExplorer::RhsValues(
   std::vector<RhsEntry> out;
   out.reserve(acc.size());
   for (auto& [code, a] : acc) {
-    out.push_back(RhsEntry{enc.Decode(c.rhs_col(), code), a.tuples, a.vio});
+    out.push_back(RhsEntry{rel_->dictionary(c.rhs_col()).Decode(code), a.tuples, a.vio});
   }
   std::sort(out.begin(), out.end(), [](const RhsEntry& a, const RhsEntry& b) {
     if (a.tuple_count != b.tuple_count) return a.tuple_count > b.tuple_count;

@@ -12,14 +12,8 @@ namespace semandaq::core {
 using common::Status;
 
 relational::EncodedRelation* Semandaq::WarmOrEncode(const std::string& relation) {
-  const relational::Relation* rel = db_.FindRelation(relation);
-  if (rel == nullptr) return nullptr;
-  // A view is one pointer to its relation, so rebinding it to whatever
-  // relation holds the name now is all a replaced relation needs.
-  auto [it, fresh] = views_.insert_or_assign(common::ToLower(relation),
-                                             relational::EncodedRelation(rel));
-  (void)fresh;
-  return &it->second;
+  static relational::EncodedRelation view(nullptr);
+  return db_.FindRelation(relation) == nullptr ? nullptr : &view;
 }
 
 storage::WalAttachment* Semandaq::AttachedWal(const std::string& relation) {

@@ -148,10 +148,7 @@ class Semandaq {
                                          const std::string& path,
                                          common::CancelToken* cancel = nullptr);
 
-  /// The code view (relational::EncodedRelation) of `relation` as it is
-  /// now; nullptr when the relation is unknown. The pointer stays valid
-  /// until the next call for the same name, and the view never needs
-  /// syncing: it reads the relation's own columns.
+  /// Kept only because perfbench/ compiles against it (nullptr: unknown).
   relational::EncodedRelation* WarmOrEncode(const std::string& relation);
 
   /// The live WAL attachment journaling `relation`'s mutations into its
@@ -232,9 +229,6 @@ class Semandaq {
 
   relational::Database db_;
   ConstraintEngine engine_;
-
-  /// The views WarmOrEncode hands out, by lowercase relation name.
-  std::unordered_map<std::string, relational::EncodedRelation> views_;
 
   /// Snapshot path + compaction threshold + WAL durability armed by the
   /// last SaveRelation of each (lowercase) relation name; consulted by

@@ -69,7 +69,7 @@ common::Status IncrementalDetector::Initialize() {
   groups_.resize(fd_groups.size());
   for (size_t gi = 0; gi < fd_groups.size(); ++gi) {
     GroupState& gs = groups_[gi];
-    CompileGroup(enc_, cfds_, fd_groups[gi], gi, kn, &gs.scan);
+    CompileGroup(*rel_, cfds_, fd_groups[gi], gi, kn, &gs.scan);
     gs.scratch.Prepare(gs.scan);
 
     // The bulk build: the group's scan over every kernel block. Narrow
@@ -111,7 +111,7 @@ bool IncrementalDetector::LhsKeyOf(const GroupState& gs, TupleId tid,
                                    std::vector<Code>* key) const {
   key->clear();
   for (size_t c : gs.scan.lhs_cols) {
-    const Code code = enc_.code(tid, c);
+    const Code code = rel_->code(tid, c);
     if (code == kNullCode) return false;
     key->push_back(code);
   }
@@ -147,7 +147,7 @@ void IncrementalDetector::LeaveTuple(TupleId tid) {
     auto pos = std::find(members.begin(), members.end(), tid);
     if (pos == members.end()) continue;  // was not in scope for this group
     members.erase(pos);
-    it->second.RemoveRhs(enc_.code(tid, gs.scan.rhs_col));
+    it->second.RemoveRhs(rel_->code(tid, gs.scan.rhs_col));
     ++buckets_touched_;
     if (members.empty()) gs.buckets.erase(it);
   }
@@ -206,12 +206,12 @@ ViolationTable IncrementalDetector::Snapshot() const {
       vg.cfd_index = scan.var_rows.empty() ? -1 : scan.var_rows.front().ci;
       vg.lhs_key.reserve(key.size());
       for (size_t i = 0; i < key.size(); ++i) {
-        vg.lhs_key.push_back(enc_.Decode(scan.lhs_cols[i], key[i]));
+        vg.lhs_key.push_back(rel_->dictionary(scan.lhs_cols[i]).Decode(key[i]));
       }
       const int64_t n = static_cast<int64_t>(bucket.members.size());
       vg.member_partners.reserve(bucket.members.size());
       for (TupleId tid : bucket.members) {
-        vg.member_partners.push_back(n - bucket.SameRhs(enc_.code(tid, scan.rhs_col)));
+        vg.member_partners.push_back(n - bucket.SameRhs(rel_->code(tid, scan.rhs_col)));
       }
       vg.members = bucket.members;
       table.AddGroup(std::move(vg));
@@ -236,7 +236,7 @@ int64_t IncrementalDetector::Vio(TupleId tid) const {
   for (const GroupState& gs : groups_) {
     if (const Bucket* b = ViolatingBucketOf(gs, tid, &key)) {
       vio += static_cast<int64_t>(b->members.size()) -
-             b->SameRhs(enc_.code(tid, gs.scan.rhs_col));
+             b->SameRhs(rel_->code(tid, gs.scan.rhs_col));
     }
   }
   return vio;

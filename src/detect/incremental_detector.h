@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "detect/pattern_scan.h"
 #include "detect/violation.h"
-#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 #include "relational/update.h"
 
@@ -129,8 +128,6 @@ class IncrementalDetector {
   void LeaveTuple(relational::TupleId tid);
 
   relational::Relation* rel_;
-  /// The code view of *rel_.
-  const relational::EncodedRelation enc_{rel_};
   std::vector<cfd::Cfd> cfds_;
   common::simd::Level simd_level_ = common::simd::Level::kAuto;
   std::vector<GroupState> groups_;

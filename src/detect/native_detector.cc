@@ -11,17 +11,12 @@ namespace semandaq::detect {
 using cfd::EmbeddedFdGroup;
 using relational::Code;
 using relational::CodeVecHash;
-using relational::EncodedRelation;
 using relational::kAbsentCode;
 using relational::kNullCode;
+using relational::Relation;
 using relational::TupleId;
 
 namespace simd = common::simd;
-
-common::Result<ViolationTable> NativeDetector::Detect() {
-  SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
-  return DetectEncoded(EncodedRelation(rel_));
-}
 
 namespace {
 
@@ -63,7 +58,7 @@ constexpr size_t kCountEqGroupLimit = 64;
 /// dense code block); larger ones use `freq`, a caller-owned scratch array
 /// dense over the RHS dictionary (plus the NULL slot), zeroed on entry and
 /// re-zeroed before returning.
-ViolationGroup MakeGroup(const EncodedRelation& enc, const GroupScan& gs,
+ViolationGroup MakeGroup(const Relation& rel, const GroupScan& gs,
                          CodeBucket* b, std::vector<int64_t>* freq,
                          std::vector<Code>* rhs_scratch) {
   ViolationGroup vg;
@@ -71,7 +66,7 @@ ViolationGroup MakeGroup(const EncodedRelation& enc, const GroupScan& gs,
   vg.cfd_index = b->first_cfd;
   vg.lhs_key.reserve(gs.arity);
   for (size_t i = 0; i < gs.arity; ++i) {
-    vg.lhs_key.push_back(enc.Decode(gs.lhs_cols[i], b->key[i]));
+    vg.lhs_key.push_back(rel.dictionary(gs.lhs_cols[i]).Decode(b->key[i]));
   }
   const int64_t n = static_cast<int64_t>(b->members.size());
   vg.member_partners.reserve(b->members.size());
@@ -96,9 +91,9 @@ ViolationGroup MakeGroup(const EncodedRelation& enc, const GroupScan& gs,
 
 /// The scan body: kernel blocks over [0, IdBound), buckets in first-touch
 /// order. A tripped cancel token abandons the remaining blocks; `table` is
-/// then incomplete, and DetectEncoded checks the token again before it
-/// returns anything.
-void ScanGroup(const EncodedRelation& enc, const GroupScan& gs,
+/// then incomplete, and Detect checks the token again before it returns
+/// anything.
+void ScanGroup(const Relation& rel, const GroupScan& gs,
                common::CancelToken* cancel, ViolationTable* table) {
   const size_t arity = gs.arity;
   const Code* const* lhs_ptrs = gs.lhs_ptrs();
@@ -107,12 +102,12 @@ void ScanGroup(const EncodedRelation& enc, const GroupScan& gs,
   // column the code itself indexes a flat array, and for two the code
   // *product* does whenever it fits; hashing is the fallback.
   const uint64_t stride =
-      arity == 2 ? enc.dictionary(gs.lhs_cols[1]).size() + 1 : 0;
+      arity == 2 ? rel.dictionary(gs.lhs_cols[1]).size() + 1 : 0;
   uint64_t dense_slots = 0;
   if (arity == 1) {
-    dense_slots = enc.dictionary(gs.lhs_cols[0]).size() + 1;
+    dense_slots = rel.dictionary(gs.lhs_cols[0]).size() + 1;
   } else if (arity == 2) {
-    dense_slots = (enc.dictionary(gs.lhs_cols[0]).size() + 1) * stride;
+    dense_slots = (rel.dictionary(gs.lhs_cols[0]).size() + 1) * stride;
   }
   const bool use_dense = dense_slots > 0 && dense_slots <= kDenseGroupLimit;
   std::vector<CodeBucket> buckets;
@@ -164,42 +159,42 @@ void ScanGroup(const EncodedRelation& enc, const GroupScan& gs,
     b.members.push_back(tid);
     b.AddRhs(gs.rhs_ptr[tid]);
   };
-  const TupleId bound = enc.IdBound();
+  const TupleId bound = rel.IdBound();
   for (TupleId lo = 0; lo < bound; lo += static_cast<TupleId>(kScanBlock)) {
     if (cancel != nullptr && !cancel->Check().ok()) return;
     ScanBlock(gs, lo, std::min<TupleId>(bound, lo + kScanBlock), &sc,
               on_single, on_group);
   }
 
-  std::vector<int64_t> freq(enc.dictionary(gs.rhs_col).size() + 1, 0);
+  std::vector<int64_t> freq(rel.dictionary(gs.rhs_col).size() + 1, 0);
   std::vector<Code> rhs_scratch;
   for (CodeBucket& b : buckets) {
     if (!b.two_distinct) continue;
-    table->AddGroup(MakeGroup(enc, gs, &b, &freq, &rhs_scratch));
+    table->AddGroup(MakeGroup(rel, gs, &b, &freq, &rhs_scratch));
   }
 }
 
 }  // namespace
 
-common::Result<ViolationTable> NativeDetector::DetectEncoded(
-    const EncodedRelation& enc) {
+common::Result<ViolationTable> NativeDetector::Detect() {
+  SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
   ViolationTable table;
   // The dense group index holds uint32 bucket numbers. TupleId is int64 by
-  // design, but an encoded in-memory relation past 2^32 ids is outside this
+  // design, but an in-memory relation past 2^32 ids is outside this
   // detector's envelope (codes are uint32 too); fail loudly instead of
   // wrapping bucket numbers.
-  if (static_cast<uint64_t>(enc.IdBound()) > UINT32_MAX) {
+  if (static_cast<uint64_t>(rel_->IdBound()) > UINT32_MAX) {
     return common::Status::InvalidArgument(
         "encoded detection supports at most 2^32 tuple ids; relation '" +
-        rel_->name() + "' has id bound " + std::to_string(enc.IdBound()));
+        rel_->name() + "' has id bound " + std::to_string(rel_->IdBound()));
   }
   const simd::Kernels& kn = simd::KernelsFor(options_.simd_level);
   const std::vector<EmbeddedFdGroup> groups = cfd::GroupByEmbeddedFd(cfds_);
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     SEMANDAQ_RETURN_IF_CANCELLED(options_.cancel);
     GroupScan gs;
-    if (!CompileGroup(enc, cfds_, groups[gi], gi, kn, &gs)) continue;
-    ScanGroup(enc, gs, options_.cancel, &table);
+    if (!CompileGroup(*rel_, cfds_, groups[gi], gi, kn, &gs)) continue;
+    ScanGroup(*rel_, gs, options_.cancel, &table);
   }
   // A cancel that tripped inside the last group's kernel blocks left the
   // table truncated; surface it rather than returning partial output.

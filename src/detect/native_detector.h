@@ -40,10 +40,9 @@ struct DetectorOptions {
   common::CancelToken* cancel = nullptr;
 };
 
-/// In-process CFD violation detector: one scan per embedded-FD group over a
-/// dictionary-encoded columnar snapshot (relational::EncodedRelation).
-/// Pattern constants compile to integer codes once per Detect, and grouping
-/// runs on packed LHS code keys.
+/// In-process CFD violation detector: one scan per embedded-FD group over
+/// the relation's dictionary code columns. Pattern constants compile to
+/// integer codes once per Detect, and grouping runs on packed LHS code keys.
 ///
 /// Semantics are value-for-value identical to the SQL-based detector (the
 /// cross-check is a test invariant):
@@ -67,25 +66,20 @@ class NativeDetector {
                  DetectorOptions options = {})
       : rel_(rel), cfds_(std::move(cfds)), options_(options) {}
 
-  /// Ignored: Detect scans the relation's own code columns (every
-  /// EncodedRelation of it is the same view). Kept so existing callers
-  /// still compile.
+  /// Ignored; kept only because perfbench/ compiles against it.
   void set_encoded(const relational::EncodedRelation* /*encoded*/) {}
 
   /// Ignored, like DetectorOptions::num_threads. Kept so existing callers
   /// still compile.
   void set_thread_pool(common::ThreadPool* /*pool*/) {}
 
-  /// Full-relation detection pass.
+  /// Full-relation detection pass. InvalidArgument past 2^32 tuple ids.
   common::Result<ViolationTable> Detect();
 
   /// The resolved CFDs in detector order (index space of SingleViolation).
   const std::vector<cfd::Cfd>& cfds() const { return cfds_; }
 
  private:
-  common::Result<ViolationTable> DetectEncoded(
-      const relational::EncodedRelation& enc);
-
   const relational::Relation* rel_;
   std::vector<cfd::Cfd> cfds_;
   DetectorOptions options_;

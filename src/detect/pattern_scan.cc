@@ -5,10 +5,9 @@ namespace semandaq::detect {
 using cfd::Cfd;
 using cfd::PatternTuple;
 using relational::Code;
-using relational::EncodedRelation;
 using relational::kAbsentCode;
 
-std::optional<CompiledPattern> CompilePattern(const EncodedRelation& enc,
+std::optional<CompiledPattern> CompilePattern(const relational::Relation& rel,
                                               const Cfd& c,
                                               const PatternTuple& pt) {
   CompiledPattern cp;
@@ -17,12 +16,12 @@ std::optional<CompiledPattern> CompilePattern(const EncodedRelation& enc,
     // Lookup maps NULL to kNullCode, which would match exactly the NULL
     // cells; a NULL constant matches none.
     if (pt.lhs[i].is_null_constant()) return std::nullopt;
-    const Code code = enc.dictionary(c.lhs_cols()[i]).Lookup(pt.lhs[i].constant());
+    const Code code = rel.dictionary(c.lhs_cols()[i]).Lookup(pt.lhs[i].constant());
     if (code == kAbsentCode) return std::nullopt;
     cp.lhs_consts.emplace_back(static_cast<uint32_t>(i), code);
   }
   if (pt.is_constant_rhs()) {
-    cp.rhs_code = enc.dictionary(c.rhs_col()).Lookup(pt.rhs.constant());
+    cp.rhs_code = rel.dictionary(c.rhs_col()).Lookup(pt.rhs.constant());
   }
   return cp;
 }
@@ -36,7 +35,7 @@ void GroupScan::Bind(const relational::Relation& rel) {
   rhs_ptr = rel.columns()[rhs_col].data();
 }
 
-bool CompileGroup(const EncodedRelation& enc, const std::vector<Cfd>& cfds,
+bool CompileGroup(const relational::Relation& rel, const std::vector<Cfd>& cfds,
                   const cfd::EmbeddedFdGroup& g, size_t gi,
                   const common::simd::Kernels& kn, GroupScan* gs) {
   const Cfd& first = cfds[g.members.front().first];
@@ -50,14 +49,14 @@ bool CompileGroup(const EncodedRelation& enc, const std::vector<Cfd>& cfds,
   // first, and the order of a tuple's single-tuple violations.
   for (const auto& [ci, pi] : g.members) {
     const PatternTuple& pt = cfds[ci].tableau()[pi];
-    std::optional<CompiledPattern> cp = CompilePattern(enc, cfds[ci], pt);
+    std::optional<CompiledPattern> cp = CompilePattern(rel, cfds[ci], pt);
     if (!cp) continue;
     cp->ci = static_cast<int>(ci);
     cp->pi = static_cast<int>(pi);
     (pt.is_constant_rhs() ? gs->const_rows : gs->var_rows)
         .push_back(std::move(*cp));
   }
-  gs->Bind(enc.relation());
+  gs->Bind(rel);
 
   gs->var_always =
       !gs->var_rows.empty() && gs->var_rows.front().lhs_consts.empty();

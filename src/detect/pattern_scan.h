@@ -15,7 +15,6 @@
 
 #include "cfd/cfd.h"
 #include "common/simd/simd.h"
-#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 
 namespace semandaq::detect {
@@ -35,12 +34,12 @@ struct CompiledPattern {
 };
 
 /// The one rule for turning tableau row `pt` of the resolved CFD `c` into
-/// codes of `enc`'s dictionaries (PatternValue::Matches on codes): a
+/// codes of `rel`'s dictionaries (PatternValue::Matches on codes): a
 /// wildcard adds no constraint, and an LHS constant matches only the
 /// non-NULL cells holding it. A NULL LHS constant therefore matches no
 /// cell, and neither does one absent from its dictionary: the row selects
 /// no tuple, and nullopt comes back. ci and pi are left at -1.
-std::optional<CompiledPattern> CompilePattern(const relational::EncodedRelation& enc,
+std::optional<CompiledPattern> CompilePattern(const relational::Relation& rel,
                                               const cfd::Cfd& c,
                                               const cfd::PatternTuple& pt);
 
@@ -90,11 +89,11 @@ struct GroupScan {
   void Bind(const relational::Relation& rel);
 };
 
-/// Compiles embedded-FD group `g` (number `gi`) of `cfds` against `enc`
-/// through CompilePattern and binds it to enc's relation. Returns false
-/// when no tableau row can select a tuple (the group then contributes
-/// nothing to a scan).
-bool CompileGroup(const relational::EncodedRelation& enc,
+/// Compiles embedded-FD group `g` (number `gi`) of `cfds` against `rel`
+/// through CompilePattern and binds it to `rel`. Returns false when no
+/// tableau row can select a tuple (the group then contributes nothing to a
+/// scan).
+bool CompileGroup(const relational::Relation& rel,
                   const std::vector<cfd::Cfd>& cfds, const cfd::EmbeddedFdGroup& g,
                   size_t gi, const common::simd::Kernels& kn, GroupScan* gs);
 
@@ -137,10 +136,9 @@ struct ScanScratch {
 ///  * on_group(tid, var_cfd, packed_key) for every live tuple in
 ///    multi-tuple scope whose LHS key is NULL-free (ascending tid), where
 ///    var_cfd is the CFD of the first variable row it matches.
-///    packed_key is (c0 << 32) | c1 for arity <= 2 (c1 = 0 when arity is
-///    1, matching PackCodes with kNullCode) and unspecified for wider
-///    keys — those re-read the codes, which the eligibility mask already
-///    proved non-NULL.
+///    packed_key is (c0 << 32) | c1 for arity <= 2 (c1 = kNullCode when
+///    arity is 1) and unspecified for wider keys — those re-read the codes,
+///    which the eligibility mask already proved non-NULL.
 template <typename SingleFn, typename GroupFn>
 void ScanBlock(const GroupScan& gs, relational::TupleId lo,
                relational::TupleId hi, ScanScratch* sc,

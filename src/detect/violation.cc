@@ -5,14 +5,6 @@
 
 namespace semandaq::detect {
 
-namespace {
-
-uint64_t PairKey(relational::TupleId tid, int cfd) {
-  return (static_cast<uint64_t>(tid) << 20) ^ static_cast<uint64_t>(cfd + 1);
-}
-
-}  // namespace
-
 void ViolationTable::EnsureTid(relational::TupleId tid) {
   const size_t need = static_cast<size_t>(tid) + 1;
   if (vio_.size() < need) vio_.resize(need, 0);
@@ -27,8 +19,7 @@ void ViolationTable::AddVio(relational::TupleId tid, int64_t amount) {
 
 bool ViolationTable::AddSingle(SingleViolation v) {
   singles_.push_back(v);
-  drilldown_built_ = false;
-  const bool fresh = counted_singles_.insert(PairKey(v.tid, v.cfd_index)).second;
+  const bool fresh = counted_singles_.insert({v.tid, v.cfd_index}).second;
   if (fresh) {
     EnsureTid(v.tid);
     AddVio(v.tid, 1);
@@ -37,7 +28,6 @@ bool ViolationTable::AddSingle(SingleViolation v) {
 }
 
 void ViolationTable::AddGroup(ViolationGroup g) {
-  drilldown_built_ = false;
   if (!g.members.empty()) {
     relational::TupleId max_tid = g.members.front();
     for (relational::TupleId tid : g.members) max_tid = std::max(max_tid, tid);
@@ -51,40 +41,9 @@ void ViolationTable::AddGroup(ViolationGroup g) {
   groups_.push_back(std::move(g));
 }
 
-void ViolationTable::EnsureDrilldownIndex() const {
-  if (drilldown_built_) return;
-  single_cfds_.clear();
-  group_membership_.clear();
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(singles_.size());
-  for (const SingleViolation& v : singles_) {
-    if (seen.insert(PairKey(v.tid, v.cfd_index)).second) {
-      single_cfds_[v.tid].push_back(v.cfd_index);
-    }
-  }
-  for (size_t gi = 0; gi < groups_.size(); ++gi) {
-    for (relational::TupleId tid : groups_[gi].members) {
-      group_membership_[tid].push_back(static_cast<int>(gi));
-    }
-  }
-  drilldown_built_ = true;
-}
-
 int64_t ViolationTable::vio(relational::TupleId tid) const {
   const size_t i = static_cast<size_t>(tid);
   return tid >= 0 && i < vio_.size() ? vio_[i] : 0;
-}
-
-std::vector<int> ViolationTable::SingleCfdsOf(relational::TupleId tid) const {
-  EnsureDrilldownIndex();
-  const auto it = single_cfds_.find(tid);
-  return it != single_cfds_.end() ? it->second : std::vector<int>{};
-}
-
-std::vector<int> ViolationTable::GroupsOf(relational::TupleId tid) const {
-  EnsureDrilldownIndex();
-  const auto it = group_membership_.find(tid);
-  return it != group_membership_.end() ? it->second : std::vector<int>{};
 }
 
 std::vector<relational::TupleId> ViolationTable::ViolatingTuples() const {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -63,7 +62,6 @@ class ViolationTable {
   void AddGroup(ViolationGroup g);
 
   int64_t vio(relational::TupleId tid) const;
-  bool IsViolating(relational::TupleId tid) const { return vio(tid) > 0; }
 
   const std::vector<SingleViolation>& singles() const { return singles_; }
   const std::vector<ViolationGroup>& groups() const { return groups_; }
@@ -72,13 +70,6 @@ class ViolationTable {
   size_t NumViolatingTuples() const { return num_violating_; }
   /// Sum of vio(t) over all tuples.
   int64_t TotalVio() const { return total_; }
-
-  /// CFD indices violated by `tid` (singles) plus fd-group indices of the
-  /// multi-tuple groups containing it, for the explorer drill-down. The
-  /// index behind both is built lazily on first query (and rebuilt after
-  /// further Add* calls) — detection itself never pays for it.
-  std::vector<int> SingleCfdsOf(relational::TupleId tid) const;
-  std::vector<int> GroupsOf(relational::TupleId tid) const;
 
   /// All violating tuple ids, ascending.
   std::vector<relational::TupleId> ViolatingTuples() const;
@@ -90,29 +81,26 @@ class ViolationTable {
   void EnsureTid(relational::TupleId tid);
   /// Adds to vio(tid), maintaining the violating-tuple count.
   void AddVio(relational::TupleId tid, int64_t amount);
-  /// Builds the drill-down index from singles_/groups_ if stale.
-  void EnsureDrilldownIndex() const;
+
+  using SingleKey = std::pair<relational::TupleId, int>;  // (tid, cfd)
+  /// Deliberately unmixed: singles arrive in ascending tid order, and a
+  /// hash that keeps that order keeps the set's bucket walk near-sequential
+  /// (a mixing hash made AddSingle 2-3x slower). noexcept, so libstdc++
+  /// stores no hash code per node (storing it doubled the cost).
+  struct SingleKeyHash {
+    size_t operator()(const SingleKey& k) const noexcept {
+      return static_cast<size_t>(k.first) * 31 + static_cast<size_t>(k.second);
+    }
+  };
 
   std::vector<SingleViolation> singles_;
   std::vector<ViolationGroup> groups_;
   // Dense per-tuple vio counts, indexed by tid (tuple ids are dense by
   // construction; a hash map here dominated emission cost at scale).
   std::vector<int64_t> vio_;
-  // The explorer's drill-down index, derived from singles_/groups_ on
-  // first SingleCfdsOf/GroupsOf query. It used to be maintained eagerly as
-  // dense vector-of-vectors, whose grow-and-reallocate churn cost more
-  // than the entire kernel scan (gprof: ~2/3 of a warm Detect); per-member
-  // hash upkeep during emission is no better when variable-CFD groups span
-  // most of the relation. Deriving it on demand keeps emission pure array
-  // work and queries O(results).
-  mutable std::unordered_map<relational::TupleId, std::vector<int>>
-      single_cfds_;
-  mutable std::unordered_map<relational::TupleId, std::vector<int>>
-      group_membership_;
-  mutable bool drilldown_built_ = false;
   size_t num_violating_ = 0;
   // (tid, cfd) pairs already counted toward vio.
-  std::unordered_set<uint64_t> counted_singles_;
+  std::unordered_set<SingleKey, SingleKeyHash> counted_singles_;
   int64_t total_ = 0;
 };
 

@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
-#include "relational/encoded_relation.h"
 
 namespace semandaq::discovery {
 
@@ -34,11 +33,11 @@ constexpr size_t kGatherBlock = 1024;
 /// CountEq32 pass per block decides "all equal to the first code" (which
 /// also rejects NULLs, since the first code must be non-NULL itself); the
 /// first disagreeing block exits.
-bool ConstantOnEncoded(const relational::EncodedRelation& enc,
+bool ConstantOnEncoded(const relational::Relation& rel,
                        const simd::Kernels& kn,
                        const std::vector<TupleId>& tids, size_t rhs,
                        Value* value, std::vector<Code>* scratch) {
-  const relational::CodeColumn& codes = enc.column(rhs);
+  const relational::CodeColumn& codes = rel.columns()[rhs];
   const size_t n = tids.size();
   if (n == 0) return false;
   const Code shared = codes[static_cast<size_t>(tids[0])];
@@ -52,7 +51,7 @@ bool ConstantOnEncoded(const relational::EncodedRelation& enc,
     }
     if (kn.CountEq32(buf, m, shared) != m) return false;
   }
-  *value = enc.Decode(rhs, shared);
+  *value = rel.dictionary(rhs).Decode(shared);
   return true;
 }
 
@@ -96,7 +95,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
 
   // The relation's code columns feed every partition and evidence scan and
   // every pattern constant below; the miner never reads a row.
-  const relational::EncodedRelation encoded(rel_);
+  const relational::Relation& rel = *rel_;
 
   // Lane resolution is shared with the embedded FdMiner run below.
   std::unique_ptr<common::ThreadPool> local_pool;
@@ -109,7 +108,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   // prefixes, and the left-reduction's (k-1)-subsets all sit in the
   // previous generation, so Rotate() after each level keeps residency
   // bounded without forcing rebuilds.
-  PartitionCache cache(&encoded, options_.simd_level);
+  PartitionCache cache(rel_, options_.simd_level);
   if (parallel) cache.BuildBases(ncols, pool);
   const simd::Kernels& kn = simd::KernelsFor(options_.simd_level);
 
@@ -164,7 +163,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
     for (size_t rhs = 0; rhs < ncols; ++rhs) {
       if (std::find(lhs.begin(), lhs.end(), rhs) != lhs.end()) continue;
       if (fd_holds_globally(lhs, rhs)) continue;
-      SummarizeRhs(encoded.column(rhs).data(), xclasses, &summary);
+      SummarizeRhs(rel.columns()[rhs].data(), xclasses, &summary);
 
       // ---- Constant CFDs: per class of Π_X with support, A constant.
       if (options_.mine_constant) {
@@ -173,8 +172,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
           const auto& cls = xclasses[k];
           if (cls.size() < options_.min_support) continue;
           if (summary[k].non_null != cls.size() || !summary[k].agree) continue;
-          const Value shared =
-              encoded.Decode(rhs, encoded.code(cls.front(), rhs));
+          const Value shared = rel.cell(cls.front(), rhs);
           // Left-reduction: skip when dropping any one LHS attribute
           // still yields a constant class with the same value. The
           // superclass has two or more members, as it contains `cls`.
@@ -191,7 +189,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
               Value sub_shared;
               reducible = sup != nullptr &&
                           sup->size() >= options_.min_support &&
-                          ConstantOnEncoded(encoded, kn, *sup, rhs,
+                          ConstantOnEncoded(rel, kn, *sup, rhs,
                                             &sub_shared, &constant_scratch) &&
                           sub_shared == shared;
             }
@@ -199,8 +197,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
           if (reducible) continue;
           PatternTuple pt;
           for (size_t c : lhs) {
-            pt.lhs.push_back(PatternValue::Constant(
-                encoded.Decode(c, encoded.code(cls.front(), c))));
+            pt.lhs.push_back(PatternValue::Constant(rel.cell(cls.front(), c)));
           }
           pt.rhs = PatternValue::Constant(shared);
           rows.push_back(std::move(pt));
@@ -244,8 +241,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
                 evidence[static_cast<size_t>(pc.ClassOf(cls.front()))];
             if (e < 0 || static_cast<size_t>(e) < options_.min_support) continue;
             PatternTuple pt;
-            const Value& c_value =
-                encoded.Decode(lhs[cond], encoded.code(cls.front(), lhs[cond]));
+            const Value c_value = rel.cell(cls.front(), lhs[cond]);
             for (size_t i = 0; i < lhs.size(); ++i) {
               pt.lhs.push_back(i == cond ? PatternValue::Constant(c_value)
                                          : PatternValue::Wildcard());

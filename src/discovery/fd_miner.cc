@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "common/thread_pool.h"
-#include "relational/encoded_relation.h"
 
 namespace semandaq::discovery {
 
@@ -33,10 +32,9 @@ void ForEachSubset(size_t n, size_t k,
 }
 
 std::vector<DiscoveredFd> FdMiner::Mine() {
-  // Base partitions come from the dictionary-encoded snapshot: singletons
-  // cost one dense code->class array pass each, with the array sized
-  // directly from the dictionary cardinality.
-  const relational::EncodedRelation encoded(rel_);
+  // Base partitions come from the relation's code columns: singletons cost
+  // one dense code->class array pass each, with the array sized directly
+  // from the dictionary cardinality.
   std::unique_ptr<common::ThreadPool> local_pool;
   common::ThreadPool* pool =
       common::ResolvePool(options_.pool, options_.num_threads, &local_pool);
@@ -44,7 +42,7 @@ std::vector<DiscoveredFd> FdMiner::Mine() {
   // for the intersect recurrence, level k products filling. Rotate() after
   // each level evicts everything older (rebuilt on demand if a pruning
   // path asks again).
-  PartitionCache cache(&encoded, options_.simd_level);
+  PartitionCache cache(rel_, options_.simd_level);
   return Mine(&cache, pool);
 }
 

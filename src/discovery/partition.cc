@@ -9,7 +9,7 @@ namespace semandaq::discovery {
 
 using relational::TupleId;
 
-Partition Partition::Build(const relational::EncodedRelation& enc,
+Partition Partition::Build(const relational::Relation& rel,
                            const std::vector<size_t>& cols,
                            common::simd::Level level) {
   using relational::Code;
@@ -17,7 +17,7 @@ Partition Partition::Build(const relational::EncodedRelation& enc,
   namespace simd = common::simd;
 
   Partition p;
-  const size_t bound = static_cast<size_t>(enc.IdBound());
+  const size_t bound = static_cast<size_t>(rel.IdBound());
   p.class_of_.assign(bound, -1);
   // Group sizes by label; each covered tuple's class_of_ entry holds its
   // label until Finish renumbers the labels into first-touch class ids.
@@ -34,12 +34,12 @@ Partition Partition::Build(const relational::EncodedRelation& enc,
   // PackKeys2x32 pre-packs the two-column group keys — the scalar loop that
   // remains is pure group labelling over the surviving bits.
   const simd::Kernels& kn = simd::KernelsFor(level);
-  const uint8_t* live = enc.relation().live_data();
+  const uint8_t* live = rel.live_data();
   constexpr size_t kBlock = 4096;
   std::vector<uint64_t> elig(simd::MaskWords(kBlock));
   std::vector<const Code*> colptrs(cols.size());
   for (size_t k = 0; k < cols.size(); ++k) {
-    colptrs[k] = enc.column(cols[k]).data();
+    colptrs[k] = rel.columns()[cols[k]].data();
   }
 
   auto for_each_eligible = [&](const auto& fn) {
@@ -61,7 +61,7 @@ Partition Partition::Build(const relational::EncodedRelation& enc,
     // Codes are dense 1..|dict|: the code is the label, counted in a dense
     // array.
     const Code* codes = colptrs[0];
-    sizes.assign(enc.dictionary(cols[0]).size() + 1, 0);
+    sizes.assign(rel.dictionary(cols[0]).size() + 1, 0);
     for_each_eligible([&](size_t lo, size_t n) {
       simd::ForEachSetBit(elig.data(), simd::MaskWords(n), [&](size_t i) {
         place(lo + i, codes[lo + i]);
@@ -94,8 +94,7 @@ Partition Partition::Build(const relational::EncodedRelation& enc,
   return p;
 }
 
-Partition Partition::Intersect(const Partition& a, const Partition& b,
-                               common::simd::Level /*level*/) {
+Partition Partition::Intersect(const Partition& a, const Partition& b) {
   Partition p;
   const size_t bound = std::max(a.class_of_.size(), b.class_of_.size());
   // Beyond the shorter class_of_ array one side is uncovered, so only the
@@ -225,7 +224,7 @@ const Partition& PartitionCache::Get(const std::vector<size_t>& cols) {
     }
     ClaimGuard<std::set<size_t>, size_t> guard(&mu_, &built_cv_,
                                                &building_bases_, col);
-    Partition p = Partition::Build(*enc_, cols, level_);
+    Partition p = Partition::Build(*rel_, cols, level_);
     std::lock_guard<std::mutex> lock(mu_);
     return bases_.try_emplace(col, std::move(p)).first->second;
   }
@@ -246,7 +245,7 @@ const Partition& PartitionCache::Get(const std::vector<size_t>& cols) {
   std::vector<size_t> prefix(cols.begin(), cols.end() - 1);
   const Partition& pa = Get(prefix);
   const Partition& pb = Get({cols.back()});
-  Partition p = Partition::Intersect(pa, pb, level_);
+  Partition p = Partition::Intersect(pa, pb);
   std::lock_guard<std::mutex> lock(mu_);
   ++builds_;
   return cur_.try_emplace(cols, std::move(p)).first->second;

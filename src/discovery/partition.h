@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/simd/simd.h"
-#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 
 namespace semandaq::common {
@@ -28,8 +27,8 @@ namespace semandaq::discovery {
 /// lists. A singleton class costs one class_of_ entry and nothing else.
 class Partition {
  public:
-  /// Builds Π_X from a dictionary-encoded snapshot: a counting/group pass
-  /// over code columns. Single attributes index a dense code->count array
+  /// Builds Π_X from the relation's dictionary code columns: a
+  /// counting/group pass. Single attributes index a dense code->count array
   /// sized by the dictionary cardinality (no hash table at all); wider sets
   /// group on packed code keys. Class ids are assigned in first-touch
   /// (tuple id) order.
@@ -38,7 +37,7 @@ class Partition {
   /// the common::simd kernel tier `level` (kAuto = the host's best; see
   /// docs/simd.md) — every tier builds the identical partition; the knob
   /// exists for A/B benches and the scalar-floor equivalence tests.
-  static Partition Build(const relational::EncodedRelation& enc,
+  static Partition Build(const relational::Relation& rel,
                          const std::vector<size_t>& cols,
                          common::simd::Level level = common::simd::Level::kAuto);
 
@@ -47,11 +46,8 @@ class Partition {
   /// tuples in them and splits each by the other operand's class id, with
   /// no hash table; only the member lists of classes of two or more are
   /// allocated, one each. Class ids are issued in first-touch order, so
-  /// the result equals Build over X ∪ Y. `level` is accepted for source
-  /// compatibility and unused: no kernel runs here.
-  static Partition Intersect(const Partition& a, const Partition& b,
-                             common::simd::Level level =
-                                 common::simd::Level::kAuto);
+  /// the result equals Build over X ∪ Y. No kernel runs here.
+  static Partition Intersect(const Partition& a, const Partition& b);
 
   /// Number of classes (singletons included).
   size_t num_classes() const { return num_classes_; }
@@ -153,11 +149,11 @@ inline bool RefinesForFd(const Partition& px, const Partition& pxa) {
 /// fan-out joined.
 class PartitionCache {
  public:
-  /// `enc` is borrowed: the snapshot every base partition is built from.
+  /// `rel` is borrowed: the relation every base partition is built from.
   /// `level` is the kernel tier every base build runs on.
-  explicit PartitionCache(const relational::EncodedRelation* enc,
+  explicit PartitionCache(const relational::Relation* rel,
                           common::simd::Level level = common::simd::Level::kAuto)
-      : enc_(enc), level_(level) {}
+      : rel_(rel), level_(level) {}
 
   PartitionCache(const PartitionCache&) = delete;
   PartitionCache& operator=(const PartitionCache&) = delete;
@@ -190,7 +186,7 @@ class PartitionCache {
   size_t builds() const { return builds_; }
 
  private:
-  const relational::EncodedRelation* enc_;
+  const relational::Relation* rel_;
   common::simd::Level level_;
 
   std::mutex mu_;

@@ -24,7 +24,7 @@ void CodeColumn::Relocate(size_t capacity) {
   if (size_ > 0) {
     std::memcpy(fresh->data(), chunk_->data(), size_ * sizeof(Code));
   }
-  chunk_ = std::move(fresh);  // frozen shares keep the old chunk alive
+  chunk_ = std::move(fresh);  // copies keep the old chunk alive
   shared_below_ = 0;
   owns_tail_ = true;
 }
@@ -63,23 +63,6 @@ void CodeColumn::PushBack(Code c) {
   chunk_->data()[size_++] = c;
 }
 
-void CodeColumn::ExtendFill(size_t n, Code fill) {
-  if (n <= size_) return;
-  EnsureWritableTail(n);
-  std::fill(chunk_->data() + size_, chunk_->data() + n, fill);
-  size_ = n;
-}
-
-void CodeColumn::AssignFill(size_t n, Code fill) {
-  if (chunk_ == nullptr || n > chunk_->capacity() || chunk_.use_count() > 1) {
-    chunk_ = ColumnChunk::Allocate(n);
-  }
-  shared_below_ = 0;
-  owns_tail_ = true;
-  std::fill(chunk_->data(), chunk_->data() + n, fill);
-  size_ = n;
-}
-
 void CodeColumn::Assign(const Code* src, size_t n) {
   if (chunk_ == nullptr || n > chunk_->capacity() || chunk_.use_count() > 1) {
     chunk_ = ColumnChunk::Allocate(n);
@@ -88,16 +71,6 @@ void CodeColumn::Assign(const Code* src, size_t n) {
   owns_tail_ = true;
   if (n > 0) std::memcpy(chunk_->data(), src, n * sizeof(Code));
   size_ = n;
-}
-
-CodeColumn CodeColumn::ShareFrozen() const {
-  CodeColumn view;
-  view.chunk_ = chunk_;
-  view.size_ = size_;
-  view.shared_below_ = size_;  // the view itself must never write at all
-  view.owns_tail_ = false;
-  MarkShared();  // writer overwrites below here must detach
-  return view;
 }
 
 bool operator==(const CodeColumn& a, const CodeColumn& b) {

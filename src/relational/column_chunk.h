@@ -10,10 +10,10 @@
 namespace semandaq::relational {
 
 /// A refcounted, fixed-capacity block of column codes — the storage unit
-/// behind CodeColumn and the epoch-published snapshots of the server layer
-/// (src/server). A chunk itself carries no length: the logical size lives
-/// in every CodeColumn (or frozen snapshot view) that references it, which
-/// is what makes lock-free publication work:
+/// behind CodeColumn and so behind the epoch-published relations of the
+/// server layer (src/server). A chunk itself carries no length: the logical
+/// size lives in every CodeColumn that references it, which is what makes
+/// lock-free publication work:
 ///
 ///   * bytes below a published length are IMMUTABLE for the lifetime of the
 ///     chunk — every reader that pinned that length may scan them freely;
@@ -45,23 +45,23 @@ class ColumnChunk {
 };
 
 /// One column of codes over a refcounted ColumnChunk, with the mutation
-/// discipline that makes frozen shares safe:
+/// discipline that makes shared chunks safe:
 ///
-///   * appends (PushBack / ExtendFill) write in place past the shared
-///     watermark — zero-copy even while snapshots hold the chunk;
-///   * overwrites below the watermark (Set / AssignFill) detach first —
-///     copy-on-write, so no frozen share ever observes a change;
-///   * ShareFrozen() returns an immutable view (same chunk, current size)
-///     whose contents are stable forever.
+///   * appends (PushBack) write in place past the shared watermark —
+///     zero-copy even while copies hold the chunk;
+///   * overwrites below the watermark (Set, Assign) detach first —
+///     copy-on-write, so no copy ever observes a change;
+///   * a copy shares the chunk at its current size, and its bytes never
+///     change.
 ///
 /// The read surface (data/size/operator[]/begin/end) is a drop-in for the
 /// flat std::vector<Code> columns it replaces — scans and SIMD kernels
 /// still see one contiguous array.
 ///
 /// Thread contract: all mutators are single-writer (the relation's writer
-/// thread); frozen shares may be read concurrently with writer appends
-/// because appends never touch published indices. Publication of a new
-/// size must happen through a release/acquire edge (the server publishes
+/// thread); copies may be read concurrently with writer appends because
+/// appends never touch indices below a copy's size. Publication of a new
+/// copy must happen through a release/acquire edge (the server publishes
 /// whole snapshots via atomic shared_ptr swaps).
 class CodeColumn {
  public:
@@ -70,7 +70,9 @@ class CodeColumn {
   /// Copies share the chunk copy-on-write at O(1): both sides keep their
   /// bytes — any later overwrite on either side detaches first, and the
   /// copy never appends into the shared chunk (it does not own the tail) —
-  /// so copying preserves plain value semantics.
+  /// so copying preserves plain value semantics. Copying marks the current
+  /// size as shared, so the source's Set knows where in-place writes stop
+  /// being safe.
   CodeColumn(const CodeColumn& other)
       : chunk_(other.chunk_),
         size_(other.size_),
@@ -93,34 +95,20 @@ class CodeColumn {
   const Code* end() const { return data() + size_; }
 
   /// Sets one code. Indices at or past the shared watermark write in
-  /// place; below it the chunk is cloned first (COW), so frozen shares
-  /// keep their bytes.
+  /// place; below it the chunk is cloned first (COW), so copies keep their
+  /// bytes.
   void Set(size_t i, Code c);
 
-  /// Appends one code in place (grows the chunk when full; frozen shares
-  /// keep the old chunk alive and unchanged).
+  /// Appends one code in place (grows the chunk when full; copies keep the
+  /// old chunk alive and unchanged).
   void PushBack(Code c);
 
-  /// Grows to `n` codes, filling the new tail [size, n) with `fill` in
-  /// place (the encode append path). No-op when n <= size.
-  void ExtendFill(size_t n, Code fill);
-
-  /// Replaces the whole column with `n` copies of `fill` (the rebuild
-  /// path). Always detaches from frozen shares first.
-  void AssignFill(size_t n, Code fill);
-
   /// Replaces the whole column with `n` codes memcpy'd from `src` (the
-  /// storage loader's bulk adopt). Detaches from frozen shares first.
+  /// storage loader's bulk adopt). Detaches from copies first.
   void Assign(const Code* src, size_t n);
 
-  /// An immutable view of the current contents: same chunk, current size.
-  /// The view's bytes never change — later appends land past its size and
-  /// later overwrites detach. Marks the current size as shared so Set
-  /// knows where in-place writes stop being safe.
-  CodeColumn ShareFrozen() const;
-
-  /// Number of CodeColumns (and snapshot views) sharing this chunk; 0 for
-  /// an empty column. Exposed for tests asserting COW behavior.
+  /// Number of CodeColumns sharing this chunk; 0 for an empty column.
+  /// Exposed for tests asserting COW behavior.
   long chunk_use_count() const { return chunk_ ? chunk_.use_count() : 0; }
 
   friend bool operator==(const CodeColumn& a, const CodeColumn& b);
@@ -130,7 +118,7 @@ class CodeColumn {
 
  private:
   /// Raises the shared watermark to the current size, writing only when it
-  /// moves: readers sharing an already frozen view race on nothing.
+  /// moves: readers copying an already shared column race on nothing.
   void MarkShared() const {
     if (shared_below_ != size_) shared_below_ = size_;
   }
@@ -150,13 +138,13 @@ class CodeColumn {
 
   std::shared_ptr<ColumnChunk> chunk_;
   size_t size_ = 0;
-  /// Indices below this may be referenced by frozen shares or copies of
-  /// this column; writes there must detach. Appends at/after it are
-  /// private to the writer until the next ShareFrozen.
+  /// Indices below this may be referenced by copies of this column; writes
+  /// there must detach. Appends at/after it are private to the writer
+  /// until the next copy.
   mutable size_t shared_below_ = 0;
   /// True when this column may append into chunk_ in place past size_.
-  /// Exactly one CodeColumn owns a chunk's tail: frozen shares and copies
-  /// are created not owning it and relocate before their first append.
+  /// Exactly one CodeColumn owns a chunk's tail: copies are created not
+  /// owning it and relocate before their first append.
   bool owns_tail_ = true;
 };
 

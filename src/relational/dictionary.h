@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "relational/value.h"
 
@@ -27,6 +28,15 @@ inline constexpr Code kNullCode = 0;
 /// to a real value (a dictionary holding 2^32-1 distinct values is out of
 /// this system's design envelope; Encode asserts before wrapping).
 inline constexpr Code kAbsentCode = UINT32_MAX;
+
+/// Hash of a wide (several-column) code key.
+struct CodeVecHash {
+  size_t operator()(const std::vector<Code>& key) const {
+    size_t h = 0x434b;  // "CK"
+    for (Code c : key) h = common::HashCombine(h, c);
+    return h;
+  }
+};
 
 /// Per-column mapping Value <-> dense Code.
 ///

@@ -42,16 +42,23 @@ class MutationObserver {
 /// representation of its data: per attribute, a refcounted Dictionary and a
 /// copy-on-write CodeColumn indexed by TupleId, plus one liveness byte per
 /// id. Writes encode (Insert, SetCell), reads decode by value (cell, row,
-/// ForEach), and the engines scan the codes directly
-/// (relational::EncodedRelation is the read-only view they take).
+/// ForEach), and the engines take a `const Relation&` and scan the codes
+/// directly (columns, code, dictionary, live_data).
 ///
-/// Sharing. Copies, published server epochs and loaded snapshots share the
-/// dictionaries and code chunks by refcount. Every write detaches what it
-/// touches first: a shared dictionary is copied before a new value enters
-/// it, and a code below a column's shared watermark is written into a
-/// cloned chunk (appends land past every frozen view). So a copy costs
-/// O(columns) plus the liveness bytes, and no write is ever seen through
-/// another relation that shares the storage.
+/// Dictionaries only grow: deletes and overwrites may strand codes whose
+/// value no longer occurs live. That is deliberate (code stability keeps
+/// compiled pattern codes valid across writes) and bounded by update
+/// volume. Pointers into a column and references Decode returned stay
+/// valid until the next write, which may detach a chunk or grow a
+/// dictionary: re-read them after a write.
+///
+/// Sharing. Copies (published server epochs among them) and loaded
+/// snapshots share the dictionaries and code chunks by refcount. Every
+/// write detaches what it touches first: a shared dictionary is copied
+/// before a new value enters it, and a code below a column's shared
+/// watermark is written into a cloned chunk (appends land past every
+/// copy's size). So a copy costs O(columns) plus the liveness bytes, and
+/// no write is ever seen through another relation that shares the storage.
 ///
 /// Mutation goes through Insert/Delete/SetCell so that the WAL and monitors
 /// can observe changes.
@@ -69,11 +76,11 @@ class Relation {
   Relation(Relation&& other) noexcept;
   Relation& operator=(Relation&& other) noexcept;
 
-  /// The factory for relations over existing columns (storage loads and
-  /// published server epochs): a liveness mask (one byte per TupleId;
-  /// nonzero = live, so ids and tombstones come back exactly) plus one
-  /// shared dictionary and code column per attribute, each column sized
-  /// live.size(). The relation keeps them as they are; its writes detach.
+  /// The factory for relations over existing columns (storage loads): a
+  /// liveness mask (one byte per TupleId; nonzero = live, so ids and
+  /// tombstones come back exactly) plus one shared dictionary and code
+  /// column per attribute, each column sized live.size(). The relation
+  /// keeps them as they are; its writes detach.
   static Relation FromColumns(std::string name, Schema schema,
                               std::vector<uint8_t> live,
                               std::vector<std::shared_ptr<Dictionary>> dicts,
@@ -129,6 +136,14 @@ class Relation {
   }
   const std::vector<CodeColumn>& columns() const { return columns_; }
 
+  /// The code of one cell (dead ids keep their last codes).
+  Code code(TupleId tid, size_t col) const {
+    return columns_[col][static_cast<size_t>(tid)];
+  }
+
+  /// Column `col`'s dictionary: Decode(code) is the value behind a code.
+  const Dictionary& dictionary(size_t col) const { return *dicts_[col]; }
+
   /// Appends a row; the row arity must match the schema.
   common::Result<TupleId> Insert(Row row);
 
@@ -153,7 +168,7 @@ class Relation {
 
   /// The decoded value of one cell.
   Value cell(TupleId tid, size_t col) const {
-    return dicts_[col]->Decode(columns_[col][static_cast<size_t>(tid)]);
+    return dictionary(col).Decode(code(tid, col));
   }
 
   /// All live tuple ids, ascending. O(IdBound()).

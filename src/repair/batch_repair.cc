@@ -9,7 +9,6 @@
 
 #include "detect/native_detector.h"
 #include "detect/pattern_scan.h"
-#include "relational/encoded_relation.h"
 
 namespace semandaq::repair {
 
@@ -23,7 +22,6 @@ using detect::SingleViolation;
 using detect::ViolationGroup;
 using detect::ViolationTable;
 using relational::Code;
-using relational::EncodedRelation;
 using relational::kNullCode;
 using relational::Relation;
 using relational::TupleId;
@@ -158,13 +156,13 @@ class RepairEngine {
     for (auto& [cell, logged] : changed_) {
       const TupleId tid = static_cast<TupleId>(cell >> 16);
       const size_t col = static_cast<size_t>(cell & 0xFFFF);
-      const Code repaired = enc_.code(tid, col);
+      const Code repaired = work_.code(tid, col);
       if (repaired == logged.original) continue;  // net no-op across rounds
       CellChange ch;
       ch.tid = tid;
       ch.col = col;
-      ch.original = enc_.Decode(col, logged.original);
-      ch.repaired = enc_.Decode(col, repaired);
+      ch.original = work_.dictionary(col).Decode(logged.original);
+      ch.repaired = work_.dictionary(col).Decode(repaired);
       ch.cost = cost_model_.CellChangeCost(col, ch.original, ch.repaired);
       ch.alternatives = std::move(logged.alternatives);
       result.total_cost += ch.cost;
@@ -219,18 +217,18 @@ class RepairEngine {
     const PatternTuple& pt = c.tableau()[static_cast<size_t>(sv.pattern_index)];
     if (!work_.IsLive(sv.tid)) return;
     const std::optional<detect::CompiledPattern> cp =
-        detect::CompilePattern(enc_, c, pt);
+        detect::CompilePattern(work_, c, pt);
     if (!cp) return;
     for (const auto& [pos, code] : cp->lhs_consts) {
-      if (enc_.code(sv.tid, c.lhs_cols()[pos]) != code) return;
+      if (work_.code(sv.tid, c.lhs_cols()[pos]) != code) return;
     }
     const size_t rhs_col = c.rhs_col();
-    const Code cur = enc_.code(sv.tid, rhs_col);
+    const Code cur = work_.code(sv.tid, rhs_col);
     if (cur == kNullCode || cur == cp->rhs_code) return;
 
     out->actionable = true;
     out->rhs_cost = cost_model_.CellChangeCost(
-        rhs_col, enc_.Decode(rhs_col, cur), pt.rhs.constant());
+        rhs_col, work_.dictionary(rhs_col).Decode(cur), pt.rhs.constant());
     out->alts = RankAlternatives({{pt.rhs.constant(), out->rhs_cost}});
 
     // Option B: break the LHS match at a constant-pattern position.
@@ -241,7 +239,7 @@ class RepairEngine {
       if (!pt.lhs[i].is_constant()) continue;  // wildcard matches any value
       const size_t col = c.lhs_cols()[i];
       // Phase A writes nothing, so the decoded reference stays valid.
-      const Value& from = enc_.Decode(col, enc_.code(sv.tid, col));
+      const Value& from = work_.dictionary(col).Decode(work_.code(sv.tid, col));
       for (const Value& v : frequent_[col]) {
         if (v == pt.lhs[i].constant()) continue;
         const double cost = cost_model_.CellChangeCost(col, from, v);
@@ -299,7 +297,7 @@ class RepairEngine {
     out->members.reserve(vg.members.size());
     for (TupleId tid : vg.members) {
       if (!work_.IsLive(tid)) continue;
-      out->members.push_back({tid, enc_.code(tid, rhs_col)});
+      out->members.push_back({tid, work_.code(tid, rhs_col)});
     }
 
     // Distinct non-NULL RHS codes in first-occurrence order. Counting runs
@@ -336,7 +334,7 @@ class RepairEngine {
       for (size_t d = 0; d < distinct.size(); ++d) {
         cost += static_cast<double>(counts[d]) *
                 cost_model_.CellChangeCostCoded(rhs_col, distinct[d], target,
-                                                enc_.dictionary(rhs_col));
+                                                work_.dictionary(rhs_col));
       }
       if (nulls > 0) {
         cost += static_cast<double>(nulls) *
@@ -349,7 +347,7 @@ class RepairEngine {
     std::vector<double> costs(distinct.size());
     for (size_t d = 0; d < distinct.size(); ++d) {
       order[d] = d;
-      costs[d] = total_cost(distinct[d], enc_.Decode(rhs_col, distinct[d]));
+      costs[d] = total_cost(distinct[d], work_.dictionary(rhs_col).Decode(distinct[d]));
     }
     // Ties break to the first-occurring value.
     std::stable_sort(order.begin(), order.end(),
@@ -357,7 +355,7 @@ class RepairEngine {
     std::vector<Candidate> candidates;
     candidates.reserve(distinct.size());
     for (size_t d : order) {
-      candidates.push_back({enc_.Decode(rhs_col, distinct[d]), costs[d]});
+      candidates.push_back({work_.dictionary(rhs_col).Decode(distinct[d]), costs[d]});
     }
     out->actionable = true;
     out->best = candidates.front().value;
@@ -376,8 +374,8 @@ class RepairEngine {
         if (m.label == out->best_label) continue;
         out->escapees.push_back(i);
         out->escape_cost += cost_model_.CellChangeCostCoded(
-            escape_col, enc_.code(m.tid, escape_col), kNullCode,
-            enc_.dictionary(escape_col));
+            escape_col, work_.code(m.tid, escape_col), kNullCode,
+            work_.dictionary(escape_col));
       }
     }
   }
@@ -440,7 +438,7 @@ class RepairEngine {
       const Cfd& c = cfds_[static_cast<size_t>(groups[g]->cfd_index)];
       group_rhs[g].reserve(groups[g]->members.size());
       for (TupleId tid : groups[g]->members) {
-        group_rhs[g].push_back(enc_.code(tid, c.rhs_col()));
+        group_rhs[g].push_back(work_.code(tid, c.rhs_col()));
       }
     }
 
@@ -476,7 +474,7 @@ class RepairEngine {
         }
       }
       for (TupleId tid : vg->members) {
-        const Code rhs = enc_.code(tid, c.rhs_col());
+        const Code rhs = work_.code(tid, c.rhs_col());
         if (rhs == kNullCode || rhs == majority) continue;
         ApplyChange(tid, c.rhs_col(), Value::Null(), {});
         ++result->null_escapes;
@@ -488,12 +486,12 @@ class RepairEngine {
   /// occurrence) from one histogram pass over each live code column —
   /// integer increments, no Value hashing.
   void ComputeFrequentValues() {
-    const size_t ncols = enc_.num_columns();
-    const TupleId bound = enc_.IdBound();
+    const size_t ncols = work_.columns().size();
+    const TupleId bound = work_.IdBound();
     frequent_.resize(ncols);
     for (size_t col = 0; col < ncols; ++col) {
-      const relational::CodeColumn& codes = enc_.column(col);
-      std::vector<int64_t> counts(enc_.dictionary(col).size() + 1, 0);
+      const relational::CodeColumn& codes = work_.columns()[col];
+      std::vector<int64_t> counts(work_.dictionary(col).size() + 1, 0);
       std::vector<Code> order;
       for (TupleId tid = 0; tid < bound; ++tid) {
         if (!work_.IsLive(tid)) continue;
@@ -505,7 +503,7 @@ class RepairEngine {
                        [&](Code a, Code b) { return counts[a] > counts[b]; });
       const size_t keep = std::min<size_t>(order.size(), 4);
       for (size_t i = 0; i < keep; ++i) {
-        frequent_[col].push_back(enc_.Decode(col, order[i]));
+        frequent_[col].push_back(work_.dictionary(col).Decode(order[i]));
       }
     }
   }
@@ -518,7 +516,7 @@ class RepairEngine {
                    std::vector<std::pair<Value, double>> alternatives) {
     const uint64_t key = CellKey(tid, col);
     auto [logged, first_write] = changed_.try_emplace(key);
-    if (first_write) logged->second.original = enc_.code(tid, col);
+    if (first_write) logged->second.original = work_.code(tid, col);
     if (!alternatives.empty()) logged->second.alternatives = std::move(alternatives);
     const Status written = work_.SetCell(tid, col, v);
     assert(written.ok());  // edits target live tuples the detector reported
@@ -556,12 +554,11 @@ class RepairEngine {
 
   /// The working state: a copy of the input, sharing its dictionaries and
   /// code chunks until an edit detaches them (copy-on-write), so the input
-  /// is never written. Declared before enc_, its view.
+  /// is never written.
   Relation work_;
   std::vector<Cfd> cfds_;
   CostModel cost_model_;
   RepairOptions options_;
-  const EncodedRelation enc_{&work_};
   const common::simd::Kernels* kernels_ = nullptr;
 
   std::vector<std::vector<Value>> frequent_;  // per column, most frequent first

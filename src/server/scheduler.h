@@ -22,7 +22,7 @@ class RequestScheduler;
 /// microseconds; expensive verbs run engine scans/sweeps for milliseconds
 /// to minutes. Classing them separately keeps a storm of expensive
 /// requests from starving the cheap ones behind it (the head-of-line
-/// metric tools/bench_server_qps.py records).
+/// latency perfbench's interactive-64k reports as cheap_ms_p99).
 enum class RequestClass : uint8_t { kCheap = 0, kExpensive = 1 };
 
 /// The admission class of one command-grammar verb. Unknown verbs come

@@ -138,9 +138,7 @@ common::Status SemandaqService::RepublishLocked(const std::string& relation) {
     slot->overwrite_version = rel->overwrite_version();
     slot->rewrite_epoch = epoch;
   }
-  SnapshotPtr snap =
-      BuildRelationSnapshot(*rel, relational::EncodedRelation(rel), epoch);
-  std::atomic_store(&slot->snap, std::move(snap));
+  std::atomic_store(&slot->snap, BuildRelationSnapshot(*rel, epoch));
   return Status::OK();
 }
 

@@ -15,13 +15,11 @@ namespace semandaq::server {
 /// that concurrent sessions pin and read without ever blocking the writer.
 ///
 /// The replica is cheap because nothing in it is a second copy of the data:
-///
-///   * `relation` is built by Relation::FromColumns over frozen views of
-///     the master's code chunks and its shared dictionaries, plus a copy of
-///     the liveness bytes. The master's later appends land past these
-///     views' sizes, and its overwrites and new values detach
-///     (copy-on-write) first, so the bytes a pinned epoch sees never change;
-///   * `encoded` is the code view of `relation` (EncodedRelation).
+/// `relation` is a copy of the master, which shares the master's
+/// dictionaries and code chunks and copies only the liveness bytes. The
+/// master's later appends land past the copy's column sizes, and its
+/// overwrites and new values detach (copy-on-write) first, so the bytes a
+/// pinned epoch sees never change.
 ///
 /// Lifetime: snapshots are handed out as shared_ptr<const RelationSnapshot>
 /// and published via atomic shared_ptr swaps (SemandaqService); a session
@@ -31,17 +29,23 @@ struct RelationSnapshot {
   uint64_t epoch = 0;
   std::string name;
   relational::Relation relation;
-  std::optional<relational::EncodedRelation> encoded;
+  /// Holds nothing; kept only because perfbench/ compiles against it.
+  std::optional<relational::EncodedRelation> encoded{std::in_place, &relation};
 };
 
 using SnapshotPtr = std::shared_ptr<const RelationSnapshot>;
 
-/// Captures `master` as epoch `epoch`. The caller must hold the writer
-/// lock: the master must not mutate during the capture. `warm` is unused
-/// (the master's own columns are captured); it stays for existing callers.
+/// Captures a copy of `master` as epoch `epoch`. The caller must hold the
+/// writer lock: the master must not mutate during the copy.
 SnapshotPtr BuildRelationSnapshot(const relational::Relation& master,
-                                  const relational::EncodedRelation& warm,
                                   uint64_t epoch);
+
+/// The two-argument form; kept only because perfbench/ compiles against it.
+inline SnapshotPtr BuildRelationSnapshot(
+    const relational::Relation& master,
+    const relational::EncodedRelation& /*warm*/, uint64_t epoch) {
+  return BuildRelationSnapshot(master, epoch);
+}
 
 }  // namespace semandaq::server
 

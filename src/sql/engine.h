@@ -12,10 +12,6 @@
 
 namespace semandaq::sql {
 
-/// The argument type of the ignored Engine::set_encoded_provider.
-using EncodedProvider = std::function<const relational::EncodedRelation*(
-    const relational::Relation*)>;
-
 /// Front door of the SQL substrate: parse + bind + execute against a
 /// database. This is the component the error detector hands its generated
 /// detection queries to, standing in for the DBMS of the paper's
@@ -25,9 +21,9 @@ class Engine {
   /// The database must outlive the engine. Not owned.
   explicit Engine(const relational::Database* db) : db_(db) {}
 
-  /// Ignored: the executor reads every table's own code columns (see
-  /// sql::Execute). Kept so existing callers still compile.
-  void set_encoded_provider(EncodedProvider /*provider*/) {}
+  /// Ignored; kept only because perfbench/ compiles against it.
+  void set_encoded_provider(
+      std::function<const relational::EncodedRelation*(const relational::Relation*)>) {}
 
   /// Attaches a cooperative cancellation token (common/cancel.h) checked
   /// at the executor's batch boundaries. nullptr = not cancellable.

@@ -8,7 +8,7 @@
 #include "common/hash.h"
 #include "common/simd/simd.h"
 #include "common/string_util.h"
-#include "relational/encoded_relation.h"
+#include "relational/dictionary.h"
 
 namespace semandaq::sql {
 

@@ -13,7 +13,7 @@
 // uses the data model only (Relation, Value, Cfd::Resolve,
 // PatternValue::Matches, and audit::AuditOutcome as a plain result type)
 // and none of the engine code it judges
-// (GroupByEmbeddedFd, EncodedRelation, Partition, the SIMD kernels), so an
+// (GroupByEmbeddedFd, CompilePattern, Partition, the SIMD kernels), so an
 // engine bug cannot cancel out against itself.
 
 #include <algorithm>

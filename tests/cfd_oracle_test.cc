@@ -1,13 +1,13 @@
 // Every CFD engine against the definition-level oracle (cfd_oracle.h): a
 // seeded random sweep of small relations and tableaux, plus a few fixed
 // instances. The sweep covers
-//  * NativeDetector cold, then at every SIMD tier over a warm snapshot
+//  * NativeDetector with the default options, then at every SIMD tier
 //    (every eighth relation has 1,100-2,600 rows);
 //  * SqlDetector on the small relations whose Σ holds no NULL constant
 //    (its tableau relations encode wildcards as NULL);
 //  * IncrementalDetector after a random update stream;
-//  * DataAuditor on the tables of those detections, on its own encoding
-//    and on a column-backed copy (its kernels run at the process's tier,
+//  * DataAuditor on the tables of those detections, on the relation and
+//    on one built over its columns (its kernels run at the process's tier,
 //    so the scalar run of this test covers that tier);
 //  * FdMiner and CfdMiner at LHS arity 1-3, support 2-4, threads {1, 4},
 //    every tier;
@@ -35,7 +35,6 @@
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
 #include "relational/database.h"
-#include "relational/encoded_relation.h"
 #include "repair/batch_repair.h"
 #include "repair/cost_model.h"
 #include "test_util.h"
@@ -272,20 +271,17 @@ std::vector<Cfd> Parse(const std::string& text) {
 
 // ------------------------------------------------------------- detection
 
-/// NativeDetector against the oracle: a cold run that encodes the
-/// relation itself, then every tier over one warm snapshot (the server's
-/// pattern).
+/// NativeDetector against the oracle: a run with the default options, then
+/// one per tier.
 void ExpectNativeDetection(const Relation& rel, const std::vector<Cfd>& sigma) {
   const Detection want = Detect(rel, sigma);
   ASSERT_OK_AND_ASSIGN(auto cold_table, detect::NativeDetector(&rel, sigma).Detect());
   ASSERT_EQ("", DetectionDiff(want, cold_table)) << "cold";
 
-  const relational::EncodedRelation warm(&rel);
   for (simd::Level tier : kTiers) {
     detect::DetectorOptions opts;
     opts.simd_level = tier;
     detect::NativeDetector detector(&rel, sigma, opts);
-    detector.set_encoded(&warm);
     ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
     ASSERT_EQ("", DetectionDiff(want, table)) << "tier=" << simd::LevelName(tier);
   }
@@ -371,23 +367,21 @@ TEST(CfdOracleTest, AuditSweep) {
     }
 
     const audit::AuditOutcome want = Audit(rel, sigma);
-    const relational::EncodedRelation warm(&rel);
     for (simd::Level tier : kTiers) {
       detect::DetectorOptions opts;
       opts.simd_level = tier;
       detect::NativeDetector detector(&rel, sigma, opts);
-      detector.set_encoded(&warm);
       ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
       ExpectAudit(rel, sigma, want, table, "tier=" + std::string(simd::LevelName(tier)));
       if (HasFatalFailure()) return;
     }
     ASSERT_OK_AND_ASSIGN(auto cold_table, detect::NativeDetector(&rel, sigma).Detect());
-    // A published epoch's relation, built over the same columns.
-    const Relation epoch = Relation::FromColumns(
+    // A relation built over the same columns (the storage loader's path).
+    const Relation loaded = Relation::FromColumns(
         rel.name(), rel.schema(),
         std::vector<uint8_t>(rel.live_data(), rel.live_data() + rel.IdBound()),
-        warm.dictionaries(), warm.columns());
-    ExpectAudit(epoch, sigma, want, cold_table, "column-backed");
+        rel.dictionaries(), rel.columns());
+    ExpectAudit(loaded, sigma, want, cold_table, "column-backed");
     if (HasFatalFailure()) return;
     if (rows <= 60) {
       relational::Database db;
@@ -569,21 +563,6 @@ TEST(CfdOracleTest, NullPatternConstantMatchesNothing) {
   EXPECT_TRUE(inc.Clean());
 }
 
-TEST(CfdOracleTest, StaleExternalSnapshotFallsBack) {
-  Relation rel = semandaq::testing::MakeStringRelation(
-      "t", {"A", "B"}, {{"1", "x"}, {"1", "x"}});
-  const relational::EncodedRelation stale(&rel);
-  rel.MustInsert({Value::String("1"), Value::String("y")});  // stale now
-  const std::vector<Cfd> sigma = Parse("t: [A] -> [B]");
-  detect::NativeDetector detector(&rel, sigma);
-  detector.set_encoded(&stale);
-  ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
-  // The conflict introduced after the snapshot must still be found.
-  EXPECT_EQ("", DetectionDiff(rel, sigma, table));
-  ASSERT_EQ(table.groups().size(), 1u);
-  EXPECT_EQ(table.groups()[0].members.size(), 3u);
-}
-
 TEST(CfdOracleTest, IncrementalAfterChurn) {
   workload::CustomerWorkloadOptions opts;
   opts.num_tuples = 500;
@@ -603,11 +582,10 @@ TEST(CfdOracleTest, IncrementalAfterChurn) {
   ExpectNativeDetection(wl.dirty, sigma);
 }
 
-/// Partition::Build over the encoded snapshot against Π_X from the
+/// Partition::Build over the relation's codes against Π_X from the
 /// definition: same coverage, same classes in first-touch order.
 void ExpectOraclePartition(const Relation& rel, const std::vector<size_t>& cols) {
   SCOPED_TRACE("cols " + std::to_string(cols.size()));
-  const relational::EncodedRelation enc(&rel);
   const std::vector<std::vector<TupleId>> want = PartitionClasses(rel, cols);
   std::vector<std::vector<TupleId>> stripped;
   size_t covered = 0;
@@ -616,7 +594,7 @@ void ExpectOraclePartition(const Relation& rel, const std::vector<size_t>& cols)
     if (cls.size() >= 2) stripped.push_back(cls);
   }
   for (simd::Level tier : kTiers) {
-    const discovery::Partition p = discovery::Partition::Build(enc, cols, tier);
+    const discovery::Partition p = discovery::Partition::Build(rel, cols, tier);
     EXPECT_EQ(p.num_classes(), want.size());
     EXPECT_EQ(p.num_tuples(), covered);
     EXPECT_EQ(p.classes(), stripped);

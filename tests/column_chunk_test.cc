@@ -1,8 +1,7 @@
-// The COW column-chunk layer (src/relational/column_chunk): frozen shares
-// must be bit-stable forever — writer appends land past their size, writer
-// overwrites detach first — copies must keep plain value semantics, and a
-// relation built over columns must decode exactly the rows that were
-// encoded.
+// The COW column-chunk layer (src/relational/column_chunk): copies must be
+// bit-stable forever — writer appends land past their size, writer
+// overwrites detach first — and keep plain value semantics, and a relation
+// built over columns must decode exactly the rows that were encoded.
 // These invariants are the foundation of the server's lock-free epoch
 // publication (docs/server.md), so they are tested directly here in
 // isolation from the server.
@@ -38,10 +37,10 @@ TEST(CodeColumnTest, PushBackAndRead) {
   EXPECT_EQ(col.end() - col.begin(), 100);
 }
 
-TEST(CodeColumnTest, FrozenShareSurvivesAppends) {
+TEST(CodeColumnTest, CopySurvivesAppends) {
   CodeColumn col;
   for (Code c = 0; c < 10; ++c) col.PushBack(c);
-  const CodeColumn frozen = col.ShareFrozen();
+  const CodeColumn frozen = col;
   ASSERT_EQ(frozen.size(), 10u);
 
   // Appends past the frozen size must not relocate away from the shared
@@ -55,14 +54,14 @@ TEST(CodeColumnTest, FrozenShareSurvivesAppends) {
   for (size_t i = 0; i < 10; ++i) EXPECT_EQ(frozen[i], static_cast<Code>(i));
 }
 
-TEST(CodeColumnTest, FrozenShareSurvivesOverwrites) {
+TEST(CodeColumnTest, CopySurvivesOverwrites) {
   CodeColumn col;
   for (Code c = 0; c < 8; ++c) col.PushBack(c);
-  const CodeColumn frozen = col.ShareFrozen();
+  const CodeColumn frozen = col;
   EXPECT_EQ(col.chunk_use_count(), 2);
 
   // An overwrite below the watermark must detach (COW): the writer sees
-  // the new byte, the frozen view keeps the old one.
+  // the new byte, the copy keeps the old one.
   col.Set(3, 999);
   EXPECT_EQ(col[3], 999u);
   EXPECT_EQ(frozen[3], 3u);
@@ -79,9 +78,9 @@ TEST(CodeColumnTest, FrozenShareSurvivesOverwrites) {
 TEST(CodeColumnTest, AppendsPastWatermarkStayInPlace) {
   CodeColumn col;
   for (Code c = 0; c < 4; ++c) col.PushBack(c);
-  const CodeColumn frozen = col.ShareFrozen();
+  const CodeColumn frozen = col;
   col.PushBack(4);
-  // Setting an index the frozen view cannot see needs no COW.
+  // Setting an index the copy cannot see needs no COW.
   const long shared_count = col.chunk_use_count();
   col.Set(4, 777);
   EXPECT_EQ(col.chunk_use_count(), shared_count);
@@ -128,33 +127,16 @@ TEST(CodeColumnTest, CopyAssignReleasesOldChunk) {
   EXPECT_EQ(b.size(), 2u);
 }
 
-TEST(CodeColumnTest, AssignAndAssignFillDetachFromShares) {
+TEST(CodeColumnTest, AssignDetachesFromCopies) {
   CodeColumn col;
   for (Code c = 0; c < 5; ++c) col.PushBack(c);
-  const CodeColumn frozen = col.ShareFrozen();
+  const CodeColumn frozen = col;
 
   const std::vector<Code> src = {9, 8, 7};
   col.Assign(src.data(), src.size());
   EXPECT_EQ(Contents(col), src);
   EXPECT_EQ(frozen.size(), 5u);
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(frozen[i], static_cast<Code>(i));
-
-  const CodeColumn frozen2 = col.ShareFrozen();
-  col.AssignFill(4, 11);
-  EXPECT_EQ(Contents(col), std::vector<Code>(4, 11));
-  EXPECT_EQ(Contents(frozen2), src);
-}
-
-TEST(CodeColumnTest, ExtendFillAppendsInPlace) {
-  CodeColumn col;
-  col.PushBack(1);
-  const CodeColumn frozen = col.ShareFrozen();
-  col.ExtendFill(6, 3);
-  EXPECT_EQ(Contents(col), (std::vector<Code>{1, 3, 3, 3, 3, 3}));
-  col.ExtendFill(2, 4);  // n <= size: no-op
-  EXPECT_EQ(col.size(), 6u);
-  EXPECT_EQ(frozen.size(), 1u);
-  EXPECT_EQ(frozen[0], 1u);
 }
 
 TEST(CodeColumnTest, EqualityComparesLogicalContents) {
@@ -167,8 +149,8 @@ TEST(CodeColumnTest, EqualityComparesLogicalContents) {
   EXPECT_EQ(a, b);
   b.PushBack(3);
   EXPECT_NE(a, b);
-  // A frozen share equals its source at the shared prefix length.
-  EXPECT_EQ(a.ShareFrozen(), a);
+  // A copy equals its source.
+  EXPECT_EQ(CodeColumn(a), a);
 }
 
 TEST(CodeColumnTest, ColumnBackedRelationDecodesItsRows) {
@@ -196,13 +178,9 @@ TEST(CodeColumnTest, ColumnBackedRelationDecodesItsRows) {
   EXPECT_EQ(rel.row(0), rows[0]);
   EXPECT_EQ(rel.row(2), rows[2]);
 
-  // Built over frozen shares of the columns (the server's epoch path), the
-  // relation decodes the same rows, and the source columns stay untouched.
-  std::vector<CodeColumn> frozen;
-  frozen.push_back(columns[0].ShareFrozen());
-  frozen.push_back(columns[1].ShareFrozen());
-  const Relation shared =
-      Relation::FromColumns("t", schema, live, {dict0, dict1}, frozen);
+  // A copy (the server's epoch path) decodes the same rows over the same
+  // chunks.
+  const Relation shared = rel;
   EXPECT_EQ(shared.row(0), rows[0]);
   EXPECT_EQ(shared.row(2), rows[2]);
   EXPECT_EQ(columns[0].data(), shared.columns()[0].data());

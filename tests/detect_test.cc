@@ -29,7 +29,11 @@ TEST(ViolationTableTest, SinglesDedupePerCfd) {
   EXPECT_TRUE(t.AddSingle({3, 1, 0}));   // different CFD
   EXPECT_EQ(t.vio(3), 2);
   EXPECT_EQ(t.singles().size(), 3u);
-  EXPECT_EQ(t.SingleCfdsOf(3), (std::vector<int>{0, 1}));
+  // Pairs are keyed without aliasing: a large CFD index is its own CFD.
+  EXPECT_TRUE(t.AddSingle({1, 4, 0}));
+  EXPECT_TRUE(t.AddSingle({0, 1048580, 0}));
+  EXPECT_EQ(t.vio(0), 1);
+  EXPECT_EQ(t.vio(1), 1);
 }
 
 TEST(ViolationTableTest, GroupVioCountsDisagreeingPartners) {
@@ -48,7 +52,6 @@ TEST(ViolationTableTest, GroupVioCountsDisagreeingPartners) {
   EXPECT_EQ(t.vio(12), 2);
   EXPECT_EQ(t.TotalVio(), 4);
   EXPECT_EQ(t.NumViolatingTuples(), 3u);
-  EXPECT_EQ(t.GroupsOf(11), (std::vector<int>{0}));
 }
 
 TEST(ViolationTableTest, ViolatingTuplesSorted) {

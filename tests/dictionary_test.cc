@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "relational/encoded_relation.h"
+#include "relational/relation.h"
 #include "test_util.h"
 
 namespace semandaq::relational {
@@ -88,60 +88,50 @@ TEST(DictionaryTest, CopyRacingFirstLookupHydrationIsSafe) {
   }
 }
 
-// ------------------------------------------------------------ EncodedRelation
+// ------------------------------------------------------------ Relation
 
-TEST(EncodedRelationTest, SnapshotMatchesRelation) {
+TEST(RelationCodesTest, CodesDecodeToTheCells) {
   Relation rel = semandaq::testing::PaperCustomerRelation();
-  EncodedRelation enc(&rel);
-  ASSERT_EQ(enc.num_columns(), rel.schema().size());
-  ASSERT_EQ(enc.IdBound(), rel.IdBound());
+  ASSERT_EQ(rel.columns().size(), rel.schema().size());
   rel.ForEach([&](TupleId tid, const Row& row) {
     for (size_t c = 0; c < row.size(); ++c) {
-      EXPECT_EQ(enc.Decode(c, enc.code(tid, c)), row[c])
+      EXPECT_EQ(rel.dictionary(c).Decode(rel.code(tid, c)), row[c])
           << "cell (" << tid << ", " << c << ")";
     }
   });
 }
 
-TEST(EncodedRelationTest, NullCellsEncodeToNullCode) {
+TEST(RelationCodesTest, NullCellsEncodeToNullCode) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"", "x"}, {"y", ""}});
-  EncodedRelation enc(&rel);
-  EXPECT_EQ(enc.code(0, 0), kNullCode);
-  EXPECT_NE(enc.code(0, 1), kNullCode);
-  EXPECT_NE(enc.code(1, 0), kNullCode);
-  EXPECT_EQ(enc.code(1, 1), kNullCode);
+  EXPECT_EQ(rel.code(0, 0), kNullCode);
+  EXPECT_NE(rel.code(0, 1), kNullCode);
+  EXPECT_NE(rel.code(1, 0), kNullCode);
+  EXPECT_EQ(rel.code(1, 1), kNullCode);
 }
 
-TEST(EncodedRelationTest, EqualValuesShareOneCodePerColumn) {
+TEST(RelationCodesTest, EqualValuesShareOneCodePerColumn) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "x"}, {"x", "y"}});
-  EncodedRelation enc(&rel);
-  EXPECT_EQ(enc.code(0, 0), enc.code(1, 0));  // same column, same value
+  EXPECT_EQ(rel.code(0, 0), rel.code(1, 0));  // same column, same value
   // Dictionaries are per column: "x" in A and "x" in B code independently.
-  EXPECT_EQ(enc.dictionary(0).size(), 1u);
-  EXPECT_EQ(enc.dictionary(1).size(), 2u);
+  EXPECT_EQ(rel.dictionary(0).size(), 1u);
+  EXPECT_EQ(rel.dictionary(1).size(), 2u);
 }
 
-TEST(EncodedRelationTest, ViewFollowsEveryWrite) {
-  // A view reads the relation's own columns: inserts, overwrites and
-  // deletes show through it at once, with nothing to sync.
+TEST(RelationCodesTest, CodesFollowEveryWrite) {
+  // Inserts, overwrites and deletes show in the codes at once.
   Relation rel = semandaq::testing::MakeStringRelation("t", {"A"}, {{"x"}});
-  const EncodedRelation enc(&rel);
   rel.MustInsert({Value::String("y")});
   rel.MustInsert({Value::String("x")});
-  ASSERT_EQ(enc.IdBound(), 3);
-  EXPECT_EQ(enc.code(2, 0), enc.code(0, 0));  // appended "x" reuses the code
-  EXPECT_NE(enc.code(1, 0), enc.code(0, 0));
+  ASSERT_EQ(rel.IdBound(), 3);
+  EXPECT_EQ(rel.code(2, 0), rel.code(0, 0));  // appended "x" reuses the code
+  EXPECT_NE(rel.code(1, 0), rel.code(0, 0));
   ASSERT_OK(rel.SetCell(0, 0, Value::String("z")));
-  EXPECT_EQ(enc.Decode(0, enc.code(0, 0)), Value::String("z"));
+  EXPECT_EQ(rel.dictionary(0).Decode(rel.code(0, 0)), Value::String("z"));
   ASSERT_OK(rel.Delete(1));
-  std::vector<TupleId> live;
-  enc.ForEachLive([&](TupleId tid) { live.push_back(tid); });
-  EXPECT_EQ(live, (std::vector<TupleId>{0, 2}));
+  EXPECT_EQ(rel.LiveIds(), (std::vector<TupleId>{0, 2}));
 }
-
-// ------------------------------------------------------------ Relation
 
 TEST(RelationCodesTest, SetCellOnACopyDetachesCopyOnWrite) {
   // A copy shares the original's chunks and dictionaries. SetCell detaches

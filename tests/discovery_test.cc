@@ -10,7 +10,6 @@
 #include "discovery/cfd_miner.h"
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
-#include "relational/encoded_relation.h"
 #include "test_util.h"
 #include "workload/customer_gen.h"
 
@@ -22,7 +21,7 @@ using relational::Value;
 
 // -------------------------------------------------------------- Partition --
 
-/// Π_X over the encoded snapshot must be Π_X from the definition: the same
+/// Π_X over the relation's codes must be Π_X from the definition: the same
 /// classes (stripped of singletons) in first-touch order, the same coverage,
 /// and ClassOf giving every covered tuple, singletons included, the index
 /// of its class in that order (-1 for the rest).
@@ -52,8 +51,7 @@ void ExpectOraclePartition(const Partition& p, const Relation& rel,
 TEST(PartitionTest, BuildGroupsEqualValues) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "2"}, {"y", "1"}, {"x", "3"}});
-  const relational::EncodedRelation enc(&rel);
-  Partition p = Partition::Build(enc, {0});
+  Partition p = Partition::Build(rel, {0});
   ExpectOraclePartition(p, rel, {0});
   EXPECT_EQ(p.num_classes(), 2u);
   EXPECT_EQ(p.num_tuples(), 4u);
@@ -66,8 +64,7 @@ TEST(PartitionTest, BuildGroupsEqualValues) {
 TEST(PartitionTest, NullsExcluded) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A"}, {{"x"}, {""}, {"x"}});
-  const relational::EncodedRelation enc(&rel);
-  Partition p = Partition::Build(enc, {0});
+  Partition p = Partition::Build(rel, {0});
   ExpectOraclePartition(p, rel, {0});
   EXPECT_EQ(p.num_tuples(), 2u);
   EXPECT_EQ(p.ClassOf(1), -1);
@@ -76,11 +73,10 @@ TEST(PartitionTest, NullsExcluded) {
 TEST(PartitionTest, IntersectIsProductPartition) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "1"}, {"x", "2"}, {"y", "1"}});
-  const relational::EncodedRelation enc(&rel);
-  Partition pa = Partition::Build(enc, {0});
-  Partition pb = Partition::Build(enc, {1});
+  Partition pa = Partition::Build(rel, {0});
+  Partition pb = Partition::Build(rel, {1});
   ExpectOraclePartition(Partition::Intersect(pa, pb), rel, {0, 1});
-  ExpectOraclePartition(Partition::Build(enc, {0, 1}), rel, {0, 1});
+  ExpectOraclePartition(Partition::Build(rel, {0, 1}), rel, {0, 1});
 }
 
 /// K and J are keys with NULLs in different rows, N is a key but for one
@@ -101,10 +97,9 @@ Relation KeyLikeRelation() {
 
 TEST(PartitionTest, IntersectWithKeyOperands) {
   const Relation rel = KeyLikeRelation();
-  const relational::EncodedRelation enc(&rel);
   std::vector<Partition> base;
   for (size_t c = 0; c < 4; ++c) {
-    base.push_back(Partition::Build(enc, {c}));
+    base.push_back(Partition::Build(rel, {c}));
     ExpectOraclePartition(base.back(), rel, {c});
   }
   EXPECT_TRUE(base[0].classes().empty());
@@ -129,13 +124,12 @@ TEST(PartitionTest, RefinesDetectsFd) {
   // A -> B holds; B -> A does not (B=1 spans A=x and A=y).
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "1"}, {"y", "2"}, {"z", "1"}});
-  const relational::EncodedRelation enc(&rel);
   const oracle::Pairs pairs(rel);
-  Partition pa = Partition::Build(enc, {0});
-  Partition pab = Partition::Build(enc, {0, 1});
+  Partition pa = Partition::Build(rel, {0});
+  Partition pab = Partition::Build(rel, {0, 1});
   EXPECT_TRUE(pairs.FdHolds(0b01, 1));
   EXPECT_TRUE(pa.Refines(pab));
-  Partition pb = Partition::Build(enc, {1});
+  Partition pb = Partition::Build(rel, {1});
   EXPECT_FALSE(pairs.FdHolds(0b10, 0));
   EXPECT_FALSE(pb.Refines(pab));
 }

@@ -22,7 +22,6 @@
 #include "discovery/cfd_miner.h"
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
-#include "relational/encoded_relation.h"
 #include "test_util.h"
 #include "workload/customer_gen.h"
 #include "workload/hospital_gen.h"
@@ -191,12 +190,11 @@ void ExpectSamePartition(const Partition& a, const Partition& b) {
 
 TEST(PartitionCacheTest, EvictedPartitionsRebuildOnDemandNeverStale) {
   Relation rel = semandaq::testing::PaperCustomerRelation();
-  relational::EncodedRelation enc(&rel);
-  PartitionCache cache(&enc);
+  PartitionCache cache(&rel);
 
   const Partition& first = cache.Get({1, 3});
   const Partition reference = Partition::Intersect(
-      Partition::Build(enc, {1}), Partition::Build(enc, {3}));
+      Partition::Build(rel, {1}), Partition::Build(rel, {3}));
   ExpectSamePartition(reference, first);
   EXPECT_EQ(cache.builds(), 1u);
   EXPECT_EQ(cache.resident(), 1u);
@@ -226,8 +224,7 @@ TEST(PartitionCacheTest, ResidencyStaysLevelScoped) {
   // level-(k+1) X∪A products, then rotates. Residency must never exceed
   // two lattice levels' worth of products.
   Relation rel = semandaq::testing::PaperCustomerRelation();
-  relational::EncodedRelation enc(&rel);
-  PartitionCache cache(&enc);
+  PartitionCache cache(&rel);
   const size_t ncols = 4;
 
   // Level 1: candidates are pinned bases; products of size 2 get built.
@@ -291,8 +288,7 @@ TEST(PartitionCacheTest, AfterLevelHookSharesLevelPartitionsWithCfdSweep) {
 
   // Old schedule: full FD run, then a separate level walk with its own
   // rotations (what CfdMiner::Mine did before the hook existed).
-  relational::EncodedRelation enc_a(&wl.dirty);
-  PartitionCache cache_a(&enc_a);
+  PartitionCache cache_a(&wl.dirty);
   const auto fds_a = miner.Mine(&cache_a, nullptr);
   for (size_t level = 1; level <= kMaxLhs && level < ncols; ++level) {
     touch_level(&cache_a, level);
@@ -302,8 +298,7 @@ TEST(PartitionCacheTest, AfterLevelHookSharesLevelPartitionsWithCfdSweep) {
 
   // Interleaved schedule: the same accesses inside the hook are all
   // resident hits.
-  relational::EncodedRelation enc_b(&wl.dirty);
-  PartitionCache cache_b(&enc_b);
+  PartitionCache cache_b(&wl.dirty);
   std::vector<size_t> hook_levels;
   const auto fds_b = miner.Mine(
       &cache_b, nullptr,
@@ -329,20 +324,19 @@ TEST(PartitionCacheTest, ConcurrentGetsAreSafeAndDeterministic) {
   wopts.noise_rate = 0.1;
   wopts.seed = 11;
   auto wl = workload::CustomerGenerator::Generate(wopts);
-  relational::EncodedRelation enc(&wl.dirty);
   const size_t ncols = wl.dirty.schema().size();
 
   // Reference partitions, serially.
   std::vector<Partition> reference;
   for (size_t a = 0; a < ncols; ++a) {
     for (size_t b = a + 1; b < ncols; ++b) {
-      reference.push_back(Partition::Intersect(Partition::Build(enc, {a}),
-                                               Partition::Build(enc, {b})));
+      reference.push_back(Partition::Intersect(Partition::Build(wl.dirty, {a}),
+                                               Partition::Build(wl.dirty, {b})));
     }
   }
 
   common::ThreadPool pool(4);
-  PartitionCache cache(&enc);
+  PartitionCache cache(&wl.dirty);
   std::vector<std::vector<size_t>> wanted;
   for (size_t a = 0; a < ncols; ++a) {
     for (size_t b = a + 1; b < ncols; ++b) wanted.push_back({a, b});
@@ -359,14 +353,13 @@ TEST(FdMinerTest, RefinesForFdMatchesOracle) {
   // The miner's validation test on every single-attribute candidate of the
   // paper instance, against the pairwise FD definition.
   const Relation rel = semandaq::testing::PaperCustomerRelation();
-  const relational::EncodedRelation enc(&rel);
   const oracle::Pairs pairs(rel);
   for (size_t rhs = 0; rhs < rel.schema().size(); ++rhs) {
     for (size_t lhs = 0; lhs < rel.schema().size(); ++lhs) {
       if (lhs == rhs) continue;
-      const Partition px = Partition::Build(enc, {lhs});
+      const Partition px = Partition::Build(rel, {lhs});
       const Partition pxa =
-          Partition::Build(enc, {std::min(lhs, rhs), std::max(lhs, rhs)});
+          Partition::Build(rel, {std::min(lhs, rhs), std::max(lhs, rhs)});
       EXPECT_EQ(pairs.FdHolds(uint64_t{1} << lhs, rhs), RefinesForFd(px, pxa))
           << "lhs=" << lhs << " rhs=" << rhs;
     }

@@ -1,15 +1,16 @@
 // Loopback chaos for the hardened TCP front end (src/server/tcp_server):
 // stalled clients are disconnected at the read deadline instead of pinning
 // a thread forever, connections past the cap are shed with a clean busy
-// frame, handler threads and fds are reclaimed as churn runs (counted via
-// /proc/self), and the retrying client rides through busy-shedding to an
-// eventual answer.
+// frame, handler threads and fds are reclaimed as concurrent churn runs
+// (counted via /proc/self) while every reply stays correct, and the
+// retrying client rides through busy-shedding to an eventual answer.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -174,50 +175,88 @@ TEST(ServerChaosTest, ConnectionsPastTheCapAreShedWithABusyFrame) {
   server.Wait();
 }
 
+// Concurrent clients churn connections in three shapes while the
+// well-behaved ones keep detecting: every detect reply must equal the
+// serial reference, and the churn must leave no fd or handler thread
+// behind.
 TEST(ServerChaosTest, ConnectionChurnLeaksNoFdsOrThreads) {
   SemandaqService service;
   TcpServerOptions options;
   options.read_deadline_ms = 250;
   TcpServer server(&service, options);
   ASSERT_OK(server.Start());
+  std::string reference;
   {
     ASSERT_OK_AND_ASSIGN(Client boot,
                          Client::Connect("127.0.0.1", server.port()));
-    ASSERT_OK_AND_ASSIGN(auto r, boot.Call("gen customer 40 10"));
-    EXPECT_TRUE(r.ok);
+    for (const char* cmd :
+         {"gen customer 2000 10", "cfd customer: [CNT=UK, ZIP=_] -> [STR=_]",
+          "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }"}) {
+      ASSERT_OK_AND_ASSIGN(auto r, boot.Call(cmd));
+      ASSERT_TRUE(r.ok) << cmd << ": " << r.text;
+    }
+    ASSERT_OK_AND_ASSIGN(auto r, boot.Call("detect customer"));
+    ASSERT_TRUE(r.ok) << r.text;
+    reference = r.text;
   }
+  ASSERT_NE(reference.find("violating tuple"), std::string::npos);
   AwaitQuiesce(server);
   const size_t fd_baseline = OpenFdCount();
   const size_t thread_baseline = ThreadCount();
 
-  for (int i = 0; i < 45; ++i) {
-    switch (i % 3) {
-      case 0: {
-        // A well-behaved client: one command, clean close.
-        auto c = Client::Connect("127.0.0.1", server.port());
-        ASSERT_TRUE(c.ok()) << c.status().ToString();
-        auto r = c->Call("detect customer");
-        EXPECT_TRUE(r.ok()) << r.status().ToString();
-        break;
+  constexpr int kClients = 16;
+  constexpr int kRounds = 15;  // per client, five of each shape
+  std::atomic<int> detects{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        switch ((i + t) % 3) {
+          case 0: {
+            // A well-behaved client: one command, clean close.
+            auto c = Client::Connect("127.0.0.1", server.port());
+            if (!c.ok()) {
+              ADD_FAILURE() << c.status().ToString();
+              break;
+            }
+            auto r = c->Call("detect customer");
+            if (!r.ok()) {
+              ADD_FAILURE() << r.status().ToString();
+              break;
+            }
+            EXPECT_TRUE(r->ok) << r->text;
+            EXPECT_EQ(r->text, reference);
+            detects.fetch_add(1);
+            break;
+          }
+          case 1: {
+            // A mid-frame vanisher: promises a body, disconnects instead.
+            const int fd = RawConnect(server.port());
+            if (fd < 0) {
+              ADD_FAILURE() << "connect failed";
+              break;
+            }
+            const uint32_t len = 100;
+            (void)::send(fd, &len, sizeof len, MSG_NOSIGNAL);
+            ::close(fd);
+            break;
+          }
+          default: {
+            // Connect-and-run: never sends a byte.
+            const int fd = RawConnect(server.port());
+            if (fd < 0) {
+              ADD_FAILURE() << "connect failed";
+              break;
+            }
+            ::close(fd);
+            break;
+          }
+        }
       }
-      case 1: {
-        // A mid-frame vanisher: promises a body, disconnects instead.
-        const int fd = RawConnect(server.port());
-        ASSERT_GE(fd, 0);
-        const uint32_t len = 100;
-        (void)::send(fd, &len, sizeof len, MSG_NOSIGNAL);
-        ::close(fd);
-        break;
-      }
-      default: {
-        // Connect-and-run: never sends a byte.
-        const int fd = RawConnect(server.port());
-        ASSERT_GE(fd, 0);
-        ::close(fd);
-        break;
-      }
-    }
+    });
   }
+  for (std::thread& c : clients) c.join();
+  EXPECT_EQ(detects.load(), kClients * kRounds / 3);
 
   AwaitQuiesce(server);
   // One more clean call makes the accept loop run and reap the finished
@@ -231,7 +270,7 @@ TEST(ServerChaosTest, ConnectionChurnLeaksNoFdsOrThreads) {
 
   // Slack covers transient races (a handler between close and reap, proc
   // enumeration itself) — what must NOT appear is growth proportional to
-  // the 45 churned connections.
+  // the 240 churned connections.
   EXPECT_LE(OpenFdCount(), fd_baseline + 4)
       << "fd leak across connection churn";
   EXPECT_LE(ThreadCount(), thread_baseline + 4)

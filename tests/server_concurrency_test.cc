@@ -21,7 +21,6 @@
 #include "cfd/cfd_parser.h"
 #include "detect/native_detector.h"
 #include "discovery/cfd_miner.h"
-#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 #include "relational/value.h"
 #include "server/service.h"
@@ -31,7 +30,6 @@
 namespace semandaq::server {
 namespace {
 
-using relational::EncodedRelation;
 using relational::Relation;
 using relational::Row;
 using relational::TupleId;
@@ -86,7 +84,6 @@ std::string SerialRecompute(const Observation& obs,
     EXPECT_TRUE(obs.snap->relation.IsLive(tid));
     rebuilt.MustInsert(obs.snap->relation.row(tid));
   }
-  EncodedRelation enc(&rebuilt);
   if (obs.is_mine) {
     discovery::CfdMiner miner(&rebuilt, {});
     auto mined = miner.Mine();
@@ -94,7 +91,6 @@ std::string SerialRecompute(const Observation& obs,
     return mined.ok() ? CanonicalMine(*mined) : std::string();
   }
   detect::NativeDetector det(&rebuilt, cfds);
-  det.set_encoded(&enc);
   auto table = det.Detect();
   EXPECT_TRUE(table.ok()) << table.status().ToString();
   return table.ok() ? CanonicalDetect(*table) : std::string();
@@ -164,7 +160,6 @@ TEST(ServerConcurrencyTest, ReadersAreByteIdenticalToSerialRunsOnTheirEpoch) {
           obs.result = CanonicalMine(*mined);
         } else {
           detect::NativeDetector det(&obs.snap->relation, cfds);
-          det.set_encoded(&*obs.snap->encoded);
           auto table = det.Detect();
           ASSERT_TRUE(table.ok()) << table.status().ToString();
           obs.result = CanonicalDetect(*table);

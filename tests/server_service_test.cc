@@ -1,10 +1,11 @@
 // The text-command service (src/server/service): the one implementation
 // of Semandaq's command grammar, which semandaq_cli drives in-process and
 // semandaq_server over TCP. Covers lane-count invariance of `mine`, that
-// every pinned read renders exactly what the facade computes on the
-// master, per-write epoch publication, and whole-database save/open —
-// including snapshot compaction and crash recovery across a compaction
-// boundary. The grammar as one session sees it is in session_test.cc.
+// the served detect, report and clean replies agree with the
+// definition-level oracle (cfd_oracle.h) on the pinned epoch's data,
+// per-write epoch publication, and whole-database save/open — including
+// snapshot compaction and crash recovery across a compaction boundary. The
+// grammar as one session sees it is in session_test.cc.
 
 #include <string>
 #include <utility>
@@ -13,11 +14,12 @@
 #include <gtest/gtest.h>
 
 #include "audit/render.h"
+#include "audit/report.h"
+#include "cfd_oracle.h"
 #include "common/csv.h"
 #include "discovery/cfd_miner.h"
 #include "relational/value.h"
 #include "server/service.h"
-#include "sql/engine.h"
 #include "storage/catalog.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
@@ -84,16 +86,31 @@ TEST(ServerServiceTest, MineIsIdenticalForEveryLaneCount) {
 
 // ---------------------------------------------------- snapshot fidelity
 
-// Every read verb computes on a pinned epoch. Its bytes must equal what
-// the facade renders computing directly on the master relation — at the
-// first epoch, and again after a write batch publishes the next one.
-TEST(ServerServiceTest, PinnedReadsMatchTheFacadeOnTheMaster) {
+/// The `detect` reply for the oracle's detection.
+std::string SummaryOf(const oracle::Detection& d) {
+  int64_t total = 0;
+  size_t violating = 0;
+  for (int64_t v : d.vio) {
+    total += v;
+    if (v > 0) ++violating;
+  }
+  return std::to_string(d.singles.size()) + " single-tuple violation(s), " +
+         std::to_string(d.groups.size()) + " multi-tuple group(s), " +
+         std::to_string(violating) + " violating tuple(s), total vio " +
+         std::to_string(total) + "\n";
+}
+
+// Every read verb computes on a pinned epoch. Its replies must agree with
+// the oracle on that epoch's data — at the first epoch, and again after a
+// write batch publishes the next one.
+TEST(ServerServiceTest, PinnedReadsMatchTheOracleOnTheEpoch) {
   SemandaqService service;
   SemandaqService::SessionState state;
   Exec(&service, &state, "gen customer 150 8");
   for (const char* c : kCustomerCfds) Exec(&service, &state, c);
-  // Safe: this test issues no request concurrently with the facade calls.
-  core::Semandaq& sys = service.system_unsynchronized();
+  // Safe: this test issues no request concurrently with the facade call.
+  const std::vector<cfd::Cfd> sigma =
+      service.system_unsynchronized().constraints().CfdsFor("customer");
   auto exec = [&](const std::string& cmd) {
     return Exec(&service, &state, cmd);
   };
@@ -101,46 +118,34 @@ TEST(ServerServiceTest, PinnedReadsMatchTheFacadeOnTheMaster) {
   for (uint64_t epoch = 1; epoch <= 2; ++epoch) {
     SCOPED_TRACE("epoch " + std::to_string(epoch));
     EXPECT_EQ(exec("epoch customer"), "epoch " + std::to_string(epoch) + "\n");
-    const relational::Relation& master = *sys.database().FindRelation("customer");
-    EXPECT_EQ(exec("show customer 5"), master.ToAsciiTable(5));
+    const SnapshotPtr pinned = service.Pin("customer");
+    ASSERT_NE(pinned, nullptr);
+    ASSERT_EQ(pinned->epoch, epoch);
+    const relational::Relation& data = pinned->relation;
 
-    ASSERT_OK_AND_ASSIGN(auto table, sys.DetectErrors("customer"));
-    EXPECT_EQ(exec("detect customer"), table.Summary() + "\n");
+    const std::string summary = SummaryOf(oracle::Detect(data, sigma));
+    EXPECT_EQ(exec("detect customer"), summary);
     // threads=N is accepted and ignored: detection runs serially.
-    EXPECT_EQ(exec("detect customer threads=3"), table.Summary() + "\n");
-    EXPECT_EQ(exec("detect customer threads=0"), table.Summary() + "\n");
+    EXPECT_EQ(exec("detect customer threads=3"), summary);
+    EXPECT_EQ(exec("detect customer threads=0"), summary);
     // The generated-SQL detector agrees with the native one verbatim.
-    EXPECT_EQ(exec("detect customer sql"), table.Summary() + "\n");
+    EXPECT_EQ(exec("detect customer sql"), summary);
 
-    ASSERT_OK_AND_ASSIGN(std::string map, sys.QualityMap("customer", 5));
-    EXPECT_EQ(exec("map customer 5"), map);
-
-    ASSERT_OK_AND_ASSIGN(auto report, sys.Report("customer"));
+    const audit::QualityReport report =
+        audit::BuildQualityReport(oracle::Audit(data, sigma), data.schema());
     EXPECT_EQ(exec("report customer"),
               audit::AsciiRender::BarChart(report) + "\n" +
                   audit::AsciiRender::PieChart(report) + "\n" +
                   audit::AsciiRender::Statistics(report));
 
-    ASSERT_OK_AND_ASSIGN(auto explorer, sys.Explore("customer"));
-    ASSERT_OK_AND_ASSIGN(auto matches, explorer->LhsMatches(1, 0));
-    ASSERT_FALSE(matches.empty());
-    EXPECT_EQ(exec("explore customer 1 0"),
-              explorer->RenderDrilldown(1, 0, matches.front().lhs));
-
-    const std::string query =
-        "SELECT CNT, COUNT(*) AS n FROM customer GROUP BY CNT "
-        "ORDER BY n DESC, CNT";
-    sql::Engine engine(&sys.database());
-    ASSERT_OK_AND_ASSIGN(relational::Relation rows, engine.Query(query));
-    EXPECT_EQ(exec("sql " + query), rows.ToAsciiTable(50));
-
     exec("clean customer");
     ASSERT_TRUE(state.pending_repair.has_value());
     EXPECT_EQ(state.pending_epoch, epoch);
-    ASSERT_OK_AND_ASSIGN(auto repair, sys.Clean("customer"));
-    EXPECT_EQ(Canonical(*state.pending_repair), Canonical(repair));
+    EXPECT_FALSE(state.pending_repair->changes.empty());
+    EXPECT_EQ(oracle::RepairDiff(data, sigma, *state.pending_repair), "");
+    const std::string plan = Canonical(*state.pending_repair);
     exec("clean customer threads=0");
-    EXPECT_EQ(Canonical(*state.pending_repair), Canonical(repair));
+    EXPECT_EQ(Canonical(*state.pending_repair), plan);
 
     // The next epoch adds a tuple violating [CC] -> [CNT] (44 | UK).
     Row bad;
@@ -150,10 +155,13 @@ TEST(ServerServiceTest, PinnedReadsMatchTheFacadeOnTheMaster) {
     ASSERT_OK(service.AppendBatch("customer", {std::move(bad)}).status());
   }
 
-  const std::string sigma = exec("cfds");
-  discovery::CfdMiner miner(sys.database().FindRelation("customer_gold"));
+  // `mine` appends exactly what the miner finds on the pinned epoch.
+  const std::string sigma_text = exec("cfds");
+  const SnapshotPtr gold = service.Pin("customer_gold");
+  ASSERT_NE(gold, nullptr);
+  discovery::CfdMiner miner(&gold->relation);
   ASSERT_OK_AND_ASSIGN(std::vector<cfd::Cfd> mined, miner.Mine());
-  std::string expected = sigma;
+  std::string expected = sigma_text;
   for (const cfd::Cfd& c : mined) expected += c.ToString() + "\n";
   EXPECT_NE(exec("mine customer_gold").find("mined " + std::to_string(mined.size())),
             std::string::npos);

@@ -17,7 +17,6 @@
 #include "common/simd/simd.h"
 #include "detect/native_detector.h"
 #include "discovery/partition.h"
-#include "relational/encoded_relation.h"
 #include "test_util.h"
 #include "workload/customer_gen.h"
 #include "workload/hospital_gen.h"
@@ -27,7 +26,6 @@ namespace {
 
 namespace simd = common::simd;
 using discovery::Partition;
-using relational::EncodedRelation;
 using relational::Relation;
 using relational::TupleId;
 
@@ -186,17 +184,16 @@ TEST(SimdEquivalenceTest, PartitionBuildTierInvariant) {
   for (TupleId tid = 0; tid < wl.dirty.IdBound(); ++tid) {
     if (tid % 11 == 5) ASSERT_OK(wl.dirty.Delete(tid));
   }
-  const EncodedRelation enc(&wl.dirty);
   const std::vector<std::vector<size_t>> col_sets = {
       {0}, {1}, {5}, {1, 3}, {1, 2, 3}, {}};
   for (const auto& cols : col_sets) {
-    const Partition want = Partition::Build(enc, cols, simd::Level::kScalar);
+    const Partition want = Partition::Build(wl.dirty, cols, simd::Level::kScalar);
     // Π_X from the definition is the independent semantic reference.
     const auto classes = oracle::PartitionClasses(wl.dirty, cols);
     size_t covered = 0;
     for (const auto& cls : classes) covered += cls.size();
     for (const simd::Level level : kLevels) {
-      const Partition got = Partition::Build(enc, cols, level);
+      const Partition got = Partition::Build(wl.dirty, cols, level);
       SCOPED_TRACE(std::string("level=") +
                    std::string(simd::LevelName(level)) +
                    " ncols=" + std::to_string(cols.size()));

@@ -22,7 +22,6 @@
 #include "core/semandaq.h"
 #include "detect/native_detector.h"
 #include "discovery/cfd_miner.h"
-#include "relational/encoded_relation.h"
 #include "repair/batch_repair.h"
 #include "server/snapshot.h"
 #include "storage/format.h"
@@ -40,7 +39,6 @@ using detect::SingleViolation;
 using detect::ViolationGroup;
 using detect::ViolationTable;
 using relational::Code;
-using relational::EncodedRelation;
 using relational::Relation;
 using relational::Row;
 using relational::Schema;
@@ -98,7 +96,6 @@ ViolationTable Detect(const Relation& rel, const std::vector<cfd::Cfd>& cfds) {
 void ExpectLosslessRoundTrip(const Relation& rel, const std::string& cfd_text,
                              const std::string& tag) {
   const std::string path = TempPath("roundtrip_" + tag + ".sdq");
-  const EncodedRelation enc(&rel);
   ASSERT_OK_AND_ASSIGN(SnapshotStats stats,
                        SnapshotWriter::Write(rel, path));
   EXPECT_EQ(stats.live_rows, rel.size());
@@ -123,11 +120,10 @@ void ExpectLosslessRoundTrip(const Relation& rel, const std::string& cfd_text,
 
   // The loaded relation's code columns are byte-identical and its
   // dictionaries value-identical.
-  const EncodedRelation adopted(&loaded.relation);
-  ASSERT_EQ(adopted.num_columns(), rel.schema().size());
+  ASSERT_EQ(loaded.relation.columns().size(), rel.schema().size());
   for (size_t c = 0; c < rel.schema().size(); ++c) {
-    EXPECT_EQ(adopted.column(c), enc.column(c)) << "column " << c;
-    EXPECT_EQ(adopted.dictionary(c).values(), enc.dictionary(c).values())
+    EXPECT_EQ(loaded.relation.columns()[c], rel.columns()[c]) << "column " << c;
+    EXPECT_EQ(loaded.relation.dictionary(c).values(), rel.dictionary(c).values())
         << "dictionary " << c;
   }
 
@@ -431,7 +427,6 @@ TEST(WalTest, InsertTailReplaysThroughTheInsertPath) {
   const auto cfds = Parse(workload::CustomerGenerator::PaperCfds());
 
   const std::string path = TempPath("wal_insert.sdq");
-  const EncodedRelation enc(&rel);
   ASSERT_OK_AND_ASSIGN(SnapshotStats stats, SnapshotWriter::Write(rel, path));
 
   // Post-snapshot inserts go to the relation AND the WAL sidecar.
@@ -447,7 +442,6 @@ TEST(WalTest, InsertTailReplaysThroughTheInsertPath) {
 
   // Load = snapshot + WAL replay.
   ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, SnapshotReader::Read(path));
-  const EncodedRelation adopted(&loaded.relation);
   ASSERT_OK_AND_ASSIGN(
       size_t replayed,
       ReplayWal(WalPathFor(path), stats.manifest_checksum, &loaded.relation));
@@ -455,7 +449,7 @@ TEST(WalTest, InsertTailReplaysThroughTheInsertPath) {
 
   ASSERT_EQ(loaded.relation.IdBound(), rel.IdBound());
   for (size_t c = 0; c < rel.schema().size(); ++c) {
-    EXPECT_EQ(adopted.column(c), enc.column(c)) << "column " << c;
+    EXPECT_EQ(loaded.relation.columns()[c], rel.columns()[c]) << "column " << c;
   }
   ExpectTablesEqual(Detect(rel, cfds), Detect(loaded.relation, cfds));
 }
@@ -636,13 +630,13 @@ LoadedSnapshot OpenedCustomer(const std::string& tag) {
   return std::move(*loaded);
 }
 
-/// Every code and dictionary value of an encoded snapshot.
+/// Every code and dictionary value of a relation.
 std::pair<std::vector<std::vector<Code>>, std::vector<std::vector<Value>>>
-CodeImage(const EncodedRelation& enc) {
+CodeImage(const Relation& rel) {
   std::pair<std::vector<std::vector<Code>>, std::vector<std::vector<Value>>> out;
-  for (size_t c = 0; c < enc.num_columns(); ++c) {
-    out.first.emplace_back(enc.column(c).begin(), enc.column(c).end());
-    out.second.push_back(enc.dictionary(c).values());
+  for (size_t c = 0; c < rel.columns().size(); ++c) {
+    out.first.emplace_back(rel.columns()[c].begin(), rel.columns()[c].end());
+    out.second.push_back(rel.dictionary(c).values());
   }
   return out;
 }
@@ -650,19 +644,15 @@ CodeImage(const EncodedRelation& enc) {
 TEST(AdoptionTest, OpenedRelationEpochAndCloneShareTheirChunks) {
   LoadedSnapshot loaded = OpenedCustomer("share");
   const Relation& rel = loaded.relation;
-  const EncodedRelation opened(&rel);
 
-  const server::SnapshotPtr epoch = server::BuildRelationSnapshot(rel, opened, 1);
-  const EncodedRelation on_epoch(&epoch->relation);
+  const server::SnapshotPtr epoch = server::BuildRelationSnapshot(rel, 1);
   const Relation clone = epoch->relation.Clone();
-  const EncodedRelation on_clone(&clone);
   for (size_t c = 0; c < rel.schema().size(); ++c) {
     const Code* chunk = rel.columns()[c].data();
-    EXPECT_EQ(opened.column(c).data(), chunk) << "column " << c;
-    EXPECT_EQ(epoch->encoded->column(c).data(), chunk) << "column " << c;
-    EXPECT_EQ(on_epoch.column(c).data(), chunk) << "column " << c;
-    EXPECT_EQ(on_clone.column(c).data(), chunk) << "column " << c;
-    EXPECT_EQ(&on_clone.dictionary(c), &opened.dictionary(c)) << "column " << c;
+    EXPECT_EQ(epoch->relation.columns()[c].data(), chunk) << "column " << c;
+    EXPECT_EQ(clone.columns()[c].data(), chunk) << "column " << c;
+    EXPECT_EQ(&epoch->relation.dictionary(c), &rel.dictionary(c)) << "column " << c;
+    EXPECT_EQ(&clone.dictionary(c), &rel.dictionary(c)) << "column " << c;
   }
   // The rows decode from the same chunks.
   EXPECT_EQ(clone.row(1), rel.row(1));
@@ -707,10 +697,8 @@ TEST(AdoptionTest, MutatedRelationReadsBackARowForRowReference) {
 
 TEST(AdoptionTest, RepairAndMiningLeaveTheEpochUntouched) {
   LoadedSnapshot loaded = OpenedCustomer("untouched");
-  const EncodedRelation opened(&loaded.relation);
-  const server::SnapshotPtr epoch =
-      server::BuildRelationSnapshot(loaded.relation, opened, 1);
-  const auto before = CodeImage(*epoch->encoded);
+  const server::SnapshotPtr epoch = server::BuildRelationSnapshot(loaded.relation, 1);
+  const auto before = CodeImage(epoch->relation);
 
   repair::BatchRepair cleaner(&epoch->relation,
                               Parse(workload::CustomerGenerator::PaperCfds()),
@@ -723,8 +711,8 @@ TEST(AdoptionTest, RepairAndMiningLeaveTheEpochUntouched) {
   ASSERT_OK_AND_ASSIGN(std::vector<cfd::Cfd> mined, miner.Mine());
   EXPECT_FALSE(mined.empty());
 
-  EXPECT_EQ(CodeImage(*epoch->encoded), before);
-  EXPECT_EQ(CodeImage(EncodedRelation(&epoch->relation)), before);
+  EXPECT_EQ(CodeImage(epoch->relation), before);
+  EXPECT_EQ(CodeImage(loaded.relation), before);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 
 #include "common/random.h"
 #include "relational/database.h"
-#include "relational/encoded_relation.h"
 #include "sql/engine.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
